@@ -88,7 +88,7 @@ def main(argv=None):
     ]
     consumed = {doc for doc, _ in history_events}
     candidates = exclude_history(pool, consumed)
-    pick = next_in_sequence(schema, history, candidates, Window("last", 4))
+    (pick,) = next_in_sequence(schema, history, candidates, Window("last", 4)).selected
     print(f"  consumed {sorted(consumed)}; next pick over last-4 window: {pick}")
 
     hr("summary sources")
@@ -105,8 +105,8 @@ def main(argv=None):
         for itype in sorted(log.type_weights)
         if (doc_id, itype) not in logged
     ]
-    doc_id, itype = suggest_interaction(schema, by_id, log, options)
-    print(f"  suggest: {itype} on {doc_id}")
+    suggestion = suggest_interaction(schema, by_id, log, options).trace[-1]
+    print(f"  suggest: {suggestion['type']} on {suggestion['doc']}")
 
     hr("rules pipeline")
     ruleset, request = load_rules(schema, (fx / "rules.jsonl").read_text())

@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
-from functools import lru_cache
+from collections import deque
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
-
-import networkx as nx
 
 from .errors import DerivationError, ParseError, UnknownEntityError, ValidationError
 
@@ -71,20 +69,28 @@ class DistanceTable:
 
 @dataclass(frozen=True)
 class LabelGraph:
-    """Undirected simple graph over labels plus optional grouping nodes."""
+    """Undirected simple graph over labels plus optional grouping nodes.
+
+    Construction runs one breadth-first search from every node. `hops` maps
+    each node to the hop count of every node it reaches; `ancestors` maps
+    each node to its hierarchy ancestors (see `label_ancestors`) and is
+    empty for a disconnected graph, which no Aspect accepts.
+    """
 
     nodes: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
+    hops: Mapping[str, Mapping[str, int]] = field(init=False, repr=False, compare=False)
+    ancestors: Mapping[str, frozenset[str]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.nodes)) != len(self.nodes):
             raise ValidationError("label graph nodes must be unique")
-        node_set = set(self.nodes)
+        adjacency: dict[str, list[str]] = {n: [] for n in self.nodes}
         seen = set()
         for u, v in self.edges:
             if u == v:
                 raise ValidationError(f"label graph has self-loop at {u!r}")
-            if u not in node_set or v not in node_set:
+            if u not in adjacency or v not in adjacency:
                 raise ValidationError(
                     f"label graph edge ({u!r}, {v!r}) references an unknown node"
                 )
@@ -92,12 +98,51 @@ class LabelGraph:
             if key in seen:
                 raise ValidationError(f"label graph has duplicate edge ({u!r}, {v!r})")
             seen.add(key)
+            adjacency[u].append(v)
+            adjacency[v].append(u)
+        hops = {n: _bfs(adjacency, n) for n in self.nodes}
+        object.__setattr__(self, "hops", hops)
+        object.__setattr__(self, "ancestors", _ancestor_sets(hops) if self.connected() else {})
 
-    def to_networkx(self) -> nx.Graph:
-        g = nx.Graph()
-        g.add_nodes_from(self.nodes)
-        g.add_edges_from(self.edges)
-        return g
+    def connected(self) -> bool:
+        return all(len(reach) == len(self.nodes) for reach in self.hops.values())
+
+
+def _bfs(adjacency: Mapping[str, list[str]], source: str) -> dict[str, int]:
+    """Hop count from `source` to every node it reaches."""
+    hops = {source: 0}
+    queue = deque([source])
+    while queue:
+        node = queue.popleft()
+        for nxt in adjacency[node]:
+            if nxt not in hops:
+                hops[nxt] = hops[node] + 1
+                queue.append(nxt)
+    return hops
+
+
+def _ancestor_sets(hops: Mapping[str, Mapping[str, int]]) -> dict[str, frozenset[str]]:
+    """Map each node of a connected graph to the nodes 'above' it.
+
+    The graph is undirected, so hierarchy is recovered geometrically: the
+    ancestors of a node L are L itself plus every node lying on a shortest
+    path from L to L's nearest center node(s) (the Jordan center, i.e. the
+    nodes minimizing eccentricity). In a two-cluster graph the cluster hub
+    is an ancestor of exactly its own cluster's labels; in a nested tree the
+    whole chain up to the root qualifies.
+    """
+    ecc = {n: max(reach.values()) for n, reach in hops.items()}
+    min_ecc = min(ecc.values(), default=0)
+    centers = [n for n in hops if ecc[n] == min_ecc]
+    result = {}
+    for node, reach in hops.items():
+        nearest = min(reach[c] for c in centers)
+        mine = {node}
+        for c in centers:
+            if reach[c] == nearest:
+                mine.update(o for o in hops if reach[o] + hops[o][c] == nearest)
+        result[node] = frozenset(mine)
+    return result
 
 
 @dataclass(frozen=True)
@@ -131,6 +176,18 @@ class Aspect:
                 f"aspect {self.name!r} distance table references unknown "
                 f"labels: {sorted(stray)}"
             )
+        if self.graph is not None:
+            missing = [l for l in self.labels if l not in self.graph.hops]
+            if missing:
+                raise DerivationError(
+                    f"aspect {self.name!r}: labels {missing} are not graph nodes"
+                )
+            if not self.graph.connected():
+                components = {frozenset(reach) for reach in self.graph.hops.values()}
+                raise DerivationError(
+                    f"aspect {self.name!r} label graph is disconnected; "
+                    f"components: {sorted(sorted(c) for c in components)}"
+                )
 
     @property
     def label_set(self) -> frozenset[str]:
@@ -157,13 +214,14 @@ class AspectSchema:
             if extra:
                 parts.append(f"weights for unknown aspects {sorted(extra)}")
             raise ValidationError("blend weights must cover exactly the aspects: " + "; ".join(parts))
+        # Written so that NaN fails both checks.
         for name, w in self.weights.items():
-            if w < 0.0 or w > 1.0:
+            if not 0.0 <= w <= 1.0:
                 raise ValidationError(
                     f"blend weight for {name!r} is {w!r}; weights must lie in [0, 1]"
                 )
         total = sum(self.weights[n] for n in names)
-        if abs(total - 1.0) > WEIGHT_TOLERANCE:
+        if not abs(total - 1.0) <= WEIGHT_TOLERANCE:
             raise ValidationError(f"blend weights must sum to 1 (got {total!r})")
 
     def aspect(self, name: str) -> Aspect:
@@ -190,56 +248,48 @@ def derive_distances_from_graph(aspect: Aspect) -> DistanceTable:
     """
     if aspect.graph is None:
         raise DerivationError(f"aspect {aspect.name!r} has no label graph")
-    g = aspect.graph.to_networkx()
-    missing = [l for l in aspect.labels if l not in g]
-    if missing:
-        raise DerivationError(
-            f"aspect {aspect.name!r}: labels {missing} are not graph nodes"
-        )
-    if len(g) > 0 and not nx.is_connected(g):
-        components = sorted(sorted(c) for c in nx.connected_components(g))
-        raise DerivationError(
-            f"aspect {aspect.name!r} label graph is disconnected; "
-            f"components: {components}"
-        )
-
+    hops = aspect.graph.hops
     labels = sorted(aspect.labels)
-    if len(labels) < 2:
-        return DistanceTable({})
-
-    lengths = {l: nx.single_source_shortest_path_length(g, l) for l in labels}
     pairs = [
         (labels[i], labels[j])
         for i in range(len(labels))
         for j in range(i + 1, len(labels))
     ]
-    diameter = max(lengths[l1][l2] for l1, l2 in pairs)
+    diameter = max((hops[l1][l2] for l1, l2 in pairs), default=0)
     entries: dict[tuple[str, str], float] = {}
-    for l1, l2 in pairs:
-        key = _pair(l1, l2)
+    for key in pairs:
         if key in aspect.explicit_pairs:
             entries[key] = aspect.distances.entries[key]
         else:
-            entries[key] = lengths[l1][l2] / diameter
+            entries[key] = hops[key[0]][key[1]] / diameter
     return DistanceTable(entries)
 
 
 def make_aspect(
     name: str,
     labels: Iterable[str],
-    distances: Mapping[tuple[str, str], float] | None = None,
+    distances: Mapping[tuple[str, str], float]
+    | Iterable[tuple[tuple[str, str], float]]
+    | None = None,
     graph: LabelGraph | None = None,
 ) -> Aspect:
     """Build an aspect with a fully resolved distance table.
 
+    `distances` maps label pairs to values, or lists (pair, value) entries
+    so that a repeated pair is reported instead of silently overwritten.
     Resolution order per unordered label pair: explicit entry, then
     graph-derived value, then 1.0 with a logged warning.
     """
     labels = tuple(labels)
+    entries = distances.items() if isinstance(distances, Mapping) else distances or ()
     explicit: dict[tuple[str, str], float] = {}
-    for (l1, l2), value in (distances or {}).items():
+    for (l1, l2), value in entries:
         key = _pair(l1, l2)
         if l1 == l2:
+            if l1 not in labels:
+                raise ValidationError(
+                    f"aspect {name!r}: distance entry references unknown label {l1!r}"
+                )
             if value != 0.0:
                 raise ValidationError(
                     f"aspect {name!r}: self-distance for {l1!r} must be 0 (got {value!r})"
@@ -276,12 +326,9 @@ def make_aspect(
             name,
             sorted(defaulted),
         )
-    return Aspect(
-        name=name,
-        labels=labels,
+    return replace(
+        provisional,
         distances=DistanceTable(resolved),
-        graph=graph,
-        explicit_pairs=frozenset(explicit),
         defaulted_pairs=frozenset(defaulted),
     )
 
@@ -355,9 +402,11 @@ def load_schema(text: str) -> AspectSchema:
             raise ValidationError(
                 f"aspect {name!r}: 'labels' must be a non-empty list of strings"
             )
-        label_set = set(labels)
-        distances: dict[tuple[str, str], float] = {}
-        for trip in entry.get("distances", []):
+        raw_distances = entry.get("distances") or []
+        if not isinstance(raw_distances, list):
+            raise ValidationError(f"aspect {name!r}: 'distances' must be a list")
+        distances = []
+        for trip in raw_distances:
             if (
                 not isinstance(trip, list)
                 or len(trip) != 3
@@ -369,45 +418,10 @@ def load_schema(text: str) -> AspectSchema:
                     f"aspect {name!r}: distance entries must be [label, label, value] "
                     f"(got {trip!r})"
                 )
-            l1, l2, value = trip[0], trip[1], float(trip[2])
-            for l in (l1, l2):
-                if l not in label_set:
-                    raise ValidationError(
-                        f"aspect {name!r}: distance entry references unknown label {l!r}"
-                    )
-            if l1 == l2:
-                if value != 0.0:
-                    raise ValidationError(
-                        f"aspect {name!r}: self-distance for {l1!r} must be 0 "
-                        f"(got {value!r})"
-                    )
-                continue
-            key = _pair(l1, l2)
-            if key in distances:
-                raise ValidationError(
-                    f"aspect {name!r}: duplicate distance entry for pair {key}"
-                )
-            if not 0.0 <= value <= 1.0:
-                raise ValidationError(
-                    f"aspect {name!r}: distance out of range: "
-                    f"{l1}/{l2} = {value!r} (must be in [0, 1])"
-                )
-            distances[key] = value
+            distances.append(((trip[0], trip[1]), float(trip[2])))
         graph = None
         if entry.get("graph") is not None:
             graph = _parse_graph(name, entry["graph"])
-            stray = label_set - set(graph.nodes)
-            if stray:
-                raise ValidationError(
-                    f"aspect {name!r}: labels {sorted(stray)} are missing from the graph"
-                )
-            g = graph.to_networkx()
-            if len(g) > 0 and not nx.is_connected(g):
-                components = sorted(sorted(c) for c in nx.connected_components(g))
-                raise ValidationError(
-                    f"aspect {name!r}: label graph must be connected; "
-                    f"components: {components}"
-                )
         aspects.append(make_aspect(name, labels, distances, graph))
 
     weights = {}
@@ -429,40 +443,14 @@ def label_distance(schema: AspectSchema, aspect_name: str, l1: str, l2: str) -> 
     return aspect.distances.lookup(l1, l2)
 
 
-@lru_cache(maxsize=None)
-def _ancestor_sets(graph: LabelGraph) -> dict[str, frozenset[str]]:
-    """Map each label-or-node to the nodes 'above' it in the hierarchy.
-
-    The graph is undirected, so hierarchy is recovered geometrically: the
-    ancestors of a node L are L itself plus every node lying on a shortest
-    path from L to L's nearest center node(s) (the Jordan center, i.e. the
-    nodes minimizing eccentricity). In a two-cluster graph the cluster hub
-    is an ancestor of exactly its own cluster's labels; in a nested tree the
-    whole chain up to the root qualifies.
-    """
-    g = graph.to_networkx()
-    lengths = dict(nx.all_pairs_shortest_path_length(g))
-    ecc = {n: max(lengths[n].values()) for n in g}
-    min_ecc = min(ecc.values())
-    centers = [n for n in g if ecc[n] == min_ecc]
-    result = {}
-    for node in g:
-        nearest = min(lengths[node][c] for c in centers)
-        mine = {node}
-        for c in centers:
-            if lengths[node][c] != nearest:
-                continue
-            for other in g:
-                if lengths[node][other] + lengths[other][c] == lengths[node][c]:
-                    mine.add(other)
-        result[node] = frozenset(mine)
-    return result
-
-
 def label_ancestors(aspect: Aspect, label: str) -> frozenset[str]:
-    """Nodes that count as hierarchy ancestors of `label` (includes itself)."""
+    """Nodes that count as hierarchy ancestors of `label` (includes itself).
+
+    With a label graph these are `label` plus every node on a shortest path
+    to its nearest Jordan center node(s); without one, just `label`.
+    """
     if label not in aspect.label_set:
         raise UnknownEntityError(f"unknown label {label!r} for aspect {aspect.name!r}")
     if aspect.graph is None:
         return frozenset({label})
-    return _ancestor_sets(aspect.graph)[label]
+    return aspect.graph.ancestors[label]

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from . import corpus_io, diversify, rules as rules_mod
 from .aspect_model import AspectSchema, load_schema
@@ -22,15 +22,8 @@ from .errors import (
     UnknownEntityError,
     ValidationError,
 )
-from .metrics import (
-    InteractionLog,
-    InteractionRecord,
-    Window,
-    collection_diversity,
-    interaction_diversity,
-    parse_window,
-    window_slice,
-)
+# interaction_diversity is unused here; newsbench/tracing.py patches this name.
+from .metrics import Window, collection_diversity, interaction_diversity, parse_window  # noqa: F401
 from .oracle import max_diversity_oracle
 
 EXIT_OK = 0
@@ -39,40 +32,19 @@ EXIT_VALIDATION = 2
 EXIT_GUARD = 3
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    """Resolved file inputs for one invocation."""
-
-    schema_path: str
-    corpus_path: str
-    rules_path: str | None = None
-    interactions_path: str | None = None
-    history_path: str | None = None
-
-
-def _config(args) -> CliConfig:
-    return CliConfig(
-        schema_path=args.schema,
-        corpus_path=args.corpus,
-        rules_path=getattr(args, "rules", None),
-        interactions_path=getattr(args, "interactions", None),
-        history_path=getattr(args, "history", None),
-    )
-
-
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
 
 
-def _load_schema_corpus(cfg: CliConfig) -> tuple[AspectSchema, corpus_io.Corpus]:
-    schema = load_schema(_read(cfg.schema_path))
-    corpus = corpus_io.load_corpus(schema, _read(cfg.corpus_path))
+def _load_schema_corpus(args) -> tuple[AspectSchema, corpus_io.Corpus]:
+    schema = load_schema(_read(args.schema))
+    corpus = corpus_io.load_corpus(schema, _read(args.corpus))
     return schema, corpus
 
 
 def cmd_score(args) -> int:
-    schema, corpus = _load_schema_corpus(_config(args))
+    schema, corpus = _load_schema_corpus(args)
     if args.ids:
         wanted = [i.strip() for i in args.ids.split(",") if i.strip()]
         missing = sorted(set(wanted) - set(corpus.documents))
@@ -86,20 +58,20 @@ def cmd_score(args) -> int:
     return EXIT_OK
 
 
-def _load_rules(cfg: CliConfig, context_tags, schema):
-    if not cfg.rules_path:
+def _load_rules(args, schema):
+    if not args.rules:
         return rules_mod.RuleSet(rules=()), []
-    ruleset, request_rules = corpus_io.load_rules(schema, _read(cfg.rules_path))
-    if context_tags:
+    ruleset, request_rules = corpus_io.load_rules(schema, _read(args.rules))
+    if args.context:
         ruleset = rules_mod.RuleSet(
-            rules=ruleset.rules, context_tags=frozenset(context_tags)
+            rules=ruleset.rules, context_tags=frozenset(args.context)
         )
     return ruleset, request_rules
 
 
-def _history_profiles(cfg: CliConfig, corpus):
+def _history_profiles(args, corpus):
     """Consumption events as profiles re-stamped with event timestamps."""
-    events = corpus_io.load_history(_read(cfg.history_path))
+    events = corpus_io.load_history(_read(args.history))
     missing = sorted({doc_id for doc_id, _ in events if doc_id not in corpus.documents})
     if missing:
         raise UnknownEntityError(f"history references unknown documents: {missing}")
@@ -109,13 +81,12 @@ def _history_profiles(cfg: CliConfig, corpus):
 
 
 def cmd_rerank(args) -> int:
-    cfg = _config(args)
-    schema, corpus = _load_schema_corpus(cfg)
-    ruleset, request_rules = _load_rules(cfg, args.context, schema)
+    schema, corpus = _load_schema_corpus(args)
+    ruleset, request_rules = _load_rules(args, schema)
 
     history = []
-    if cfg.history_path:
-        history = _history_profiles(cfg, corpus)
+    if args.history:
+        history = _history_profiles(args, corpus)
     candidates = diversify.exclude_history(
         corpus.docs(), {d.id for d in history}
     )
@@ -144,37 +115,17 @@ def cmd_rerank(args) -> int:
     elif args.mode == "summary":
         result = diversify.select_summary_sources(schema, survivors, args.k)
     elif args.mode == "sequence":
-        if not cfg.history_path:
+        if not args.history:
             raise ContractError("sequence mode requires --history")
         window = parse_window(args.window) if args.window else Window("last", len(history))
-        chosen = diversify.next_in_sequence(
+        result = diversify.next_in_sequence(
             schema, history, survivors, window, gamma=args.gamma
         )
-        post = collection_diversity(
-            schema, window_slice(history, window) + [corpus.documents[chosen]]
-        )
-        doc = corpus.documents[chosen]
-        result = diversify.RerankResult(
-            selected=(chosen,),
-            diversity=collection_diversity(schema, [doc]),
-            objective=post.overall,
-            trace=(
-                {
-                    "kind": "next",
-                    "doc": chosen,
-                    "window_diversity": post.overall,
-                    "detail": (
-                        f"next item {chosen}: windowed diversity with it "
-                        f"{post.overall:.12g}"
-                    ),
-                },
-            ),
-        )
     elif args.mode == "interaction":
-        if not cfg.interactions_path:
+        if not args.interactions:
             raise ContractError("interaction mode requires --interactions")
         weights = json.loads(args.type_weights) if args.type_weights else None
-        log = corpus_io.load_interactions(_read(cfg.interactions_path), weights)
+        log = corpus_io.load_interactions(_read(args.interactions), weights)
         logged = {(r.doc, r.type) for r in log.records}
         options = [
             (doc.id, itype)
@@ -184,36 +135,8 @@ def cmd_rerank(args) -> int:
         ]
         if not options:
             raise ContractError("no interaction options remain to suggest")
-        doc_id, itype = diversify.suggest_interaction(
+        result = diversify.suggest_interaction(
             schema, dict(corpus.documents), log, options
-        )
-        record = InteractionRecord(
-            user="suggestion",
-            doc=doc_id,
-            type=itype,
-            ts=max((r.ts for r in log.records), default=0) + 1,
-        )
-        ext_log = InteractionLog(
-            records=log.records + (record,), type_weights=log.type_weights
-        )
-        overall = interaction_diversity(schema, dict(corpus.documents), ext_log)
-        doc = corpus.documents[doc_id]
-        result = diversify.RerankResult(
-            selected=(doc_id,),
-            diversity=collection_diversity(schema, [doc]),
-            objective=overall,
-            trace=(
-                {
-                    "kind": "suggest",
-                    "doc": doc_id,
-                    "type": itype,
-                    "overall": overall,
-                    "detail": (
-                        f"suggest {itype} on {doc_id}: extended interaction "
-                        f"diversity {overall:.12g}"
-                    ),
-                },
-            ),
         )
     else:  # argparse choices prevent this
         raise ContractError(f"unknown mode {args.mode!r}")
@@ -229,7 +152,7 @@ def cmd_rerank(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    schema, corpus = _load_schema_corpus(_config(args))
+    schema, corpus = _load_schema_corpus(args)
     result = max_diversity_oracle(schema, corpus.docs(), args.k)
     sys.stdout.write(corpus_io.write_report(result, "json"))
     return EXIT_OK

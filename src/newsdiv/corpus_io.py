@@ -156,7 +156,7 @@ def load_interactions(
     Line format: {"user": "u1", "doc": "a1", "type": "like", "ts": 1700000100}
 
     When type_weights is omitted, weights are uniform over the types present
-    in the log.
+    in the log. Given weights must be a mapping from type to number.
     """
     records = []
     for lineno, obj in _iter_jsonl(text):
@@ -177,6 +177,12 @@ def load_interactions(
         if not types:
             raise ValidationError("interaction log is empty and no type weights given")
         type_weights = {t: 1.0 / len(types) for t in types}
+    elif not isinstance(type_weights, Mapping) or not all(
+        isinstance(w, (int, float)) for w in type_weights.values()
+    ):
+        raise ValidationError(
+            f"interaction type weights must map types to numbers (got {type_weights!r})"
+        )
     return InteractionLog(records=tuple(records), type_weights=dict(type_weights))
 
 

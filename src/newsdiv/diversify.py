@@ -38,19 +38,6 @@ DEFAULT_GAMMA = 0.5
 
 
 @dataclass(frozen=True)
-class RerankRequest:
-    """Bundle of knobs for a diversification call."""
-
-    mode: str = "list"
-    k: int = 5
-    weights: Mapping[str, float] | None = None  # blend override
-    lam: float | None = None
-    window: Window | None = None
-    gamma: float = DEFAULT_GAMMA
-    swap_budget: int | None = None
-
-
-@dataclass(frozen=True)
 class RerankResult:
     """Outcome of a diversification procedure.
 
@@ -261,13 +248,15 @@ def next_in_sequence(
     candidates: Sequence[DocumentProfile],
     window: Window,
     gamma: float = DEFAULT_GAMMA,
-) -> str:
+) -> RerankResult:
     """Pick the candidate that most diversifies the recent window.
 
     Primary criterion: diversity of the windowed history with the candidate
     appended. Within TIE_TOLERANCE, prefer the candidate with the larger
     gamma-decayed distance to the window (age 0 = most recent item). Final
-    ties go to the smaller id via the id-sorted scan.
+    ties go to the smaller id via the id-sorted scan. The result selects the
+    winner alone; its objective and its "next" trace record carry the
+    winner's windowed diversity.
     """
     if not candidates:
         raise ContractError("candidate set must be non-empty")
@@ -275,7 +264,7 @@ def next_in_sequence(
         raise ContractError(f"gamma must lie in (0, 1] (got {gamma!r})")
     recent = window_slice(history, window)
 
-    best_id = None
+    best = None
     best_primary = -1.0
     best_secondary = -1.0
     for cand in sorted(candidates, key=lambda d: d.id):
@@ -284,10 +273,25 @@ def next_in_sequence(
         for age, doc in enumerate(reversed(recent)):
             secondary += (gamma**age) * doc_distance(schema, cand, doc)
         if primary > best_primary + TIE_TOLERANCE:
-            best_id, best_primary, best_secondary = cand.id, primary, secondary
+            best, best_primary, best_secondary = cand, primary, secondary
         elif primary >= best_primary - TIE_TOLERANCE and secondary > best_secondary:
-            best_id, best_primary, best_secondary = cand.id, primary, secondary
-    return best_id
+            best, best_primary, best_secondary = cand, primary, secondary
+    return RerankResult(
+        selected=(best.id,),
+        diversity=collection_diversity(schema, [best]),
+        objective=best_primary,
+        trace=(
+            {
+                "kind": "next",
+                "doc": best.id,
+                "window_diversity": best_primary,
+                "detail": (
+                    f"next item {best.id}: windowed diversity with it "
+                    f"{best_primary:.12g}"
+                ),
+            },
+        ),
+    )
 
 
 def select_summary_sources(schema: AspectSchema, pool: Sequence[DocumentProfile], k: int) -> RerankResult:
@@ -327,14 +331,15 @@ def suggest_interaction(
     corpus_docs: Mapping[str, DocumentProfile],
     log: InteractionLog,
     options: Sequence[tuple[str, str]],
-) -> tuple[str, str]:
+) -> RerankResult:
     """Choose the (document, interaction type) that most diversifies the log.
 
     Options are (doc id, type) pairs. Primary criterion: type-weighted
     overall diversity of the log extended by that interaction. Within
     TIE_TOLERANCE, prefer the higher per-type diversity of the option's own
     type; remaining ties go to the lexicographically smaller (type, id).
-    Returns (doc id, type).
+    The result selects the winning document; its "suggest" trace record
+    names the type, and the objective is the extended log's diversity.
     """
     if not options:
         raise ContractError("options must be non-empty")
@@ -363,7 +368,24 @@ def suggest_interaction(
             best, best_overall, best_own = (doc_id, itype), overall, own
         elif overall >= best_overall - TIE_TOLERANCE and own > best_own:
             best, best_overall, best_own = (doc_id, itype), overall, own
-    return best
+    doc_id, itype = best
+    return RerankResult(
+        selected=(doc_id,),
+        diversity=collection_diversity(schema, [corpus_docs[doc_id]]),
+        objective=best_overall,
+        trace=(
+            {
+                "kind": "suggest",
+                "doc": doc_id,
+                "type": itype,
+                "overall": best_overall,
+                "detail": (
+                    f"suggest {itype} on {doc_id}: extended interaction "
+                    f"diversity {best_overall:.12g}"
+                ),
+            },
+        ),
+    )
 
 
 def rerank_combined(
@@ -445,12 +467,3 @@ def rerank_combined(
         objective=objective,
         trace=tuple(trace),
     )
-
-
-def combined_objective(schema: AspectSchema, docs: Sequence[DocumentProfile], lam: float) -> float:
-    """Set-level objective rerank_combined reports: blend of mean relevance
-    and diversity."""
-    if not docs:
-        return 0.0
-    mean_rel = sum(d.relevance for d in docs) / len(docs)
-    return lam * mean_rel + (1.0 - lam) * collection_diversity(schema, docs).overall

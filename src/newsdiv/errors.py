@@ -25,7 +25,7 @@ class ContractError(NewsdivError):
     """An operation was called with arguments outside its contract."""
 
 
-class DerivationError(NewsdivError):
+class DerivationError(ValidationError):
     """Label distances could not be derived from the aspect's graph."""
 
 

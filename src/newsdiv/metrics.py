@@ -66,13 +66,14 @@ class InteractionLog:
     type_weights: Mapping[str, float]
 
     def __post_init__(self):
+        # Written so that NaN fails both checks.
         for t, w in self.type_weights.items():
-            if w < 0.0:
+            if not w >= 0.0:
                 raise ValidationError(
-                    f"interaction type weight for {t!r} is negative ({w!r})"
+                    f"interaction type weight for {t!r} is negative or NaN ({w!r})"
                 )
         total = sum(self.type_weights.values())
-        if abs(total - 1.0) > TIE_TOLERANCE:
+        if not abs(total - 1.0) <= TIE_TOLERANCE:
             raise ValidationError(
                 f"interaction type weights must sum to 1 (got {total!r})"
             )

@@ -309,10 +309,6 @@ def check_requirements(
     return tuple(violations)
 
 
-def active_excludes(ruleset: RuleSet, request_rules: Sequence[Rule]) -> list[Rule]:
-    return [r for r in ruleset.active(request_rules) if r.action == "exclude"]
-
-
 def active_requires(ruleset: RuleSet, request_rules: Sequence[Rule]) -> list[Rule]:
     return [r for r in ruleset.active(request_rules) if r.action == "require_at_least"]
 

@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import random
 
+from typing import Sequence
+
 from newsdiv.aspect_model import Aspect, AspectSchema, LabelGraph, make_aspect
-from newsdiv.metrics import DocumentProfile
+from newsdiv.metrics import DocumentProfile, collection_diversity
 from newsdiv.rules import Rule, RuleSet, parse_rule
 
 
@@ -102,3 +104,45 @@ def random_rules(
             globals_and_context.append(rule)
     ruleset = RuleSet(rules=tuple(globals_and_context), context_tags=frozenset(context_tags))
     return ruleset, request
+
+
+def active_excludes(ruleset: RuleSet, request_rules: Sequence[Rule]) -> list[Rule]:
+    """The exclude rules active for one request."""
+    return [r for r in ruleset.active(request_rules) if r.action == "exclude"]
+
+
+def combined_objective(schema: AspectSchema, docs: Sequence[DocumentProfile], lam: float) -> float:
+    """Set-level objective rerank_combined reports: blend of mean relevance
+    and diversity."""
+    if not docs:
+        return 0.0
+    mean_rel = sum(d.relevance for d in docs) / len(docs)
+    return lam * mean_rel + (1.0 - lam) * collection_diversity(schema, docs).overall
+
+
+def floyd_warshall(graph: LabelGraph) -> dict[str, dict[str, float]]:
+    """All-pairs hop counts by Floyd-Warshall; unreachable pairs are inf."""
+    dist = {u: {v: 0 if u == v else float("inf") for v in graph.nodes} for u in graph.nodes}
+    for u, v in graph.edges:
+        dist[u][v] = dist[v][u] = 1
+    for w in graph.nodes:
+        for u in graph.nodes:
+            for v in graph.nodes:
+                if dist[u][w] + dist[w][v] < dist[u][v]:
+                    dist[u][v] = dist[u][w] + dist[w][v]
+    return dist
+
+
+def reference_ancestors(graph: LabelGraph, node: str) -> frozenset[str]:
+    """Nodes on a shortest path from `node` to its nearest Jordan center(s)."""
+    dist = floyd_warshall(graph)
+    ecc = {u: max(dist[u].values()) for u in graph.nodes}
+    centers = {u for u in graph.nodes if ecc[u] == min(ecc.values())}
+    nearest = min(dist[node][c] for c in centers)
+    return frozenset(
+        v
+        for c in centers
+        if dist[node][c] == nearest
+        for v in graph.nodes
+        if dist[node][v] + dist[v][c] == nearest
+    )

@@ -33,9 +33,9 @@ from newsdiv.metrics import (
     interaction_diversity,
 )
 from newsdiv.oracle import max_diversity_oracle, max_sequence_oracle
-from newsdiv.rules import RuleSet, active_excludes, apply_rules, matches, parse_rule
+from newsdiv.rules import RuleSet, apply_rules, matches, parse_rule
 
-from helpers import random_docs, random_rules, random_schema
+from helpers import active_excludes, random_docs, random_rules, random_schema
 
 TOL = 1e-9
 
@@ -109,8 +109,8 @@ def test_criterion_4_greedy_vs_oracle(schema, pool):
         candidates = random_docs(rng, rschema, rng.randint(1, 12))
         window = Window("last", rng.randint(0, len(history)))
         gamma = rng.choice([0.25, 0.5, 0.9, 1.0])
-        assert next_in_sequence(rschema, history, candidates, window, gamma) == (
-            max_sequence_oracle(rschema, history, candidates, window, gamma)
+        assert next_in_sequence(rschema, history, candidates, window, gamma).selected == (
+            max_sequence_oracle(rschema, history, candidates, window, gamma),
         )
 
 
@@ -160,7 +160,8 @@ def test_criterion_6_interaction_fixture_and_degenerate_weights(schema):
     suggestion = suggest_interaction(
         schema, corpus_docs, log, [("d3", "like"), ("d2", "share")]
     )
-    assert suggestion == ("d2", "share")
+    assert suggestion.selected == ("d2",)
+    assert suggestion.trace[-1]["type"] == "share"
 
     degenerate = InteractionLog(
         records=(

@@ -1,6 +1,7 @@
 """Schema construction, graph-derived distances, and ancestor queries."""
 
 import logging
+import math
 import random
 
 import pytest
@@ -23,7 +24,7 @@ from newsdiv.errors import (
     ValidationError,
 )
 
-from helpers import random_connected_graph
+from helpers import floyd_warshall, random_connected_graph, reference_ancestors
 
 FRAMES = ("Cultural", "Economy", "Health", "Security")
 
@@ -71,6 +72,23 @@ def test_weights_must_cover_exactly_the_aspects(schema):
 def test_weights_must_be_unit_interval(schema):
     with pytest.raises(ValidationError):
         schema.with_weights({"topic": 1.5, "frame": -0.5})
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [{"topic": math.nan, "frame": 0.5}, {"topic": math.nan, "frame": 1.0}, {"topic": math.nan, "frame": math.nan}],
+)
+def test_nan_blend_weight_rejected(schema, weights):
+    with pytest.raises(ValidationError, match="weight"):
+        schema.with_weights(weights)
+
+
+def test_nan_blend_weight_in_schema_file_rejected(fixtures_dir):
+    raw = (fixtures_dir / "example_schema.json").read_text()
+    text = raw.replace('"topic": 0.5', '"topic": NaN')
+    assert text != raw
+    with pytest.raises(ValidationError):
+        load_schema(text)
 
 
 def test_duplicate_aspect_names_rejected():
@@ -186,6 +204,20 @@ def test_load_schema_rejects_unknown_weight_key(fixtures_dir):
         load_schema(json.dumps(raw))
 
 
+@pytest.mark.parametrize("value", [5, "Climate", {"Climate": 1.0}])
+def test_load_schema_rejects_non_list_distances(value):
+    import json
+
+    aspect = {"name": "topic", "labels": ["Climate", "Immigration"], "distances": value}
+    with pytest.raises(ValidationError, match="'distances' must be a list"):
+        load_schema(json.dumps({"aspects": [aspect], "weights": {"topic": 1.0}}))
+
+
+def test_load_schema_treats_null_distances_as_absent():
+    text = '{"aspects": [{"name": "t", "labels": ["a", "b"], "distances": null}], "weights": {"t": 1.0}}'
+    assert load_schema(text).aspect("t").defaulted_pairs == {("a", "b")}
+
+
 def test_load_schema_roundtrips_example_fixture(schema):
     assert schema.aspect_names() == ("topic", "frame")
     assert schema.weights == {"topic": 0.5, "frame": 0.5}
@@ -245,3 +277,34 @@ def test_derived_distances_are_normalized(seed):
     for l1 in labels:
         for l2 in labels:
             assert aspect.distances.lookup(l1, l2) == aspect.distances.lookup(l2, l1)
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+def test_graph_distances_and_ancestors_match_floyd_warshall(seed):
+    """Labels are a strict subset of the nodes, so grouping nodes carry paths."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 14)
+    graph = random_connected_graph(rng, n)
+    labels = sorted(rng.sample(list(graph.nodes), rng.randint(2, n - 1)))
+    aspect = make_aspect("rand", labels, graph=graph)
+    dist = floyd_warshall(graph)
+    diameter = max(dist[l1][l2] for l1 in labels for l2 in labels)
+    for i, l1 in enumerate(labels):
+        for l2 in labels[i + 1:]:
+            assert aspect.distances.lookup(l1, l2) == dist[l1][l2] / diameter
+    for label in labels:
+        assert label_ancestors(aspect, label) == reference_ancestors(graph, label)
+
+
+def test_schema_loader_reports_graph_errors_as_validation_errors(fixtures_dir):
+    import json
+
+    raw = json.loads((fixtures_dir / "example_schema_graph.json").read_text())
+    frame = raw["aspects"][1]["graph"]
+    frame["edges"] = [e for e in frame["edges"] if e != ["cluster2", "root"]]
+    with pytest.raises(ValidationError, match="disconnected"):
+        load_schema(json.dumps(raw))
+    frame["nodes"].remove("Economy")
+    frame["edges"] = [e for e in frame["edges"] if "Economy" not in e]
+    with pytest.raises(ValidationError, match="not graph nodes"):
+        load_schema(json.dumps(raw))

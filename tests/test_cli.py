@@ -141,6 +141,16 @@ def test_rerank_interaction_requires_a_log(paths):
         "--mode", "interaction", "--k", "1", expect=2)
 
 
+@pytest.mark.parametrize("weights", ["[1]", '{"like": "heavy"}', '{"like": NaN, "share": 1}'])
+def test_rerank_interaction_rejects_bad_type_weights(paths, weights):
+    proc = run("rerank", "--schema", paths["schema"], "--corpus", paths["corpus"],
+               "--mode", "interaction", "--k", "1",
+               "--interactions", paths["interactions"], "--type-weights", weights,
+               expect=2)
+    assert "type weight" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_rerank_history_excludes_consumed_docs(paths):
     data = rerank(
         paths, "--mode", "list", "--k", "2", "--history", paths["history"]

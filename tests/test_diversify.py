@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from newsdiv.aspect_model import AspectSchema, make_aspect
 from newsdiv.diversify import (
-    combined_objective,
     exclude_history,
     greedy_select,
     next_in_sequence,
@@ -24,10 +23,11 @@ from newsdiv.metrics import (
     InteractionRecord,
     Window,
     collection_diversity,
+    interaction_diversity,
 )
 from newsdiv.oracle import max_diversity_oracle, max_sequence_oracle
 
-from helpers import random_docs, random_schema
+from helpers import combined_objective, random_docs, random_schema
 
 
 def doc(doc_id, topic, frame, **kw):
@@ -189,7 +189,19 @@ def test_swap_trajectory_is_strictly_increasing(seed):
 def test_next_prefers_the_window_diversifier(schema):
     history = [doc("h1", "Climate", "Health"), doc("h2", "Immigration", "Security")]
     candidates = [doc("c1", "Climate", "Health"), doc("c2", "Immigration", "Economy")]
-    assert next_in_sequence(schema, history, candidates, Window("last", 2)) == "c2"
+    assert next_in_sequence(schema, history, candidates, Window("last", 2)).selected == ("c2",)
+
+
+def test_next_returns_the_winner_with_its_window_diversity(schema):
+    history = [doc("h1", "Climate", "Health"), doc("h2", "Immigration", "Security")]
+    candidates = [doc("c1", "Climate", "Health"), doc("c2", "Immigration", "Economy")]
+    result = next_in_sequence(schema, history, candidates, Window("last", 2))
+    window_value = collection_diversity(schema, history + [candidates[1]]).overall
+    assert result.objective == window_value
+    assert result.diversity == collection_diversity(schema, [candidates[1]])
+    (record,) = result.trace
+    assert (record["kind"], record["doc"]) == ("next", "c2")
+    assert record["window_diversity"] == window_value
 
 
 def test_next_breaks_primary_ties_by_recency_affinity(schema):
@@ -197,20 +209,20 @@ def test_next_breaks_primary_ties_by_recency_affinity(schema):
     # farther from the most recent item under gamma decay
     history = [doc("h1", "Climate", "Health"), doc("h2", "Immigration", "Security")]
     candidates = [doc("n1", "Immigration", "Cultural"), doc("n2", "Climate", "Cultural")]
-    assert next_in_sequence(schema, history, candidates, Window("last", 2)) == "n2"
+    assert next_in_sequence(schema, history, candidates, Window("last", 2)).selected == ("n2",)
 
 
 def test_next_breaks_full_ties_by_id(schema):
     history = [doc("h1", "Climate", "Health"), doc("h2", "Immigration", "Security")]
     # fully symmetric pair: same primary diversity and same decayed affinity
     candidates = [doc("n2", "Climate", "Security"), doc("n1", "Immigration", "Health")]
-    assert next_in_sequence(schema, history, candidates, Window("last", 2)) == "n1"
+    assert next_in_sequence(schema, history, candidates, Window("last", 2)).selected == ("n1",)
 
 
 def test_next_on_empty_window_falls_back_to_smallest_id(schema):
     history = [doc("h1", "Climate", "Health", timestamp=1)]
     candidates = [doc("c2", "Immigration", "Security"), doc("c1", "Climate", "Economy")]
-    assert next_in_sequence(schema, history, candidates, Window("last", 0)) == "c1"
+    assert next_in_sequence(schema, history, candidates, Window("last", 0)).selected == ("c1",)
 
 
 def test_next_validation(schema):
@@ -235,8 +247,8 @@ def test_next_matches_the_sequence_oracle(seed):
     ]
     window = Window("last", rng.randint(0, len(history)))
     gamma = rng.choice([0.25, 0.5, 1.0])
-    assert next_in_sequence(schema, history, candidates, window, gamma) == (
-        max_sequence_oracle(schema, history, candidates, window, gamma)
+    assert next_in_sequence(schema, history, candidates, window, gamma).selected == (
+        max_sequence_oracle(schema, history, candidates, window, gamma),
     )
 
 
@@ -283,7 +295,19 @@ def test_suggest_interaction_worked_example(schema):
     )
     options = [("d3", "like"), ("d2", "share")]
     # sharing the cross-topic doc scores 0.5 vs 0.125 for the like option
-    assert suggest_interaction(schema, corpus_docs, log, options) == ("d2", "share")
+    result = suggest_interaction(schema, corpus_docs, log, options)
+    assert result.selected == ("d2",)
+    assert result.objective == 0.5
+    assert result.diversity == collection_diversity(schema, [corpus_docs["d2"]])
+    (record,) = result.trace
+    assert (record["kind"], record["doc"], record["type"]) == ("suggest", "d2", "share")
+    assert record["overall"] == 0.5
+    # the winner's score equals the diversity of the log it extends
+    extended = InteractionLog(
+        records=log.records + (InteractionRecord(user="suggestion", doc="d2", type="share", ts=3),),
+        type_weights=log.type_weights,
+    )
+    assert result.objective == interaction_diversity(schema, corpus_docs, extended)
 
 
 def test_suggest_interaction_validation(schema):

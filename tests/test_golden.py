@@ -18,7 +18,6 @@ import importlib.util
 import io
 import json
 import pathlib
-import sys
 
 import pytest
 
@@ -121,4 +120,3 @@ def regenerate() -> None:
 
 if __name__ == "__main__":
     regenerate()
-    sys.exit(0)

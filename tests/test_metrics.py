@@ -227,6 +227,14 @@ def interaction_fixture(schema):
     return corpus_docs, log
 
 
+@pytest.mark.parametrize(
+    "weights", [{"like": math.nan, "share": 0.5}, {"like": math.nan}, {"like": math.nan, "share": 1.0}]
+)
+def test_nan_type_weight_rejected(weights):
+    with pytest.raises(ValidationError):
+        make_log([], weights)
+
+
 def test_interaction_blend_worked_example(schema):
     corpus_docs, log = interaction_fixture(schema)
     # likes are all (Climate, Health): no spread; shares span both topics

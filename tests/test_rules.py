@@ -11,7 +11,6 @@ from newsdiv.metrics import DocumentProfile
 from newsdiv.rules import (
     Rule,
     RuleSet,
-    active_excludes,
     apply_rules,
     check_requirements,
     explain_result,
@@ -19,7 +18,7 @@ from newsdiv.rules import (
     parse_rule,
 )
 
-from helpers import random_docs, random_rules, random_schema
+from helpers import active_excludes, random_docs, random_rules, random_schema
 
 
 def doc(doc_id, topic, frame, relevance=None):
