@@ -189,17 +189,22 @@ class Aspect:
                     f"components: {sorted(sorted(c) for c in components)}"
                 )
 
-    @property
-    def label_set(self) -> frozenset[str]:
-        return frozenset(self.labels)
-
 
 @dataclass(frozen=True)
 class AspectSchema:
-    """Ordered aspects plus blend weights that must sum to 1."""
+    """Ordered aspects plus blend weights that must sum to 1.
+
+    Construction compiles every aspect, in aspect order: `indexes` maps each
+    label to its position in `Aspect.labels`, and `matrices` holds the dense
+    label-by-label distance matrix over those positions (zero diagonal).
+    """
 
     aspects: tuple[Aspect, ...]
     weights: Mapping[str, float]
+    indexes: tuple[Mapping[str, int], ...] = field(init=False, repr=False, compare=False)
+    matrices: tuple[tuple[tuple[float, ...], ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         names = [a.name for a in self.aspects]
@@ -223,6 +228,17 @@ class AspectSchema:
         total = sum(self.weights[n] for n in names)
         if not abs(total - 1.0) <= WEIGHT_TOLERANCE:
             raise ValidationError(f"blend weights must sum to 1 (got {total!r})")
+        object.__setattr__(
+            self, "indexes", tuple({l: i for i, l in enumerate(a.labels)} for a in self.aspects)
+        )
+        object.__setattr__(
+            self,
+            "matrices",
+            tuple(
+                tuple(tuple(a.distances.lookup(l1, l2) for l2 in a.labels) for l1 in a.labels)
+                for a in self.aspects
+            ),
+        )
 
     def aspect(self, name: str) -> Aspect:
         for a in self.aspects:
@@ -436,7 +452,7 @@ def label_distance(schema: AspectSchema, aspect_name: str, l1: str, l2: str) -> 
     """Resolved distance between two labels of one aspect."""
     aspect = schema.aspect(aspect_name)
     for l in (l1, l2):
-        if l not in aspect.label_set:
+        if l not in aspect.labels:
             raise UnknownEntityError(
                 f"unknown label {l!r} for aspect {aspect_name!r}"
             )
@@ -449,7 +465,7 @@ def label_ancestors(aspect: Aspect, label: str) -> frozenset[str]:
     With a label graph these are `label` plus every node on a shortest path
     to its nearest Jordan center node(s); without one, just `label`.
     """
-    if label not in aspect.label_set:
+    if label not in aspect.labels:
         raise UnknownEntityError(f"unknown label {label!r} for aspect {aspect.name!r}")
     if aspect.graph is None:
         return frozenset({label})

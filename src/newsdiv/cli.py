@@ -51,6 +51,7 @@ def cmd_score(args) -> int:
         if missing:
             raise UnknownEntityError(f"unknown document ids: {missing}")
         docs = [corpus.documents[i] for i in wanted]
+        diversify._check_unique_ids(docs, "--ids")
     else:
         docs = corpus.docs()
     report = collection_diversity(schema, docs)

@@ -76,7 +76,7 @@ def validate_labels(schema: AspectSchema, labels: Mapping[str, str], where: str)
         if aspect.name not in labels:
             raise ValidationError(f"{where}: missing label for aspect {aspect.name!r}")
         value = labels[aspect.name]
-        if value not in aspect.label_set:
+        if value not in aspect.labels:  # tuple membership: lists and dicts are just unknown
             raise ValidationError(
                 f"{where}: unknown {aspect.name} label {value!r}"
             )

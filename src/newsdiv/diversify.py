@@ -5,13 +5,14 @@ scratch; sequences pick the next item against a recency window; summaries
 pick maximally distant sources; interaction suggestions extend a user's
 interaction history in the direction that raises type-weighted diversity.
 
-Every procedure is deterministic: float ties resolve through documented
-secondary criteria and finally through id order.
+Every procedure is deterministic and picks its winners through `_pick`:
+values within TIE_TOLERANCE count as tied, then the documented secondary
+key decides, then the smaller id.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .aspect_model import AspectSchema
 from .errors import ContractError, UnknownEntityError
@@ -79,6 +80,23 @@ def _check_unique_ids(docs: Sequence[DocumentProfile], what: str) -> None:
         raise ContractError(f"{what} contains duplicate document ids: {dupes}")
 
 
+def _pick(entries: Iterable[tuple]) -> tuple:
+    """The best (primary, secondary, item) entry; entries come in id order.
+
+    A primary more than TIE_TOLERANCE above the best so far wins outright;
+    one within TIE_TOLERANCE counts as tied, and then a secondary more than
+    TIE_TOLERANCE above the best's wins. Any other entry loses, so full
+    ties go to the earlier entry, the smaller id.
+    """
+    best = None
+    for entry in entries:
+        if best is None or entry[0] > best[0] + TIE_TOLERANCE or (
+            entry[0] >= best[0] - TIE_TOLERANCE and entry[1] > best[1] + TIE_TOLERANCE
+        ):
+            best = entry
+    return best
+
+
 def swap_diversify(
     schema: AspectSchema,
     items: Sequence[DocumentProfile],
@@ -110,31 +128,22 @@ def swap_diversify(
         if not available:
             break
         before = collection_diversity(schema, current).overall
-
+        rests = [current[:i] + current[i + 1:] for i in range(len(current))]
         # Removal preference: highest remainder diversity, then smaller id.
-        def remainder_value(idx: int) -> float:
-            rest = current[:idx] + current[idx + 1:]
-            return collection_diversity(schema, rest).overall
-
         removal_order = sorted(
-            range(len(current)), key=lambda i: (-remainder_value(i), current[i].id)
+            range(len(current)),
+            key=lambda i: (-collection_diversity(schema, rests[i]).overall, current[i].id),
         )
-
-        chosen_idx = None
-        best_sub = None
-        best_after = -1.0
-        for idx in removal_order:
-            remainder = current[:idx] + current[idx + 1:]
+        insertable = sorted(available, key=lambda d: d.id)
+        for chosen_idx in removal_order:
             # Insertion choice: highest resulting diversity, then smaller id.
-            for cand in sorted(available, key=lambda d: d.id):
-                value = collection_diversity(schema, remainder + [cand]).overall
-                if value > best_after:
-                    best_after = value
-                    best_sub = cand
-                    chosen_idx = idx
+            best_after, _, best_sub = _pick(
+                (collection_diversity(schema, rests[chosen_idx] + [cand]).overall, 0.0, cand)
+                for cand in insertable
+            )
             if best_after > before + SWAP_EPSILON:
                 break
-        if best_after <= before + SWAP_EPSILON:
+        else:
             break
         removed = current[chosen_idx]
         current[chosen_idx] = best_sub
@@ -187,14 +196,11 @@ def greedy_select(schema: AspectSchema, pool: Sequence[DocumentProfile], k: int)
             }
         )
     else:
-        best_pair = None
-        best_dist = -1.0
-        for i in range(n):
-            for j in range(i + 1, n):
-                d = doc_distance(schema, docs[i], docs[j])
-                if d > best_dist:
-                    best_dist = d
-                    best_pair = (docs[i], docs[j])
+        best_dist, _, best_pair = _pick(
+            (doc_distance(schema, docs[i], docs[j]), 0.0, (docs[i], docs[j]))
+            for i in range(n)
+            for j in range(i + 1, n)
+        )
         seed = best_pair[0]
         trace.append(
             {
@@ -211,13 +217,10 @@ def greedy_select(schema: AspectSchema, pool: Sequence[DocumentProfile], k: int)
     remaining = [d for d in docs if d.id != seed.id]
     while len(selected) < k:
         before = collection_diversity(schema, selected).overall
-        best_cand = None
-        best_value = -1.0
-        for cand in remaining:  # already id-sorted
-            value = collection_diversity(schema, selected + [cand]).overall
-            if value > best_value:
-                best_value = value
-                best_cand = cand
+        best_value, _, best_cand = _pick(
+            (collection_diversity(schema, selected + [cand]).overall, 0.0, cand)
+            for cand in remaining  # already id-sorted
+        )
         selected.append(best_cand)
         remaining = [d for d in remaining if d.id != best_cand.id]
         trace.append(
@@ -264,18 +267,16 @@ def next_in_sequence(
         raise ContractError(f"gamma must lie in (0, 1] (got {gamma!r})")
     recent = window_slice(history, window)
 
-    best = None
-    best_primary = -1.0
-    best_secondary = -1.0
-    for cand in sorted(candidates, key=lambda d: d.id):
-        primary = collection_diversity(schema, list(recent) + [cand]).overall
-        secondary = 0.0
+    def recency_affinity(cand: DocumentProfile) -> float:
+        score = 0.0
         for age, doc in enumerate(reversed(recent)):
-            secondary += (gamma**age) * doc_distance(schema, cand, doc)
-        if primary > best_primary + TIE_TOLERANCE:
-            best, best_primary, best_secondary = cand, primary, secondary
-        elif primary >= best_primary - TIE_TOLERANCE and secondary > best_secondary:
-            best, best_primary, best_secondary = cand, primary, secondary
+            score += (gamma**age) * doc_distance(schema, cand, doc)
+        return score
+
+    best_primary, _, best = _pick(
+        (collection_diversity(schema, recent + [cand]).overall, recency_affinity(cand), cand)
+        for cand in sorted(candidates, key=lambda d: d.id)
+    )
     return RerankResult(
         selected=(best.id,),
         diversity=collection_diversity(schema, [best]),
@@ -350,25 +351,15 @@ def suggest_interaction(
         )
     last_ts = max((r.ts for r in log.records), default=0)
 
-    def extended(doc_id: str, itype: str) -> InteractionLog:
+    def entry(doc_id: str, itype: str) -> tuple[float, float, tuple[str, str]]:
         record = InteractionRecord(user="suggestion", doc=doc_id, type=itype, ts=last_ts + 1)
-        return InteractionLog(
-            records=log.records + (record,), type_weights=log.type_weights
-        )
+        ext = InteractionLog(records=log.records + (record,), type_weights=log.type_weights)
+        own = collection_diversity(schema, docs_per_type(corpus_docs, ext).get(itype, [])).overall
+        return interaction_diversity(schema, corpus_docs, ext), own, (doc_id, itype)
 
-    best = None
-    best_overall = -1.0
-    best_own = -1.0
-    for doc_id, itype in sorted(options, key=lambda o: (o[1], o[0])):
-        ext = extended(doc_id, itype)
-        overall = interaction_diversity(schema, corpus_docs, ext)
-        group = docs_per_type(corpus_docs, ext).get(itype, [])
-        own = collection_diversity(schema, group).overall if len(group) >= 2 else 0.0
-        if overall > best_overall + TIE_TOLERANCE:
-            best, best_overall, best_own = (doc_id, itype), overall, own
-        elif overall >= best_overall - TIE_TOLERANCE and own > best_own:
-            best, best_overall, best_own = (doc_id, itype), overall, own
-    doc_id, itype = best
+    best_overall, _, (doc_id, itype) = _pick(
+        entry(doc_id, itype) for doc_id, itype in sorted(options, key=lambda o: (o[1], o[0]))
+    )
     return RerankResult(
         selected=(doc_id,),
         diversity=collection_diversity(schema, [corpus_docs[doc_id]]),
@@ -430,17 +421,13 @@ def rerank_combined(
     selected: list[DocumentProfile] = []
     remaining = list(docs)
     trace: list[dict] = []
+
+    def entry(cand: DocumentProfile) -> tuple[float, float, tuple[DocumentProfile, float]]:
+        div_after = collection_diversity(schema, selected + [cand]).overall
+        return lam * cand.relevance + (1.0 - lam) * div_after, 0.0, (cand, div_after)
+
     while len(selected) < k:
-        best_cand = None
-        best_score = None
-        best_div = 0.0
-        for cand in remaining:  # id-sorted
-            div_after = collection_diversity(schema, selected + [cand]).overall
-            score = lam * cand.relevance + (1.0 - lam) * div_after
-            if best_score is None or score > best_score:
-                best_score = score
-                best_cand = cand
-                best_div = div_after
+        best_score, _, (best_cand, best_div) = _pick(entry(c) for c in remaining)  # id-sorted
         selected.append(best_cand)
         remaining = [d for d in remaining if d.id != best_cand.id]
         trace.append(

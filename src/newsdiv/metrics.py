@@ -9,8 +9,17 @@ distance blends per-aspect label distances with the schema's weights:
 
     dist(d_i, d_j) = sum over aspects a of w_a * dist_a(label_i, label_j)
 
-Both live in [0, 1]. Lists with fewer than two documents score 0. Pair sums
-accumulate in fixed index order so repeated runs are bit-identical.
+Both live in [0, 1]. Lists with fewer than two documents score 0.
+
+Per-aspect pair sums depend only on label counts. With c_l documents
+carrying label l and the aspect's distance matrix D,
+
+    sum over unordered pairs of dist_a = sum over labels l < m of c_l * c_m * D[l][m]
+
+so a report costs O(n * A + A * p^2) for n documents, A aspects and p
+distinct labels present per aspect, not O(n^2 * A). The sum runs over the
+labels present in label-index order, and counts are exact integers, so the
+report is bitwise identical for every ordering of the same documents.
 """
 from __future__ import annotations
 
@@ -132,26 +141,31 @@ def parse_window(text: str) -> Window:
     return Window(kind=kind, value=value)
 
 
-def _aspect_distance(schema: AspectSchema, aspect_name: str, d1: DocumentProfile, d2: DocumentProfile) -> float:
-    aspect = schema.aspect(aspect_name)
-    for d in (d1, d2):
-        if aspect_name not in d.labels:
+def _label_indices(schema: AspectSchema, doc: DocumentProfile) -> list[int]:
+    """The document's label index in each aspect, in schema aspect order."""
+    out = []
+    for aspect, index in zip(schema.aspects, schema.indexes):
+        label = doc.labels.get(aspect.name)
+        if label is None:
             raise ContractError(
-                f"document {d.id!r} is missing a label for aspect {aspect_name!r}"
+                f"document {doc.id!r} is missing a label for aspect {aspect.name!r}"
             )
-        if d.labels[aspect_name] not in aspect.label_set:
+        i = index.get(label) if isinstance(label, str) else None
+        if i is None:
             raise UnknownEntityError(
-                f"document {d.id!r} uses unknown label "
-                f"{d.labels[aspect_name]!r} for aspect {aspect_name!r}"
+                f"document {doc.id!r} uses unknown label {label!r} for aspect {aspect.name!r}"
             )
-    return aspect.distances.lookup(d1.labels[aspect_name], d2.labels[aspect_name])
+        out.append(i)
+    return out
 
 
 def doc_distance(schema: AspectSchema, d1: DocumentProfile, d2: DocumentProfile) -> float:
     """Blended distance between two documents (convex in the aspect weights)."""
     total = 0.0
-    for aspect in schema.aspects:
-        total += schema.weights[aspect.name] * _aspect_distance(schema, aspect.name, d1, d2)
+    for aspect, matrix, i, j in zip(
+        schema.aspects, schema.matrices, _label_indices(schema, d1), _label_indices(schema, d2)
+    ):
+        total += schema.weights[aspect.name] * matrix[i][j]
     return total
 
 
@@ -166,35 +180,31 @@ def collection_diversity(schema: AspectSchema, docs: Sequence[DocumentProfile]) 
         return DiversityReport(
             overall=0.0, per_aspect={a: 0.0 for a in names}, pair_count=0
         )
-    overall_sum = 0.0
-    aspect_sums = {a: 0.0 for a in names}
-    for i in range(n):
-        for j in range(i + 1, n):
-            pair_total = 0.0
-            for a in names:
-                dist = _aspect_distance(schema, a, docs[i], docs[j])
-                aspect_sums[a] += dist
-                pair_total += schema.weights[a] * dist
-            overall_sum += pair_total
+    rows = [_label_indices(schema, d) for d in docs]
     pairs = n * (n - 1) // 2
+    overall_sum = 0.0
+    per_aspect = {}
+    for a, (name, matrix) in enumerate(zip(names, schema.matrices)):
+        counts: dict[int, int] = {}
+        for row in rows:
+            counts[row[a]] = counts.get(row[a], 0) + 1
+        present = sorted(counts)
+        total = 0.0
+        for x, l in enumerate(present):
+            distances, c_l = matrix[l], counts[l]
+            for m in present[x + 1:]:
+                total += c_l * counts[m] * distances[m]
+        per_aspect[name] = total / pairs
+        overall_sum += schema.weights[name] * total
     return DiversityReport(
-        overall=overall_sum / pairs,
-        per_aspect={a: aspect_sums[a] / pairs for a in names},
-        pair_count=pairs,
+        overall=overall_sum / pairs, per_aspect=per_aspect, pair_count=pairs
     )
 
 
 def per_aspect_diversity(schema: AspectSchema, docs: Sequence[DocumentProfile], aspect_name: str) -> float:
     """Mean pairwise distance along a single aspect (weight 1 on it)."""
     schema.aspect(aspect_name)  # raises UnknownEntityError for bad names
-    n = len(docs)
-    if n < 2:
-        return 0.0
-    total = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            total += _aspect_distance(schema, aspect_name, docs[i], docs[j])
-    return total / (n * (n - 1) // 2)
+    return collection_diversity(schema, docs).per_aspect[aspect_name]
 
 
 def _check_sorted(docs: Sequence[DocumentProfile]) -> bool:

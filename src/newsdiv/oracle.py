@@ -1,6 +1,6 @@
-"""Exhaustive reference maximizers for small candidate pools.
+"""Exhaustive reference maximizer for small candidate pools.
 
-These exist to pin down ground truth in tests and experiments. They refuse
+It exists to pin down ground truth in tests and experiments. It refuses
 pools whose enumeration would be too large instead of silently grinding.
 """
 from __future__ import annotations
@@ -12,14 +12,7 @@ from typing import Sequence
 
 from .aspect_model import AspectSchema
 from .errors import ContractError, GuardExceededError
-from .metrics import (
-    DocumentProfile,
-    TIE_TOLERANCE,
-    Window,
-    collection_diversity,
-    doc_distance,
-    window_slice,
-)
+from .metrics import DocumentProfile, TIE_TOLERANCE, collection_diversity, doc_distance
 
 # Refuse exhaustive subset enumeration beyond this many combinations.
 ENUMERATION_GUARD = 10**7
@@ -43,9 +36,11 @@ def max_diversity_oracle(schema: AspectSchema, pool: Sequence[DocumentProfile], 
     """Exact maximum-diversity k-subset by exhaustive enumeration.
 
     Pool is sorted by document id and subsets are visited in lexicographic
-    index order with a strictly-greater comparison, so ties resolve to the
-    lexicographically smallest id tuple. Guarded: C(|pool|, k) above
-    ENUMERATION_GUARD raises GuardExceededError instead of running.
+    index order. A subset replaces the best so far only when its mean
+    pairwise distance is more than TIE_TOLERANCE higher, so values within
+    TIE_TOLERANCE count as tied and resolve to the lexicographically
+    smallest id tuple. Guarded: C(|pool|, k) above ENUMERATION_GUARD raises
+    GuardExceededError instead of running.
     """
     n = len(pool)
     if k < 1 or k > n:
@@ -65,6 +60,7 @@ def max_diversity_oracle(schema: AspectSchema, pool: Sequence[DocumentProfile], 
             matrix[j][i] = d
 
     pairs = k * (k - 1) // 2
+    tolerance = TIE_TOLERANCE * pairs  # on pair sums, not means
     best_combo = None
     best_sum = -1.0
     for combo in combinations(range(n), k):
@@ -73,7 +69,7 @@ def max_diversity_oracle(schema: AspectSchema, pool: Sequence[DocumentProfile], 
             row = matrix[combo[a]]
             for b in range(a + 1, k):
                 s += row[combo[b]]
-        if s > best_sum:
+        if s > best_sum + tolerance:
             best_sum = s
             best_combo = combo
     chosen = [docs[i] for i in best_combo]
@@ -85,47 +81,3 @@ def max_diversity_oracle(schema: AspectSchema, pool: Sequence[DocumentProfile], 
         best_value=value,
         evaluated=total,
     )
-
-
-def max_sequence_oracle(
-    schema: AspectSchema,
-    history: Sequence[DocumentProfile],
-    candidates: Sequence[DocumentProfile],
-    window: Window,
-    gamma: float = 0.5,
-) -> str:
-    """Reference next-item choice: exhaustively score every candidate.
-
-    Primary score is the diversity of the windowed history plus the
-    candidate. Candidates within TIE_TOLERANCE of the best compare on the
-    gamma-weighted distance to window items (most recent item has age 0);
-    remaining ties go to the smaller id via the id-sorted scan order.
-    """
-    if not candidates:
-        raise ContractError("candidate set must be non-empty")
-    if not 0.0 < gamma <= 1.0:
-        raise ContractError(f"gamma must lie in (0, 1] (got {gamma!r})")
-    recent = window_slice(history, window)
-
-    def recency_affinity(cand: DocumentProfile) -> float:
-        score = 0.0
-        for age, doc in enumerate(reversed(recent)):
-            score += (gamma**age) * doc_distance(schema, cand, doc)
-        return score
-
-    best_id = None
-    best_primary = -1.0
-    best_secondary = -1.0
-    for cand in sorted(candidates, key=lambda d: d.id):
-        primary = collection_diversity(schema, list(recent) + [cand]).overall
-        if primary > best_primary + TIE_TOLERANCE:
-            best_id = cand.id
-            best_primary = primary
-            best_secondary = recency_affinity(cand)
-        elif primary >= best_primary - TIE_TOLERANCE:
-            secondary = recency_affinity(cand)
-            if secondary > best_secondary:
-                best_id = cand.id
-                best_primary = primary
-                best_secondary = secondary
-    return best_id

@@ -21,6 +21,9 @@ SCOPES = ("global", "context", "request")
 # then request rules. Within a scope, file order is kept.
 SCOPE_ORDER = {scope: i for i, scope in enumerate(SCOPES)}
 
+# Keys that select a predicate's kind; a predicate holds exactly one.
+OPERATORS = frozenset({"all", "any", "not", "ancestor", "aspect"})
+
 
 @dataclass(frozen=True)
 class Rule:
@@ -61,6 +64,12 @@ def validate_predicate(schema: AspectSchema, predicate, rule_id: str) -> None:
     """Reject predicates referencing anything outside the schema."""
     if not isinstance(predicate, dict) or not predicate:
         raise ValidationError(f"rule {rule_id!r}: predicate must be a non-empty object")
+    operators = sorted(OPERATORS.intersection(predicate))
+    if len(operators) > 1:
+        raise ValidationError(
+            f"rule {rule_id!r}: predicate combines operators {operators}; "
+            "nest them under 'all' or 'any'"
+        )
     if "all" in predicate or "any" in predicate:
         key = "all" if "all" in predicate else "any"
         branches = predicate[key]
@@ -86,7 +95,7 @@ def validate_predicate(schema: AspectSchema, predicate, rule_id: str) -> None:
                 f"rule {rule_id!r}: aspect {aspect.name!r} has no label graph "
                 "for an ancestor test"
             )
-        if inner["node"] not in set(aspect.graph.nodes):
+        if inner["node"] not in aspect.graph.nodes:
             raise ValidationError(
                 f"rule {rule_id!r}: unknown graph node {inner['node']!r} "
                 f"for aspect {aspect.name!r}"
@@ -107,7 +116,7 @@ def validate_predicate(schema: AspectSchema, predicate, rule_id: str) -> None:
         else:
             raise ValidationError(f"rule {rule_id!r}: unknown predicate op {op!r}")
         for v in values:
-            if v not in aspect.label_set:
+            if v not in aspect.labels:
                 raise ValidationError(
                     f"rule {rule_id!r}: unknown label {v!r} for aspect {aspect.name!r}"
                 )
@@ -131,6 +140,8 @@ def parse_rule(schema: AspectSchema, obj) -> Rule:
             f"rule {rule_id!r}: scope must be one of {list(SCOPES)} (got {scope!r})"
         )
     context = obj.get("context")
+    if context is not None and not isinstance(context, str):
+        raise ValidationError(f"rule {rule_id!r}: context tag must be a string")
     if scope == "context" and not context:
         raise ValidationError(f"rule {rule_id!r}: context-scope rules need a 'context' tag")
     predicate = obj.get("predicate")

@@ -7,11 +7,20 @@ no module-level RNG state.
 from __future__ import annotations
 
 import random
-
-from typing import Sequence
+from fractions import Fraction
+from typing import Mapping, Sequence
 
 from newsdiv.aspect_model import Aspect, AspectSchema, LabelGraph, make_aspect
-from newsdiv.metrics import DocumentProfile, collection_diversity
+from newsdiv.metrics import (
+    TIE_TOLERANCE,
+    DocumentProfile,
+    InteractionLog,
+    InteractionRecord,
+    Window,
+    collection_diversity,
+    docs_per_type,
+    window_slice,
+)
 from newsdiv.rules import Rule, RuleSet, parse_rule
 
 
@@ -146,3 +155,138 @@ def reference_ancestors(graph: LabelGraph, node: str) -> frozenset[str]:
         for v in graph.nodes
         if dist[node][v] + dist[v][c] == nearest
     )
+
+
+class ExactReference:
+    """Exact-arithmetic reference for diversity and the selection modes.
+
+    Distances and weights enter as the exact `Fraction` of their float
+    values, and diversity is the plain mean over document pairs, so no
+    rounding happens anywhere. Every pick applies the documented tie rule
+    to exact values: a primary more than TIE_TOLERANCE above the best so
+    far wins, one within it is tied and the secondary key decides by the
+    same margin, and full ties go to the earlier entry in id order.
+    """
+
+    def __init__(self, schema: AspectSchema):
+        self.schema = schema
+        self.tolerance = Fraction(TIE_TOLERANCE)
+        self.weights = {name: Fraction(w) for name, w in schema.weights.items()}
+        self._memo: dict[tuple, Fraction] = {}
+
+    def distance(self, d1: DocumentProfile, d2: DocumentProfile) -> Fraction:
+        key = tuple((d1.labels[a.name], d2.labels[a.name]) for a in self.schema.aspects)
+        if key not in self._memo:
+            self._memo[key] = sum(
+                self.weights[a.name] * Fraction(a.distances.lookup(l1, l2))
+                for a, (l1, l2) in zip(self.schema.aspects, key)
+            )
+        return self._memo[key]
+
+    def diversity(self, docs: Sequence[DocumentProfile]) -> Fraction:
+        n = len(docs)
+        if n < 2:
+            return Fraction(0)
+        total = sum(
+            self.distance(docs[i], docs[j]) for i in range(n) for j in range(i + 1, n)
+        )
+        return total / (n * (n - 1) // 2)
+
+    def pick(self, entries):
+        best = None
+        for entry in entries:
+            if best is None or entry[0] > best[0] + self.tolerance or (
+                entry[0] >= best[0] - self.tolerance
+                and entry[1] > best[1] + self.tolerance
+            ):
+                best = entry
+        return best
+
+    def greedy(self, pool: Sequence[DocumentProfile], k: int) -> tuple[str, ...]:
+        docs = sorted(pool, key=lambda d: d.id)
+        if len(docs) == 1:
+            return (docs[0].id,)
+        _, _, (seed, _) = self.pick(
+            (self.distance(a, b), 0, (a, b))
+            for i, a in enumerate(docs)
+            for b in docs[i + 1:]
+        )
+        selected, remaining = [seed], [d for d in docs if d.id != seed.id]
+        while len(selected) < k:
+            _, _, best = self.pick((self.diversity(selected + [c]), 0, c) for c in remaining)
+            selected.append(best)
+            remaining.remove(best)
+        return tuple(d.id for d in selected)
+
+    def swap(
+        self,
+        items: Sequence[DocumentProfile],
+        pool: Sequence[DocumentProfile],
+        budget: int,
+        epsilon: float,
+    ) -> tuple[str, ...]:
+        current, available = list(items), list(pool)
+        for _ in range(budget):
+            if not available:
+                break
+            before = self.diversity(current)
+            rest = [current[:i] + current[i + 1:] for i in range(len(current))]
+            order = sorted(
+                range(len(current)), key=lambda i: (-self.diversity(rest[i]), current[i].id)
+            )
+            for i in order:
+                after, _, best = self.pick(
+                    (self.diversity(rest[i] + [c]), 0, c)
+                    for c in sorted(available, key=lambda d: d.id)
+                )
+                if after > before + Fraction(epsilon):
+                    break
+            else:
+                break
+            available = [d for d in available if d.id != best.id] + [current[i]]
+            current[i] = best
+        return tuple(d.id for d in current)
+
+    def next_in_sequence(
+        self,
+        history: Sequence[DocumentProfile],
+        candidates: Sequence[DocumentProfile],
+        window: Window,
+        gamma: float,
+    ) -> str:
+        recent = window_slice(history, window)
+        decay = Fraction(gamma)
+
+        def affinity(cand):
+            return sum(
+                decay**age * self.distance(cand, doc)
+                for age, doc in enumerate(reversed(recent))
+            )
+
+        _, _, best = self.pick(
+            (self.diversity(recent + [c]), affinity(c), c)
+            for c in sorted(candidates, key=lambda d: d.id)
+        )
+        return best.id
+
+    def suggest_interaction(
+        self,
+        corpus_docs: Mapping[str, DocumentProfile],
+        log: InteractionLog,
+        options: Sequence[tuple[str, str]],
+    ) -> tuple[str, str]:
+        last_ts = max((r.ts for r in log.records), default=0)
+
+        def entry(doc_id, itype):
+            record = InteractionRecord(user="suggestion", doc=doc_id, type=itype, ts=last_ts + 1)
+            groups = docs_per_type(
+                corpus_docs,
+                InteractionLog(records=log.records + (record,), type_weights=log.type_weights),
+            )
+            overall = sum(
+                Fraction(w) * self.diversity(groups[t]) for t, w in log.type_weights.items()
+            )
+            return overall, self.diversity(groups.get(itype, [])), (doc_id, itype)
+
+        _, _, best = self.pick(entry(d, t) for d, t in sorted(options, key=lambda o: (o[1], o[0])))
+        return best

@@ -1,10 +1,16 @@
-"""End-to-end command-line checks (subprocess, real files)."""
+"""End-to-end command-line checks (real files; subprocess unless noted)."""
 
+import contextlib
+import copy
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from newsdiv import cli
 
 PKG = [sys.executable, "-m", "newsdiv"]
 
@@ -77,6 +83,46 @@ def test_score_unknown_id_exits_2(paths):
 
 def test_missing_file_exits_1(paths):
     run("score", "--schema", paths["schema"], "--corpus", "/no/such/file.jsonl", expect=1)
+
+
+def test_score_rejects_repeated_ids(paths, capsys):
+    argv = ["score", "--schema", paths["schema"], "--corpus", paths["corpus"], "--ids", "a1,a1,a7"]
+    assert cli.main(argv) == 2
+    assert "duplicate document ids: ['a1']" in capsys.readouterr().err
+
+
+# --- JSON values of the wrong type exit 2 (in-process) ---
+
+A1 = {"id": "a1", "labels": {"topic": "Climate", "frame": "Health"}}
+
+
+def rule(predicate, **extra):
+    return {"id": "r", "scope": "global", "predicate": predicate, "action": {"exclude": True}, **extra}
+
+
+@pytest.mark.parametrize(
+    "schema_key, corpus_line, rule_line",
+    [
+        ("schema", {**A1, "labels": {"topic": ["Climate"], "frame": "Health"}}, None),
+        ("schema", {**A1, "keywords": [{"term": "t", "labels": {"topic": {"a": 1}, "frame": "Health"}}]}, None),
+        ("schema", A1, rule({"aspect": "topic", "op": "in", "value": [["Climate"]]})),
+        ("graph_schema", A1, rule({"ancestor": {"aspect": "frame", "node": ["Health"]}})),
+        ("schema", A1, rule({"aspect": "topic", "value": "Climate"}, scope="context", context=["a"])),
+    ],
+    ids=["corpus-label-list", "keyword-label-dict", "in-value-list", "ancestor-node-list", "context-tag-list"],
+)
+def test_non_string_json_values_exit_2(paths, tmp_path, capsys, schema_key, corpus_line, rule_line):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps(corpus_line) + "\n")
+    argv = ["--schema", paths[schema_key], "--corpus", str(corpus)]
+    if rule_line is None:
+        argv = ["score", *argv]
+    else:
+        rules = tmp_path / "rules.jsonl"
+        rules.write_text(json.dumps(rule_line) + "\n")
+        argv = ["rerank", *argv, "--mode", "list", "--k", "1", "--rules", str(rules)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 # --- rerank modes ---
@@ -259,3 +305,101 @@ def test_repeat_invocations_are_byte_identical(paths):
     first = run(*args).stdout
     second = run(*args).stdout
     assert first == second
+
+
+# --- fuzzing (in-process) ---
+#
+# One JSON value somewhere in one fixture file is swapped for a list, an
+# object, null, NaN, a huge number or an empty string, or its key is dropped.
+# Every subcommand and rerank mode then runs on the mutated inputs: each must
+# return an exit code of the CLI (0, 1, 2 or 3) without raising.
+
+FILES = {
+    "schema": "example_schema.json",
+    "graph_schema": "example_schema_graph.json",
+    "corpus": "example_corpus.jsonl",
+    "rules": "rules.jsonl",
+    "history": "history.jsonl",
+    "interactions": "interactions.jsonl",
+}
+
+DROP = object()
+MUTATIONS = [[], {}, None, float("nan"), 1e308, "", DROP]
+
+
+def load(name, text):
+    if name.endswith(".jsonl"):
+        return [json.loads(line) for line in text.splitlines() if line.strip()]
+    return json.loads(text)
+
+
+def dump(name, obj):
+    if name.endswith(".jsonl"):
+        return "".join(json.dumps(line) + "\n" for line in obj)
+    return json.dumps(obj)
+
+
+def value_paths(node, path=()):
+    """Paths to every value below the root, as tuples of keys and indices."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield path + (key,)
+        yield from value_paths(child, path + (key,))
+
+
+def mutate(obj, path, mutation):
+    obj = copy.deepcopy(obj)
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    if mutation is DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = mutation
+    return obj
+
+
+def commands(p):
+    s = ["--schema", p["schema"], "--corpus", p["corpus"]]
+    g = ["--schema", p["graph_schema"], "--corpus", p["corpus"]]
+    return [
+        ["score", *s],
+        ["score", *g, "--ids", "a1,a7"],
+        ["oracle", *s, "--k", "2"],
+        ["rerank", *s, "--mode", "list", "--k", "3", "--rules", p["rules"], "--context", "election"],
+        ["rerank", *g, "--mode", "list", "--k", "3", "--lambda", "0.5"],
+        ["rerank", *s, "--mode", "summary", "--k", "3"],
+        ["rerank", *g, "--mode", "sequence", "--k", "1", "--history", p["history"], "--window", "last:3"],
+        ["rerank", *s, "--mode", "interaction", "--k", "1", "--interactions", p["interactions"]],
+    ]
+
+
+@pytest.fixture(scope="module")
+def originals(fixtures_dir):
+    return {key: load(name, (fixtures_dir / name).read_text()) for key, name in FILES.items()}
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_mutated_inputs_end_in_an_exit_code(originals, workdir, data):
+    key = data.draw(st.sampled_from(sorted(FILES)), label="file")
+    path = data.draw(st.sampled_from(list(value_paths(originals[key]))), label="path")
+    mutation = data.draw(st.sampled_from(MUTATIONS), label="mutation")
+    paths = {}
+    for k, name in FILES.items():
+        obj = mutate(originals[k], path, mutation) if k == key else originals[k]
+        paths[k] = str(workdir / name)
+        (workdir / name).write_text(dump(name, obj))
+    for argv in commands(paths):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(argv) in (0, 1, 2, 3), argv

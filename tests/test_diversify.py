@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from newsdiv.aspect_model import AspectSchema, make_aspect
 from newsdiv.diversify import (
+    SWAP_EPSILON,
     exclude_history,
     greedy_select,
     next_in_sequence,
@@ -25,9 +26,9 @@ from newsdiv.metrics import (
     collection_diversity,
     interaction_diversity,
 )
-from newsdiv.oracle import max_diversity_oracle, max_sequence_oracle
+from newsdiv.oracle import max_diversity_oracle
 
-from helpers import combined_objective, random_docs, random_schema
+from helpers import ExactReference, combined_objective, random_docs, random_schema
 
 
 def doc(doc_id, topic, frame, **kw):
@@ -232,10 +233,12 @@ def test_next_validation(schema):
         next_in_sequence(schema, history, [], Window("last", 1))
     with pytest.raises(ContractError, match="gamma"):
         next_in_sequence(schema, history, cands, Window("last", 1), gamma=2.0)
+    with pytest.raises(ContractError, match="gamma"):
+        next_in_sequence(schema, history, cands, Window("last", 1), gamma=0.0)
 
 
 @given(st.integers(min_value=0, max_value=3_000))
-def test_next_matches_the_sequence_oracle(seed):
+def test_next_matches_the_exact_reference(seed):
     rng = random.Random(seed)
     schema = random_schema(rng, max_aspects=3, max_labels=5)
     import dataclasses
@@ -248,8 +251,68 @@ def test_next_matches_the_sequence_oracle(seed):
     window = Window("last", rng.randint(0, len(history)))
     gamma = rng.choice([0.25, 0.5, 1.0])
     assert next_in_sequence(schema, history, candidates, window, gamma).selected == (
-        max_sequence_oracle(schema, history, candidates, window, gamma),
+        ExactReference(schema).next_in_sequence(history, candidates, window, gamma),
     )
+
+
+# --- every tie rule against exact arithmetic ---
+
+
+def small_instance(seed):
+    """Seeded schema of <= 3 aspects x <= 3 labels with 3-10 documents.
+
+    So few labels make exact ties common, which float rounding used to
+    break in either direction.
+    """
+    rng = random.Random(seed)
+    schema = random_schema(rng, max_aspects=3, max_labels=3)
+    return rng, schema, random_docs(rng, schema, rng.randint(3, 10))
+
+
+def test_greedy_steps_match_the_exact_reference():
+    for seed in range(1500):
+        _, schema, docs = small_instance(seed)
+        got = greedy_select(schema, docs, len(docs)).selected
+        assert got == ExactReference(schema).greedy(docs, len(docs)), seed
+
+
+def test_swap_insertions_match_the_exact_reference():
+    for seed in range(400):
+        rng, schema, docs = small_instance(seed)
+        split = rng.randint(1, len(docs) - 1)
+        items, rest = docs[:split], docs[split:]
+        budget = rng.randint(1, 6)
+        got = swap_diversify(schema, items, rest, budget).selected
+        assert got == ExactReference(schema).swap(items, rest, budget, SWAP_EPSILON), seed
+
+
+def test_sequence_picks_match_the_exact_reference():
+    for seed in range(400):
+        rng, schema, docs = small_instance(seed)
+        split = rng.randint(0, len(docs) - 1)
+        history, candidates = docs[:split], docs[split:]
+        window = Window("last", rng.randint(0, len(history)))
+        gamma = rng.choice([0.25, 0.5, 1.0])
+        got = next_in_sequence(schema, history, candidates, window, gamma).selected
+        want = ExactReference(schema).next_in_sequence(history, candidates, window, gamma)
+        assert got == (want,), seed
+
+
+def test_interaction_picks_match_the_exact_reference():
+    for seed in range(400):
+        rng, schema, docs = small_instance(seed)
+        corpus_docs = {d.id: d for d in docs}
+        types = ("click", "like", "share")[: rng.randint(1, 3)]
+        records = tuple(
+            InteractionRecord(user="u", doc=rng.choice(docs).id, type=rng.choice(types), ts=t)
+            for t in range(rng.randint(0, 6))
+        )
+        raw = [rng.choice([1, 2, 3]) for _ in types]
+        log = InteractionLog(records, {t: w / sum(raw) for t, w in zip(types, raw)})
+        options = [(d.id, t) for d in docs for t in types]
+        got = suggest_interaction(schema, corpus_docs, log, options)
+        want = ExactReference(schema).suggest_interaction(corpus_docs, log, options)
+        assert (got.selected[0], got.trace[0]["type"]) == want, seed
 
 
 # --- summary mode ---

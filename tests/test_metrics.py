@@ -125,9 +125,8 @@ def test_diversity_is_permutation_invariant(seed):
     base = collection_diversity(schema, docs)
     shuffled = docs[:]
     rng.shuffle(shuffled)
-    again = collection_diversity(schema, shuffled)
-    assert again.overall == pytest.approx(base.overall, abs=1e-12)
-    assert again.pair_count == base.pair_count
+    # bitwise: label counts do not depend on document order
+    assert collection_diversity(schema, shuffled) == base
 
 
 # --- windows ---

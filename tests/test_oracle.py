@@ -8,9 +8,10 @@ from hypothesis import given, strategies as st
 
 from newsdiv.errors import ContractError, GuardExceededError
 from newsdiv.metrics import DocumentProfile, Window, collection_diversity
-from newsdiv.oracle import max_diversity_oracle, max_sequence_oracle
+from newsdiv.diversify import next_in_sequence
+from newsdiv.oracle import max_diversity_oracle
 
-from helpers import random_docs, random_schema
+from helpers import ExactReference, random_docs, random_schema
 
 # Best achievable mean pairwise diversity over the eight-document universe,
 # by subset size. Only k=2 reaches 1.0; the ceiling drops as soon as a third
@@ -94,26 +95,17 @@ def test_oracle_dominates_every_same_size_subset(seed):
     assert collection_diversity(schema, sample).overall <= result.best_value + 1e-9
 
 
-# --- sequence oracle ---
+# --- exact sequence reference ---
 
 
 def seq_doc(doc_id, topic, frame, ts=None):
     return DocumentProfile(id=doc_id, labels={"topic": topic, "frame": frame}, timestamp=ts)
 
 
-def test_sequence_oracle_worked_example(schema):
+def test_sequence_reference_worked_example(schema):
     history = [seq_doc("h1", "Climate", "Health"), seq_doc("h2", "Immigration", "Security")]
     candidates = [seq_doc("c1", "Climate", "Health"), seq_doc("c2", "Immigration", "Economy")]
-    pick = max_sequence_oracle(schema, history, candidates, Window("last", 2))
-    assert pick == "c2"  # the (Immigration, Economy) candidate
-
-
-def test_sequence_oracle_validation(schema):
-    history = [seq_doc("h1", "Climate", "Health")]
-    cands = [seq_doc("c1", "Immigration", "Security")]
-    with pytest.raises(ContractError):
-        max_sequence_oracle(schema, history, [], Window("last", 1))
-    with pytest.raises(ContractError, match="gamma"):
-        max_sequence_oracle(schema, history, cands, Window("last", 1), gamma=0.0)
-    with pytest.raises(ContractError, match="gamma"):
-        max_sequence_oracle(schema, history, cands, Window("last", 1), gamma=1.5)
+    window = Window("last", 2)
+    # the (Immigration, Economy) candidate
+    assert ExactReference(schema).next_in_sequence(history, candidates, window, 0.5) == "c2"
+    assert next_in_sequence(schema, history, candidates, window).selected == ("c2",)

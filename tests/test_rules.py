@@ -60,6 +60,8 @@ def test_parse_rule_happy_path(schema):
         (dict(id="x", scope="global", predicate={"aspect": "topic", "value": "Climate"}, action={"require_at_least": 0}), "integer m >= 1"),
         (dict(id="x", scope="global", predicate={"aspect": "topic", "value": "Climate"}, action={"promote": 1}), "unknown action"),
         (dict(id="x", scope="global", predicate={"aspect": "topic", "value": "Climate"}, action={}), "exactly one"),
+        (dict(id="x", scope="global", predicate={"all": [{"aspect": "topic", "value": "Climate"}], "any": [{"aspect": "frame", "value": "Health"}]}, action={"exclude": True}), r"combines operators \['all', 'any'\]"),
+        (dict(id="x", scope="global", predicate={"not": {"aspect": "topic", "value": "Climate"}, "aspect": "frame", "value": "Health"}, action={"exclude": True}), r"combines operators \['aspect', 'not'\]"),
     ],
 )
 def test_parse_rule_failures_name_the_rule(schema, obj, message):
