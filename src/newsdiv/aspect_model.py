@@ -1,21 +1,24 @@
 """Aspect schemas: label universes, label graphs, and label-level distances.
 
 An aspect is a dimension along which articles can differ (topic, frame,
-political leaning, ...). Each aspect carries a set of labels and a symmetric
-distance table over them. Distances come from three sources, in priority
-order: explicit table entries, shortest paths in an optional label graph,
-and a last-resort default of 1.0 (logged as a warning). After loading, every
-unordered label pair has a resolved distance in [0, 1].
+political leaning, ...). Each aspect carries a set of labels and resolves,
+once at construction, a dense symmetric distance matrix over them: `index`
+maps each label to its position in `labels`, and `matrix[i][j]` is the
+distance between labels i and j, in [0, 1] with a zero diagonal. Each
+unordered label pair takes its distance from the first of three sources: an
+explicit entry, the hop count in an optional label graph divided by the
+label diameter, or a last-resort default of 1.0. Defaulted pairs are
+recorded in `defaulted_pairs` and logged as a warning.
 """
 from __future__ import annotations
 
 import json
 import logging
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field
 from typing import Iterable, Mapping
 
-from .errors import DerivationError, ParseError, UnknownEntityError, ValidationError
+from .errors import DerivationError, ParseError, UnknownEntityError, ValidationError, json_isinstance
 
 logger = logging.getLogger(__name__)
 
@@ -26,45 +29,6 @@ WEIGHT_TOLERANCE = 1e-9
 def _pair(l1: str, l2: str) -> tuple[str, str]:
     """Normalize an unordered label pair to a sorted tuple key."""
     return (l1, l2) if l1 <= l2 else (l2, l1)
-
-
-@dataclass(frozen=True)
-class DistanceTable:
-    """Symmetric label-distance lookup storing one entry per unordered pair.
-
-    The diagonal is implicit: lookup(l, l) is always 0.0 and self-pairs are
-    never stored. Values are restricted to [0, 1].
-    """
-
-    entries: Mapping[tuple[str, str], float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for (l1, l2), value in self.entries.items():
-            if l1 == l2:
-                raise ValidationError(
-                    f"distance table stores self-pair ({l1!r}, {l2!r}); "
-                    "identity distances are implicit"
-                )
-            if (l1, l2) != _pair(l1, l2):
-                raise ValidationError(
-                    f"distance table key ({l1!r}, {l2!r}) is not in sorted order"
-                )
-            if not 0.0 <= value <= 1.0:
-                raise ValidationError(
-                    f"distance out of range: {l1}/{l2} = {value!r} (must be in [0, 1])"
-                )
-
-    def lookup(self, l1: str, l2: str) -> float:
-        if l1 == l2:
-            return 0.0
-        return self.entries[_pair(l1, l2)]
-
-    def labels(self) -> set[str]:
-        found = set()
-        for l1, l2 in self.entries:
-            found.add(l1)
-            found.add(l2)
-        return found
 
 
 @dataclass(frozen=True)
@@ -147,64 +111,102 @@ def _ancestor_sets(hops: Mapping[str, Mapping[str, int]]) -> dict[str, frozenset
 
 @dataclass(frozen=True)
 class Aspect:
-    """One diversity dimension: a label set with a resolved distance table.
+    """One diversity dimension: a label set with its resolved distance matrix.
 
-    `distances` is complete over all unordered label pairs once the aspect
-    has been built by `make_aspect` or `load_schema`. `explicit_pairs`
-    records which entries came straight from the input (they take priority
-    over graph-derived values), `defaulted_pairs` which ones fell back to
-    the 1.0 default.
+    `distances` maps label pairs to values, or lists (pair, value) entries so
+    that a repeated pair is reported. Construction checks each entry once
+    (known labels, zero self-distance, value in [0, 1], each unordered pair
+    at most once) and the graph (every label a node, connected), then fills
+    `matrix`, whose rows and columns follow `labels` (`index` maps a label
+    to its position), each pair from its explicit entry, else graph hops
+    over the label diameter, else 1.0, recorded in `defaulted_pairs`.
     """
 
     name: str
     labels: tuple[str, ...]
-    distances: DistanceTable = field(default_factory=DistanceTable)
+    distances: InitVar[
+        Mapping[tuple[str, str], float] | Iterable[tuple[tuple[str, str], float]]
+    ] = ()
     graph: LabelGraph | None = None
-    explicit_pairs: frozenset[tuple[str, str]] = frozenset()
-    defaulted_pairs: frozenset[tuple[str, str]] = frozenset()
+    index: Mapping[str, int] = field(init=False, repr=False, compare=False)
+    matrix: tuple[tuple[float, ...], ...] = field(init=False, repr=False)
+    defaulted_pairs: frozenset[tuple[str, str]] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, distances):
+        labels = tuple(self.labels)
+        object.__setattr__(self, "labels", labels)
         if not self.name:
             raise ValidationError("aspect name must be non-empty")
-        if not self.labels:
+        if not labels:
             raise ValidationError(f"aspect {self.name!r} has no labels")
-        if len(set(self.labels)) != len(self.labels):
+        if len(set(labels)) != len(labels):
             raise ValidationError(f"aspect {self.name!r} has duplicate labels")
-        stray = self.distances.labels() - set(self.labels)
-        if stray:
-            raise ValidationError(
-                f"aspect {self.name!r} distance table references unknown "
-                f"labels: {sorted(stray)}"
-            )
-        if self.graph is not None:
-            missing = [l for l in self.labels if l not in self.graph.hops]
-            if missing:
-                raise DerivationError(
-                    f"aspect {self.name!r}: labels {missing} are not graph nodes"
+        index = {label: i for i, label in enumerate(labels)}
+        explicit: dict[tuple[str, str], float] = {}
+        entries = distances.items() if isinstance(distances, Mapping) else distances or ()
+        for (l1, l2), value in entries:
+            for label in (l1, l2):
+                if label not in labels:
+                    raise ValidationError(
+                        f"aspect {self.name!r}: distance entry references unknown label {label!r}"
+                    )
+            if l1 == l2:
+                if value != 0.0:
+                    raise ValidationError(
+                        f"aspect {self.name!r}: self-distance for {l1!r} must be 0 (got {value!r})"
+                    )
+                continue
+            key = _pair(l1, l2)
+            if not 0.0 <= value <= 1.0:
+                raise ValidationError(
+                    f"aspect {self.name!r}: distance out of range: {key[0]}/{key[1]} = "
+                    f"{value!r} (must be in [0, 1])"
                 )
+            if key in explicit:
+                raise ValidationError(f"aspect {self.name!r}: duplicate distance entry for pair {key}")
+            explicit[key] = value
+
+        hops = None if self.graph is None else self.graph.hops
+        if hops is not None:
+            missing = [l for l in labels if l not in hops]
+            if missing:
+                raise DerivationError(f"aspect {self.name!r}: labels {missing} are not graph nodes")
             if not self.graph.connected():
-                components = {frozenset(reach) for reach in self.graph.hops.values()}
+                components = {frozenset(reach) for reach in hops.values()}
                 raise DerivationError(
                     f"aspect {self.name!r} label graph is disconnected; "
                     f"components: {sorted(sorted(c) for c in components)}"
                 )
+            diameter = max(hops[l1][l2] for l1 in labels for l2 in labels)
+
+        matrix = [[0.0] * len(labels) for _ in labels]
+        defaulted = []
+        for i, l1 in enumerate(labels):
+            for j in range(i + 1, len(labels)):
+                key = _pair(l1, labels[j])
+                if key in explicit:
+                    value = explicit[key]
+                elif hops is not None:
+                    value = hops[l1][labels[j]] / diameter
+                else:
+                    value = 1.0
+                    defaulted.append(key)
+                matrix[i][j] = matrix[j][i] = value
+        if defaulted:
+            logger.warning(
+                "aspect %r: no distance given for pairs %s; defaulting to 1.0", self.name, sorted(defaulted)
+            )
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "matrix", tuple(map(tuple, matrix)))
+        object.__setattr__(self, "defaulted_pairs", frozenset(defaulted))
 
 
 @dataclass(frozen=True)
 class AspectSchema:
-    """Ordered aspects plus blend weights that must sum to 1.
-
-    Construction compiles every aspect, in aspect order: `indexes` maps each
-    label to its position in `Aspect.labels`, and `matrices` holds the dense
-    label-by-label distance matrix over those positions (zero diagonal).
-    """
+    """Ordered aspects plus blend weights that must sum to 1."""
 
     aspects: tuple[Aspect, ...]
     weights: Mapping[str, float]
-    indexes: tuple[Mapping[str, int], ...] = field(init=False, repr=False, compare=False)
-    matrices: tuple[tuple[tuple[float, ...], ...], ...] = field(
-        init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         names = [a.name for a in self.aspects]
@@ -228,17 +230,6 @@ class AspectSchema:
         total = sum(self.weights[n] for n in names)
         if not abs(total - 1.0) <= WEIGHT_TOLERANCE:
             raise ValidationError(f"blend weights must sum to 1 (got {total!r})")
-        object.__setattr__(
-            self, "indexes", tuple({l: i for i, l in enumerate(a.labels)} for a in self.aspects)
-        )
-        object.__setattr__(
-            self,
-            "matrices",
-            tuple(
-                tuple(tuple(a.distances.lookup(l1, l2) for l2 in a.labels) for l1 in a.labels)
-                for a in self.aspects
-            ),
-        )
 
     def aspect(self, name: str) -> Aspect:
         for a in self.aspects:
@@ -252,101 +243,6 @@ class AspectSchema:
     def with_weights(self, weights: Mapping[str, float]) -> "AspectSchema":
         """Return a copy with the blend weights replaced (and re-validated)."""
         return AspectSchema(aspects=self.aspects, weights=dict(weights))
-
-
-def derive_distances_from_graph(aspect: Aspect) -> DistanceTable:
-    """Derive label distances from the aspect's graph.
-
-    Distance between two labels is the shortest-path length between them
-    divided by the graph diameter restricted to label nodes, so the most
-    distant label pair lands exactly at 1.0. Explicit table entries of the
-    aspect override derived values. Paths may run through grouping nodes.
-    """
-    if aspect.graph is None:
-        raise DerivationError(f"aspect {aspect.name!r} has no label graph")
-    hops = aspect.graph.hops
-    labels = sorted(aspect.labels)
-    pairs = [
-        (labels[i], labels[j])
-        for i in range(len(labels))
-        for j in range(i + 1, len(labels))
-    ]
-    diameter = max((hops[l1][l2] for l1, l2 in pairs), default=0)
-    entries: dict[tuple[str, str], float] = {}
-    for key in pairs:
-        if key in aspect.explicit_pairs:
-            entries[key] = aspect.distances.entries[key]
-        else:
-            entries[key] = hops[key[0]][key[1]] / diameter
-    return DistanceTable(entries)
-
-
-def make_aspect(
-    name: str,
-    labels: Iterable[str],
-    distances: Mapping[tuple[str, str], float]
-    | Iterable[tuple[tuple[str, str], float]]
-    | None = None,
-    graph: LabelGraph | None = None,
-) -> Aspect:
-    """Build an aspect with a fully resolved distance table.
-
-    `distances` maps label pairs to values, or lists (pair, value) entries
-    so that a repeated pair is reported instead of silently overwritten.
-    Resolution order per unordered label pair: explicit entry, then
-    graph-derived value, then 1.0 with a logged warning.
-    """
-    labels = tuple(labels)
-    entries = distances.items() if isinstance(distances, Mapping) else distances or ()
-    explicit: dict[tuple[str, str], float] = {}
-    for (l1, l2), value in entries:
-        key = _pair(l1, l2)
-        if l1 == l2:
-            if l1 not in labels:
-                raise ValidationError(
-                    f"aspect {name!r}: distance entry references unknown label {l1!r}"
-                )
-            if value != 0.0:
-                raise ValidationError(
-                    f"aspect {name!r}: self-distance for {l1!r} must be 0 (got {value!r})"
-                )
-            continue
-        if key in explicit:
-            raise ValidationError(
-                f"aspect {name!r}: duplicate distance entry for pair {key}"
-            )
-        explicit[key] = value
-
-    provisional = Aspect(
-        name=name,
-        labels=labels,
-        distances=DistanceTable(dict(explicit)),
-        graph=graph,
-        explicit_pairs=frozenset(explicit),
-    )
-    if graph is not None:
-        resolved = dict(derive_distances_from_graph(provisional).entries)
-    else:
-        resolved = dict(explicit)
-
-    defaulted = []
-    for i in range(len(labels)):
-        for j in range(i + 1, len(labels)):
-            key = _pair(labels[i], labels[j])
-            if key not in resolved:
-                resolved[key] = 1.0
-                defaulted.append(key)
-    if defaulted:
-        logger.warning(
-            "aspect %r: no distance given for pairs %s; defaulting to 1.0",
-            name,
-            sorted(defaulted),
-        )
-    return replace(
-        provisional,
-        distances=DistanceTable(resolved),
-        defaulted_pairs=frozenset(defaulted),
-    )
 
 
 def _parse_graph(name: str, obj) -> LabelGraph:
@@ -428,7 +324,7 @@ def load_schema(text: str) -> AspectSchema:
                 or len(trip) != 3
                 or not isinstance(trip[0], str)
                 or not isinstance(trip[1], str)
-                or not isinstance(trip[2], (int, float))
+                or not json_isinstance(trip[2], (int, float))
             ):
                 raise ValidationError(
                     f"aspect {name!r}: distance entries must be [label, label, value] "
@@ -438,11 +334,11 @@ def load_schema(text: str) -> AspectSchema:
         graph = None
         if entry.get("graph") is not None:
             graph = _parse_graph(name, entry["graph"])
-        aspects.append(make_aspect(name, labels, distances, graph))
+        aspects.append(Aspect(name, labels, distances, graph))
 
     weights = {}
     for key, value in raw_weights.items():
-        if not isinstance(value, (int, float)):
+        if not json_isinstance(value, (int, float)):
             raise ValidationError(f"blend weight for {key!r} must be a number")
         weights[key] = float(value)
     return AspectSchema(aspects=tuple(aspects), weights=weights)
@@ -456,7 +352,7 @@ def label_distance(schema: AspectSchema, aspect_name: str, l1: str, l2: str) -> 
             raise UnknownEntityError(
                 f"unknown label {l!r} for aspect {aspect_name!r}"
             )
-    return aspect.distances.lookup(l1, l2)
+    return aspect.matrix[aspect.index[l1]][aspect.index[l2]]
 
 
 def label_ancestors(aspect: Aspect, label: str) -> frozenset[str]:

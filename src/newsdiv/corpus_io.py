@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 from .aspect_model import AspectSchema
 from .diversify import RerankResult
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, json_isinstance
 from .metrics import (
     DiversityReport,
     DocumentProfile,
@@ -107,14 +107,14 @@ def load_corpus(schema: AspectSchema, text: str) -> Corpus:
         validate_labels(schema, labels, f"line {lineno}")
         relevance = obj.get("relevance")
         if relevance is not None:
-            if not isinstance(relevance, (int, float)) or not 0.0 <= relevance <= 1.0:
+            if not json_isinstance(relevance, (int, float)) or not 0.0 <= relevance <= 1.0:
                 raise ValidationError(
                     f"line {lineno}: relevance for {doc_id!r} must lie in [0, 1] "
                     f"(got {relevance!r})"
                 )
             relevance = float(relevance)
         timestamp = obj.get("timestamp")
-        if timestamp is not None and not isinstance(timestamp, int):
+        if timestamp is not None and not json_isinstance(timestamp, int):
             raise ValidationError(
                 f"line {lineno}: timestamp for {doc_id!r} must be an integer"
             )
@@ -163,7 +163,7 @@ def load_interactions(
         if not isinstance(obj, dict):
             raise ValidationError(f"line {lineno}: interaction must be a JSON object")
         for key, kind in (("user", str), ("doc", str), ("type", str), ("ts", int)):
-            if not isinstance(obj.get(key), kind):
+            if not json_isinstance(obj.get(key), kind):
                 raise ValidationError(
                     f"line {lineno}: interaction needs {key!r} of type {kind.__name__}"
                 )
@@ -178,7 +178,7 @@ def load_interactions(
             raise ValidationError("interaction log is empty and no type weights given")
         type_weights = {t: 1.0 / len(types) for t in types}
     elif not isinstance(type_weights, Mapping) or not all(
-        isinstance(w, (int, float)) for w in type_weights.values()
+        json_isinstance(w, (int, float)) for w in type_weights.values()
     ):
         raise ValidationError(
             f"interaction type weights must map types to numbers (got {type_weights!r})"
@@ -193,7 +193,7 @@ def load_history(text: str) -> list[tuple[str, int]]:
         if (
             not isinstance(obj, dict)
             or not isinstance(obj.get("doc"), str)
-            or not isinstance(obj.get("ts"), int)
+            or not json_isinstance(obj.get("ts"), int)
         ):
             raise ValidationError(
                 f"line {lineno}: history events need a string 'doc' and integer 'ts'"

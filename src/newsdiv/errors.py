@@ -1,8 +1,13 @@
-"""Exception types shared across the engine.
+"""Exception types shared across the engine, and the type test for JSON input.
 
 The CLI maps these onto exit codes: parse/validation/lookup/contract
 problems exit 2, I/O problems exit 1, enumeration-guard refusals exit 3.
 """
+
+
+def json_isinstance(value, types) -> bool:
+    """isinstance for parsed JSON values: a JSON boolean is never a number."""
+    return isinstance(value, types) and not isinstance(value, bool)
 
 
 class NewsdivError(Exception):

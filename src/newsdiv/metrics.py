@@ -144,13 +144,13 @@ def parse_window(text: str) -> Window:
 def _label_indices(schema: AspectSchema, doc: DocumentProfile) -> list[int]:
     """The document's label index in each aspect, in schema aspect order."""
     out = []
-    for aspect, index in zip(schema.aspects, schema.indexes):
+    for aspect in schema.aspects:
         label = doc.labels.get(aspect.name)
         if label is None:
             raise ContractError(
                 f"document {doc.id!r} is missing a label for aspect {aspect.name!r}"
             )
-        i = index.get(label) if isinstance(label, str) else None
+        i = aspect.index.get(label) if isinstance(label, str) else None
         if i is None:
             raise UnknownEntityError(
                 f"document {doc.id!r} uses unknown label {label!r} for aspect {aspect.name!r}"
@@ -162,10 +162,8 @@ def _label_indices(schema: AspectSchema, doc: DocumentProfile) -> list[int]:
 def doc_distance(schema: AspectSchema, d1: DocumentProfile, d2: DocumentProfile) -> float:
     """Blended distance between two documents (convex in the aspect weights)."""
     total = 0.0
-    for aspect, matrix, i, j in zip(
-        schema.aspects, schema.matrices, _label_indices(schema, d1), _label_indices(schema, d2)
-    ):
-        total += schema.weights[aspect.name] * matrix[i][j]
+    for aspect, i, j in zip(schema.aspects, _label_indices(schema, d1), _label_indices(schema, d2)):
+        total += schema.weights[aspect.name] * aspect.matrix[i][j]
     return total
 
 
@@ -184,7 +182,8 @@ def collection_diversity(schema: AspectSchema, docs: Sequence[DocumentProfile]) 
     pairs = n * (n - 1) // 2
     overall_sum = 0.0
     per_aspect = {}
-    for a, (name, matrix) in enumerate(zip(names, schema.matrices)):
+    for a, aspect in enumerate(schema.aspects):
+        name, matrix = aspect.name, aspect.matrix
         counts: dict[int, int] = {}
         for row in rows:
             counts[row[a]] = counts.get(row[a], 0) + 1

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .aspect_model import AspectSchema, label_ancestors
-from .errors import ValidationError
+from .errors import ValidationError, json_isinstance
 from .metrics import DocumentProfile
 
 SCOPES = ("global", "context", "request")
@@ -156,12 +156,12 @@ def parse_rule(schema: AspectSchema, obj) -> Rule:
     if action == "exclude":
         value = None
     elif action == "require_at_least":
-        if not isinstance(value, int) or value < 1:
+        if not json_isinstance(value, int) or value < 1:
             raise ValidationError(
                 f"rule {rule_id!r}: require_at_least needs an integer m >= 1"
             )
     elif action == "boost":
-        if not isinstance(value, (int, float)) or not -1.0 <= value <= 1.0:
+        if not json_isinstance(value, (int, float)) or not -1.0 <= value <= 1.0:
             raise ValidationError(
                 f"rule {rule_id!r}: boost delta must lie in [-1, 1] (got {value!r})"
             )
@@ -324,15 +324,62 @@ def active_requires(ruleset: RuleSet, request_rules: Sequence[Rule]) -> list[Rul
     return [r for r in ruleset.active(request_rules) if r.action == "require_at_least"]
 
 
+# Trace fields explain_result reads, by record kind. An "add" record is also
+# read for whichever of "gain" and "score" it has.
+EXPLAINED_FIELDS = {
+    "seed": ("doc",),
+    "add": ("doc",),
+    "exclude": ("doc", "rule"),
+    "boost": ("doc", "rule", "delta"),
+    "swap": ("out", "in", "before", "after"),
+    "violation": ("rule", "needed", "found"),
+    **dict.fromkeys(("warning", "next", "suggest", "note"), ("detail",)),
+}
+NUMBER_FIELDS = frozenset({"delta", "before", "after", "needed", "found", "gain", "score"})
+
+
+def _check_explainable(data: Mapping) -> None:
+    """Raise ValidationError unless a result has the shapes explain_result reads."""
+    selected, diversity, trace = data.get("selected", []), data.get("diversity", {}), data.get("trace", [])
+    if not isinstance(selected, (list, tuple)) or not all(isinstance(s, str) for s in selected):
+        raise ValidationError(f"result 'selected' must be a list of document ids (got {selected!r})")
+    if not isinstance(diversity, Mapping) or not isinstance(diversity.get("per_aspect", {}), Mapping):
+        raise ValidationError("result 'diversity' must be an object with a 'per_aspect' object")
+    if not isinstance(trace, (list, tuple)) or not all(isinstance(t, Mapping) for t in trace):
+        raise ValidationError("result 'trace' must be a list of objects")
+    numbers = {f"{a} diversity": v for a, v in diversity.get("per_aspect", {}).items()}
+    if "overall" in diversity:
+        numbers["overall diversity"] = diversity["overall"]
+    if "objective" in data:
+        numbers["objective"] = data["objective"]
+    if data.get("keyword_diversity") is not None:
+        numbers["keyword diversity"] = data["keyword_diversity"]
+    for i, record in enumerate(trace):
+        kind = record.get("kind")
+        fields = EXPLAINED_FIELDS.get(kind, ()) if isinstance(kind, str) else ()
+        if kind == "add":
+            fields += tuple(f for f in ("gain", "score") if f in record)
+        for field in fields:
+            where = f"trace record {i} ({kind}) field {field!r}"
+            if field in NUMBER_FIELDS:
+                numbers[where] = record.get(field)
+            elif not isinstance(record.get(field), str):
+                raise ValidationError(f"result {where} must be a string (got {record.get(field)!r})")
+    for where, value in numbers.items():
+        if not json_isinstance(value, (int, float)):
+            raise ValidationError(f"result {where} must be a number (got {value!r})")
+
+
 def explain_result(result, applied: RuleApplication | None = None) -> str:
     """Render a human-readable explanation of a diversification result.
 
-    Works on a RerankResult or its serialized dict. Selected items show the
-    marginal diversity contribution recorded when they were added; swap
-    results show the swap narrative; rule effects (exclusions, boosts,
-    violations) come from the trace plus the optional RuleApplication.
+    Works on a RerankResult or its serialized dict; a field it reads with
+    the wrong shape raises ValidationError. Selected items show the marginal
+    diversity recorded when they were added, swaps show their narrative, and
+    rule effects come from the trace plus the optional RuleApplication.
     """
     data = result.as_dict() if hasattr(result, "as_dict") else dict(result)
+    _check_explainable(data)
     trace = list(data.get("trace", []))
     if applied is not None:
         trace += [dict(a) for a in applied.adjustments]

@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from newsdiv.aspect_model import Aspect, AspectSchema, LabelGraph, make_aspect
+from newsdiv.aspect_model import Aspect, AspectSchema, LabelGraph
 from newsdiv.metrics import (
     TIE_TOLERANCE,
     DocumentProfile,
@@ -39,7 +39,7 @@ def random_schema(
         for x in range(n_labels):
             for y in range(x + 1, n_labels):
                 distances[(labels[x], labels[y])] = round(rng.uniform(0.0, 1.0), 6)
-        aspects.append(make_aspect(f"aspect{i}", labels, distances=distances))
+        aspects.append(Aspect(f"aspect{i}", labels, distances=distances))
     raw = [rng.uniform(0.1, 1.0) for _ in range(n_aspects)]
     total = sum(raw)
     weights = {a.name: w / total for a, w in zip(aspects, raw)}
@@ -178,7 +178,7 @@ class ExactReference:
         key = tuple((d1.labels[a.name], d2.labels[a.name]) for a in self.schema.aspects)
         if key not in self._memo:
             self._memo[key] = sum(
-                self.weights[a.name] * Fraction(a.distances.lookup(l1, l2))
+                self.weights[a.name] * Fraction(a.matrix[a.index[l1]][a.index[l2]])
                 for a, (l1, l2) in zip(self.schema.aspects, key)
             )
         return self._memo[key]

@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from newsdiv.aspect_model import AspectSchema, make_aspect
+from newsdiv.aspect_model import AspectSchema
 from newsdiv.diversify import (
     SWAP_EPSILON,
     greedy_select,

@@ -8,14 +8,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from newsdiv.aspect_model import (
+    Aspect,
     AspectSchema,
-    DistanceTable,
     LabelGraph,
-    derive_distances_from_graph,
     label_ancestors,
     label_distance,
     load_schema,
-    make_aspect,
 )
 from newsdiv.errors import (
     DerivationError,
@@ -29,29 +27,23 @@ from helpers import floyd_warshall, random_connected_graph, reference_ancestors
 FRAMES = ("Cultural", "Economy", "Health", "Security")
 
 
+def lookup(aspect, l1, l2):
+    return aspect.matrix[aspect.index[l1]][aspect.index[l2]]
+
+
 # --- distance tables ---
 
 
 def test_table_lookup_is_symmetric_and_zero_on_diagonal(schema):
     frame = schema.aspect("frame")
-    assert frame.distances.lookup("Health", "Cultural") == 0.5
-    assert frame.distances.lookup("Cultural", "Health") == 0.5
-    assert frame.distances.lookup("Health", "Health") == 0.0
-
-
-def test_table_rejects_self_pairs():
-    with pytest.raises(ValidationError, match="self-pair"):
-        DistanceTable(entries={("A", "A"): 0.0})
-
-
-def test_table_rejects_unsorted_keys():
-    with pytest.raises(ValidationError, match="sorted order"):
-        DistanceTable(entries={("B", "A"): 0.5})
+    assert lookup(frame, "Health", "Cultural") == 0.5
+    assert lookup(frame, "Cultural", "Health") == 0.5
+    assert lookup(frame, "Health", "Health") == 0.0
 
 
 def test_table_rejects_out_of_range_values():
     with pytest.raises(ValidationError, match="distance out of range"):
-        DistanceTable(entries={("A", "B"): 1.5})
+        Aspect("x", ["A", "B"], {("A", "B"): 1.5})
 
 
 # --- schema validation ---
@@ -92,7 +84,7 @@ def test_nan_blend_weight_in_schema_file_rejected(fixtures_dir):
 
 
 def test_duplicate_aspect_names_rejected():
-    a = make_aspect("x", ["p", "q"], distances={("p", "q"): 1.0})
+    a = Aspect("x", ["p", "q"], distances={("p", "q"): 1.0})
     with pytest.raises(ValidationError, match="unique"):
         AspectSchema(aspects=(a, a), weights={"x": 1.0})
 
@@ -120,17 +112,17 @@ def test_with_weights_returns_new_schema(schema):
 
 def test_two_cluster_graph_reproduces_reference_table(graph_schema, schema):
     """Cluster graph: within-cluster pairs 2/4, cross-cluster pairs 4/4."""
-    derived = graph_schema.aspect("frame").distances
-    explicit = schema.aspect("frame").distances
+    derived = graph_schema.aspect("frame")
+    explicit = schema.aspect("frame")
     for i, l1 in enumerate(FRAMES):
         for l2 in FRAMES[i + 1:]:
-            assert derived.lookup(l1, l2) == explicit.lookup(l1, l2), (l1, l2)
-    assert derived.lookup("Health", "Cultural") == 0.5
-    assert derived.lookup("Security", "Economy") == 0.5
-    assert derived.lookup("Health", "Security") == 1.0
-    assert derived.lookup("Health", "Economy") == 1.0
-    assert derived.lookup("Cultural", "Security") == 1.0
-    assert derived.lookup("Cultural", "Economy") == 1.0
+            assert lookup(derived, l1, l2) == lookup(explicit, l1, l2), (l1, l2)
+    assert lookup(derived, "Health", "Cultural") == 0.5
+    assert lookup(derived, "Security", "Economy") == 0.5
+    assert lookup(derived, "Health", "Security") == 1.0
+    assert lookup(derived, "Health", "Economy") == 1.0
+    assert lookup(derived, "Cultural", "Security") == 1.0
+    assert lookup(derived, "Cultural", "Economy") == 1.0
 
 
 def test_star_graph_gives_uniform_unit_distances():
@@ -138,51 +130,49 @@ def test_star_graph_gives_uniform_unit_distances():
         nodes=("hub", "a", "b", "c"),
         edges=(("hub", "a"), ("hub", "b"), ("hub", "c")),
     )
-    aspect = make_aspect("star", ["a", "b", "c"], graph=graph)
+    aspect = Aspect("star", ["a", "b", "c"], graph=graph)
     for l1, l2 in [("a", "b"), ("a", "c"), ("b", "c")]:
-        assert aspect.distances.lookup(l1, l2) == 1.0
+        assert lookup(aspect, l1, l2) == 1.0
 
 
 def test_two_label_graph_distance_is_one():
     graph = LabelGraph(nodes=("a", "b"), edges=(("a", "b"),))
-    aspect = make_aspect("pairwise", ["a", "b"], graph=graph)
-    assert aspect.distances.lookup("a", "b") == 1.0
+    aspect = Aspect("pairwise", ["a", "b"], graph=graph)
+    assert lookup(aspect, "a", "b") == 1.0
 
 
 def test_single_label_graph_yields_empty_table():
     graph = LabelGraph(nodes=("only",), edges=())
-    aspect = make_aspect("solo", ["only"], graph=graph)
-    assert aspect.distances.entries == {}
+    aspect = Aspect("solo", ["only"], graph=graph)
+    assert aspect.matrix == ((0.0,),)
 
 
 def test_disconnected_graph_rejected():
     graph = LabelGraph(nodes=("a", "b", "c", "d"), edges=(("a", "b"), ("c", "d")))
     with pytest.raises(DerivationError, match="disconnected"):
-        make_aspect("broken", ["a", "c"], graph=graph)
+        Aspect("broken", ["a", "c"], graph=graph)
 
 
 def test_label_missing_from_graph_rejected():
-    from newsdiv.aspect_model import Aspect
-
     graph = LabelGraph(nodes=("a", "b"), edges=(("a", "b"),))
-    with pytest.raises(DerivationError):
-        derive_distances_from_graph(Aspect(name="x", labels=("a", "z"), graph=graph))
+    with pytest.raises(DerivationError, match="not graph nodes"):
+        Aspect(name="x", labels=("a", "z"), graph=graph)
 
 
 def test_explicit_entry_overrides_graph_value():
     graph = LabelGraph(nodes=("a", "b", "c"), edges=(("a", "b"), ("b", "c")))
-    aspect = make_aspect("mix", ["a", "b", "c"], distances={("a", "b"): 0.9}, graph=graph)
-    assert aspect.distances.lookup("a", "b") == 0.9  # explicit wins
-    assert aspect.distances.lookup("a", "c") == 1.0  # path 2 / diameter 2
-    assert ("a", "b") in aspect.explicit_pairs
-    assert ("a", "b") not in aspect.defaulted_pairs
+    aspect = Aspect("mix", ["a", "b", "c"], distances={("a", "b"): 0.9}, graph=graph)
+    assert lookup(aspect, "a", "b") == 0.9  # explicit wins
+    assert lookup(aspect, "a", "c") == 1.0  # path 2 / diameter 2
+    assert lookup(aspect, "b", "c") == 0.5  # path 1 / diameter 2
+    assert aspect.defaulted_pairs == frozenset()
 
 
 def test_missing_pair_defaults_to_one_with_warning(caplog):
     with caplog.at_level(logging.WARNING, logger="newsdiv.aspect_model"):
-        aspect = make_aspect("gappy", ["a", "b", "c"], distances={("a", "b"): 0.3})
-    assert aspect.distances.lookup("a", "c") == 1.0
-    assert aspect.distances.lookup("b", "c") == 1.0
+        aspect = Aspect("gappy", ["a", "b", "c"], distances={("a", "b"): 0.3})
+    assert lookup(aspect, "a", "c") == 1.0
+    assert lookup(aspect, "b", "c") == 1.0
     assert {("a", "c"), ("b", "c")} == set(aspect.defaulted_pairs)
     assert any("default" in rec.message for rec in caplog.records)
 
@@ -211,6 +201,26 @@ def test_load_schema_rejects_non_list_distances(value):
     aspect = {"name": "topic", "labels": ["Climate", "Immigration"], "distances": value}
     with pytest.raises(ValidationError, match="'distances' must be a list"):
         load_schema(json.dumps({"aspects": [aspect], "weights": {"topic": 1.0}}))
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ([["a", "a", 0.5]], "self-distance"),
+        ([["a", "b", 0.5], ["b", "a", 0.5]], "duplicate distance entry"),
+        ([["a", "z", 0.5]], "unknown label"),
+        ([["z", "z", 0.0]], "unknown label"),
+        ([["a", "b", math.nan]], "distance out of range"),
+    ],
+    ids=["self-distance", "reversed-duplicate", "unknown-label", "unknown-self-pair", "nan"],
+)
+def test_load_schema_rejects_bad_distance_entries(entries, message):
+    import json
+
+    aspect = {"name": "t", "labels": ["a", "b"], "distances": entries}
+    text = json.dumps({"aspects": [aspect], "weights": {"t": 1.0}})
+    with pytest.raises(ValidationError, match=message):
+        load_schema(text)
 
 
 def test_load_schema_treats_null_distances_as_absent():
@@ -250,7 +260,7 @@ def test_ancestors_on_nested_tree():
             ("mid2", "leaf3"),
         ),
     )
-    aspect = make_aspect("tree", ["leaf1", "leaf2", "leaf3"], graph=graph)
+    aspect = Aspect("tree", ["leaf1", "leaf2", "leaf3"], graph=graph)
     assert label_ancestors(aspect, "leaf1") == frozenset({"leaf1", "mid1", "top"})
     assert label_ancestors(aspect, "leaf3") == frozenset({"leaf3", "mid2", "top"})
 
@@ -269,14 +279,14 @@ def test_derived_distances_are_normalized(seed):
     n = rng.randint(2, 12)
     graph = random_connected_graph(rng, n)
     labels = rng.sample(list(graph.nodes), rng.randint(2, n))
-    aspect = make_aspect("rand", sorted(labels), graph=graph)
-    values = list(aspect.distances.entries.values())
+    aspect = Aspect("rand", sorted(labels), graph=graph)
+    values = [v for i, row in enumerate(aspect.matrix) for v in row[i + 1:]]
     assert all(0.0 < v <= 1.0 for v in values)
     # the most separated label pair defines the scale
     assert max(values) == 1.0
     for l1 in labels:
         for l2 in labels:
-            assert aspect.distances.lookup(l1, l2) == aspect.distances.lookup(l2, l1)
+            assert lookup(aspect, l1, l2) == lookup(aspect, l2, l1)
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -286,12 +296,12 @@ def test_graph_distances_and_ancestors_match_floyd_warshall(seed):
     n = rng.randint(3, 14)
     graph = random_connected_graph(rng, n)
     labels = sorted(rng.sample(list(graph.nodes), rng.randint(2, n - 1)))
-    aspect = make_aspect("rand", labels, graph=graph)
+    aspect = Aspect("rand", labels, graph=graph)
     dist = floyd_warshall(graph)
     diameter = max(dist[l1][l2] for l1 in labels for l2 in labels)
     for i, l1 in enumerate(labels):
         for l2 in labels[i + 1:]:
-            assert aspect.distances.lookup(l1, l2) == dist[l1][l2] / diameter
+            assert lookup(aspect, l1, l2) == dist[l1][l2] / diameter
     for label in labels:
         assert label_ancestors(aspect, label) == reference_ancestors(graph, label)
 

@@ -4,6 +4,7 @@ import contextlib
 import copy
 import io
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -297,6 +298,67 @@ def test_explain_rejects_non_results(tmp_path):
     assert "does not look like" in proc.stderr
 
 
+SWAP = {"kind": "swap", "in": "a5", "before": 0.4, "after": 0.6, "detail": "swap"}
+
+
+@pytest.mark.parametrize(
+    "result",
+    [
+        {"selected": [1]},
+        {"selected": ["a5"], "trace": [SWAP]},
+        {"selected": ["a5"], "diversity": {"overall": "x"}},
+        {"selected": ["a5"], "trace": [5]},
+        {"selected": "a1"},
+    ],
+    ids=["selected-number", "swap-without-out", "overall-string", "trace-number", "selected-string"],
+)
+def test_explain_rejects_malformed_results(tmp_path, capsys, result):
+    path = tmp_path / "result.json"
+    path.write_text(json.dumps(result))
+    assert cli.main(["explain", "--result", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+# --- JSON booleans are not numbers ---
+
+LIST = ["--mode", "list", "--k", "3", "--rules", "{rules}", "--context", "election"]
+SEQUENCE = ["--mode", "sequence", "--k", "1", "--history", "{history}"]
+INTERACTION = ["--mode", "interaction", "--k", "1", "--interactions", "{interactions}"]
+
+
+@pytest.mark.parametrize(
+    "key, old, new, mode",
+    [
+        ("corpus", '"relevance": 0.95', '"relevance": true', LIST),
+        ("corpus", '"timestamp": 1700000100', '"timestamp": true', LIST),
+        ("rules", '"require_at_least": 1', '"require_at_least": true', LIST),
+        ("rules", '"boost": 0.2', '"boost": true', LIST),
+        ("schema", '{"topic": 0.5, "frame": 0.5}', '{"topic": true, "frame": 0}', LIST),
+        ("schema", '"Immigration", 1.0]', '"Immigration", true]', LIST),
+        ("history", '"ts": 1700001000', '"ts": true', SEQUENCE),
+        ("interactions", '"ts": 1700000150', '"ts": true', INTERACTION),
+        (None, "--type-weights", '{"like": true, "share": 0}', INTERACTION),
+    ],
+    ids=[
+        "relevance", "timestamp", "require_at_least", "boost", "schema-weight",
+        "schema-distance", "history-ts", "interaction-ts", "type-weights",
+    ],
+)
+def test_json_booleans_are_not_numbers(paths, tmp_path, capsys, key, old, new, mode):
+    files = dict(paths)
+    if key is not None:
+        text = pathlib.Path(paths[key]).read_text()
+        assert old in text
+        files[key] = str(tmp_path / pathlib.Path(paths[key]).name)
+        pathlib.Path(files[key]).write_text(text.replace(old, new, 1))
+    argv = ["rerank", "--schema", files["schema"], "--corpus", files["corpus"]]
+    argv += [arg.format(**files) for arg in mode]
+    if key is None:
+        argv += [old, new]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 # --- determinism ---
 
 
@@ -321,6 +383,10 @@ FILES = {
     "rules": "rules.jsonl",
     "history": "history.jsonl",
     "interactions": "interactions.jsonl",
+    # saved results: every trace kind that explain formats from its fields
+    "rules_result": "golden/graph_rerank_ancestor_rules.out",
+    "list_result": "golden/rerank_list.out",
+    "summary_result": "golden/rerank_summary.out",
 }
 
 DROP = object()
@@ -376,6 +442,7 @@ def commands(p):
         ["rerank", *s, "--mode", "summary", "--k", "3"],
         ["rerank", *g, "--mode", "sequence", "--k", "1", "--history", p["history"], "--window", "last:3"],
         ["rerank", *s, "--mode", "interaction", "--k", "1", "--interactions", p["interactions"]],
+        *[["explain", "--result", p[key]] for key in ("rules_result", "list_result", "summary_result")],
     ]
 
 
@@ -386,7 +453,9 @@ def originals(fixtures_dir):
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
-    return tmp_path_factory.mktemp("fuzz")
+    workdir = tmp_path_factory.mktemp("fuzz")
+    (workdir / "golden").mkdir()
+    return workdir
 
 
 @settings(max_examples=150)

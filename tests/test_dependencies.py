@@ -27,3 +27,28 @@ def test_import_does_not_load_networkx():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+PUBLIC_API = [
+    "Aspect", "AspectSchema", "ContractError", "Corpus", "DerivationError",
+    "DiversityReport", "DocumentProfile", "GuardExceededError", "InteractionLog",
+    "InteractionRecord", "Keyword", "LabelGraph", "NewsdivError", "OracleResult",
+    "ParseError", "RerankResult", "Rule", "RuleSet", "UnknownEntityError",
+    "ValidationError", "Window", "apply_rules", "collection_diversity",
+    "doc_distance", "entropy_diversity", "exclude_history", "explain_result",
+    "greedy_select", "interaction_diversity", "keyword_diversity",
+    "label_distance", "load_corpus", "load_history", "load_interactions",
+    "load_rules", "load_schema", "max_diversity_oracle", "next_in_sequence",
+    "per_aspect_diversity", "rerank_combined", "select_summary_sources",
+    "suggest_interaction", "swap_diversify", "window_diversity", "write_corpus",
+    "write_report",
+]
+
+
+def test_public_api_is_pinned():
+    import newsdiv
+
+    assert len(PUBLIC_API) == 46
+    assert sorted(newsdiv.__all__) == PUBLIC_API
+    for name in PUBLIC_API:
+        assert getattr(newsdiv, name) is not None, name

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from newsdiv.aspect_model import AspectSchema, make_aspect
+from newsdiv.aspect_model import Aspect, AspectSchema
 from newsdiv.diversify import (
     SWAP_EPSILON,
     exclude_history,
@@ -36,7 +36,7 @@ def doc(doc_id, topic, frame, **kw):
 
 
 def one_aspect_schema():
-    aspect = make_aspect("topic", ["C", "I"], distances={("C", "I"): 1.0})
+    aspect = Aspect("topic", ["C", "I"], distances={("C", "I"): 1.0})
     return AspectSchema(aspects=(aspect,), weights={"topic": 1.0})
 
 
@@ -72,7 +72,7 @@ def test_greedy_k1_takes_smaller_id_of_most_distant_pair(schema, pool):
 
 
 def test_greedy_seed_tie_breaks_to_smallest_id_pair():
-    aspect = make_aspect(
+    aspect = Aspect(
         "topic", ["A", "B", "C"],
         distances={("A", "B"): 1.0, ("A", "C"): 1.0, ("B", "C"): 1.0},
     )
