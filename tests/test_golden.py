@@ -51,6 +51,11 @@ CASES: dict[str, list[str] | tuple[str, str]] = {
     "rerank_summary": ["rerank", *_S, "--mode", "summary", "--k", "4"],
     "rerank_interaction": ["rerank", *_S, "--mode", "interaction", "--k", "1", *_INTERACTIONS],
     "oracle": ["oracle", *_S, "--k", "4"],
+    # 24 documents over the graph schema's 8 label tuples: most subsets tie
+    "oracle_tie_pool": [
+        "oracle", "--schema", "{fx}/example_schema_graph.json",
+        "--corpus", "{golden}/tie_pool_corpus.jsonl", "--k", "6",
+    ],
     # explain of saved results
     "explain_list": ["explain", "--result", "{golden}/rerank_list.out"],
     "explain_sequence": ["explain", "--result", "{golden}/rerank_sequence.out"],
