@@ -120,13 +120,17 @@ class Aspect:
     `matrix`, whose rows and columns follow `labels` (`index` maps a label
     to its position), each pair from its explicit entry, else graph hops
     over the label diameter, else 1.0, recorded in `defaulted_pairs`.
+
+    `distances` has no default (pass `()` for a graph-only or all-default
+    aspect), so `dataclasses.replace` must be given the entries again and
+    cannot silently resolve a copy without them.
     """
 
     name: str
     labels: tuple[str, ...]
     distances: InitVar[
         Mapping[tuple[str, str], float] | Iterable[tuple[tuple[str, str], float]]
-    ] = ()
+    ]
     graph: LabelGraph | None = None
     index: Mapping[str, int] = field(init=False, repr=False, compare=False)
     matrix: tuple[tuple[float, ...], ...] = field(init=False, repr=False)

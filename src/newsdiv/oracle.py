@@ -1,20 +1,44 @@
-"""Exhaustive reference maximizer for small candidate pools.
+"""Exact maximum-diversity subset for small candidate pools.
 
-It exists to pin down ground truth in tests and experiments. It refuses
-pools whose enumeration would be too large instead of silently grinding.
+It exists to pin down ground truth in tests and experiments: the max-sum
+dispersion optimum (Hassin, Rubinstein & Tamir 1997) over every k-subset of
+a pool. It refuses pools with too many k-subsets instead of silently
+grinding.
+
+The search is a depth-first branch and bound over the k-subsets in
+lexicographic index order, the order plain enumeration visits them in. A
+node of the search tree fixes a prefix of picks whose own pair sum is
+`base`; r picks remain, all at indices >= j. With gains[x] the summed
+distance from x to the prefix members and reach_j[x] the largest distance
+from x to any index >= j, every completion of the prefix sums to at most
+
+    base + the sum of the r largest (gains[x] + (r - 1) / 2 * reach_j[x]), x >= j
+
+because a pair (x, y) of remaining picks is at most
+(reach_j[x] + reach_j[y]) / 2 and each pick is in r - 1 such pairs. For
+r = 1 the bound is base + gains[x], leaf by leaf. The bound never rises as
+j grows, so once it falls below best_sum + tolerance / 2 no later sibling
+can win either and the level ends. When r = n - j only one completion is
+left; it is bounded once and then summed without descending further. Half
+the tie tolerance (5e-10 per pair) is far above the rounding error of these
+sums, so a pruned subset could never have beaten the best by more than the
+tolerance. A subset that survives is summed exactly as plain enumeration
+sums it, row-major over its indices, and compared the same way, so the
+search returns the subset plain enumeration would.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from operator import add
 from typing import Sequence
 
 from .aspect_model import AspectSchema
+from .diversify import _check_unique_ids
 from .errors import ContractError, GuardExceededError
-from .metrics import DocumentProfile, TIE_TOLERANCE, collection_diversity, doc_distance
+from .metrics import DocumentProfile, TIE_TOLERANCE, _label_indices, collection_diversity
 
-# Refuse exhaustive subset enumeration beyond this many combinations.
+# Refuse the search beyond this many k-subsets.
 ENUMERATION_GUARD = 10**7
 
 
@@ -33,14 +57,18 @@ class OracleResult:
 
 
 def max_diversity_oracle(schema: AspectSchema, pool: Sequence[DocumentProfile], k: int) -> OracleResult:
-    """Exact maximum-diversity k-subset by exhaustive enumeration.
+    """Exact maximum-diversity k-subset by branch and bound.
 
-    Pool is sorted by document id and subsets are visited in lexicographic
-    index order. A subset replaces the best so far only when its mean
-    pairwise distance is more than TIE_TOLERANCE higher, so values within
-    TIE_TOLERANCE count as tied and resolve to the lexicographically
-    smallest id tuple. Guarded: C(|pool|, k) above ENUMERATION_GUARD raises
-    GuardExceededError instead of running.
+    Pool is sorted by document id and subsets are considered in
+    lexicographic index order. A subset replaces the best so far only when
+    its mean pairwise distance is more than TIE_TOLERANCE higher, so values
+    within TIE_TOLERANCE count as tied and resolve to the lexicographically
+    smallest id tuple. Subsets whose upper bound cannot beat the best are
+    skipped (see the module docstring); the result equals that of
+    summing every subset. `evaluated` counts the subsets covered, summed or
+    bounded out: always C(|pool|, k). Guarded: C(|pool|, k) above
+    ENUMERATION_GUARD raises GuardExceededError instead of running, and
+    duplicate document ids raise ContractError.
     """
     n = len(pool)
     if k < 1 or k > n:
@@ -51,28 +79,11 @@ def max_diversity_oracle(schema: AspectSchema, pool: Sequence[DocumentProfile], 
             f"C({n}, {k}) = {total} exceeds the enumeration guard "
             f"({ENUMERATION_GUARD}); use greedy_select for pools this large"
         )
+    _check_unique_ids(pool, "pool")
     docs = sorted(pool, key=lambda d: d.id)
-    matrix = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = doc_distance(schema, docs[i], docs[j])
-            matrix[i][j] = d
-            matrix[j][i] = d
-
     pairs = k * (k - 1) // 2
     tolerance = TIE_TOLERANCE * pairs  # on pair sums, not means
-    best_combo = None
-    best_sum = -1.0
-    for combo in combinations(range(n), k):
-        s = 0.0
-        for a in range(k):
-            row = matrix[combo[a]]
-            for b in range(a + 1, k):
-                s += row[combo[b]]
-        if s > best_sum + tolerance:
-            best_sum = s
-            best_combo = combo
-    chosen = [docs[i] for i in best_combo]
+    chosen = [docs[i] for i in _search(_distance_matrix(schema, docs), k, tolerance)]
     # Recompute through the metric itself so the reported value is exactly
     # what collection_diversity(best_subset) returns.
     value = collection_diversity(schema, chosen).overall if pairs else 0.0
@@ -81,3 +92,79 @@ def max_diversity_oracle(schema: AspectSchema, pool: Sequence[DocumentProfile], 
         best_value=value,
         evaluated=total,
     )
+
+
+def _distance_matrix(schema: AspectSchema, docs: Sequence[DocumentProfile]) -> list[list[float]]:
+    """All document distances; each cell adds w_a * D_a in aspect order, as
+    doc_distance does, so it is bitwise the value doc_distance returns."""
+    rows = [_label_indices(schema, d) for d in docs]
+    aspects = [
+        ([[schema.weights[a.name] * d for d in line] for line in a.matrix], [row[i] for row in rows])
+        for i, a in enumerate(schema.aspects)
+    ]
+    matrix = []
+    for row in rows:
+        cells = [0.0] * len(docs)
+        for (weighted, column), label in zip(aspects, row):
+            cells = list(map(add, cells, map(weighted[label].__getitem__, column)))
+        matrix.append(cells)
+    return matrix
+
+
+def _pair_sum(matrix: list[list[float]], combo: tuple[int, ...]) -> float:
+    """Pair sum of one subset, row-major: the order plain enumeration adds in."""
+    s = 0.0
+    for a, i in enumerate(combo):
+        row = matrix[i]
+        for b in combo[a + 1:]:
+            s += row[b]
+    return s
+
+
+def _reach(matrix: list[list[float]]) -> list[list[float]]:
+    """reach[j][x - j] = max over y >= j of matrix[x][y], for every x >= j."""
+    n = len(matrix)
+    reach = [[]] * n
+    below: list[float] = []
+    for j in range(n - 1, -1, -1):
+        row = matrix[j]
+        below = [max(row[j:])] + [a if a > b else b for a, b in zip(below, row[j + 1:])]
+        reach[j] = below
+    return reach
+
+
+def _search(matrix: list[list[float]], k: int, tolerance: float) -> tuple[int, ...]:
+    """The k-subset plain enumeration keeps: in lexicographic order, each
+    subset replaces the best so far when its pair sum is more than
+    `tolerance` higher. Depth first with an explicit stack, because k can
+    reach the thousands, beyond the recursion limit."""
+    n = len(matrix)
+    if k == n:
+        return tuple(range(n))
+    half = tolerance / 2
+    reach = _reach(matrix) if k > 1 else None
+    best_sum, best_combo = -1.0, ()
+    # Frame: next index j, prefix, its pair sum, and gains[x] = sum of
+    # matrix[i][x] over prefix members i.
+    stack = [(0, (), 0.0, [0.0] * n)]
+    while stack:
+        j, prefix, base, gains = stack.pop()
+        r = k - len(prefix)
+        if r == 1:
+            floor = best_sum + half
+            leaves = [prefix + (x,) for x in range(j, n) if base + gains[x] >= floor]
+        else:
+            c = (r - 1) / 2
+            scores = sorted([g + c * h for g, h in zip(gains[j:], reach[j])])
+            if base + sum(scores[-r:]) < best_sum + half:
+                continue  # no subset at this level from index j on can win
+            if r < n - j:
+                stack.append((j + 1, prefix, base, gains))
+                stack.append((j + 1, prefix + (j,), base + gains[j], list(map(add, gains, matrix[j]))))
+                continue
+            leaves = [prefix + tuple(range(j, n))]  # the one completion left
+        for combo in leaves:
+            s = _pair_sum(matrix, combo)
+            if s > best_sum + tolerance:
+                best_sum, best_combo = s, combo
+    return best_combo

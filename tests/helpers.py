@@ -6,11 +6,14 @@ no module-level RNG state.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
+from itertools import combinations
 from typing import Mapping, Sequence
 
 from newsdiv.aspect_model import Aspect, AspectSchema, LabelGraph
+from newsdiv.errors import ContractError, GuardExceededError
 from newsdiv.metrics import (
     TIE_TOLERANCE,
     DocumentProfile,
@@ -18,9 +21,11 @@ from newsdiv.metrics import (
     InteractionRecord,
     Window,
     collection_diversity,
+    doc_distance,
     docs_per_type,
     window_slice,
 )
+from newsdiv.oracle import ENUMERATION_GUARD, OracleResult
 from newsdiv.rules import Rule, RuleSet, parse_rule
 
 
@@ -28,12 +33,14 @@ def random_schema(
     rng: random.Random,
     max_aspects: int = 4,
     max_labels: int = 8,
+    exact: bool = False,
 ) -> AspectSchema:
-    """Random explicit-table schema with normalized blend weights."""
-    n_aspects = rng.randint(1, max_aspects)
+    """Random explicit-table schema with normalized blend weights; `exact`
+    gives every schema max_aspects aspects of max_labels labels."""
+    n_aspects = max_aspects if exact else rng.randint(1, max_aspects)
     aspects = []
     for i in range(n_aspects):
-        n_labels = rng.randint(2, max_labels)
+        n_labels = max_labels if exact else rng.randint(2, max_labels)
         labels = [f"a{i}l{j}" for j in range(n_labels)]
         distances = {}
         for x in range(n_labels):
@@ -290,3 +297,47 @@ class ExactReference:
 
         _, _, best = self.pick(entry(d, t) for d, t in sorted(options, key=lambda o: (o[1], o[0])))
         return best
+
+
+def enumerate_oracle(schema: AspectSchema, pool: Sequence[DocumentProfile], k: int) -> OracleResult:
+    """Plain enumeration of every k-subset: the reference the branch and
+    bound in max_diversity_oracle must reproduce exactly."""
+    n = len(pool)
+    if k < 1 or k > n:
+        raise ContractError(f"k must satisfy 1 <= k <= |pool| (got k={k}, |pool|={n})")
+    total = math.comb(n, k)
+    if total > ENUMERATION_GUARD:
+        raise GuardExceededError(
+            f"C({n}, {k}) = {total} exceeds the enumeration guard "
+            f"({ENUMERATION_GUARD}); use greedy_select for pools this large"
+        )
+    docs = sorted(pool, key=lambda d: d.id)
+    matrix = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = doc_distance(schema, docs[i], docs[j])
+            matrix[i][j] = d
+            matrix[j][i] = d
+
+    pairs = k * (k - 1) // 2
+    tolerance = TIE_TOLERANCE * pairs  # on pair sums, not means
+    best_combo = None
+    best_sum = -1.0
+    for combo in combinations(range(n), k):
+        s = 0.0
+        for a in range(k):
+            row = matrix[combo[a]]
+            for b in range(a + 1, k):
+                s += row[combo[b]]
+        if s > best_sum + tolerance:
+            best_sum = s
+            best_combo = combo
+    chosen = [docs[i] for i in best_combo]
+    # Recompute through the metric itself so the reported value is exactly
+    # what collection_diversity(best_subset) returns.
+    value = collection_diversity(schema, chosen).overall if pairs else 0.0
+    return OracleResult(
+        best_subset=tuple(d.id for d in chosen),
+        best_value=value,
+        evaluated=total,
+    )

@@ -1,5 +1,6 @@
 """Schema construction, graph-derived distances, and ancestor queries."""
 
+import dataclasses
 import logging
 import math
 import random
@@ -89,6 +90,18 @@ def test_duplicate_aspect_names_rejected():
         AspectSchema(aspects=(a, a), weights={"x": 1.0})
 
 
+def test_replace_must_restate_distances():
+    entries = {("a", "b"): 0.25}
+    aspect = Aspect("t", ["a", "b"], entries)
+    # without its entries the copy would resolve (a, b) to the 1.0 default
+    with pytest.raises(ValueError, match="distances"):
+        dataclasses.replace(aspect, name="u")
+    copy = dataclasses.replace(aspect, name="u", distances=entries)
+    assert copy.name == "u"
+    assert copy.matrix == aspect.matrix == ((0.0, 0.25), (0.25, 0.0))
+    assert not copy.defaulted_pairs
+
+
 def test_unknown_aspect_lookup(schema):
     with pytest.raises(UnknownEntityError, match="tone"):
         schema.aspect("tone")
@@ -130,33 +143,33 @@ def test_star_graph_gives_uniform_unit_distances():
         nodes=("hub", "a", "b", "c"),
         edges=(("hub", "a"), ("hub", "b"), ("hub", "c")),
     )
-    aspect = Aspect("star", ["a", "b", "c"], graph=graph)
+    aspect = Aspect("star", ["a", "b", "c"], distances=(), graph=graph)
     for l1, l2 in [("a", "b"), ("a", "c"), ("b", "c")]:
         assert lookup(aspect, l1, l2) == 1.0
 
 
 def test_two_label_graph_distance_is_one():
     graph = LabelGraph(nodes=("a", "b"), edges=(("a", "b"),))
-    aspect = Aspect("pairwise", ["a", "b"], graph=graph)
+    aspect = Aspect("pairwise", ["a", "b"], distances=(), graph=graph)
     assert lookup(aspect, "a", "b") == 1.0
 
 
 def test_single_label_graph_yields_empty_table():
     graph = LabelGraph(nodes=("only",), edges=())
-    aspect = Aspect("solo", ["only"], graph=graph)
+    aspect = Aspect("solo", ["only"], distances=(), graph=graph)
     assert aspect.matrix == ((0.0,),)
 
 
 def test_disconnected_graph_rejected():
     graph = LabelGraph(nodes=("a", "b", "c", "d"), edges=(("a", "b"), ("c", "d")))
     with pytest.raises(DerivationError, match="disconnected"):
-        Aspect("broken", ["a", "c"], graph=graph)
+        Aspect("broken", ["a", "c"], distances=(), graph=graph)
 
 
 def test_label_missing_from_graph_rejected():
     graph = LabelGraph(nodes=("a", "b"), edges=(("a", "b"),))
     with pytest.raises(DerivationError, match="not graph nodes"):
-        Aspect(name="x", labels=("a", "z"), graph=graph)
+        Aspect(name="x", labels=("a", "z"), distances=(), graph=graph)
 
 
 def test_explicit_entry_overrides_graph_value():
@@ -260,7 +273,7 @@ def test_ancestors_on_nested_tree():
             ("mid2", "leaf3"),
         ),
     )
-    aspect = Aspect("tree", ["leaf1", "leaf2", "leaf3"], graph=graph)
+    aspect = Aspect("tree", ["leaf1", "leaf2", "leaf3"], distances=(), graph=graph)
     assert label_ancestors(aspect, "leaf1") == frozenset({"leaf1", "mid1", "top"})
     assert label_ancestors(aspect, "leaf3") == frozenset({"leaf3", "mid2", "top"})
 
@@ -279,7 +292,7 @@ def test_derived_distances_are_normalized(seed):
     n = rng.randint(2, 12)
     graph = random_connected_graph(rng, n)
     labels = rng.sample(list(graph.nodes), rng.randint(2, n))
-    aspect = Aspect("rand", sorted(labels), graph=graph)
+    aspect = Aspect("rand", sorted(labels), distances=(), graph=graph)
     values = [v for i, row in enumerate(aspect.matrix) for v in row[i + 1:]]
     assert all(0.0 < v <= 1.0 for v in values)
     # the most separated label pair defines the scale
@@ -296,7 +309,7 @@ def test_graph_distances_and_ancestors_match_floyd_warshall(seed):
     n = rng.randint(3, 14)
     graph = random_connected_graph(rng, n)
     labels = sorted(rng.sample(list(graph.nodes), rng.randint(2, n - 1)))
-    aspect = Aspect("rand", labels, graph=graph)
+    aspect = Aspect("rand", labels, distances=(), graph=graph)
     dist = floyd_warshall(graph)
     diameter = max(dist[l1][l2] for l1 in labels for l2 in labels)
     for i, l1 in enumerate(labels):

@@ -2,16 +2,18 @@
 
 import math
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
 
+from newsdiv.aspect_model import Aspect, AspectSchema
 from newsdiv.errors import ContractError, GuardExceededError
 from newsdiv.metrics import DocumentProfile, Window, collection_diversity
 from newsdiv.diversify import next_in_sequence
 from newsdiv.oracle import max_diversity_oracle
 
-from helpers import ExactReference, random_docs, random_schema
+from helpers import ExactReference, enumerate_oracle, random_docs, random_schema
 
 # Best achievable mean pairwise diversity over the eight-document universe,
 # by subset size. Only k=2 reaches 1.0; the ceiling drops as soon as a third
@@ -79,6 +81,15 @@ def test_enumeration_guard_trips(schema):
         max_diversity_oracle(schema, big, 15)
 
 
+def test_duplicate_ids_are_contract_errors(schema):
+    def doc(doc_id, topic):
+        return DocumentProfile(id=doc_id, labels={"topic": topic, "frame": "Health"})
+
+    pool = [doc("x", "Climate"), doc("x", "Immigration"), doc("y", "Climate")]
+    with pytest.raises(ContractError, match=r"duplicate document ids: \['x'\]"):
+        max_diversity_oracle(schema, pool, 2)
+
+
 def test_as_dict_shape(schema, pool):
     data = max_diversity_oracle(schema, pool, 2).as_dict()
     assert data == {"best_subset": ["a1", "a7"], "best_value": 1.0, "evaluated": 28}
@@ -95,6 +106,75 @@ def test_oracle_dominates_every_same_size_subset(seed):
     assert collection_diversity(schema, sample).overall <= result.best_value + 1e-9
 
 
+# --- branch and bound against plain enumeration ---
+
+
+def oracle_instance(seed):
+    """Seeded schema, pool and k; every third pool repeats label tuples,
+    and k cycles through 1, |pool| and a random size."""
+    rng = random.Random(seed)
+    schema = random_schema(rng, max_aspects=3, max_labels=5)
+    n = rng.randint(1, 11)
+    if seed % 3 == 0:
+        tuples = random_docs(rng, schema, rng.randint(1, 3))
+        docs = [
+            DocumentProfile(id=f"r{i:02d}", labels=rng.choice(tuples).labels) for i in range(n)
+        ]
+    else:
+        docs = random_docs(rng, schema, n)
+    k = (1, n, rng.randint(1, n), rng.randint(1, n))[seed % 4]
+    return schema, docs, k
+
+
+def test_search_picks_what_enumeration_picks():
+    for seed in range(1500):
+        schema, docs, k = oracle_instance(seed)
+        got = max_diversity_oracle(schema, docs, k).as_dict()
+        assert got == enumerate_oracle(schema, docs, k).as_dict(), seed
+
+
+@pytest.mark.parametrize("k", [5, 6])
+def test_search_matches_enumeration_on_bench_shaped_pools(k):
+    rng = random.Random(k)
+    schema = random_schema(rng, max_aspects=3, max_labels=8, exact=True)
+    docs = random_docs(rng, schema, 24)
+    got = max_diversity_oracle(schema, docs, k).as_dict()
+    assert got == enumerate_oracle(schema, docs, k).as_dict()
+
+
+def test_oracle_value_is_the_exact_maximum():
+    for seed in range(300):
+        schema, docs, k = oracle_instance(seed)
+        docs = docs[:9]
+        k = min(k, len(docs))
+        exact = ExactReference(schema)
+        by_id = {d.id: d for d in docs}
+        picked = exact.diversity([by_id[i] for i in max_diversity_oracle(schema, docs, k).best_subset])
+        best = max(exact.diversity(list(c)) for c in combinations(docs, k))
+        assert abs(picked - best) <= 1e-9, seed
+
+
+@pytest.mark.parametrize("gap, want", [(7e-10, ("a", "b")), (1.5e-9, ("a", "c"))])
+def test_later_subset_wins_only_beyond_the_tolerance(gap, want):
+    """(a, c) is gap farther apart than (a, b); within TIE_TOLERANCE the
+    lexicographically first pair stays."""
+    aspect = Aspect("t", ["p", "q", "r"], {("p", "q"): 0.5, ("p", "r"): 0.5 + gap, ("q", "r"): 0.1})
+    schema = AspectSchema(aspects=(aspect,), weights={"t": 1.0})
+    docs = [DocumentProfile(id=i, labels={"t": label}) for i, label in zip("abc", "pqr")]
+    assert max_diversity_oracle(schema, docs, 2).best_subset == want
+    assert enumerate_oracle(schema, docs, 2).best_subset == want
+
+
+def test_oracle_takes_a_whole_pool_of_1100():
+    rng = random.Random(1100)
+    schema = random_schema(rng, max_aspects=2, max_labels=6)
+    docs = random_docs(rng, schema, 1100)
+    result = max_diversity_oracle(schema, docs, 1100)
+    assert result.best_subset == tuple(sorted(d.id for d in docs))
+    assert result.evaluated == 1
+    assert result.best_value == collection_diversity(schema, docs).overall
+
+
 # --- exact sequence reference ---
 
 
@@ -109,3 +189,16 @@ def test_sequence_reference_worked_example(schema):
     # the (Immigration, Economy) candidate
     assert ExactReference(schema).next_in_sequence(history, candidates, window, 0.5) == "c2"
     assert next_in_sequence(schema, history, candidates, window).selected == ("c2",)
+
+
+def test_deep_search_on_1100_tied_documents_runs_without_recursion():
+    """k = n - 1 over identical documents walks about a thousand levels down
+    before the first subset; every later one ties it and is bounded out."""
+    rng = random.Random(1099)
+    schema = random_schema(rng, max_aspects=2, max_labels=6)
+    labels = random_docs(rng, schema, 1)[0].labels
+    docs = [DocumentProfile(id=f"d{i:04d}", labels=labels) for i in range(1100)]
+    result = max_diversity_oracle(schema, docs, 1099)
+    assert result.best_subset == tuple(d.id for d in docs[:1099])
+    assert result.evaluated == 1100
+    assert result.best_value == 0.0
