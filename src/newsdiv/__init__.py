@@ -4,7 +4,6 @@ from .aspect_model import (
     Aspect,
     AspectSchema,
     LabelGraph,
-    label_distance,
     load_schema,
 )
 from .corpus_io import (
@@ -13,7 +12,6 @@ from .corpus_io import (
     load_history,
     load_interactions,
     load_rules,
-    write_corpus,
     write_report,
 )
 from .diversify import (
@@ -47,8 +45,6 @@ from .metrics import (
     entropy_diversity,
     interaction_diversity,
     keyword_diversity,
-    per_aspect_diversity,
-    window_diversity,
 )
 from .oracle import OracleResult, max_diversity_oracle
 from .rules import Rule, RuleSet, apply_rules, explain_result
@@ -86,7 +82,6 @@ __all__ = [
     "greedy_select",
     "interaction_diversity",
     "keyword_diversity",
-    "label_distance",
     "load_corpus",
     "load_history",
     "load_interactions",
@@ -94,12 +89,9 @@ __all__ = [
     "load_schema",
     "max_diversity_oracle",
     "next_in_sequence",
-    "per_aspect_diversity",
     "rerank_combined",
     "select_summary_sources",
     "suggest_interaction",
     "swap_diversify",
-    "window_diversity",
-    "write_corpus",
     "write_report",
 ]

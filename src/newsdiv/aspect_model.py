@@ -8,19 +8,16 @@ distance between labels i and j, in [0, 1] with a zero diagonal. Each
 unordered label pair takes its distance from the first of three sources: an
 explicit entry, the hop count in an optional label graph divided by the
 label diameter, or a last-resort default of 1.0. Defaulted pairs are
-recorded in `defaulted_pairs` and logged as a warning.
+recorded in `defaulted_pairs`, which the CLI reports as a warning.
 """
 from __future__ import annotations
 
 import json
-import logging
 from collections import deque
 from dataclasses import InitVar, dataclass, field
 from typing import Iterable, Mapping
 
 from .errors import DerivationError, ParseError, UnknownEntityError, ValidationError, json_isinstance
-
-logger = logging.getLogger(__name__)
 
 # Blend weights must sum to 1 within this tolerance.
 WEIGHT_TOLERANCE = 1e-9
@@ -196,10 +193,6 @@ class Aspect:
                     value = 1.0
                     defaulted.append(key)
                 matrix[i][j] = matrix[j][i] = value
-        if defaulted:
-            logger.warning(
-                "aspect %r: no distance given for pairs %s; defaulting to 1.0", self.name, sorted(defaulted)
-            )
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "matrix", tuple(map(tuple, matrix)))
         object.__setattr__(self, "defaulted_pairs", frozenset(defaulted))
@@ -243,10 +236,6 @@ class AspectSchema:
 
     def aspect_names(self) -> tuple[str, ...]:
         return tuple(a.name for a in self.aspects)
-
-    def with_weights(self, weights: Mapping[str, float]) -> "AspectSchema":
-        """Return a copy with the blend weights replaced (and re-validated)."""
-        return AspectSchema(aspects=self.aspects, weights=dict(weights))
 
 
 def _parse_graph(name: str, obj) -> LabelGraph:
@@ -346,17 +335,6 @@ def load_schema(text: str) -> AspectSchema:
             raise ValidationError(f"blend weight for {key!r} must be a number")
         weights[key] = float(value)
     return AspectSchema(aspects=tuple(aspects), weights=weights)
-
-
-def label_distance(schema: AspectSchema, aspect_name: str, l1: str, l2: str) -> float:
-    """Resolved distance between two labels of one aspect."""
-    aspect = schema.aspect(aspect_name)
-    for l in (l1, l2):
-        if l not in aspect.labels:
-            raise UnknownEntityError(
-                f"unknown label {l!r} for aspect {aspect_name!r}"
-            )
-    return aspect.matrix[aspect.index[l1]][aspect.index[l2]]
 
 
 def label_ancestors(aspect: Aspect, label: str) -> frozenset[str]:

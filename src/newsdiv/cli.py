@@ -39,14 +39,23 @@ def _read(path: str) -> str:
 
 def _load_schema_corpus(args) -> tuple[AspectSchema, corpus_io.Corpus]:
     schema = load_schema(_read(args.schema))
+    for aspect in schema.aspects:
+        if aspect.defaulted_pairs:
+            print(
+                f"aspect {aspect.name!r}: no distance given for pairs "
+                f"{sorted(aspect.defaulted_pairs)}; defaulting to 1.0",
+                file=sys.stderr,
+            )
     corpus = corpus_io.load_corpus(schema, _read(args.corpus))
     return schema, corpus
 
 
 def cmd_score(args) -> int:
     schema, corpus = _load_schema_corpus(args)
-    if args.ids:
+    if args.ids is not None:
         wanted = [i.strip() for i in args.ids.split(",") if i.strip()]
+        if not wanted:
+            raise ValidationError(f"--ids names no document (got {args.ids!r})")
         missing = sorted(set(wanted) - set(corpus.documents))
         if missing:
             raise UnknownEntityError(f"unknown document ids: {missing}")
@@ -55,7 +64,7 @@ def cmd_score(args) -> int:
     else:
         docs = corpus.docs()
     report = collection_diversity(schema, docs)
-    sys.stdout.write(corpus_io.write_report(report, "json"))
+    sys.stdout.write(corpus_io.write_report(report))
     return EXIT_OK
 
 
@@ -144,18 +153,18 @@ def cmd_rerank(args) -> int:
 
     selected_docs = [corpus.documents[i] for i in result.selected]
     violations = rules_mod.check_requirements(
-        schema, rules_mod.active_requires(ruleset, request_rules), selected_docs
+        schema, ruleset.active(request_rules), selected_docs
     )
     trace = tuple(application.adjustments) + result.trace + violations
     result = replace(result, trace=trace)
-    sys.stdout.write(corpus_io.write_report(result, "json"))
+    sys.stdout.write(corpus_io.write_report(result))
     return EXIT_OK
 
 
 def cmd_oracle(args) -> int:
     schema, corpus = _load_schema_corpus(args)
     result = max_diversity_oracle(schema, corpus.docs(), args.k)
-    sys.stdout.write(corpus_io.write_report(result, "json"))
+    sys.stdout.write(corpus_io.write_report(result))
     return EXIT_OK
 
 

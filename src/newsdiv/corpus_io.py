@@ -1,4 +1,4 @@
-"""Loading and writing the engine's line-delimited JSON file formats.
+"""Loading the engine's line-delimited JSON file formats; writing reports.
 
 Corpus files hold one document object per line; interaction and history
 files hold one event per line. Errors carry 1-based line numbers. Reports
@@ -6,11 +6,9 @@ serialize deterministically with numbers at 12 significant digits.
 """
 from __future__ import annotations
 
-import csv
-import io
 import json
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping
 
 from .aspect_model import AspectSchema
 from .diversify import RerankResult
@@ -28,10 +26,9 @@ from .rules import Rule, RuleSet, parse_rule
 
 @dataclass(frozen=True)
 class Corpus:
-    """Validated documents keyed by id, bound to their schema."""
+    """Validated documents keyed by id."""
 
-    schema: AspectSchema
-    documents: Mapping[str, DocumentProfile] = field(default_factory=dict)
+    documents: Mapping[str, DocumentProfile]
 
     def docs(self) -> list[DocumentProfile]:
         return list(self.documents.values())
@@ -128,24 +125,7 @@ def load_corpus(schema: AspectSchema, text: str) -> Corpus:
             timestamp=timestamp,
             keywords=keywords,
         )
-    return Corpus(schema=schema, documents=documents)
-
-
-def write_corpus(corpus: Corpus) -> str:
-    """Serialize a corpus back to JSONL; load(write(load(x))) == load(x)."""
-    lines = []
-    for doc in corpus.documents.values():
-        obj: dict = {"id": doc.id, "labels": dict(doc.labels)}
-        if doc.relevance is not None:
-            obj["relevance"] = doc.relevance
-        if doc.timestamp is not None:
-            obj["timestamp"] = doc.timestamp
-        if doc.keywords:
-            obj["keywords"] = [
-                {"term": kw.term, "labels": dict(kw.labels)} for kw in doc.keywords
-            ]
-        lines.append(json.dumps(obj, sort_keys=True))
-    return "\n".join(lines) + ("\n" if lines else "")
+    return Corpus(documents=documents)
 
 
 def load_interactions(
@@ -240,50 +220,9 @@ def round12(value):
     return value
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
-
-
-def _report_csv(report: dict) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["aspect", "value"])
-    for aspect in sorted(report.get("per_aspect", {})):
-        writer.writerow([aspect, _fmt(report["per_aspect"][aspect])])
-    writer.writerow(["overall", _fmt(report["overall"])])
-    writer.writerow(["pair_count", report["pair_count"]])
-    return out.getvalue()
-
-
-def _selection_csv(result: dict) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["rank", "id"])
-    for rank, doc_id in enumerate(result.get("selected", result.get("best_subset", [])), start=1):
-        writer.writerow([rank, doc_id])
-    return out.getvalue()
-
-
-def write_report(obj, fmt: str = "json") -> str:
-    """Serialize a DiversityReport, RerankResult, or OracleResult.
-
-    JSON output is sorted-key, 12-significant-digit, newline-terminated.
-    CSV gives (aspect, value) rows for reports and (rank, id) rows for
-    selections; an empty selection is just the header.
-    """
-    if fmt not in ("json", "csv"):
-        raise ValidationError(f"unknown report format {fmt!r}")
-    if isinstance(obj, (DiversityReport, RerankResult, OracleResult)):
-        data = obj.as_dict()
-    elif isinstance(obj, dict):
-        data = obj
-    else:
+def write_report(obj) -> str:
+    """Serialize a DiversityReport, RerankResult, or OracleResult as JSON:
+    sorted keys, 12 significant digits, newline-terminated."""
+    if not isinstance(obj, (DiversityReport, RerankResult, OracleResult)):
         raise ValidationError(f"cannot serialize {type(obj).__name__} as a report")
-    data = round12(data)
-    if fmt == "json":
-        return json.dumps(data, sort_keys=True, indent=2) + "\n"
-    if "overall" in data and "selected" not in data:
-        return _report_csv(data)
-    return _selection_csv(data)
+    return json.dumps(round12(obj.as_dict()), sort_keys=True, indent=2) + "\n"

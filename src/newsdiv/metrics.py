@@ -200,12 +200,6 @@ def collection_diversity(schema: AspectSchema, docs: Sequence[DocumentProfile]) 
     )
 
 
-def per_aspect_diversity(schema: AspectSchema, docs: Sequence[DocumentProfile], aspect_name: str) -> float:
-    """Mean pairwise distance along a single aspect (weight 1 on it)."""
-    schema.aspect(aspect_name)  # raises UnknownEntityError for bad names
-    return collection_diversity(schema, docs).per_aspect[aspect_name]
-
-
 def _check_sorted(docs: Sequence[DocumentProfile]) -> bool:
     """True when timestamps are present; ContractError on mixed/unsorted input."""
     stamps = [d.timestamp for d in docs]
@@ -225,7 +219,8 @@ def _check_sorted(docs: Sequence[DocumentProfile]) -> bool:
 
 
 def window_slice(docs: Sequence[DocumentProfile], window: Window) -> list[DocumentProfile]:
-    """Apply a recency window to a time-ordered sequence."""
+    """Apply a recency window to a time-ordered sequence; unsorted input is a
+    ContractError, not a silent re-sort."""
     timestamped = _check_sorted(docs)
     if window.kind == "last":
         if window.value == 0:
@@ -234,15 +229,6 @@ def window_slice(docs: Sequence[DocumentProfile], window: Window) -> list[Docume
     if not timestamped:
         raise ContractError("cutoff window requires timestamped documents")
     return [d for d in docs if d.timestamp >= window.value]
-
-
-def window_diversity(schema: AspectSchema, docs: Sequence[DocumentProfile], window: Window) -> DiversityReport:
-    """Diversity of the windowed tail of a consumption sequence.
-
-    Order inside the window does not matter; the metric is permutation
-    invariant. Unsorted input is a contract violation, not a silent re-sort.
-    """
-    return collection_diversity(schema, window_slice(docs, window))
 
 
 def docs_per_type(corpus_docs: Mapping[str, DocumentProfile], log: InteractionLog) -> dict[str, list[DocumentProfile]]:

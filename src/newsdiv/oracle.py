@@ -81,9 +81,14 @@ def max_diversity_oracle(schema: AspectSchema, pool: Sequence[DocumentProfile], 
         )
     _check_unique_ids(pool, "pool")
     docs = sorted(pool, key=lambda d: d.id)
+    rows = [_label_indices(schema, d) for d in docs]  # every label checked, whatever k
     pairs = k * (k - 1) // 2
-    tolerance = TIE_TOLERANCE * pairs  # on pair sums, not means
-    chosen = [docs[i] for i in _search(_distance_matrix(schema, docs), k, tolerance)]
+    if k == 1 or k == n:
+        picks = range(k)  # the first id, or the only subset
+    else:
+        tolerance = TIE_TOLERANCE * pairs  # on pair sums, not means
+        picks = _search(_distance_matrix(schema, rows), k, tolerance)
+    chosen = [docs[i] for i in picks]
     # Recompute through the metric itself so the reported value is exactly
     # what collection_diversity(best_subset) returns.
     value = collection_diversity(schema, chosen).overall if pairs else 0.0
@@ -94,17 +99,17 @@ def max_diversity_oracle(schema: AspectSchema, pool: Sequence[DocumentProfile], 
     )
 
 
-def _distance_matrix(schema: AspectSchema, docs: Sequence[DocumentProfile]) -> list[list[float]]:
-    """All document distances; each cell adds w_a * D_a in aspect order, as
-    doc_distance does, so it is bitwise the value doc_distance returns."""
-    rows = [_label_indices(schema, d) for d in docs]
+def _distance_matrix(schema: AspectSchema, rows: Sequence[list[int]]) -> list[list[float]]:
+    """All document distances from label-index rows; each cell adds w_a * D_a
+    in aspect order, as doc_distance does, so it is bitwise the value
+    doc_distance returns."""
     aspects = [
         ([[schema.weights[a.name] * d for d in line] for line in a.matrix], [row[i] for row in rows])
         for i, a in enumerate(schema.aspects)
     ]
     matrix = []
     for row in rows:
-        cells = [0.0] * len(docs)
+        cells = [0.0] * len(rows)
         for (weighted, column), label in zip(aspects, row):
             cells = list(map(add, cells, map(weighted[label].__getitem__, column)))
         matrix.append(cells)
@@ -134,15 +139,13 @@ def _reach(matrix: list[list[float]]) -> list[list[float]]:
 
 
 def _search(matrix: list[list[float]], k: int, tolerance: float) -> tuple[int, ...]:
-    """The k-subset plain enumeration keeps: in lexicographic order, each
-    subset replaces the best so far when its pair sum is more than
-    `tolerance` higher. Depth first with an explicit stack, because k can
+    """The k-subset (1 < k < n) plain enumeration keeps: in lexicographic
+    order, each subset replaces the best so far when its pair sum is more
+    than `tolerance` higher. Depth first with an explicit stack, because k can
     reach the thousands, beyond the recursion limit."""
     n = len(matrix)
-    if k == n:
-        return tuple(range(n))
     half = tolerance / 2
-    reach = _reach(matrix) if k > 1 else None
+    reach = _reach(matrix)
     best_sum, best_combo = -1.0, ()
     # Frame: next index j, prefix, its pair sum, and gains[x] = sum of
     # matrix[i][x] over prefix members i.

@@ -17,10 +17,6 @@ from .metrics import DocumentProfile
 
 SCOPES = ("global", "context", "request")
 
-# Scope precedence: global rules apply first, then active context rules,
-# then request rules. Within a scope, file order is kept.
-SCOPE_ORDER = {scope: i for i, scope in enumerate(SCOPES)}
-
 # Keys that select a predicate's kind; a predicate holds exactly one.
 OPERATORS = frozenset({"all", "any", "not", "ancestor", "aspect"})
 
@@ -238,7 +234,6 @@ def apply_rules(
     current = list(candidates)
     relevance = {d.id: d.relevance for d in current}
     adjustments: list[dict] = []
-    requires: list[Rule] = []
     for rule in ordered:
         if rule.action == "exclude":
             kept = []
@@ -276,10 +271,8 @@ def apply_rules(
                         ),
                     }
                 )
-        else:  # require_at_least, deferred
-            requires.append(rule)
 
-    violations = check_requirements(schema, requires, current)
+    violations = check_requirements(schema, ordered, current)
     boosted = {
         d.id: relevance[d.id]
         for d in current
@@ -318,10 +311,6 @@ def check_requirements(
                 }
             )
     return tuple(violations)
-
-
-def active_requires(ruleset: RuleSet, request_rules: Sequence[Rule]) -> list[Rule]:
-    return [r for r in ruleset.active(request_rules) if r.action == "require_at_least"]
 
 
 # Trace fields explain_result reads, by record kind. An "add" record is also
@@ -370,20 +359,17 @@ def _check_explainable(data: Mapping) -> None:
             raise ValidationError(f"result {where} must be a number (got {value!r})")
 
 
-def explain_result(result, applied: RuleApplication | None = None) -> str:
+def explain_result(result) -> str:
     """Render a human-readable explanation of a diversification result.
 
     Works on a RerankResult or its serialized dict; a field it reads with
     the wrong shape raises ValidationError. Selected items show the marginal
     diversity recorded when they were added, swaps show their narrative, and
-    rule effects come from the trace plus the optional RuleApplication.
+    rule effects come from the trace.
     """
     data = result.as_dict() if hasattr(result, "as_dict") else dict(result)
     _check_explainable(data)
-    trace = list(data.get("trace", []))
-    if applied is not None:
-        trace += [dict(a) for a in applied.adjustments]
-        trace += [dict(v) for v in applied.violations]
+    trace = data.get("trace", [])
 
     lines = []
     selected = data.get("selected", [])

@@ -1,7 +1,6 @@
 """Schema construction, graph-derived distances, and ancestor queries."""
 
 import dataclasses
-import logging
 import math
 import random
 
@@ -13,7 +12,6 @@ from newsdiv.aspect_model import (
     AspectSchema,
     LabelGraph,
     label_ancestors,
-    label_distance,
     load_schema,
 )
 from newsdiv.errors import (
@@ -52,19 +50,19 @@ def test_table_rejects_out_of_range_values():
 
 def test_weights_must_sum_to_one(schema):
     with pytest.raises(ValidationError, match="must sum to 1"):
-        schema.with_weights({"topic": 0.7, "frame": 0.7})
+        AspectSchema(schema.aspects, {"topic": 0.7, "frame": 0.7})
 
 
 def test_weights_must_cover_exactly_the_aspects(schema):
     with pytest.raises(ValidationError):
-        schema.with_weights({"topic": 1.0})
+        AspectSchema(schema.aspects, {"topic": 1.0})
     with pytest.raises(ValidationError):
-        schema.with_weights({"topic": 0.5, "frame": 0.25, "tone": 0.25})
+        AspectSchema(schema.aspects, {"topic": 0.5, "frame": 0.25, "tone": 0.25})
 
 
 def test_weights_must_be_unit_interval(schema):
     with pytest.raises(ValidationError):
-        schema.with_weights({"topic": 1.5, "frame": -0.5})
+        AspectSchema(schema.aspects, {"topic": 1.5, "frame": -0.5})
 
 
 @pytest.mark.parametrize(
@@ -73,7 +71,7 @@ def test_weights_must_be_unit_interval(schema):
 )
 def test_nan_blend_weight_rejected(schema, weights):
     with pytest.raises(ValidationError, match="weight"):
-        schema.with_weights(weights)
+        AspectSchema(schema.aspects, weights)
 
 
 def test_nan_blend_weight_in_schema_file_rejected(fixtures_dir):
@@ -105,19 +103,6 @@ def test_replace_must_restate_distances():
 def test_unknown_aspect_lookup(schema):
     with pytest.raises(UnknownEntityError, match="tone"):
         schema.aspect("tone")
-
-
-def test_label_distance_helper(schema):
-    assert label_distance(schema, "topic", "Climate", "Immigration") == 1.0
-    assert label_distance(schema, "frame", "Security", "Economy") == 0.5
-    with pytest.raises(UnknownEntityError):
-        label_distance(schema, "frame", "Security", "Sports")
-
-
-def test_with_weights_returns_new_schema(schema):
-    tilted = schema.with_weights({"topic": 0.8, "frame": 0.2})
-    assert tilted.weights["topic"] == 0.8
-    assert schema.weights["topic"] == 0.5  # original untouched
 
 
 # --- graph-derived distances ---
@@ -181,13 +166,11 @@ def test_explicit_entry_overrides_graph_value():
     assert aspect.defaulted_pairs == frozenset()
 
 
-def test_missing_pair_defaults_to_one_with_warning(caplog):
-    with caplog.at_level(logging.WARNING, logger="newsdiv.aspect_model"):
-        aspect = Aspect("gappy", ["a", "b", "c"], distances={("a", "b"): 0.3})
+def test_missing_pair_defaults_to_one_and_is_recorded():
+    aspect = Aspect("gappy", ["a", "b", "c"], distances={("a", "b"): 0.3})
     assert lookup(aspect, "a", "c") == 1.0
     assert lookup(aspect, "b", "c") == 1.0
     assert {("a", "c"), ("b", "c")} == set(aspect.defaulted_pairs)
-    assert any("default" in rec.message for rec in caplog.records)
 
 
 # --- schema file parsing ---

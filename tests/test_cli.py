@@ -92,6 +92,38 @@ def test_score_rejects_repeated_ids(paths, capsys):
     assert "duplicate document ids: ['a1']" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ids", ["", ",", " "])
+def test_score_ids_naming_no_document_exits_2(paths, capsys, ids):
+    argv = ["score", "--schema", paths["schema"], "--corpus", paths["corpus"], "--ids", ids]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --ids names no document (got {ids!r})\n"
+
+
+def test_defaulted_distance_pairs_are_warned_on_stderr(tmp_path, capsys):
+    schema = {
+        "aspects": [
+            {"name": "topic", "labels": ["a", "b", "c"], "distances": [["a", "b", 0.3]]},
+            {"name": "frame", "labels": ["x", "y"]},
+        ],
+        "weights": {"topic": 0.5, "frame": 0.5},
+    }
+    (tmp_path / "schema.json").write_text(json.dumps(schema))
+    (tmp_path / "corpus.jsonl").write_text(
+        '{"id": "d1", "labels": {"topic": "a", "frame": "x"}}\n'
+        '{"id": "d2", "labels": {"topic": "c", "frame": "y"}}\n'
+    )
+    argv = ["score", "--schema", str(tmp_path / "schema.json"), "--corpus", str(tmp_path / "corpus.jsonl")]
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["overall"] == 1.0
+    assert captured.err == (
+        "aspect 'topic': no distance given for pairs [('a', 'c'), ('b', 'c')]; defaulting to 1.0\n"
+        "aspect 'frame': no distance given for pairs [('x', 'y')]; defaulting to 1.0\n"
+    )
+
+
 # --- JSON values of the wrong type exit 2 (in-process) ---
 
 A1 = {"id": "a1", "labels": {"topic": "Climate", "frame": "Health"}}

@@ -16,31 +16,32 @@ def test_pyproject_declares_no_runtime_dependencies():
     assert project.get("dependencies", []) == []
 
 
-def test_import_does_not_load_networkx():
+@pytest.mark.parametrize("module", ["newsdiv", "newsdiv.cli"])
+def test_import_does_not_load_unused_modules(module):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
+    code = f"import sys, {module}; print(sorted({{'networkx', 'logging', 'csv'}} & set(sys.modules)))"
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, newsdiv; print('networkx' in sys.modules)"],
-        capture_output=True, text=True, timeout=60, env=env,
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 PUBLIC_API = [
     "Aspect", "AspectSchema", "ContractError", "Corpus", "DerivationError",
-    "DiversityReport", "DocumentProfile", "GuardExceededError", "InteractionLog",
-    "InteractionRecord", "Keyword", "LabelGraph", "NewsdivError", "OracleResult",
-    "ParseError", "RerankResult", "Rule", "RuleSet", "UnknownEntityError",
-    "ValidationError", "Window", "apply_rules", "collection_diversity",
-    "doc_distance", "entropy_diversity", "exclude_history", "explain_result",
-    "greedy_select", "interaction_diversity", "keyword_diversity",
-    "label_distance", "load_corpus", "load_history", "load_interactions",
-    "load_rules", "load_schema", "max_diversity_oracle", "next_in_sequence",
-    "per_aspect_diversity", "rerank_combined", "select_summary_sources",
-    "suggest_interaction", "swap_diversify", "window_diversity", "write_corpus",
+    "DiversityReport", "DocumentProfile", "GuardExceededError",
+    "InteractionLog", "InteractionRecord", "Keyword", "LabelGraph",
+    "NewsdivError", "OracleResult", "ParseError", "RerankResult", "Rule",
+    "RuleSet", "UnknownEntityError", "ValidationError", "Window",
+    "apply_rules", "collection_diversity", "doc_distance", "entropy_diversity",
+    "exclude_history", "explain_result", "greedy_select",
+    "interaction_diversity", "keyword_diversity", "load_corpus",
+    "load_history", "load_interactions", "load_rules", "load_schema",
+    "max_diversity_oracle", "next_in_sequence", "rerank_combined",
+    "select_summary_sources", "suggest_interaction", "swap_diversify",
     "write_report",
 ]
 
@@ -48,7 +49,7 @@ PUBLIC_API = [
 def test_public_api_is_pinned():
     import newsdiv
 
-    assert len(PUBLIC_API) == 46
+    assert len(PUBLIC_API) == 42
     assert sorted(newsdiv.__all__) == PUBLIC_API
     for name in PUBLIC_API:
         assert getattr(newsdiv, name) is not None, name

@@ -20,8 +20,6 @@ from newsdiv.metrics import (
     interaction_diversity,
     keyword_diversity,
     parse_window,
-    per_aspect_diversity,
-    window_diversity,
     window_slice,
 )
 
@@ -74,9 +72,12 @@ def test_reference_list_values(schema, reference_lists):
 
 
 def test_per_aspect_reference_values(schema, reference_lists):
-    assert per_aspect_diversity(schema, reference_lists["b"], "topic") == pytest.approx(2 / 3, abs=1e-9)
-    assert per_aspect_diversity(schema, reference_lists["c"], "frame") == pytest.approx(5 / 6, abs=1e-9)
-    assert per_aspect_diversity(schema, reference_lists["a"], "topic") == 0.0
+    def per_aspect(key, name):
+        return collection_diversity(schema, reference_lists[key]).per_aspect[name]
+
+    assert per_aspect("b", "topic") == pytest.approx(2 / 3, abs=1e-9)
+    assert per_aspect("c", "frame") == pytest.approx(5 / 6, abs=1e-9)
+    assert per_aspect("a", "topic") == 0.0
 
 
 def test_full_universe_diversity(schema, pool):
@@ -197,7 +198,7 @@ def test_sequence_window_reduces_to_reference_value(schema, fixtures_dir, by_id)
         )
         for e in entries
     ]
-    report = window_diversity(schema, history, Window("last", 4))
+    report = collection_diversity(schema, window_slice(history, Window("last", 4)))
     assert report.overall == pytest.approx(3 / 4, abs=1e-9)
 
 

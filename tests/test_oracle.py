@@ -7,8 +7,9 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
+from newsdiv import oracle
 from newsdiv.aspect_model import Aspect, AspectSchema
-from newsdiv.errors import ContractError, GuardExceededError
+from newsdiv.errors import ContractError, GuardExceededError, UnknownEntityError
 from newsdiv.metrics import DocumentProfile, Window, collection_diversity
 from newsdiv.diversify import next_in_sequence
 from newsdiv.oracle import max_diversity_oracle
@@ -173,6 +174,23 @@ def test_oracle_takes_a_whole_pool_of_1100():
     assert result.best_subset == tuple(sorted(d.id for d in docs))
     assert result.evaluated == 1
     assert result.best_value == collection_diversity(schema, docs).overall
+
+
+def test_k_of_1_or_n_builds_no_distance_matrix(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("distance matrix built")
+
+    monkeypatch.setattr(oracle, "_distance_matrix", refuse)
+    rng = random.Random(13)
+    schema = random_schema(rng, max_aspects=3, max_labels=8)
+    docs = random_docs(rng, schema, 12)
+    for k in (1, len(docs)):
+        got = max_diversity_oracle(schema, docs, k).as_dict()
+        assert got == enumerate_oracle(schema, docs, k).as_dict(), k
+    name = schema.aspects[-1].name
+    bad = DocumentProfile(id="zz", labels={**docs[0].labels, name: "no-such-label"})
+    with pytest.raises(UnknownEntityError, match="no-such-label"):
+        max_diversity_oracle(schema, docs + [bad], 1)
 
 
 # --- exact sequence reference ---

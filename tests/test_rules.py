@@ -1,6 +1,7 @@
 """Symbolic rule parsing, scope precedence, and pure application."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -343,6 +344,6 @@ def test_explain_lists_rule_effects(schema, pool):
     ruleset = RuleSet(rules=(exclude_security(schema),))
     applied = apply_rules(schema, ruleset, [], pool)
     chosen = greedy_select(schema, applied.candidates, 3)
-    text = explain_result(chosen, applied)
+    text = explain_result(replace(chosen, trace=applied.adjustments + chosen.trace))
     assert "excluded a3" in text
     assert "selected: a1" in text
