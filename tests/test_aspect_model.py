@@ -100,6 +100,13 @@ def test_replace_must_restate_distances():
     assert not copy.defaulted_pairs
 
 
+def test_reweighted_schema_leaves_original_untouched(schema):
+    tilted = AspectSchema(schema.aspects, {"topic": 0.8, "frame": 0.2})
+    assert tilted.weights == {"topic": 0.8, "frame": 0.2}
+    assert tilted.aspects == schema.aspects
+    assert schema.weights == {"topic": 0.5, "frame": 0.5}
+
+
 def test_unknown_aspect_lookup(schema):
     with pytest.raises(UnknownEntityError, match="tone"):
         schema.aspect("tone")
