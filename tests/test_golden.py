@@ -78,6 +78,14 @@ CASES: dict[str, list[str] | tuple[str, str]] = {
     "explain_graph_ancestor_rules": [
         "explain", "--result", "{golden}/graph_rerank_ancestor_rules.out",
     ],
+    # the in and any operators, and boosts that clamp at 1.0
+    "graph_rerank_operator_rules": [
+        "rerank", *_G, "--mode", "list", "--k", "4", "--lambda", "0.5",
+        "--rules", "{golden}/operator_rules.jsonl", "--context", "election",
+    ],
+    "explain_graph_operator_rules": [
+        "explain", "--result", "{golden}/graph_rerank_operator_rules.out",
+    ],
     # demo scripts
     "script_run_example_corpus": ("script", "run_example_corpus.py"),
     "script_sweep_tradeoff": ("script", "sweep_tradeoff.py"),
