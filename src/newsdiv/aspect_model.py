@@ -12,12 +12,11 @@ recorded in `defaulted_pairs`, which the CLI reports as a warning.
 """
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import InitVar, dataclass, field
 from typing import Iterable, Mapping
 
-from .errors import DerivationError, ParseError, UnknownEntityError, ValidationError, json_isinstance
+from .errors import DerivationError, UnknownEntityError, ValidationError, json_isinstance, load_json
 
 # Blend weights must sum to 1 within this tolerance.
 WEIGHT_TOLERANCE = 1e-9
@@ -34,8 +33,10 @@ class LabelGraph:
 
     Construction runs one breadth-first search from every node. `hops` maps
     each node to the hop count of every node it reaches; `ancestors` maps
-    each node to its hierarchy ancestors (see `label_ancestors`) and is
-    empty for a disconnected graph, which no Aspect accepts.
+    each node to its hierarchy ancestors (itself plus every node on a
+    shortest path to its nearest Jordan center node(s), see
+    `_ancestor_sets`) and is empty for a disconnected graph, which no
+    Aspect accepts.
     """
 
     nodes: tuple[str, ...]
@@ -273,15 +274,10 @@ def load_schema(text: str) -> AspectSchema:
          "weights": {"topic": 1.0}}
 
     `distances` and `graph` are optional per aspect. Raises ParseError for
-    malformed JSON (with line/column), ValidationError for invariant
-    violations (message names the invariant).
+    malformed JSON (with line/column) or JSON nested too deeply to decode,
+    ValidationError for invariant violations (message names the invariant).
     """
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"schema is not valid JSON: line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
+    raw = load_json(text, "schema")
     if not isinstance(raw, dict):
         raise ValidationError("schema root must be a JSON object")
     raw_aspects = raw.get("aspects")
@@ -335,16 +331,3 @@ def load_schema(text: str) -> AspectSchema:
             raise ValidationError(f"blend weight for {key!r} must be a number")
         weights[key] = float(value)
     return AspectSchema(aspects=tuple(aspects), weights=weights)
-
-
-def label_ancestors(aspect: Aspect, label: str) -> frozenset[str]:
-    """Nodes that count as hierarchy ancestors of `label` (includes itself).
-
-    With a label graph these are `label` plus every node on a shortest path
-    to its nearest Jordan center node(s); without one, just `label`.
-    """
-    if label not in aspect.labels:
-        raise UnknownEntityError(f"unknown label {label!r} for aspect {aspect.name!r}")
-    if aspect.graph is None:
-        return frozenset({label})
-    return aspect.graph.ancestors[label]

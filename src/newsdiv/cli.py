@@ -18,9 +18,10 @@ from .errors import (
     ContractError,
     GuardExceededError,
     NewsdivError,
-    ParseError,
     UnknownEntityError,
     ValidationError,
+    load_json,
+    too_deeply_nested,
 )
 # interaction_diversity is unused here; newsbench/tracing.py patches this name.
 from .metrics import Window, collection_diversity, interaction_diversity, parse_window  # noqa: F401
@@ -134,7 +135,10 @@ def cmd_rerank(args) -> int:
     elif args.mode == "interaction":
         if not args.interactions:
             raise ContractError("interaction mode requires --interactions")
-        weights = json.loads(args.type_weights) if args.type_weights else None
+        try:
+            weights = json.loads(args.type_weights) if args.type_weights else None
+        except RecursionError:
+            raise too_deeply_nested("--type-weights") from None
         log = corpus_io.load_interactions(_read(args.interactions), weights)
         logged = {(r.doc, r.type) for r in log.records}
         options = [
@@ -169,13 +173,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    text = _read(args.result)
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"result file is not valid JSON: line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
+    data = load_json(_read(args.result), "result file")
     if not isinstance(data, dict) or "selected" not in data:
         raise ValidationError("result file does not look like a rerank result")
     sys.stdout.write(rules_mod.explain_result(data) + "\n")

@@ -12,7 +12,7 @@ from typing import Mapping
 
 from .aspect_model import AspectSchema
 from .diversify import RerankResult
-from .errors import ParseError, ValidationError, json_isinstance
+from .errors import ParseError, ValidationError, json_isinstance, too_deeply_nested
 from .metrics import (
     DiversityReport,
     DocumentProfile,
@@ -42,6 +42,8 @@ def _iter_jsonl(text: str):
             yield lineno, json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(f"line {lineno}: invalid JSON: {exc.msg}") from exc
+        except RecursionError:
+            raise too_deeply_nested(f"line {lineno}") from None
 
 
 def _parse_keywords(lineno: int, doc_id: str, raw) -> tuple[Keyword, ...]:

@@ -1,8 +1,28 @@
-"""Exception types shared across the engine, and the type test for JSON input.
+"""Exception types shared across the engine, and helpers for JSON input.
 
 The CLI maps these onto exit codes: parse/validation/lookup/contract
 problems exit 2, I/O problems exit 1, enumeration-guard refusals exit 3.
 """
+import json
+
+
+def load_json(text: str, what: str):
+    """Decode one JSON document. Malformed text (reported with line and
+    column) and text nested too deeply to decode raise ParseError naming
+    `what`."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(
+            f"{what} is not valid JSON: line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from exc
+    except RecursionError:
+        raise too_deeply_nested(what) from None
+
+
+def too_deeply_nested(what: str) -> "ParseError":
+    """The error for JSON text that json.loads gave up on with RecursionError."""
+    return ParseError(f"{what} nests too deeply to parse")
 
 
 def json_isinstance(value, types) -> bool:

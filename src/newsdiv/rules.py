@@ -1,17 +1,19 @@
 """Editorial rules: scoped predicates that filter, boost, or require.
 
-Rules are validated against the schema at load time (an unknown aspect or
-label fails immediately, never at apply time). Application is pure: input
-profiles are never mutated, boosts come back as an adjustments map, and
-require_at_least never alters the candidate list; it is reported as a
-violation when the final selection falls short.
+compile_predicate checks each predicate against the schema and compiles
+it into a test: when a rule loads (an unknown aspect or label fails
+immediately, never at apply time) and once per rule whenever rules are
+applied. Application is pure: input profiles are never mutated, boosts
+come back as an adjustments map, and require_at_least never alters the
+candidate list; it is reported as a violation when the final selection
+falls short.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
-from .aspect_model import AspectSchema, label_ancestors
+from .aspect_model import AspectSchema
 from .errors import ValidationError, json_isinstance
 from .metrics import DocumentProfile
 
@@ -19,6 +21,10 @@ SCOPES = ("global", "context", "request")
 
 # Keys that select a predicate's kind; a predicate holds exactly one.
 OPERATORS = frozenset({"all", "any", "not", "ancestor", "aspect"})
+
+# Predicates nesting deeper than this many levels are rejected, so neither
+# compiling nor testing one can exhaust the interpreter's stack.
+MAX_PREDICATE_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -56,71 +62,72 @@ class RuleSet:
         return ordered
 
 
-def validate_predicate(schema: AspectSchema, predicate, rule_id: str) -> None:
-    """Reject predicates referencing anything outside the schema."""
-    if not isinstance(predicate, dict) or not predicate:
-        raise ValidationError(f"rule {rule_id!r}: predicate must be a non-empty object")
-    operators = sorted(OPERATORS.intersection(predicate))
-    if len(operators) > 1:
-        raise ValidationError(
-            f"rule {rule_id!r}: predicate combines operators {operators}; "
-            "nest them under 'all' or 'any'"
-        )
-    if "all" in predicate or "any" in predicate:
-        key = "all" if "all" in predicate else "any"
-        branches = predicate[key]
-        if not isinstance(branches, list) or not branches:
-            raise ValidationError(
-                f"rule {rule_id!r}: {key!r} must hold a non-empty list of predicates"
+def _invalid(rule_id: str, message: str) -> ValidationError:
+    return ValidationError(f"rule {rule_id!r}: {message}")
+
+
+def compile_predicate(schema: AspectSchema, predicate, rule_id: str) -> Callable[[DocumentProfile], bool]:
+    """Check a predicate against the schema and return its test on one document.
+
+    A predicate referencing anything outside the schema, or nesting deeper
+    than MAX_PREDICATE_DEPTH, raises an error naming the rule. Each leaf
+    compiles to the tuple of labels it accepts on one aspect (an `ancestor`
+    leaf: the labels whose graph ancestors hold the node), so a missing or
+    unknown label never matches; `all`, `any` and `not` combine their
+    compiled branches.
+    """
+
+    def compile_(pred, depth):
+        if depth > MAX_PREDICATE_DEPTH:
+            raise _invalid(rule_id, f"predicate nests deeper than {MAX_PREDICATE_DEPTH} levels")
+        if not isinstance(pred, dict) or not pred:
+            raise _invalid(rule_id, "predicate must be a non-empty object")
+        operators = sorted(OPERATORS.intersection(pred))
+        if len(operators) > 1:
+            raise _invalid(
+                rule_id, f"predicate combines operators {operators}; nest them under 'all' or 'any'"
             )
-        for branch in branches:
-            validate_predicate(schema, branch, rule_id)
-        return
-    if "not" in predicate:
-        validate_predicate(schema, predicate["not"], rule_id)
-        return
-    if "ancestor" in predicate:
-        inner = predicate["ancestor"]
-        if not isinstance(inner, dict) or "aspect" not in inner or "node" not in inner:
-            raise ValidationError(
-                f"rule {rule_id!r}: ancestor test needs 'aspect' and 'node'"
-            )
-        aspect = schema.aspect(inner["aspect"])
-        if aspect.graph is None:
-            raise ValidationError(
-                f"rule {rule_id!r}: aspect {aspect.name!r} has no label graph "
-                "for an ancestor test"
-            )
-        if inner["node"] not in aspect.graph.nodes:
-            raise ValidationError(
-                f"rule {rule_id!r}: unknown graph node {inner['node']!r} "
-                f"for aspect {aspect.name!r}"
-            )
-        return
-    if "aspect" in predicate:
-        aspect = schema.aspect(predicate["aspect"])
-        op = predicate.get("op", "eq")
-        value = predicate.get("value")
-        if op == "eq":
-            values = [value]
-        elif op == "in":
-            if not isinstance(value, list) or not value:
-                raise ValidationError(
-                    f"rule {rule_id!r}: 'in' needs a non-empty list of labels"
-                )
-            values = value
+        if "all" in pred or "any" in pred:
+            key = "all" if "all" in pred else "any"
+            if not isinstance(pred[key], list) or not pred[key]:
+                raise _invalid(rule_id, f"{key!r} must hold a non-empty list of predicates")
+            tests = [compile_(branch, depth + 1) for branch in pred[key]]
+            combine = all if key == "all" else any
+            return lambda doc: combine(test(doc) for test in tests)
+        if "not" in pred:
+            test = compile_(pred["not"], depth + 1)
+            return lambda doc: not test(doc)
+        if "ancestor" in pred:
+            inner = pred["ancestor"]
+            if not isinstance(inner, dict) or "aspect" not in inner or "node" not in inner:
+                raise _invalid(rule_id, "ancestor test needs 'aspect' and 'node'")
+            aspect, node = schema.aspect(inner["aspect"]), inner["node"]
+            if aspect.graph is None:
+                raise _invalid(rule_id, f"aspect {aspect.name!r} has no label graph for an ancestor test")
+            if node not in aspect.graph.nodes:
+                raise _invalid(rule_id, f"unknown graph node {node!r} for aspect {aspect.name!r}")
+            accepted = tuple(l for l in aspect.labels if node in aspect.graph.ancestors[l])
+        elif "aspect" in pred:
+            aspect, op, value = schema.aspect(pred["aspect"]), pred.get("op", "eq"), pred.get("value")
+            if op == "eq":
+                accepted = (value,)
+            elif op != "in":
+                raise _invalid(rule_id, f"unknown predicate op {op!r}")
+            elif not isinstance(value, list) or not value:
+                raise _invalid(rule_id, "'in' needs a non-empty list of labels")
+            else:
+                accepted = tuple(value)
+            for v in accepted:
+                if v not in aspect.labels:
+                    raise _invalid(rule_id, f"unknown label {v!r} for aspect {aspect.name!r}")
         else:
-            raise ValidationError(f"rule {rule_id!r}: unknown predicate op {op!r}")
-        for v in values:
-            if v not in aspect.labels:
-                raise ValidationError(
-                    f"rule {rule_id!r}: unknown label {v!r} for aspect {aspect.name!r}"
-                )
-        return
-    raise ValidationError(
-        f"rule {rule_id!r}: predicate must be one of eq/in/all/any/not/ancestor "
-        f"(got keys {sorted(predicate)})"
-    )
+            raise _invalid(
+                rule_id, f"predicate must be one of eq/in/all/any/not/ancestor (got keys {sorted(pred)})"
+            )
+        name = aspect.name
+        return lambda doc: doc.labels.get(name) in accepted
+
+    return compile_(predicate, 1)
 
 
 def parse_rule(schema: AspectSchema, obj) -> Rule:
@@ -132,38 +139,29 @@ def parse_rule(schema: AspectSchema, obj) -> Rule:
         raise ValidationError("each rule needs a non-empty string 'id'")
     scope = obj.get("scope")
     if scope not in SCOPES:
-        raise ValidationError(
-            f"rule {rule_id!r}: scope must be one of {list(SCOPES)} (got {scope!r})"
-        )
+        raise _invalid(rule_id, f"scope must be one of {list(SCOPES)} (got {scope!r})")
     context = obj.get("context")
     if context is not None and not isinstance(context, str):
-        raise ValidationError(f"rule {rule_id!r}: context tag must be a string")
+        raise _invalid(rule_id, "context tag must be a string")
     if scope == "context" and not context:
-        raise ValidationError(f"rule {rule_id!r}: context-scope rules need a 'context' tag")
+        raise _invalid(rule_id, "context-scope rules need a 'context' tag")
     predicate = obj.get("predicate")
-    validate_predicate(schema, predicate, rule_id)
+    compile_predicate(schema, predicate, rule_id)
     action_obj = obj.get("action")
     if not isinstance(action_obj, dict) or len(action_obj) != 1:
-        raise ValidationError(
-            f"rule {rule_id!r}: action must be exactly one of "
-            "exclude / require_at_least / boost"
-        )
+        raise _invalid(rule_id, "action must be exactly one of exclude / require_at_least / boost")
     action, value = next(iter(action_obj.items()))
     if action == "exclude":
         value = None
     elif action == "require_at_least":
         if not json_isinstance(value, int) or value < 1:
-            raise ValidationError(
-                f"rule {rule_id!r}: require_at_least needs an integer m >= 1"
-            )
+            raise _invalid(rule_id, "require_at_least needs an integer m >= 1")
     elif action == "boost":
         if not json_isinstance(value, (int, float)) or not -1.0 <= value <= 1.0:
-            raise ValidationError(
-                f"rule {rule_id!r}: boost delta must lie in [-1, 1] (got {value!r})"
-            )
+            raise _invalid(rule_id, f"boost delta must lie in [-1, 1] (got {value!r})")
         value = float(value)
     else:
-        raise ValidationError(f"rule {rule_id!r}: unknown action {action!r}")
+        raise _invalid(rule_id, f"unknown action {action!r}")
     return Rule(
         id=rule_id,
         scope=scope,
@@ -174,29 +172,6 @@ def parse_rule(schema: AspectSchema, obj) -> Rule:
     )
 
 
-def matches(schema: AspectSchema, predicate: Mapping, doc: DocumentProfile) -> bool:
-    """Evaluate a validated predicate against one document."""
-    if "all" in predicate:
-        return all(matches(schema, p, doc) for p in predicate["all"])
-    if "any" in predicate:
-        return any(matches(schema, p, doc) for p in predicate["any"])
-    if "not" in predicate:
-        return not matches(schema, predicate["not"], doc)
-    if "ancestor" in predicate:
-        inner = predicate["ancestor"]
-        aspect = schema.aspect(inner["aspect"])
-        label = doc.labels.get(inner["aspect"])
-        if label is None:
-            return False
-        return inner["node"] in label_ancestors(aspect, label)
-    aspect_name = predicate["aspect"]
-    op = predicate.get("op", "eq")
-    label = doc.labels.get(aspect_name)
-    if op == "eq":
-        return label == predicate["value"]
-    return label in predicate["value"]  # op == "in"
-
-
 @dataclass(frozen=True)
 class RuleApplication:
     """Pure outcome of applying rules to a candidate list.
@@ -205,13 +180,11 @@ class RuleApplication:
     adjusted_relevance: doc id -> clamped post-boost relevance (only boosted
     docs appear; unboosted docs keep their profile relevance).
     adjustments: exclude/boost records in application order.
-    violations: unmet require_at_least records for the given candidates.
     """
 
     candidates: tuple[DocumentProfile, ...]
     adjusted_relevance: Mapping[str, float]
     adjustments: tuple[dict, ...]
-    violations: tuple[dict, ...]
 
 
 def apply_rules(
@@ -225,20 +198,20 @@ def apply_rules(
     Evaluation order is global, then active-context, then request rules;
     excludes remove matching candidates immediately (later rules never see
     them), boosts adjust relevance with clamping to [0, 1], and
-    require_at_least is checked against the surviving list and reported,
+    require_at_least is left to check_requirements on the final selection,
     never enforced. Input profiles are not mutated, so applying the same
-    rules to the output reproduces the same survivors, adjustments, and
-    violations (idempotence).
+    rules to the output reproduces the same survivors and adjusted
+    relevance (idempotence).
     """
-    ordered = ruleset.active(request_rules)
     current = list(candidates)
     relevance = {d.id: d.relevance for d in current}
     adjustments: list[dict] = []
-    for rule in ordered:
+    for rule in ruleset.active(request_rules):
+        test = compile_predicate(schema, rule.predicate, rule.id)
         if rule.action == "exclude":
             kept = []
             for doc in current:
-                if matches(schema, rule.predicate, doc):
+                if test(doc):
                     adjustments.append(
                         {
                             "kind": "exclude",
@@ -252,7 +225,7 @@ def apply_rules(
             current = kept
         elif rule.action == "boost":
             for doc in current:
-                if not matches(schema, rule.predicate, doc):
+                if not test(doc):
                     continue
                 before = relevance[doc.id] if relevance[doc.id] is not None else 0.0
                 after = min(1.0, max(0.0, before + rule.value))
@@ -272,7 +245,6 @@ def apply_rules(
                     }
                 )
 
-    violations = check_requirements(schema, ordered, current)
     boosted = {
         d.id: relevance[d.id]
         for d in current
@@ -282,7 +254,6 @@ def apply_rules(
         candidates=tuple(current),
         adjusted_relevance=boosted,
         adjustments=tuple(adjustments),
-        violations=violations,
     )
 
 
@@ -296,7 +267,7 @@ def check_requirements(
     for rule in require_rules:
         if rule.action != "require_at_least":
             continue
-        found = sum(1 for d in docs if matches(schema, rule.predicate, d))
+        found = sum(map(compile_predicate(schema, rule.predicate, rule.id), docs))
         if found < rule.value:
             violations.append(
                 {

@@ -164,6 +164,90 @@ def reference_ancestors(graph: LabelGraph, node: str) -> frozenset[str]:
     )
 
 
+def reference_matches(schema: AspectSchema, predicate: Mapping, doc: DocumentProfile) -> bool:
+    """Walk a validated predicate against one document: the interpreter that
+    compile_predicate replaced, with `ancestor` reading `graph.ancestors`
+    directly. A missing or unknown label never matches."""
+    if "all" in predicate:
+        return all(reference_matches(schema, p, doc) for p in predicate["all"])
+    if "any" in predicate:
+        return any(reference_matches(schema, p, doc) for p in predicate["any"])
+    if "not" in predicate:
+        return not reference_matches(schema, predicate["not"], doc)
+    if "ancestor" in predicate:
+        inner = predicate["ancestor"]
+        aspect = schema.aspect(inner["aspect"])
+        label = doc.labels.get(inner["aspect"])
+        return label in aspect.labels and inner["node"] in aspect.graph.ancestors[label]
+    label = doc.labels.get(predicate["aspect"])
+    if predicate.get("op", "eq") == "eq":
+        return label == predicate["value"]
+    return label in predicate["value"]  # op == "in"
+
+
+def random_graph_schema(rng: random.Random, max_aspects: int = 3) -> AspectSchema:
+    """Random schema whose aspects mostly carry a label graph with grouping
+    nodes (labels are a strict subset of the nodes); the rest default every
+    distance to 1.0."""
+    aspects = []
+    for i in range(rng.randint(1, max_aspects)):
+        if rng.random() < 0.25:
+            labels = [f"a{i}l{j}" for j in range(rng.randint(2, 5))]
+            aspects.append(Aspect(f"aspect{i}", labels, distances=()))
+            continue
+        n = rng.randint(3, 10)
+        graph = random_connected_graph(rng, n)
+        labels = sorted(rng.sample(graph.nodes, rng.randint(2, n - 1)))
+        aspects.append(Aspect(f"aspect{i}", labels, distances=(), graph=graph))
+    weights = {a.name: 1.0 / len(aspects) for a in aspects}
+    return AspectSchema(aspects=tuple(aspects), weights=weights)
+
+
+def random_predicate(rng: random.Random, schema: AspectSchema, depth: int) -> dict:
+    """Random valid predicate over eq/in/all/any/not/ancestor, at most
+    `depth` levels deep."""
+    graphs = [a for a in schema.aspects if a.graph is not None]
+    kinds = ["eq", "in"] + ["ancestor"] * bool(graphs) + ["all", "any", "not"] * (depth > 1)
+    kind = rng.choice(kinds)
+    if kind in ("all", "any"):
+        return {kind: [random_predicate(rng, schema, depth - 1) for _ in range(rng.randint(1, 3))]}
+    if kind == "not":
+        return {"not": random_predicate(rng, schema, depth - 1)}
+    if kind == "ancestor":
+        aspect = rng.choice(graphs)
+        return {"ancestor": {"aspect": aspect.name, "node": rng.choice(aspect.graph.nodes)}}
+    aspect = rng.choice(schema.aspects)
+    if kind == "in":
+        values = rng.sample(aspect.labels, rng.randint(1, len(aspect.labels)))
+        return {"aspect": aspect.name, "op": "in", "value": values}
+    predicate = {"aspect": aspect.name, "value": rng.choice(aspect.labels)}
+    if rng.random() < 0.5:
+        predicate["op"] = "eq"  # the default, stated
+    return predicate
+
+
+def random_partial_docs(rng: random.Random, schema: AspectSchema, n: int) -> list[DocumentProfile]:
+    """Documents that mostly carry a known label per aspect, but sometimes
+    lack the aspect or carry a grouping node, an unknown or a non-string
+    label."""
+    docs = []
+    for i in range(n):
+        labels = {}
+        for a in schema.aspects:
+            roll = rng.random()
+            if roll < 0.15:
+                continue
+            if roll < 0.25:
+                nodes = a.graph.nodes if a.graph else ()
+                labels[a.name] = rng.choice(
+                    ["unknown", ["list"], None] + [node for node in nodes if node not in a.labels]
+                )
+            else:
+                labels[a.name] = rng.choice(a.labels)
+        docs.append(DocumentProfile(id=f"d{i:03d}", labels=labels))
+    return docs
+
+
 class ExactReference:
     """Exact-arithmetic reference for diversity and the selection modes.
 

@@ -11,7 +11,6 @@ from newsdiv.aspect_model import (
     Aspect,
     AspectSchema,
     LabelGraph,
-    label_ancestors,
     load_schema,
 )
 from newsdiv.errors import (
@@ -241,15 +240,10 @@ def test_load_schema_roundtrips_example_fixture(schema):
 # --- ancestors ---
 
 
-def test_ancestors_without_graph_is_identity(schema):
-    topic = schema.aspect("topic")
-    assert label_ancestors(topic, "Climate") == frozenset({"Climate"})
-
-
 def test_ancestors_walk_toward_graph_center(graph_schema):
     frame = graph_schema.aspect("frame")
-    assert label_ancestors(frame, "Health") == frozenset({"Health", "cluster1", "root"})
-    assert label_ancestors(frame, "Economy") == frozenset({"Economy", "cluster2", "root"})
+    assert frame.graph.ancestors["Health"] == frozenset({"Health", "cluster1", "root"})
+    assert frame.graph.ancestors["Economy"] == frozenset({"Economy", "cluster2", "root"})
 
 
 def test_ancestors_on_nested_tree():
@@ -264,13 +258,8 @@ def test_ancestors_on_nested_tree():
         ),
     )
     aspect = Aspect("tree", ["leaf1", "leaf2", "leaf3"], distances=(), graph=graph)
-    assert label_ancestors(aspect, "leaf1") == frozenset({"leaf1", "mid1", "top"})
-    assert label_ancestors(aspect, "leaf3") == frozenset({"leaf3", "mid2", "top"})
-
-
-def test_ancestors_unknown_label(graph_schema):
-    with pytest.raises(UnknownEntityError):
-        label_ancestors(graph_schema.aspect("frame"), "Sports")
+    assert aspect.graph.ancestors["leaf1"] == frozenset({"leaf1", "mid1", "top"})
+    assert aspect.graph.ancestors["leaf3"] == frozenset({"leaf3", "mid2", "top"})
 
 
 # --- randomized graph derivation properties ---
@@ -306,7 +295,7 @@ def test_graph_distances_and_ancestors_match_floyd_warshall(seed):
         for l2 in labels[i + 1:]:
             assert lookup(aspect, l1, l2) == dist[l1][l2] / diameter
     for label in labels:
-        assert label_ancestors(aspect, label) == reference_ancestors(graph, label)
+        assert aspect.graph.ancestors[label] == reference_ancestors(graph, label)
 
 
 def test_schema_loader_reports_graph_errors_as_validation_errors(fixtures_dir):

@@ -158,6 +158,40 @@ def test_non_string_json_values_exit_2(paths, tmp_path, capsys, schema_key, corp
     assert capsys.readouterr().err.startswith("error: ")
 
 
+# --- deeply nested input exits 2 (in-process) ---
+
+DEEP = "[" * 100_000 + "]" * 100_000
+S = ["--schema", "{schema}", "--corpus", "{corpus}"]
+# An `all` predicate 470 levels deep: JSON decodes it, but interpreting it
+# recursively overflows the stack.
+DEEP_RULE = (
+    '{"id": "deep", "scope": "global", "action": {"exclude": true}, "predicate": '
+    + '{"all": [' * 470 + '{"aspect": "topic", "value": "Climate"}' + "]}" * 470 + "}"
+)
+
+
+@pytest.mark.parametrize(
+    "text, argv",
+    [
+        (DEEP, ["score", "--schema", "{deep}", "--corpus", "{corpus}"]),
+        (DEEP, ["score", "--schema", "{schema}", "--corpus", "{deep}"]),
+        (DEEP, ["rerank", *S, "--mode", "list", "--k", "1", "--rules", "{deep}"]),
+        (DEEP_RULE, ["rerank", *S, "--mode", "list", "--k", "1", "--rules", "{deep}"]),
+        ('{"selected": [], "trace": [' + DEEP + "]}", ["explain", "--result", "{deep}"]),
+        ("", ["rerank", *S, "--mode", "interaction", "--k", "1",
+              "--interactions", "{interactions}", "--type-weights", DEEP]),
+    ],
+    ids=["schema", "corpus-line", "rules-line", "predicate-470-deep", "explain-trace", "type-weights"],
+)
+def test_deeply_nested_input_exits_2(paths, tmp_path, capsys, text, argv):
+    deep = tmp_path / "deep.json"
+    deep.write_text(text + "\n")
+    assert cli.main([a.format(deep=deep, **paths) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "nests" in captured.err
+    assert captured.out == ""
+
+
 # --- rerank modes ---
 
 
@@ -413,6 +447,7 @@ FILES = {
     "graph_schema": "example_schema_graph.json",
     "corpus": "example_corpus.jsonl",
     "rules": "rules.jsonl",
+    "ancestor_rules": "golden/ancestor_rules.jsonl",
     "history": "history.jsonl",
     "interactions": "interactions.jsonl",
     # saved results: every trace kind that explain formats from its fields
@@ -471,6 +506,7 @@ def commands(p):
         ["oracle", *s, "--k", "2"],
         ["rerank", *s, "--mode", "list", "--k", "3", "--rules", p["rules"], "--context", "election"],
         ["rerank", *g, "--mode", "list", "--k", "3", "--lambda", "0.5"],
+        ["rerank", *g, "--mode", "list", "--k", "3", "--rules", p["ancestor_rules"], "--context", "election"],
         ["rerank", *s, "--mode", "summary", "--k", "3"],
         ["rerank", *g, "--mode", "sequence", "--k", "1", "--history", p["history"], "--window", "last:3"],
         ["rerank", *s, "--mode", "interaction", "--k", "1", "--interactions", p["interactions"]],
