@@ -23,6 +23,7 @@ from .metrics import (
     InteractionRecord,
     TIE_TOLERANCE,
     Window,
+    _label_indices,
     collection_diversity,
     doc_distance,
     docs_per_type,
@@ -273,10 +274,21 @@ def next_in_sequence(
             score += (gamma**age) * doc_distance(schema, cand, doc)
         return score
 
-    best_primary, _, best = _pick(
-        (collection_diversity(schema, recent + [cand]).overall, recency_affinity(cand), cand)
-        for cand in sorted(candidates, key=lambda d: d.id)
-    )
+    # Both values read only labels, so they are scored once per label tuple.
+    # The window's labels are checked before any candidate's, as scoring each
+    # candidate against the window would; an empty window checks none.
+    ordered = sorted(candidates, key=lambda d: d.id)
+    if recent:
+        for doc in recent:
+            _label_indices(schema, doc)
+        keys = [tuple(_label_indices(schema, cand)) for cand in ordered]
+    else:
+        keys = [()] * len(ordered)
+    scores: dict[tuple, tuple[float, float]] = {}
+    for key, cand in zip(keys, ordered):
+        if key not in scores:
+            scores[key] = (collection_diversity(schema, recent + [cand]).overall, recency_affinity(cand))
+    best_primary, _, best = _pick((*scores[key], cand) for key, cand in zip(keys, ordered))
     return RerankResult(
         selected=(best.id,),
         diversity=collection_diversity(schema, [best]),

@@ -11,6 +11,7 @@ falls short.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Mapping, Sequence
 
 from .aspect_model import AspectSchema
@@ -203,30 +204,38 @@ def apply_rules(
     rules to the output reproduces the same survivors and adjusted
     relevance (idempotence).
     """
-    current = list(candidates)
-    relevance = {d.id: d.relevance for d in current}
+    # A compiled test reads only each aspect's label, and accepts only
+    # strings, so documents sharing this key share every test's outcome.
+    names = schema.aspect_names()
+    groups: dict[tuple, list[int]] = {}
+    for i, doc in enumerate(candidates):
+        key = tuple(label if isinstance(label := doc.labels.get(n), str) else None for n in names)
+        groups.setdefault(key, []).append(i)
+    live = list(groups.values())  # each group's input positions, ascending
+    relevance = {d.id: d.relevance for d in candidates}
     adjustments: list[dict] = []
     for rule in ruleset.active(request_rules):
         test = compile_predicate(schema, rule.predicate, rule.id)
+        if rule.action not in ("exclude", "boost"):
+            continue
+        flags = [test(candidates[members[0]]) for members in live]
+        hit = [members for members, flag in zip(live, flags) if flag]
+        positions = sorted(chain.from_iterable(hit))  # input order across groups
         if rule.action == "exclude":
-            kept = []
-            for doc in current:
-                if test(doc):
-                    adjustments.append(
-                        {
-                            "kind": "exclude",
-                            "rule": rule.id,
-                            "doc": doc.id,
-                            "detail": f"rule {rule.id} excluded {doc.id}",
-                        }
-                    )
-                else:
-                    kept.append(doc)
-            current = kept
-        elif rule.action == "boost":
-            for doc in current:
-                if not test(doc):
-                    continue
+            live = [members for members, flag in zip(live, flags) if not flag]
+            for i in positions:
+                doc_id = candidates[i].id
+                adjustments.append(
+                    {
+                        "kind": "exclude",
+                        "rule": rule.id,
+                        "doc": doc_id,
+                        "detail": f"rule {rule.id} excluded {doc_id}",
+                    }
+                )
+        else:
+            for i in positions:
+                doc = candidates[i]
                 before = relevance[doc.id] if relevance[doc.id] is not None else 0.0
                 after = min(1.0, max(0.0, before + rule.value))
                 relevance[doc.id] = after
@@ -245,6 +254,7 @@ def apply_rules(
                     }
                 )
 
+    current = [candidates[i] for i in sorted(chain.from_iterable(live))]
     boosted = {
         d.id: relevance[d.id]
         for d in current

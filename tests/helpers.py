@@ -185,6 +185,31 @@ def reference_matches(schema: AspectSchema, predicate: Mapping, doc: DocumentPro
     return label in predicate["value"]  # op == "in"
 
 
+def reference_apply_rules(
+    schema: AspectSchema, rules: Sequence[Rule], candidates: Sequence[DocumentProfile]
+) -> tuple[list[DocumentProfile], dict[str, float | None], list[tuple]]:
+    """Apply rules in order, document by document, through reference_matches.
+
+    Returns the survivors in input order, every candidate's relevance after
+    the boosts, and the steps in application order: (rule, doc) for an
+    exclusion, (rule, doc, delta, before, after) for a boost.
+    """
+    current = list(candidates)
+    relevance = {d.id: d.relevance for d in current}
+    steps: list[tuple] = []
+    for rule in rules:
+        hits = [d for d in current if reference_matches(schema, rule.predicate, d)]
+        if rule.action == "exclude":
+            steps += [(rule.id, d.id) for d in hits]
+            current = [d for d in current if not reference_matches(schema, rule.predicate, d)]
+        elif rule.action == "boost":
+            for d in hits:
+                before = relevance[d.id] if relevance[d.id] is not None else 0.0
+                relevance[d.id] = min(1.0, max(0.0, before + rule.value))
+                steps.append((rule.id, d.id, rule.value, before, relevance[d.id]))
+    return current, relevance, steps
+
+
 def random_graph_schema(rng: random.Random, max_aspects: int = 3) -> AspectSchema:
     """Random schema whose aspects mostly carry a label graph with grouping
     nodes (labels are a strict subset of the nodes); the rest default every

@@ -298,6 +298,41 @@ def test_sequence_picks_match_the_exact_reference():
         assert got == (want,), seed
 
 
+def test_sequence_picks_over_few_label_tuples_match_the_exact_reference():
+    """Candidates are scored once per label tuple; 200+ of them sharing at
+    most six tuples must still pick what the exact reference picks."""
+    for seed in range(20):
+        rng = random.Random(seed)
+        schema = random_schema(rng, max_aspects=3, max_labels=3)
+        tuples = [d.labels for d in random_docs(rng, schema, rng.randint(1, 6))]
+        candidates = [
+            DocumentProfile(id=f"c{i:03d}", labels=rng.choice(tuples))
+            for i in range(rng.randint(200, 240))
+        ]
+        rng.shuffle(candidates)
+        history = random_docs(rng, schema, rng.randint(0, 6))
+        window = Window("last", rng.randint(0, len(history)))
+        gamma = rng.choice([0.25, 0.5, 1.0])
+        got = next_in_sequence(schema, history, candidates, window, gamma).selected
+        want = ExactReference(schema).next_in_sequence(history, candidates, window, gamma)
+        assert got == (want,), seed
+
+
+def test_sequence_label_errors_name_the_window_before_the_candidates(schema):
+    history = [doc("h1", "Climate", "Health"), doc("h2", "Sports", "Health")]
+    candidates = [
+        doc("c2", "Climate", "Economy"),
+        DocumentProfile(id="c3", labels={"topic": "Climate", "frame": ["Health"]}),
+        DocumentProfile(id="c1", labels={"topic": "Climate"}),
+    ]
+    with pytest.raises(ContractError, match="'c1' is missing a label for aspect 'frame'"):
+        next_in_sequence(schema, history[:1], candidates, Window("last", 1))
+    with pytest.raises(UnknownEntityError, match=r"'c3' uses unknown label \['Health'\]"):
+        next_in_sequence(schema, history[:1], candidates[:2], Window("last", 1))
+    with pytest.raises(UnknownEntityError, match="'h2' uses unknown label 'Sports'"):
+        next_in_sequence(schema, history, candidates, Window("last", 2))
+
+
 def test_interaction_picks_match_the_exact_reference():
     for seed in range(400):
         rng, schema, docs = small_instance(seed)

@@ -28,6 +28,7 @@ from helpers import (
     random_predicate,
     random_rules,
     random_schema,
+    reference_apply_rules,
     reference_matches,
 )
 
@@ -387,6 +388,40 @@ def test_random_rules_idempotence_and_exclusion_consistency(seed):
         chosen_docs = [d for d in first.candidates if d.id in chosen.selected]
         for r in active_excludes(ruleset, request):
             assert not [d for d in chosen_docs if reference_matches(schema, r.predicate, d)]
+
+
+@given(st.integers(min_value=0, max_value=5_000))
+def test_grouped_application_matches_the_per_document_reference(seed):
+    """apply_rules tests each rule once per label tuple; on pools where
+    tuples repeat and documents lack an aspect or carry a non-string or
+    unknown label, it must agree with applying every rule document by
+    document."""
+    rng = random.Random(seed)
+    schema = random_graph_schema(rng, max_aspects=2)
+    docs = [
+        replace(d, relevance=rng.choice([None, 0.0, 1.0, round(rng.random(), 3)]))
+        for d in random_partial_docs(rng, schema, rng.randint(1, 60))
+    ]
+    rng.shuffle(docs)
+    rules = []
+    for i in range(rng.randint(0, 6)):
+        action, value = rng.choice([("exclude", None), ("boost", round(rng.uniform(-1, 1), 2))])
+        rules.append(Rule(f"r{i}", "request", random_predicate(rng, schema, 3), action, value))
+    rules.append(Rule("floor", "request", random_predicate(rng, schema, 2), "require_at_least", 1))
+
+    result = apply_rules(schema, RuleSet(rules=()), rules, docs)
+    survivors, relevance, steps = reference_apply_rules(schema, rules, docs)
+    assert result.candidates == tuple(survivors)
+    assert result.adjusted_relevance == {
+        d.id: relevance[d.id]
+        for d in survivors
+        if relevance[d.id] is not None and relevance[d.id] != d.relevance
+    }
+    assert [
+        (t["rule"], t["doc"]) if t["kind"] == "exclude"
+        else (t["rule"], t["doc"], t["delta"], t["before"], t["after"])
+        for t in result.adjustments
+    ] == steps
 
 
 # --- explanations ---
