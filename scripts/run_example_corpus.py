@@ -112,9 +112,9 @@ def main(argv=None):
     ruleset, request = load_rules(schema, (fx / "rules.jsonl").read_text())
     ruleset = type(ruleset)(rules=ruleset.rules, context_tags=frozenset({"election"}))
     applied = apply_rules(schema, ruleset, request, pool)
-    for record in applied.adjustments:
-        print(f"  {record['detail']}")
     chosen = greedy_select(schema, list(applied.candidates), 4)
+    for record in applied.trace_for(chosen.selected):
+        print(f"  {record['detail']}")
     print(f"  diversified survivors: {list(chosen.selected)} "
           f"at {chosen.diversity.overall:.12g}")
     return 0

@@ -159,7 +159,7 @@ def cmd_rerank(args) -> int:
     violations = rules_mod.check_requirements(
         schema, ruleset.active(request_rules), selected_docs
     )
-    trace = tuple(application.adjustments) + result.trace + violations
+    trace = application.trace_for(result.selected) + result.trace + violations
     result = replace(result, trace=trace)
     sys.stdout.write(corpus_io.write_report(result))
     return EXIT_OK

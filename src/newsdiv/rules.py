@@ -3,16 +3,24 @@
 compile_predicate checks each predicate against the schema and compiles
 it into a test: when a rule loads (an unknown aspect or label fails
 immediately, never at apply time) and once per rule whenever rules are
-applied. Application is pure: input profiles are never mutated, boosts
-come back as an adjustments map, and require_at_least never alters the
+applied. A compiled test reads only each aspect's label, so apply_rules
+runs it once per distinct label tuple among the candidates, and a rule
+costs the tuples plus the documents it hits, not every document.
+
+Application is pure: input profiles are never mutated, boosts come back
+as an adjusted-relevance map, and require_at_least never alters the
 candidate list; it is reported as a violation when the final selection
-falls short.
+falls short. The trace holds one record per excluded document and one
+summary record per boost rule; RuleApplication.trace_for adds the
+per-document boost records of the selected documents, the ones explain
+narrates.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .aspect_model import AspectSchema
 from .errors import ValidationError, json_isinstance
@@ -180,12 +188,46 @@ class RuleApplication:
     candidates: surviving profiles, original objects, input order kept.
     adjusted_relevance: doc id -> clamped post-boost relevance (only boosted
     docs appear; unboosted docs keep their profile relevance).
-    adjustments: exclude/boost records in application order.
+    adjustments: trace records in application order: one "exclude" record
+    per excluded document, and one "boost_rule" record per boost rule with
+    the count of documents it matched and of those whose boost was clamped.
+    boosts: doc id -> that document's boost steps in application order, each
+    (rule id, delta, relevance before, relevance after).
     """
 
     candidates: tuple[DocumentProfile, ...]
     adjusted_relevance: Mapping[str, float]
     adjustments: tuple[dict, ...]
+    boosts: Mapping[str, tuple[tuple[str, float, float, float], ...]]
+
+    def trace_for(self, selected: Iterable[str]) -> tuple[dict, ...]:
+        """The adjustments plus a "boost" record for each boost step of a
+        selected document, after its rule's "boost_rule" record and in
+        input order."""
+        wanted = set(selected)
+        chosen = [d.id for d in self.candidates if d.id in wanted and d.id in self.boosts]
+        trace = []
+        for record in self.adjustments:
+            trace.append(record)
+            if record["kind"] == "boost_rule":
+                trace += [
+                    {
+                        "kind": "boost",
+                        "rule": rule_id,
+                        "doc": doc_id,
+                        "delta": delta,
+                        "before": before,
+                        "after": after,
+                        "detail": (
+                            f"rule {rule_id} boosted {doc_id}: "
+                            f"relevance {before:.12g} -> {after:.12g}"
+                        ),
+                    }
+                    for doc_id in chosen
+                    for rule_id, delta, before, after in self.boosts[doc_id]
+                    if rule_id == record["rule"]
+                ]
+        return tuple(trace)
 
 
 def apply_rules(
@@ -214,6 +256,7 @@ def apply_rules(
     live = list(groups.values())  # each group's input positions, ascending
     relevance = {d.id: d.relevance for d in candidates}
     adjustments: list[dict] = []
+    boosts: defaultdict[str, list[tuple[str, float, float, float]]] = defaultdict(list)
     for rule in ruleset.active(request_rules):
         test = compile_predicate(schema, rule.predicate, rule.id)
         if rule.action not in ("exclude", "boost"):
@@ -234,25 +277,28 @@ def apply_rules(
                     }
                 )
         else:
+            rule_id, delta, clamped = rule.id, rule.value, 0
             for i in positions:
-                doc = candidates[i]
-                before = relevance[doc.id] if relevance[doc.id] is not None else 0.0
-                after = min(1.0, max(0.0, before + rule.value))
-                relevance[doc.id] = after
-                adjustments.append(
-                    {
-                        "kind": "boost",
-                        "rule": rule.id,
-                        "doc": doc.id,
-                        "delta": rule.value,
-                        "before": before,
-                        "after": after,
-                        "detail": (
-                            f"rule {rule.id} boosted {doc.id}: "
-                            f"relevance {before:.12g} -> {after:.12g}"
-                        ),
-                    }
-                )
+                doc_id = candidates[i].id
+                before = relevance[doc_id]
+                if before is None:
+                    before = 0.0
+                raw = before + delta
+                # min(1.0, max(0.0, raw)), spelled out for this hot loop
+                after = raw if 0.0 < raw < 1.0 else 1.0 if raw >= 1.0 else 0.0
+                clamped += after != raw
+                relevance[doc_id] = after
+                boosts[doc_id].append((rule_id, delta, before, after))
+            adjustments.append(
+                {
+                    "kind": "boost_rule",
+                    "rule": rule_id,
+                    "delta": delta,
+                    "matched": len(positions),
+                    "clamped": clamped,
+                    "detail": f"rule {rule_id} boosted {len(positions)} documents by {delta:+.12g} ({clamped} clamped)",
+                }
+            )
 
     current = [candidates[i] for i in sorted(chain.from_iterable(live))]
     boosted = {
@@ -264,6 +310,7 @@ def apply_rules(
         candidates=tuple(current),
         adjusted_relevance=boosted,
         adjustments=tuple(adjustments),
+        boosts={doc_id: tuple(steps) for doc_id, steps in boosts.items()},
     )
 
 
@@ -300,12 +347,15 @@ EXPLAINED_FIELDS = {
     "seed": ("doc",),
     "add": ("doc",),
     "exclude": ("doc", "rule"),
-    "boost": ("doc", "rule", "delta"),
+    "boost": ("doc", "rule", "before", "after"),
+    "boost_rule": ("rule", "delta", "matched", "clamped"),
     "swap": ("out", "in", "before", "after"),
     "violation": ("rule", "needed", "found"),
     **dict.fromkeys(("warning", "next", "suggest", "note"), ("detail",)),
 }
-NUMBER_FIELDS = frozenset({"delta", "before", "after", "needed", "found", "gain", "score"})
+NUMBER_FIELDS = frozenset(
+    {"delta", "before", "after", "matched", "clamped", "needed", "found", "gain", "score"}
+)
 
 
 def _check_explainable(data: Mapping) -> None:
@@ -385,7 +435,7 @@ def explain_result(result) -> str:
             elif "score" in rec:
                 parts.append(f"step score {rec['score']:.12g}")
         for b in boosts.get(doc_id, []):
-            parts.append(f"boost {b['delta']:+.12g} by {b['rule']}")
+            parts.append(f"boost {b['after'] - b['before']:+.12g} by {b['rule']}")
         lines.append("  ".join(parts))
 
     swaps = [t for t in trace if t.get("kind") == "swap"]
@@ -398,16 +448,21 @@ def explain_result(result) -> str:
             )
 
     rule_records = [
-        t for t in trace if t.get("kind") in ("exclude", "boost", "violation")
+        t for t in trace if t.get("kind") in ("exclude", "boost_rule", "boost", "violation")
     ]
     if rule_records:
         lines.append("rules:")
         for t in rule_records:
             if t["kind"] == "exclude":
                 lines.append(f"  excluded {t['doc']} (rule {t['rule']})")
+            elif t["kind"] == "boost_rule":
+                lines.append(
+                    f"  rule {t['rule']} boosted {t['matched']} documents "
+                    f"by {t['delta']:+.12g} ({t['clamped']} clamped)"
+                )
             elif t["kind"] == "boost":
                 lines.append(
-                    f"  boosted {t['doc']} by {t['delta']:+.12g} (rule {t['rule']})"
+                    f"  boosted {t['doc']} by {t['after'] - t['before']:+.12g} (rule {t['rule']})"
                 )
             else:
                 lines.append(

@@ -215,11 +215,12 @@ def test_criterion_7_rule_application_invariants():
         # precedence: everything matching the exclude is gone, so the boost
         # on the same label finds nothing
         assert not [d for d in first.candidates if reference_matches(schema, predicate, d)]
-        boosted_by_conflict = [
+        (conflict,) = [
             t for t in first.adjustments
-            if t["kind"] == "boost" and t["rule"] == "conflict-boost"
+            if t["kind"] == "boost_rule" and t["rule"] == "conflict-boost"
         ]
-        assert not boosted_by_conflict
+        assert conflict["matched"] == 0
+        assert not [s for steps in first.boosts.values() for s in steps if s[0] == "conflict-boost"]
 
         # idempotence on double application
         second = apply_rules(schema, ruleset, request, first.candidates)

@@ -281,7 +281,11 @@ def test_rerank_rules_pipeline(paths):
     assert data["selected"] == ["a5", "a4", "a1", "a6"]
     kinds = [t["kind"] for t in data["trace"]]
     assert kinds.count("exclude") == 2
-    assert kinds.count("boost") == 3
+    # the boost rule matched a5, a6 and a8 (a7 was excluded first); only the
+    # selected ones get a per-document boost record
+    (summary,) = [t for t in data["trace"] if t["kind"] == "boost_rule"]
+    assert (summary["matched"], summary["clamped"]) == (3, 1)
+    assert [t["doc"] for t in data["trace"] if t["kind"] == "boost"] == ["a5", "a6"]
     assert "violation" not in kinds  # a5/a6 satisfy the immigration floor
     excluded = {t["doc"] for t in data["trace"] if t["kind"] == "exclude"}
     assert excluded == {"a3", "a7"}
@@ -365,6 +369,7 @@ def test_explain_rejects_non_results(tmp_path):
 
 
 SWAP = {"kind": "swap", "in": "a5", "before": 0.4, "after": 0.6, "detail": "swap"}
+BOOST_RULE = {"kind": "boost_rule", "rule": "r", "delta": 0.2, "matched": 3, "clamped": 1, "detail": "boost"}
 
 
 @pytest.mark.parametrize(
@@ -375,8 +380,13 @@ SWAP = {"kind": "swap", "in": "a5", "before": 0.4, "after": 0.6, "detail": "swap
         {"selected": ["a5"], "diversity": {"overall": "x"}},
         {"selected": ["a5"], "trace": [5]},
         {"selected": "a1"},
+        {"selected": ["a5"], "trace": [{**BOOST_RULE, "matched": "3"}]},
+        {"selected": ["a5"], "trace": [{k: v for k, v in BOOST_RULE.items() if k != "clamped"}]},
     ],
-    ids=["selected-number", "swap-without-out", "overall-string", "trace-number", "selected-string"],
+    ids=[
+        "selected-number", "swap-without-out", "overall-string", "trace-number", "selected-string",
+        "boost-rule-matched-string", "boost-rule-without-clamped",
+    ],
 )
 def test_explain_rejects_malformed_results(tmp_path, capsys, result):
     path = tmp_path / "result.json"

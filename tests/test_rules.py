@@ -417,11 +417,28 @@ def test_grouped_application_matches_the_per_document_reference(seed):
         for d in survivors
         if relevance[d.id] is not None and relevance[d.id] != d.relevance
     }
+    boost_rules = {r.id for r in rules if r.action == "boost"}
+    assert [(t["rule"], t["doc"]) for t in result.adjustments if t["kind"] == "exclude"] == [
+        s for s in steps if s[0] not in boost_rules
+    ]
+    boosts = [s for s in steps if s[0] in boost_rules]
     assert [
-        (t["rule"], t["doc"]) if t["kind"] == "exclude"
-        else (t["rule"], t["doc"], t["delta"], t["before"], t["after"])
-        for t in result.adjustments
-    ] == steps
+        (t["rule"], t["delta"], t["matched"], t["clamped"])
+        for t in result.adjustments if t["kind"] == "boost_rule"
+    ] == [
+        (
+            r.id,
+            r.value,
+            sum(s[0] == r.id for s in boosts),
+            sum(s[0] == r.id and not 0.0 <= s[3] + s[2] <= 1.0 for s in boosts),
+        )
+        for r in rules if r.action == "boost"
+    ]
+    assert {t["kind"] for t in result.adjustments} <= {"exclude", "boost_rule"}
+    per_doc = {}
+    for rule_id, doc_id, delta, before, after in boosts:
+        per_doc.setdefault(doc_id, []).append((rule_id, delta, before, after))
+    assert result.boosts == {doc_id: tuple(s) for doc_id, s in per_doc.items()}
 
 
 # --- explanations ---
@@ -451,3 +468,24 @@ def test_explain_lists_rule_effects(schema, pool):
     text = explain_result(replace(chosen, trace=applied.adjustments + chosen.trace))
     assert "excluded a3" in text
     assert "selected: a1" in text
+
+
+def test_explain_narrates_the_change_each_boost_made(schema):
+    docs = [
+        doc("a", "Climate", "Health", 0.95),
+        doc("b", "Climate", "Security", 0.5),
+        doc("c", "Immigration", "Health", 0.5),
+    ]
+    up = rule(
+        schema,
+        id="up",
+        scope="global",
+        predicate={"aspect": "topic", "value": "Climate"},
+        action={"boost": 0.3},
+    )
+    applied = apply_rules(schema, RuleSet(rules=(up,)), [], docs)
+    text = explain_result({"selected": ["a"], "trace": list(applied.trace_for(["a"]))})
+    assert "1. a  boost +0.05 by up" in text  # 0.95 -> 1, clamped
+    assert "rule up boosted 2 documents by +0.3 (1 clamped)" in text
+    assert "boosted a by +0.05 (rule up)" in text
+    assert "boosted b" not in text  # not selected
