@@ -147,23 +147,25 @@ def _search(matrix: list[list[float]], k: int, tolerance: float) -> tuple[int, .
     half = tolerance / 2
     reach = _reach(matrix)
     best_sum, best_combo = -1.0, ()
-    # Frame: next index j, prefix, its pair sum, and gains[x] = sum of
-    # matrix[i][x] over prefix members i.
+    # Frame: next index j, prefix, its pair sum, and gains[x - j] = sum of
+    # matrix[i][x] over prefix members i, for x >= j only: a frame never
+    # reads an index below its j, so a deep stack holds no dead prefixes.
     stack = [(0, (), 0.0, [0.0] * n)]
     while stack:
         j, prefix, base, gains = stack.pop()
         r = k - len(prefix)
         if r == 1:
             floor = best_sum + half
-            leaves = [prefix + (x,) for x in range(j, n) if base + gains[x] >= floor]
+            leaves = [prefix + (x,) for x, g in enumerate(gains, j) if base + g >= floor]
         else:
             c = (r - 1) / 2
-            scores = sorted([g + c * h for g, h in zip(gains[j:], reach[j])])
+            scores = sorted([g + c * h for g, h in zip(gains, reach[j])])
             if base + sum(scores[-r:]) < best_sum + half:
                 continue  # no subset at this level from index j on can win
             if r < n - j:
-                stack.append((j + 1, prefix, base, gains))
-                stack.append((j + 1, prefix + (j,), base + gains[j], list(map(add, gains, matrix[j]))))
+                rest = gains[1:]
+                stack.append((j + 1, prefix, base, rest))
+                stack.append((j + 1, prefix + (j,), base + gains[0], list(map(add, rest, matrix[j][j + 1:]))))
                 continue
             leaves = [prefix + tuple(range(j, n))]  # the one completion left
         for combo in leaves:
