@@ -287,7 +287,8 @@ def next_in_sequence(
     scores: dict[tuple, tuple[float, float]] = {}
     for key, cand in zip(keys, ordered):
         if key not in scores:
-            scores[key] = (collection_diversity(schema, recent + [cand]).overall, recency_affinity(cand))
+            window_value = collection_diversity(schema, recent + [cand]).overall
+            scores[key] = (window_value, recency_affinity(cand))
     best_primary, _, best = _pick((*scores[key], cand) for key, cand in zip(keys, ordered))
     return RerankResult(
         selected=(best.id,),

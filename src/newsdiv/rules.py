@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .aspect_model import AspectSchema
@@ -262,8 +262,7 @@ def apply_rules(
         if rule.action not in ("exclude", "boost"):
             continue
         flags = [test(candidates[members[0]]) for members in live]
-        hit = [members for members, flag in zip(live, flags) if flag]
-        positions = sorted(chain.from_iterable(hit))  # input order across groups
+        positions = sorted(chain.from_iterable(compress(live, flags)))  # input order
         if rule.action == "exclude":
             live = [members for members, flag in zip(live, flags) if not flag]
             for i in positions:
@@ -296,7 +295,10 @@ def apply_rules(
                     "delta": delta,
                     "matched": len(positions),
                     "clamped": clamped,
-                    "detail": f"rule {rule_id} boosted {len(positions)} documents by {delta:+.12g} ({clamped} clamped)",
+                    "detail": (
+                        f"rule {rule_id} boosted {len(positions)} documents "
+                        f"by {delta:+.12g} ({clamped} clamped)"
+                    ),
                 }
             )
 
