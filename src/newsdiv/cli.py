@@ -103,17 +103,13 @@ def cmd_rerank(args) -> int:
     )
     application = rules_mod.apply_rules(schema, ruleset, request_rules, candidates)
     survivors = list(application.candidates)
-    if application.adjusted_relevance:
-        survivors = [
-            replace(d, relevance=application.adjusted_relevance[d.id])
-            if d.id in application.adjusted_relevance
-            else d
-            for d in survivors
-        ]
 
     if args.mode == "list":
         if args.lambda_ is not None:
-            result = diversify.rerank_combined(schema, survivors, args.k, args.lambda_)
+            # Only the blend reads relevance, so only it sees the boosted values.
+            boosted = application.adjusted_relevance
+            pool = [replace(d, relevance=boosted[d.id]) if d.id in boosted else d for d in survivors]
+            result = diversify.rerank_combined(schema, pool, args.k, args.lambda_)
         else:
             if args.k < 1 or args.k > len(survivors):
                 raise ContractError(

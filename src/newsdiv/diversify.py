@@ -23,9 +23,10 @@ from .metrics import (
     InteractionRecord,
     TIE_TOLERANCE,
     Window,
+    _distance,
+    _diversity,
     _label_indices,
     collection_diversity,
-    doc_distance,
     docs_per_type,
     interaction_diversity,
     keyword_diversity,
@@ -81,6 +82,20 @@ def _check_unique_ids(docs: Sequence[DocumentProfile], what: str) -> None:
         raise ContractError(f"{what} contains duplicate document ids: {dupes}")
 
 
+def _label_rows(schema: AspectSchema, docs: Sequence[DocumentProfile], what: str) -> dict[str, tuple[int, ...]]:
+    """Each document's label-index row by id. Ids must be unique, and every
+    document's labels are checked here, in the given order, before a mode
+    scores any of them."""
+    _check_unique_ids(docs, what)
+    return {d.id: _label_indices(schema, d) for d in docs}
+
+
+def _result(schema: AspectSchema, row: Mapping[str, tuple], selected: list[DocumentProfile], trace: list) -> RerankResult:
+    """The result selecting these documents, scored from their rows."""
+    report = _diversity(schema, [row[d.id] for d in selected])
+    return RerankResult(tuple(d.id for d in selected), report, report.overall, tuple(trace))
+
+
 def _pick(entries: Iterable[tuple]) -> tuple:
     """The best (primary, secondary, item) entry; entries come in id order.
 
@@ -120,26 +135,27 @@ def swap_diversify(
         raise ContractError("swap_diversify needs a non-empty starting list")
     if budget < 0:
         raise ContractError(f"swap budget must be >= 0 (got {budget})")
-    _check_unique_ids(list(items) + list(pool), "list plus pool")
+    row = _label_rows(schema, list(items) + list(pool), "list plus pool")
 
     current = list(items)
     available = list(pool)
     trace: list[dict] = []
+    before = _diversity(schema, [row[d.id] for d in current]).overall
     for _ in range(budget):
         if not available:
             break
-        before = collection_diversity(schema, current).overall
-        rests = [current[:i] + current[i + 1:] for i in range(len(current))]
+        rows = [row[d.id] for d in current]
+        rests = [rows[:i] + rows[i + 1:] for i in range(len(rows))]
         # Removal preference: highest remainder diversity, then smaller id.
         removal_order = sorted(
             range(len(current)),
-            key=lambda i: (-collection_diversity(schema, rests[i]).overall, current[i].id),
+            key=lambda i: (-_diversity(schema, rests[i]).overall, current[i].id),
         )
         insertable = sorted(available, key=lambda d: d.id)
         for chosen_idx in removal_order:
             # Insertion choice: highest resulting diversity, then smaller id.
             best_after, _, best_sub = _pick(
-                (collection_diversity(schema, rests[chosen_idx] + [cand]).overall, 0.0, cand)
+                (_diversity(schema, rests[chosen_idx] + [row[cand.id]]).overall, 0.0, cand)
                 for cand in insertable
             )
             if best_after > before + SWAP_EPSILON:
@@ -162,14 +178,9 @@ def swap_diversify(
                 ),
             }
         )
-
-    report = collection_diversity(schema, current)
-    return RerankResult(
-        selected=tuple(d.id for d in current),
-        diversity=report,
-        objective=report.overall,
-        trace=tuple(trace),
-    )
+        # Exact label counts make the value order-free, so this is current's.
+        before = best_after
+    return _result(schema, row, current, trace)
 
 
 def greedy_select(schema: AspectSchema, pool: Sequence[DocumentProfile], k: int) -> RerankResult:
@@ -183,8 +194,8 @@ def greedy_select(schema: AspectSchema, pool: Sequence[DocumentProfile], k: int)
     n = len(pool)
     if k < 1 or k > n:
         raise ContractError(f"k must satisfy 1 <= k <= |pool| (got k={k}, |pool|={n})")
-    _check_unique_ids(pool, "pool")
     docs = sorted(pool, key=lambda d: d.id)
+    row = _label_rows(schema, docs, "pool")
     trace: list[dict] = []
 
     if n == 1:
@@ -198,7 +209,7 @@ def greedy_select(schema: AspectSchema, pool: Sequence[DocumentProfile], k: int)
         )
     else:
         best_dist, _, best_pair = _pick(
-            (doc_distance(schema, docs[i], docs[j]), 0.0, (docs[i], docs[j]))
+            (_distance(schema, row[docs[i].id], row[docs[j].id]), 0.0, (docs[i], docs[j]))
             for i in range(n)
             for j in range(i + 1, n)
         )
@@ -216,10 +227,11 @@ def greedy_select(schema: AspectSchema, pool: Sequence[DocumentProfile], k: int)
 
     selected = [seed]
     remaining = [d for d in docs if d.id != seed.id]
+    before = 0.0  # a single document
     while len(selected) < k:
-        before = collection_diversity(schema, selected).overall
+        rows = [row[d.id] for d in selected]
         best_value, _, best_cand = _pick(
-            (collection_diversity(schema, selected + [cand]).overall, 0.0, cand)
+            (_diversity(schema, rows + [row[cand.id]]).overall, 0.0, cand)
             for cand in remaining  # already id-sorted
         )
         selected.append(best_cand)
@@ -236,14 +248,8 @@ def greedy_select(schema: AspectSchema, pool: Sequence[DocumentProfile], k: int)
                 ),
             }
         )
-
-    report = collection_diversity(schema, selected)
-    return RerankResult(
-        selected=tuple(d.id for d in selected),
-        diversity=report,
-        objective=report.overall,
-        trace=tuple(trace),
-    )
+        before = best_value
+    return _result(schema, row, selected, trace)
 
 
 def next_in_sequence(
@@ -266,29 +272,18 @@ def next_in_sequence(
         raise ContractError("candidate set must be non-empty")
     if not 0.0 < gamma <= 1.0:
         raise ContractError(f"gamma must lie in (0, 1] (got {gamma!r})")
-    recent = window_slice(history, window)
-
-    def recency_affinity(cand: DocumentProfile) -> float:
-        score = 0.0
-        for age, doc in enumerate(reversed(recent)):
-            score += (gamma**age) * doc_distance(schema, cand, doc)
-        return score
-
-    # Both values read only labels, so they are scored once per label tuple.
-    # The window's labels are checked before any candidate's, as scoring each
-    # candidate against the window would; an empty window checks none.
+    # The window's labels are checked first, then the candidates' in id order.
+    # Both values read only rows, so they are scored once per row.
+    recent = [_label_indices(schema, d) for d in window_slice(history, window)]
     ordered = sorted(candidates, key=lambda d: d.id)
-    if recent:
-        for doc in recent:
-            _label_indices(schema, doc)
-        keys = [tuple(_label_indices(schema, cand)) for cand in ordered]
-    else:
-        keys = [()] * len(ordered)
+    keys = [_label_indices(schema, cand) for cand in ordered]
     scores: dict[tuple, tuple[float, float]] = {}
-    for key, cand in zip(keys, ordered):
+    for key in keys:
         if key not in scores:
-            window_value = collection_diversity(schema, recent + [cand]).overall
-            scores[key] = (window_value, recency_affinity(cand))
+            affinity = 0.0
+            for age, r in enumerate(reversed(recent)):
+                affinity += (gamma**age) * _distance(schema, key, r)
+            scores[key] = (_diversity(schema, recent + [key]).overall, affinity)
     best_primary, _, best = _pick((*scores[key], cand) for key, cand in zip(keys, ordered))
     return RerankResult(
         selected=(best.id,),
@@ -362,6 +357,11 @@ def suggest_interaction(
         raise UnknownEntityError(
             f"options reference unknown documents: {unresolved}"
         )
+    # Every label is checked before any option is scored: the log's documents
+    # (docs_per_type reports unknown ones), then the options'.
+    logged = [r.doc for r in log.records if r.doc in corpus_docs]
+    for doc_id in dict.fromkeys(logged + [doc_id for doc_id, _ in options]):
+        _label_indices(schema, corpus_docs[doc_id])
     last_ts = max((r.ts for r in log.records), default=0)
 
     def entry(doc_id: str, itype: str) -> tuple[float, float, tuple[str, str]]:
@@ -417,7 +417,6 @@ def rerank_combined(
     missing = sorted(d.id for d in pool if d.relevance is None)
     if missing:
         raise ContractError(f"documents missing relevance scores: {missing}")
-    _check_unique_ids(pool, "pool")
 
     if lam == 0.0:
         base = greedy_select(schema, pool, k)
@@ -431,12 +430,13 @@ def rerank_combined(
         return replace(base, trace=tuple(trace), objective=base.diversity.overall)
 
     docs = sorted(pool, key=lambda d: d.id)
+    row = _label_rows(schema, docs, "pool")
     selected: list[DocumentProfile] = []
     remaining = list(docs)
     trace: list[dict] = []
 
     def entry(cand: DocumentProfile) -> tuple[float, float, tuple[DocumentProfile, float]]:
-        div_after = collection_diversity(schema, selected + [cand]).overall
+        div_after = _diversity(schema, [row[d.id] for d in selected + [cand]]).overall
         return lam * cand.relevance + (1.0 - lam) * div_after, 0.0, (cand, div_after)
 
     while len(selected) < k:
@@ -458,12 +458,6 @@ def rerank_combined(
             }
         )
 
-    report = collection_diversity(schema, selected)
+    result = _result(schema, row, selected, trace)
     mean_rel = sum(d.relevance for d in selected) / len(selected)
-    objective = lam * mean_rel + (1.0 - lam) * report.overall
-    return RerankResult(
-        selected=tuple(d.id for d in selected),
-        diversity=report,
-        objective=objective,
-        trace=tuple(trace),
-    )
+    return replace(result, objective=lam * mean_rel + (1.0 - lam) * result.diversity.overall)

@@ -11,6 +11,11 @@ distance blends per-aspect label distances with the schema's weights:
 
 Both live in [0, 1]. Lists with fewer than two documents score 0.
 
+A document's row is its label index per aspect, in schema aspect order;
+`_label_indices` builds it and is the only label check. `_distance` and the
+count kernel `_diversity` read rows only, so the modes resolve each input
+document once and then call them directly.
+
 Per-aspect pair sums depend only on label counts. With c_l documents
 carrying label l and the aspect's distance matrix D,
 
@@ -141,8 +146,9 @@ def parse_window(text: str) -> Window:
     return Window(kind=kind, value=value)
 
 
-def _label_indices(schema: AspectSchema, doc: DocumentProfile) -> list[int]:
-    """The document's label index in each aspect, in schema aspect order."""
+def _label_indices(schema: AspectSchema, doc: DocumentProfile) -> tuple[int, ...]:
+    """The document's row: its label index in each aspect, in schema aspect
+    order. This is the only label check."""
     out = []
     for aspect in schema.aspects:
         label = doc.labels.get(aspect.name)
@@ -156,30 +162,26 @@ def _label_indices(schema: AspectSchema, doc: DocumentProfile) -> list[int]:
                 f"document {doc.id!r} uses unknown label {label!r} for aspect {aspect.name!r}"
             )
         out.append(i)
-    return out
+    return tuple(out)
 
 
-def doc_distance(schema: AspectSchema, d1: DocumentProfile, d2: DocumentProfile) -> float:
-    """Blended distance between two documents (convex in the aspect weights)."""
+def _distance(schema: AspectSchema, r1: Sequence[int], r2: Sequence[int]) -> float:
+    """Blended distance between two rows: doc_distance of their documents."""
     total = 0.0
-    for aspect, i, j in zip(schema.aspects, _label_indices(schema, d1), _label_indices(schema, d2)):
+    for aspect, i, j in zip(schema.aspects, r1, r2):
         total += schema.weights[aspect.name] * aspect.matrix[i][j]
     return total
 
 
-def collection_diversity(schema: AspectSchema, docs: Sequence[DocumentProfile]) -> DiversityReport:
-    """Mean pairwise blended distance, with the per-aspect decomposition.
+def doc_distance(schema: AspectSchema, d1: DocumentProfile, d2: DocumentProfile) -> float:
+    """Blended distance between two documents (convex in the aspect weights)."""
+    return _distance(schema, _label_indices(schema, d1), _label_indices(schema, d2))
 
-    Fewer than two documents yields 0 everywhere (no pairs to average).
-    """
-    n = len(docs)
-    names = schema.aspect_names()
-    if n < 2:
-        return DiversityReport(
-            overall=0.0, per_aspect={a: 0.0 for a in names}, pair_count=0
-        )
-    rows = [_label_indices(schema, d) for d in docs]
-    pairs = n * (n - 1) // 2
+
+def _diversity(schema: AspectSchema, rows: Sequence[Sequence[int]]) -> DiversityReport:
+    """The count kernel: collection_diversity of the documents with these rows."""
+    pairs = len(rows) * (len(rows) - 1) // 2
+    divisor = max(pairs, 1)  # fewer than two rows: every sum is 0.0
     overall_sum = 0.0
     per_aspect = {}
     for a, aspect in enumerate(schema.aspects):
@@ -193,11 +195,17 @@ def collection_diversity(schema: AspectSchema, docs: Sequence[DocumentProfile]) 
             distances, c_l = matrix[l], counts[l]
             for m in present[x + 1:]:
                 total += c_l * counts[m] * distances[m]
-        per_aspect[name] = total / pairs
+        per_aspect[name] = total / divisor
         overall_sum += schema.weights[name] * total
     return DiversityReport(
-        overall=overall_sum / pairs, per_aspect=per_aspect, pair_count=pairs
+        overall=overall_sum / divisor, per_aspect=per_aspect, pair_count=pairs
     )
+
+
+def collection_diversity(schema: AspectSchema, docs: Sequence[DocumentProfile]) -> DiversityReport:
+    """Mean pairwise blended distance, with the per-aspect decomposition.
+    Every label is checked, even in a list of fewer than two (which scores 0)."""
+    return _diversity(schema, [_label_indices(schema, d) for d in docs])
 
 
 def _check_sorted(docs: Sequence[DocumentProfile]) -> bool:

@@ -34,9 +34,9 @@ from operator import add
 from typing import Sequence
 
 from .aspect_model import AspectSchema
-from .diversify import _check_unique_ids
+from .diversify import _label_rows
 from .errors import ContractError, GuardExceededError
-from .metrics import DocumentProfile, TIE_TOLERANCE, _label_indices, collection_diversity
+from .metrics import DocumentProfile, TIE_TOLERANCE, collection_diversity
 
 # Refuse the search beyond this many k-subsets.
 ENUMERATION_GUARD = 10**7
@@ -79,9 +79,8 @@ def max_diversity_oracle(schema: AspectSchema, pool: Sequence[DocumentProfile], 
             f"C({n}, {k}) = {total} exceeds the enumeration guard "
             f"({ENUMERATION_GUARD}); use greedy_select for pools this large"
         )
-    _check_unique_ids(pool, "pool")
     docs = sorted(pool, key=lambda d: d.id)
-    rows = [_label_indices(schema, d) for d in docs]  # every label checked, whatever k
+    rows = list(_label_rows(schema, docs, "pool").values())  # every label checked, whatever k
     pairs = k * (k - 1) // 2
     if k == 1 or k == n:
         picks = range(k)  # the first id, or the only subset
@@ -91,7 +90,7 @@ def max_diversity_oracle(schema: AspectSchema, pool: Sequence[DocumentProfile], 
     chosen = [docs[i] for i in picks]
     # Recompute through the metric itself so the reported value is exactly
     # what collection_diversity(best_subset) returns.
-    value = collection_diversity(schema, chosen).overall if pairs else 0.0
+    value = collection_diversity(schema, chosen).overall
     return OracleResult(
         best_subset=tuple(d.id for d in chosen),
         best_value=value,
@@ -99,10 +98,10 @@ def max_diversity_oracle(schema: AspectSchema, pool: Sequence[DocumentProfile], 
     )
 
 
-def _distance_matrix(schema: AspectSchema, rows: Sequence[list[int]]) -> list[list[float]]:
+def _distance_matrix(schema: AspectSchema, rows: Sequence[Sequence[int]]) -> list[list[float]]:
     """All document distances from label-index rows; each cell adds w_a * D_a
-    in aspect order, as doc_distance does, so it is bitwise the value
-    doc_distance returns."""
+    in aspect order, as metrics._distance does, so it is bitwise the value
+    _distance returns."""
     aspects = [
         ([[schema.weights[a.name] * d for d in line] for line in a.matrix], [row[i] for row in rows])
         for i, a in enumerate(schema.aspects)

@@ -2,10 +2,15 @@
 
 import itertools
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
+import newsdiv.diversify as diversify_mod
+import newsdiv.metrics as metrics_mod
+import newsdiv.oracle as oracle_mod
 from newsdiv.aspect_model import Aspect, AspectSchema
 from newsdiv.diversify import (
     SWAP_EPSILON,
@@ -22,9 +27,11 @@ from newsdiv.metrics import (
     DocumentProfile,
     InteractionLog,
     InteractionRecord,
+    Keyword,
     Window,
     collection_diversity,
     interaction_diversity,
+    keyword_diversity,
 )
 from newsdiv.oracle import max_diversity_oracle
 
@@ -331,6 +338,91 @@ def test_sequence_label_errors_name_the_window_before_the_candidates(schema):
         next_in_sequence(schema, history[:1], candidates[:2], Window("last", 1))
     with pytest.raises(UnknownEntityError, match="'h2' uses unknown label 'Sports'"):
         next_in_sequence(schema, history, candidates, Window("last", 2))
+
+
+def _zz(relevance=None):
+    return doc("zz", "Sports", "Health", relevance=relevance)
+
+
+def _suggest_on_zz(schema, pool):
+    corpus_docs = {"a1": pool[0], "zz": _zz()}
+    log = InteractionLog(
+        records=(InteractionRecord(user="u", doc="a1", type="like", ts=1),),
+        type_weights={"like": 0.5, "share": 0.5},
+    )
+    return suggest_interaction(schema, corpus_docs, log, [("zz", "share")])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda schema, pool: next_in_sequence(schema, [], [_zz()], Window("last", 0)),
+        lambda schema, pool: swap_diversify(schema, pool[:2], [_zz()], 0),
+        lambda schema, pool: swap_diversify(schema, [_zz()], [], 1),
+        lambda schema, pool: greedy_select(schema, [_zz()], 1),
+        lambda schema, pool: select_summary_sources(schema, [_zz()], 1),
+        lambda schema, pool: rerank_combined(schema, [_zz(relevance=0.5)], 1, 1.0),
+        _suggest_on_zz,
+        lambda schema, pool: collection_diversity(schema, [_zz()]),
+        lambda schema, pool: keyword_diversity(schema, [Keyword("zz", {"topic": "Sports", "frame": "Health"})]),
+    ],
+    ids=["sequence-empty-window", "swap-budget-0", "swap-empty-pool", "greedy-k1", "summary-k1",
+         "blend-lambda-1", "interaction-no-pairs", "diversity-of-one", "keyword-diversity-of-one"],
+)
+def test_every_bad_label_raises_whatever_gets_scored(schema, pool, call):
+    """A label is checked whether or not any pair it belongs to is scored."""
+    with pytest.raises(UnknownEntityError, match="zz"):
+        call(schema, pool)
+
+
+def test_each_input_document_is_resolved_once_per_call(monkeypatch):
+    """Every mode but interaction resolves each input document's labels once,
+    and each pooled keyword's once. The oracle's final collection_diversity
+    and sequence's one-document report may resolve a selected document again."""
+    counts = Counter()
+    resolve = metrics_mod._label_indices
+
+    def counted(schema, d):
+        counts[d.id] += 1
+        return resolve(schema, d)
+
+    for module in (metrics_mod, diversify_mod, oracle_mod):
+        if hasattr(module, "_label_indices"):
+            monkeypatch.setattr(module, "_label_indices", counted)
+
+    for seed in range(80):
+        rng = random.Random(seed)
+        schema = random_schema(rng, max_aspects=3, max_labels=5)
+        docs = [
+            replace(d, keywords=tuple(
+                Keyword(f"{d.id}.{j}", {a.name: rng.choice(a.labels) for a in schema.aspects})
+                for j in range(rng.randint(0, 2))
+            ))
+            for d in random_docs(rng, schema, rng.randint(4, 14), with_relevance=True, with_timestamps=True)
+        ]
+        k, split = rng.randint(1, len(docs)), rng.randint(1, len(docs) - 1)
+        head, tail = docs[:split], docs[split:]
+        recent = head[len(head) - rng.randint(0, len(head)):]
+        lam = rng.choice([0.0, 0.5, 1.0])
+        by_id = {d.id: d for d in docs}
+        # (call, input documents, a selected document may be resolved twice, keywords pooled)
+        cases = [
+            (lambda: greedy_select(schema, docs, k).selected, docs, False, False),
+            (lambda: select_summary_sources(schema, docs, k).selected, docs, False, True),
+            (lambda: rerank_combined(schema, docs, k, lam).selected, docs, False, False),
+            (lambda: swap_diversify(schema, head, tail, rng.randint(0, 4)).selected, docs, False, False),
+            (lambda: next_in_sequence(schema, head, tail, Window("last", len(recent))).selected, recent + tail, True, False),
+            (lambda: max_diversity_oracle(schema, docs, k).best_subset, docs, True, False),
+        ]
+        for run, inputs, report, pooled in cases:
+            counts.clear()
+            selected = run()
+            doc_counts = {i: c for i, c in counts.items() if i in by_id}
+            assert set(doc_counts) == {d.id for d in inputs}, (seed, doc_counts)
+            for doc_id, c in doc_counts.items():
+                assert c <= 1 + (report and doc_id in selected), (seed, doc_id, c)
+            keywords = sum(len(by_id[i].keywords) for i in selected) if pooled else 0
+            assert sorted(c for i, c in counts.items() if i not in by_id) == [1] * keywords, (seed, counts)
 
 
 def test_interaction_picks_match_the_exact_reference():
