@@ -8,21 +8,27 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from typing import Mapping, Sequence
 
 from newsdiv.aspect_model import Aspect, AspectSchema, LabelGraph
-from newsdiv.errors import ContractError, GuardExceededError
+from newsdiv.diversify import SWAP_EPSILON, RerankResult, _label_rows, _pick, _result
+from newsdiv.errors import ContractError, GuardExceededError, UnknownEntityError
 from newsdiv.metrics import (
     TIE_TOLERANCE,
     DocumentProfile,
     InteractionLog,
     InteractionRecord,
     Window,
+    _distance,
+    _diversity,
+    _label_indices,
     collection_diversity,
     doc_distance,
     docs_per_type,
+    interaction_diversity,
     window_slice,
 )
 from newsdiv.oracle import ENUMERATION_GUARD, OracleResult
@@ -449,4 +455,245 @@ def enumerate_oracle(schema: AspectSchema, pool: Sequence[DocumentProfile], k: i
         best_subset=tuple(d.id for d in chosen),
         best_value=value,
         evaluated=total,
+    )
+
+
+# The modes as they scored candidates before per-step tables: one full count
+# kernel per candidate per step, and the extended log regrouped per option.
+
+
+def reference_greedy_select(schema: AspectSchema, pool: Sequence[DocumentProfile], k: int) -> RerankResult:
+    """greedy_select scoring every candidate with a full count kernel: the
+    reference the per-step tables in diversify.greedy_select must reproduce
+    exactly."""
+    n = len(pool)
+    if k < 1 or k > n:
+        raise ContractError(f"k must satisfy 1 <= k <= |pool| (got k={k}, |pool|={n})")
+    docs = sorted(pool, key=lambda d: d.id)
+    row = _label_rows(schema, docs, "pool")
+    trace: list[dict] = []
+
+    if n == 1:
+        seed = docs[0]
+        trace.append(
+            {
+                "kind": "seed",
+                "doc": seed.id,
+                "detail": f"seeded with {seed.id} (only candidate)",
+            }
+        )
+    else:
+        best_dist, _, best_pair = _pick(
+            (_distance(schema, row[docs[i].id], row[docs[j].id]), 0.0, (docs[i], docs[j]))
+            for i in range(n)
+            for j in range(i + 1, n)
+        )
+        seed = best_pair[0]
+        trace.append(
+            {
+                "kind": "seed",
+                "doc": seed.id,
+                "detail": (
+                    f"seeded with {seed.id}, smaller id of most distant pair "
+                    f"({best_pair[0].id}, {best_pair[1].id}) at distance {best_dist:.12g}"
+                ),
+            }
+        )
+
+    selected = [seed]
+    remaining = [d for d in docs if d.id != seed.id]
+    before = 0.0  # a single document
+    while len(selected) < k:
+        rows = [row[d.id] for d in selected]
+        best_value, _, best_cand = _pick(
+            (_diversity(schema, rows + [row[cand.id]]).overall, 0.0, cand)
+            for cand in remaining  # already id-sorted
+        )
+        selected.append(best_cand)
+        remaining = [d for d in remaining if d.id != best_cand.id]
+        trace.append(
+            {
+                "kind": "add",
+                "doc": best_cand.id,
+                "before": before,
+                "after": best_value,
+                "gain": best_value - before,
+                "detail": (
+                    f"added {best_cand.id}: diversity {before:.12g} -> {best_value:.12g}"
+                ),
+            }
+        )
+        before = best_value
+    return _result(schema, row, selected, trace)
+
+
+def reference_swap_diversify(
+    schema: AspectSchema,
+    items: Sequence[DocumentProfile],
+    pool: Sequence[DocumentProfile],
+    budget: int,
+) -> RerankResult:
+    """swap_diversify scoring every insertion with a full count kernel: the
+    reference diversify.swap_diversify must reproduce exactly."""
+    if not items:
+        raise ContractError("swap_diversify needs a non-empty starting list")
+    if budget < 0:
+        raise ContractError(f"swap budget must be >= 0 (got {budget})")
+    row = _label_rows(schema, list(items) + list(pool), "list plus pool")
+
+    current = list(items)
+    available = list(pool)
+    trace: list[dict] = []
+    before = _diversity(schema, [row[d.id] for d in current]).overall
+    for _ in range(budget):
+        if not available:
+            break
+        rows = [row[d.id] for d in current]
+        rests = [rows[:i] + rows[i + 1:] for i in range(len(rows))]
+        # Removal preference: highest remainder diversity, then smaller id.
+        removal_order = sorted(
+            range(len(current)),
+            key=lambda i: (-_diversity(schema, rests[i]).overall, current[i].id),
+        )
+        insertable = sorted(available, key=lambda d: d.id)
+        for chosen_idx in removal_order:
+            # Insertion choice: highest resulting diversity, then smaller id.
+            best_after, _, best_sub = _pick(
+                (_diversity(schema, rests[chosen_idx] + [row[cand.id]]).overall, 0.0, cand)
+                for cand in insertable
+            )
+            if best_after > before + SWAP_EPSILON:
+                break
+        else:
+            break
+        removed = current[chosen_idx]
+        current[chosen_idx] = best_sub
+        available = [d for d in available if d.id != best_sub.id] + [removed]
+        trace.append(
+            {
+                "kind": "swap",
+                "out": removed.id,
+                "in": best_sub.id,
+                "before": before,
+                "after": best_after,
+                "detail": (
+                    f"swapped out {removed.id} for {best_sub.id}: "
+                    f"diversity {before:.12g} -> {best_after:.12g}"
+                ),
+            }
+        )
+        # Exact label counts make the value order-free, so this is current's.
+        before = best_after
+    return _result(schema, row, current, trace)
+
+
+def reference_rerank_combined(
+    schema: AspectSchema,
+    pool: Sequence[DocumentProfile],
+    k: int,
+    lam: float,
+) -> RerankResult:
+    """rerank_combined scoring every candidate with a full count kernel: the
+    reference diversify.rerank_combined must reproduce exactly."""
+    n = len(pool)
+    if k < 1 or k > n:
+        raise ContractError(f"k must satisfy 1 <= k <= |pool| (got k={k}, |pool|={n})")
+    if not 0.0 <= lam <= 1.0:
+        raise ContractError(f"lambda must lie in [0, 1] (got {lam!r})")
+    missing = sorted(d.id for d in pool if d.relevance is None)
+    if missing:
+        raise ContractError(f"documents missing relevance scores: {missing}")
+
+    if lam == 0.0:
+        base = reference_greedy_select(schema, pool, k)
+        trace = list(base.trace)
+        trace.append(
+            {
+                "kind": "note",
+                "detail": "lambda = 0: selection delegated to pure diversity greedy",
+            }
+        )
+        return replace(base, trace=tuple(trace), objective=base.diversity.overall)
+
+    docs = sorted(pool, key=lambda d: d.id)
+    row = _label_rows(schema, docs, "pool")
+    selected: list[DocumentProfile] = []
+    remaining = list(docs)
+    trace: list[dict] = []
+
+    def entry(cand: DocumentProfile) -> tuple[float, float, tuple[DocumentProfile, float]]:
+        div_after = _diversity(schema, [row[d.id] for d in selected + [cand]]).overall
+        return lam * cand.relevance + (1.0 - lam) * div_after, 0.0, (cand, div_after)
+
+    while len(selected) < k:
+        best_score, _, (best_cand, best_div) = _pick(entry(c) for c in remaining)  # id-sorted
+        selected.append(best_cand)
+        remaining = [d for d in remaining if d.id != best_cand.id]
+        trace.append(
+            {
+                "kind": "add",
+                "doc": best_cand.id,
+                "relevance": best_cand.relevance,
+                "diversity_after": best_div,
+                "score": best_score,
+                "detail": (
+                    f"added {best_cand.id}: score {best_score:.12g} "
+                    f"(relevance {best_cand.relevance:.12g}, "
+                    f"diversity {best_div:.12g}, lambda {lam:.12g})"
+                ),
+            }
+        )
+
+    result = _result(schema, row, selected, trace)
+    mean_rel = sum(d.relevance for d in selected) / len(selected)
+    return replace(result, objective=lam * mean_rel + (1.0 - lam) * result.diversity.overall)
+
+
+def reference_suggest_interaction(
+    schema: AspectSchema,
+    corpus_docs: Mapping[str, DocumentProfile],
+    log: InteractionLog,
+    options: Sequence[tuple[str, str]],
+) -> RerankResult:
+    """suggest_interaction regrouping the extended log for every option: the
+    reference diversify.suggest_interaction must reproduce exactly."""
+    if not options:
+        raise ContractError("options must be non-empty")
+    unresolved = sorted({doc_id for doc_id, _ in options if doc_id not in corpus_docs})
+    if unresolved:
+        raise UnknownEntityError(
+            f"options reference unknown documents: {unresolved}"
+        )
+    # Every label is checked before any option is scored: the log's documents
+    # (docs_per_type reports unknown ones), then the options'.
+    logged = [r.doc for r in log.records if r.doc in corpus_docs]
+    for doc_id in dict.fromkeys(logged + [doc_id for doc_id, _ in options]):
+        _label_indices(schema, corpus_docs[doc_id])
+    last_ts = max((r.ts for r in log.records), default=0)
+
+    def entry(doc_id: str, itype: str) -> tuple[float, float, tuple[str, str]]:
+        record = InteractionRecord(user="suggestion", doc=doc_id, type=itype, ts=last_ts + 1)
+        ext = InteractionLog(records=log.records + (record,), type_weights=log.type_weights)
+        own = collection_diversity(schema, docs_per_type(corpus_docs, ext).get(itype, [])).overall
+        return interaction_diversity(schema, corpus_docs, ext), own, (doc_id, itype)
+
+    best_overall, _, (doc_id, itype) = _pick(
+        entry(doc_id, itype) for doc_id, itype in sorted(options, key=lambda o: (o[1], o[0]))
+    )
+    return RerankResult(
+        selected=(doc_id,),
+        diversity=collection_diversity(schema, [corpus_docs[doc_id]]),
+        objective=best_overall,
+        trace=(
+            {
+                "kind": "suggest",
+                "doc": doc_id,
+                "type": itype,
+                "overall": best_overall,
+                "detail": (
+                    f"suggest {itype} on {doc_id}: extended interaction "
+                    f"diversity {best_overall:.12g}"
+                ),
+            },
+        ),
     )

@@ -35,7 +35,16 @@ from newsdiv.metrics import (
 )
 from newsdiv.oracle import max_diversity_oracle
 
-from helpers import ExactReference, combined_objective, random_docs, random_schema
+from helpers import (
+    ExactReference,
+    combined_objective,
+    random_docs,
+    random_schema,
+    reference_greedy_select,
+    reference_rerank_combined,
+    reference_suggest_interaction,
+    reference_swap_diversify,
+)
 
 
 def doc(doc_id, topic, frame, **kw):
@@ -440,6 +449,88 @@ def test_interaction_picks_match_the_exact_reference():
         got = suggest_interaction(schema, corpus_docs, log, options)
         want = ExactReference(schema).suggest_interaction(corpus_docs, log, options)
         assert (got.selected[0], got.trace[0]["type"]) == want, seed
+
+
+# --- each step's values against a full count kernel per candidate ---
+
+
+def step_instance(seed):
+    """Seeded schema, pool and interaction log for the equivalence test.
+
+    Pools cycle through four shapes: random distances, a few repeated label
+    tuples, a first aspect whose distances are all 0, and distances 0.5 +
+    {0, 1e-9 - 2e-10, 1e-9, 1e-9 + 2e-10, 2e-9}, so that picks sit at and
+    around TIE_TOLERANCE. Relevance is drawn from few values, so blend
+    scores tie too.
+    """
+    rng = random.Random(seed)
+    shape = seed % 4
+    aspects = []
+    for a in range(rng.randint(1, 3)):
+        labels = [f"a{a}l{j}" for j in range(rng.randint(2, 5))]
+        values = {2: [0.0] * (a == 0), 3: [0.5 + g for g in (0.0, 8e-10, 1e-9, 1.2e-9, 2e-9)]}.get(shape)
+        distances = {
+            (x, y): rng.choice(values) if values else round(rng.uniform(0.0, 1.0), 6)
+            for i, x in enumerate(labels)
+            for y in labels[i + 1:]
+        }
+        aspects.append(Aspect(f"aspect{a}", labels, distances=distances))
+    raw = [rng.choice([1, 2, 3]) for _ in aspects]
+    schema = AspectSchema(
+        aspects=tuple(aspects), weights={a.name: w / sum(raw) for a, w in zip(aspects, raw)}
+    )
+    n = rng.randint(1, 10)
+    tuples = [{a.name: rng.choice(a.labels) for a in aspects} for _ in range(n)]
+    if shape == 1:
+        tuples = tuples[: rng.randint(1, 3)]
+    docs = [
+        DocumentProfile(
+            id=f"d{i:02d}",
+            labels=rng.choice(tuples),
+            relevance=rng.choice([0.25, 0.5, 0.75, round(rng.random(), 6)]),
+        )
+        for i in range(n)
+    ]
+    rng.shuffle(docs)
+    # "skip" carries no weight; a weight may be 0.
+    types = ("click", "like", "share")[: rng.randint(1, 3)]
+    raw = [rng.choice([0, 1, 2]) for _ in types]
+    raw[0] = raw[0] or 1
+    records = tuple(
+        InteractionRecord(user="u", doc=rng.choice(docs).id, type=rng.choice(types + ("skip",)), ts=t)
+        for t in range(rng.randint(0, 8))
+    )
+    log = InteractionLog(records, {t: w / sum(raw) for t, w in zip(types, raw)})
+    options = []
+    for _ in range(rng.randint(1, 6)):
+        if records and rng.random() < 0.3:
+            logged = rng.choice(records)
+            options.append((logged.doc, logged.type))
+        else:
+            options.append((rng.choice(docs).id, rng.choice(types + ("skip",))))
+    options += rng.sample(options, rng.randint(0, len(options)))  # duplicated options
+    return rng, schema, docs, log, options
+
+
+def test_every_step_matches_a_full_kernel_per_candidate():
+    """greedy, the blend, swap and interaction return exactly what they
+    returned when every candidate ran the full count kernel."""
+    for seed in range(1500):
+        rng, schema, docs, log, options = step_instance(seed)
+        n = len(docs)
+        k = (1, n, rng.randint(1, n))[seed % 3]
+        want = reference_greedy_select(schema, docs, k).as_dict()
+        assert greedy_select(schema, docs, k).as_dict() == want, seed
+        for lam in (0.0, 0.5, 1.0):
+            want = reference_rerank_combined(schema, docs, k, lam).as_dict()
+            assert rerank_combined(schema, docs, k, lam).as_dict() == want, (seed, lam)
+        split, budget = rng.randint(1, n), rng.randint(0, 4)
+        items, pool = docs[:split], docs[split:]
+        want = reference_swap_diversify(schema, items, pool, budget).as_dict()
+        assert swap_diversify(schema, items, pool, budget).as_dict() == want, seed
+        corpus_docs = {d.id: d for d in docs}
+        want = reference_suggest_interaction(schema, corpus_docs, log, options).as_dict()
+        assert suggest_interaction(schema, corpus_docs, log, options).as_dict() == want, seed
 
 
 # --- summary mode ---
