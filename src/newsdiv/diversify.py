@@ -11,7 +11,9 @@ key decides, then the smaller id.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
+from itertools import chain, repeat
 from typing import Iterable, Mapping, Sequence
 
 from .aspect_model import AspectSchema
@@ -20,18 +22,20 @@ from .metrics import (
     DiversityReport,
     DocumentProfile,
     InteractionLog,
-    InteractionRecord,
     TIE_TOLERANCE,
     Window,
+    _candidate_values,
     _distance,
+    _distance_matrix,
     _diversity,
     _label_indices,
     collection_diversity,
     docs_per_type,
-    interaction_diversity,
     keyword_diversity,
     window_slice,
 )
+# interaction_diversity is unused here; newsbench/tracing.py patches this name.
+from .metrics import interaction_diversity  # noqa: F401
 
 # A swap must improve overall diversity by more than this to be accepted.
 SWAP_EPSILON = 1e-12
@@ -76,9 +80,9 @@ def exclude_history(
 
 
 def _check_unique_ids(docs: Sequence[DocumentProfile], what: str) -> None:
-    ids = [d.id for d in docs]
-    if len(set(ids)) != len(ids):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
+    counts = Counter(d.id for d in docs)
+    if len(counts) != len(docs):
+        dupes = sorted(i for i, c in counts.items() if c > 1)
         raise ContractError(f"{what} contains duplicate document ids: {dupes}")
 
 
@@ -152,12 +156,11 @@ def swap_diversify(
             key=lambda i: (-_diversity(schema, rests[i]).overall, current[i].id),
         )
         insertable = sorted(available, key=lambda d: d.id)
+        insertable_rows = [row[d.id] for d in insertable]
         for chosen_idx in removal_order:
             # Insertion choice: highest resulting diversity, then smaller id.
-            best_after, _, best_sub = _pick(
-                (_diversity(schema, rests[chosen_idx] + [row[cand.id]]).overall, 0.0, cand)
-                for cand in insertable
-            )
+            values = _candidate_values(schema, rests[chosen_idx], insertable_rows)
+            best_after, _, best_sub = _pick(zip(values, repeat(0.0), insertable))
             if best_after > before + SWAP_EPSILON:
                 break
         else:
@@ -208,19 +211,22 @@ def greedy_select(schema: AspectSchema, pool: Sequence[DocumentProfile], k: int)
             }
         )
     else:
-        best_dist, _, best_pair = _pick(
-            (_distance(schema, row[docs[i].id], row[docs[j].id]), 0.0, (docs[i], docs[j]))
-            for i in range(n)
-            for j in range(i + 1, n)
-        )
-        seed = best_pair[0]
+        # _pick's row-major scan over the pairs. Its secondary key is 0.0, so
+        # an entry replaces the best only when more than TIE_TOLERANCE above
+        # it, and a row whose largest distance is not can be skipped whole.
+        best = (-1.0, 0.0, None)  # below every distance, so the first pair replaces it
+        for i, line in zip(range(n - 1), _distance_matrix(schema, list(row.values()))):
+            if max(line[i + 1:]) > best[0] + TIE_TOLERANCE:
+                best = _pick(chain([best], ((line[j], 0.0, (i, j)) for j in range(i + 1, n))))
+        best_dist, _, (i, j) = best
+        seed = docs[i]
         trace.append(
             {
                 "kind": "seed",
                 "doc": seed.id,
                 "detail": (
                     f"seeded with {seed.id}, smaller id of most distant pair "
-                    f"({best_pair[0].id}, {best_pair[1].id}) at distance {best_dist:.12g}"
+                    f"({seed.id}, {docs[j].id}) at distance {best_dist:.12g}"
                 ),
             }
         )
@@ -229,11 +235,8 @@ def greedy_select(schema: AspectSchema, pool: Sequence[DocumentProfile], k: int)
     remaining = [d for d in docs if d.id != seed.id]
     before = 0.0  # a single document
     while len(selected) < k:
-        rows = [row[d.id] for d in selected]
-        best_value, _, best_cand = _pick(
-            (_diversity(schema, rows + [row[cand.id]]).overall, 0.0, cand)
-            for cand in remaining  # already id-sorted
-        )
+        values = _candidate_values(schema, [row[d.id] for d in selected], [row[d.id] for d in remaining])
+        best_value, _, best_cand = _pick(zip(values, repeat(0.0), remaining))  # id-sorted
         selected.append(best_cand)
         remaining = [d for d in remaining if d.id != best_cand.id]
         trace.append(
@@ -360,22 +363,44 @@ def suggest_interaction(
     # Every label is checked before any option is scored: the log's documents
     # (docs_per_type reports unknown ones), then the options'.
     logged = [r.doc for r in log.records if r.doc in corpus_docs]
-    for doc_id in dict.fromkeys(logged + [doc_id for doc_id, _ in options]):
-        _label_indices(schema, corpus_docs[doc_id])
-    last_ts = max((r.ts for r in log.records), default=0)
+    row = {
+        doc_id: _label_indices(schema, corpus_docs[doc_id])
+        for doc_id in dict.fromkeys(logged + [doc_id for doc_id, _ in options])
+    }
+    grouped = docs_per_type(corpus_docs, log)
+    groups = {t: [row[d.id] for d in docs] for t, docs in grouped.items()}
+    own = {t: _diversity(schema, rows).overall for t, rows in groups.items()}
+
+    def log_diversity(itype: str | None, value: float) -> float:
+        """interaction_diversity of the log with itype's diversity replaced
+        by value (None replaces none). A group of fewer than two documents
+        adds w * 0.0 here where interaction_diversity skips it: the same bits."""
+        total = 0.0
+        for t, w in log.type_weights.items():
+            total += w * (value if t == itype else own[t])
+        return total
+
+    # An option adding a document to its weighted type's group changes that
+    # type's term only; any other option leaves the log's value as it is.
+    grown: dict[str, dict[str, float]] = {}
+    for t, docs in grouped.items():
+        logged_ids = {d.id for d in docs}
+        new = [i for i in dict.fromkeys(i for i, it in options if it == t) if i not in logged_ids]
+        grown[t] = dict(zip(new, _candidate_values(schema, groups[t], [row[i] for i in new])))
+    unchanged = log_diversity(None, 0.0)
 
     def entry(doc_id: str, itype: str) -> tuple[float, float, tuple[str, str]]:
-        record = InteractionRecord(user="suggestion", doc=doc_id, type=itype, ts=last_ts + 1)
-        ext = InteractionLog(records=log.records + (record,), type_weights=log.type_weights)
-        own = collection_diversity(schema, docs_per_type(corpus_docs, ext).get(itype, [])).overall
-        return interaction_diversity(schema, corpus_docs, ext), own, (doc_id, itype)
+        value = grown.get(itype, {}).get(doc_id)
+        if value is None:
+            return unchanged, own.get(itype, 0.0), (doc_id, itype)
+        return log_diversity(itype, value), value, (doc_id, itype)
 
     best_overall, _, (doc_id, itype) = _pick(
         entry(doc_id, itype) for doc_id, itype in sorted(options, key=lambda o: (o[1], o[0]))
     )
     return RerankResult(
         selected=(doc_id,),
-        diversity=collection_diversity(schema, [corpus_docs[doc_id]]),
+        diversity=_diversity(schema, [row[doc_id]]),
         objective=best_overall,
         trace=(
             {
@@ -435,12 +460,11 @@ def rerank_combined(
     remaining = list(docs)
     trace: list[dict] = []
 
-    def entry(cand: DocumentProfile) -> tuple[float, float, tuple[DocumentProfile, float]]:
-        div_after = _diversity(schema, [row[d.id] for d in selected + [cand]]).overall
-        return lam * cand.relevance + (1.0 - lam) * div_after, 0.0, (cand, div_after)
-
     while len(selected) < k:
-        best_score, _, (best_cand, best_div) = _pick(entry(c) for c in remaining)  # id-sorted
+        values = _candidate_values(schema, [row[d.id] for d in selected], [row[d.id] for d in remaining])
+        best_score, _, (best_cand, best_div) = _pick(
+            (lam * c.relevance + (1.0 - lam) * v, 0.0, (c, v)) for c, v in zip(remaining, values)
+        )  # id-sorted
         selected.append(best_cand)
         remaining = [d for d in remaining if d.id != best_cand.id]
         trace.append(

@@ -25,12 +25,19 @@ so a report costs O(n * A + A * p^2) for n documents, A aspects and p
 distinct labels present per aspect, not O(n^2 * A). The sum runs over the
 labels present in label-index order, and counts are exact integers, so the
 report is bitwise identical for every ordering of the same documents.
+
+A selection step asks for the value of the selection plus each of n
+candidates. That value depends, per aspect, only on the candidate's label,
+so `_candidate_values` sums the kernel's pair total once per label the
+candidates carry and scores each candidate with A lookups: O(A * L * p^2 +
+n * A) per step for L such labels, with every value bitwise the kernel's.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from operator import add
+from typing import Iterator, Mapping, Sequence
 
 from .aspect_model import AspectSchema
 from .errors import ContractError, UnknownEntityError, ValidationError
@@ -178,6 +185,26 @@ def doc_distance(schema: AspectSchema, d1: DocumentProfile, d2: DocumentProfile)
     return _distance(schema, _label_indices(schema, d1), _label_indices(schema, d2))
 
 
+def _counts(rows: Sequence[Sequence[int]], a: int) -> dict[int, int]:
+    """How many of the rows carry each label of aspect a."""
+    counts: dict[int, int] = {}
+    for row in rows:
+        counts[row[a]] = counts.get(row[a], 0) + 1
+    return counts
+
+
+def _pair_total(matrix: Sequence[Sequence[float]], counts: Mapping[int, int]) -> float:
+    """One aspect's pair sum from its label counts, over the labels present
+    in label-index order: the one summation order every value shares."""
+    present = sorted(counts)
+    total = 0.0
+    for x, l in enumerate(present):
+        distances, c_l = matrix[l], counts[l]
+        for m in present[x + 1:]:
+            total += c_l * counts[m] * distances[m]
+    return total
+
+
 def _diversity(schema: AspectSchema, rows: Sequence[Sequence[int]]) -> DiversityReport:
     """The count kernel: collection_diversity of the documents with these rows."""
     pairs = len(rows) * (len(rows) - 1) // 2
@@ -185,21 +212,51 @@ def _diversity(schema: AspectSchema, rows: Sequence[Sequence[int]]) -> Diversity
     overall_sum = 0.0
     per_aspect = {}
     for a, aspect in enumerate(schema.aspects):
-        name, matrix = aspect.name, aspect.matrix
-        counts: dict[int, int] = {}
-        for row in rows:
-            counts[row[a]] = counts.get(row[a], 0) + 1
-        present = sorted(counts)
-        total = 0.0
-        for x, l in enumerate(present):
-            distances, c_l = matrix[l], counts[l]
-            for m in present[x + 1:]:
-                total += c_l * counts[m] * distances[m]
-        per_aspect[name] = total / divisor
-        overall_sum += schema.weights[name] * total
+        total = _pair_total(aspect.matrix, _counts(rows, a))
+        per_aspect[aspect.name] = total / divisor
+        overall_sum += schema.weights[aspect.name] * total
     return DiversityReport(
         overall=overall_sum / divisor, per_aspect=per_aspect, pair_count=pairs
     )
+
+
+def _candidate_values(
+    schema: AspectSchema, rows: Sequence[Sequence[int]], candidates: Sequence[Sequence[int]]
+) -> list[float]:
+    """_diversity(schema, rows + [c]).overall for each candidate row c, bitwise.
+
+    Per aspect, the pair total with one more document carrying label i is
+    summed once per label the candidates carry, so a candidate costs one
+    table lookup per aspect instead of a kernel run. The weighted totals are
+    added in aspect order from 0.0, as the kernel adds them.
+    """
+    divisor = max(len(rows) * (len(rows) + 1) // 2, 1)
+    values = [0.0] * len(candidates)
+    for a, (aspect, column) in enumerate(zip(schema.aspects, zip(*candidates))):
+        counts, weight = _counts(rows, a), schema.weights[aspect.name]
+        table = {}
+        for i in set(column):
+            grown = dict(counts)
+            grown[i] = grown.get(i, 0) + 1
+            table[i] = weight * _pair_total(aspect.matrix, grown)
+        values = list(map(add, values, map(table.__getitem__, column)))
+    return [v / divisor for v in values]
+
+
+def _distance_matrix(schema: AspectSchema, rows: Sequence[Sequence[int]]) -> Iterator[list[float]]:
+    """The distances between the rows, one matrix row at a time, so a caller
+    that reads each once holds O(n) of them. Each cell adds w_a * D_a in
+    aspect order, as _distance does, so it is bitwise the value _distance
+    returns."""
+    aspects = [
+        ([[schema.weights[a.name] * d for d in line] for line in a.matrix], [row[i] for row in rows])
+        for i, a in enumerate(schema.aspects)
+    ]
+    for row in rows:
+        cells = [0.0] * len(rows)
+        for (weighted, column), label in zip(aspects, row):
+            cells = list(map(add, cells, map(weighted[label].__getitem__, column)))
+        yield cells
 
 
 def collection_diversity(schema: AspectSchema, docs: Sequence[DocumentProfile]) -> DiversityReport:

@@ -36,7 +36,7 @@ from typing import Sequence
 from .aspect_model import AspectSchema
 from .diversify import _label_rows
 from .errors import ContractError, GuardExceededError
-from .metrics import DocumentProfile, TIE_TOLERANCE, collection_diversity
+from .metrics import DocumentProfile, TIE_TOLERANCE, _distance_matrix, collection_diversity
 
 # Refuse the search beyond this many k-subsets.
 ENUMERATION_GUARD = 10**7
@@ -86,7 +86,7 @@ def max_diversity_oracle(schema: AspectSchema, pool: Sequence[DocumentProfile], 
         picks = range(k)  # the first id, or the only subset
     else:
         tolerance = TIE_TOLERANCE * pairs  # on pair sums, not means
-        picks = _search(_distance_matrix(schema, rows), k, tolerance)
+        picks = _search(list(_distance_matrix(schema, rows)), k, tolerance)
     chosen = [docs[i] for i in picks]
     # Recompute through the metric itself so the reported value is exactly
     # what collection_diversity(best_subset) returns.
@@ -96,23 +96,6 @@ def max_diversity_oracle(schema: AspectSchema, pool: Sequence[DocumentProfile], 
         best_value=value,
         evaluated=total,
     )
-
-
-def _distance_matrix(schema: AspectSchema, rows: Sequence[Sequence[int]]) -> list[list[float]]:
-    """All document distances from label-index rows; each cell adds w_a * D_a
-    in aspect order, as metrics._distance does, so it is bitwise the value
-    _distance returns."""
-    aspects = [
-        ([[schema.weights[a.name] * d for d in line] for line in a.matrix], [row[i] for row in rows])
-        for i, a in enumerate(schema.aspects)
-    ]
-    matrix = []
-    for row in rows:
-        cells = [0.0] * len(rows)
-        for (weighted, column), label in zip(aspects, row):
-            cells = list(map(add, cells, map(weighted[label].__getitem__, column)))
-        matrix.append(cells)
-    return matrix
 
 
 def _pair_sum(matrix: list[list[float]], combo: tuple[int, ...]) -> float:

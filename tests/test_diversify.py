@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from collections import Counter
 from dataclasses import replace
 
@@ -385,9 +386,9 @@ def test_every_bad_label_raises_whatever_gets_scored(schema, pool, call):
 
 
 def test_each_input_document_is_resolved_once_per_call(monkeypatch):
-    """Every mode but interaction resolves each input document's labels once,
-    and each pooled keyword's once. The oracle's final collection_diversity
-    and sequence's one-document report may resolve a selected document again."""
+    """Every mode resolves each input document's labels once, and each pooled
+    keyword's once. The oracle's final collection_diversity and sequence's
+    one-document report may resolve a selected document again."""
     counts = Counter()
     resolve = metrics_mod._label_indices
 
@@ -414,6 +415,14 @@ def test_each_input_document_is_resolved_once_per_call(monkeypatch):
         recent = head[len(head) - rng.randint(0, len(head)):]
         lam = rng.choice([0.0, 0.5, 1.0])
         by_id = {d.id: d for d in docs}
+        types = ("click", "like", "skip")
+        records = tuple(
+            InteractionRecord(user="u", doc=rng.choice(docs).id, type=rng.choice(types), ts=t)
+            for t in range(rng.randint(0, 8))
+        )
+        log = InteractionLog(records, {"click": 0.5, "like": 0.5})
+        options = [(rng.choice(docs).id, rng.choice(types)) for _ in range(rng.randint(1, 6))]
+        touched = {r.doc for r in records} | {doc_id for doc_id, _ in options}
         # (call, input documents, a selected document may be resolved twice, keywords pooled)
         cases = [
             (lambda: greedy_select(schema, docs, k).selected, docs, False, False),
@@ -422,6 +431,8 @@ def test_each_input_document_is_resolved_once_per_call(monkeypatch):
             (lambda: swap_diversify(schema, head, tail, rng.randint(0, 4)).selected, docs, False, False),
             (lambda: next_in_sequence(schema, head, tail, Window("last", len(recent))).selected, recent + tail, True, False),
             (lambda: max_diversity_oracle(schema, docs, k).best_subset, docs, True, False),
+            (lambda: suggest_interaction(schema, by_id, log, options).selected,
+             [d for d in docs if d.id in touched], False, False),
         ]
         for run, inputs, report, pooled in cases:
             counts.clear()
@@ -531,6 +542,17 @@ def test_every_step_matches_a_full_kernel_per_candidate():
         corpus_docs = {d.id: d for d in docs}
         want = reference_suggest_interaction(schema, corpus_docs, log, options).as_dict()
         assert suggest_interaction(schema, corpus_docs, log, options).as_dict() == want, seed
+
+
+def test_duplicate_ids_are_reported_sorted_without_quadratic_counting():
+    docs = [DocumentProfile(id=f"d{i:05d}", labels={}) for i in range(20_000)]
+    docs += [docs[7], docs[3], docs[7]]
+    start = time.perf_counter()
+    with pytest.raises(ContractError) as info:
+        greedy_select(one_aspect_schema(), docs, 1)
+    assert str(info.value) == "pool contains duplicate document ids: ['d00003', 'd00007']"
+    # Counting each id with list.count took seconds here.
+    assert time.perf_counter() - start < 1.0
 
 
 # --- summary mode ---

@@ -1,0 +1,56 @@
+"""The benchmark's tracer patches package names that must stay bound.
+
+`newsbench/tracing.py` wraps functions in every module namespace that binds
+them, including names a module only imports for that purpose (such as
+`diversify.interaction_diversity`). This checks those names without the
+slow traced benchmark run.
+"""
+
+import importlib
+import importlib.util
+import inspect
+import pathlib
+
+import newsdiv
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+MODULES = ("aspect_model", "cli", "corpus_io", "diversify", "metrics", "oracle", "rules")
+for _module in MODULES:
+    importlib.import_module(f"newsdiv.{_module}")
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("newsbench_tracing", ROOT / "newsbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def bound_functions():
+    return {
+        (module, name): value
+        for module in MODULES
+        for name, value in vars(getattr(newsdiv, module)).items()
+        if inspect.isfunction(value)
+    }
+
+
+def test_every_name_the_tracer_patches_is_bound_where_it_patches_it():
+    before = bound_functions()
+    # install() reads each name from every module it patches, so a name a
+    # module no longer binds raises AttributeError here.
+    uninstall = load_tracing().Tracer().install(newsdiv)
+    try:
+        patched = {key for key, value in bound_functions().items() if before.get(key) is not value}
+    finally:
+        uninstall()
+    assert bound_functions() == before
+    for key in [
+        ("diversify", "interaction_diversity"),
+        ("diversify", "collection_diversity"),
+        ("cli", "interaction_diversity"),
+        ("oracle", "collection_diversity"),
+        ("cli", "max_diversity_oracle"),
+        ("diversify", "select_summary_sources"),
+    ]:
+        assert key in patched, key
