@@ -223,13 +223,10 @@ def _diversity(schema: AspectSchema, rows: Sequence[Sequence[int]]) -> Diversity
 def _candidate_values(
     schema: AspectSchema, rows: Sequence[Sequence[int]], candidates: Sequence[Sequence[int]]
 ) -> list[float]:
-    """_diversity(schema, rows + [c]).overall for each candidate row c, bitwise.
-
-    Per aspect, the pair total with one more document carrying label i is
-    summed once per label the candidates carry, so a candidate costs one
-    table lookup per aspect instead of a kernel run. The weighted totals are
-    added in aspect order from 0.0, as the kernel adds them.
-    """
+    """_diversity(schema, rows + [c]).overall for each candidate row c,
+    bitwise: per aspect the pair total with one more label-i document is
+    summed once per label i, and the weighted totals are added in aspect
+    order from 0.0, as the kernel adds them."""
     divisor = max(len(rows) * (len(rows) + 1) // 2, 1)
     values = [0.0] * len(candidates)
     for a, (aspect, column) in enumerate(zip(schema.aspects, zip(*candidates))):
