@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Mapping, Sequence
 
 from newsdiv.aspect_model import Aspect, AspectSchema, LabelGraph
-from newsdiv.diversify import SWAP_EPSILON, RerankResult, _label_rows, _pick, _result
+from newsdiv.diversify import DEFAULT_GAMMA, SWAP_EPSILON, RerankResult, _label_rows, _pick, _result
 from newsdiv.errors import ContractError, GuardExceededError, UnknownEntityError
 from newsdiv.metrics import (
     TIE_TOLERANCE,
@@ -693,6 +693,51 @@ def reference_suggest_interaction(
                 "detail": (
                     f"suggest {itype} on {doc_id}: extended interaction "
                     f"diversity {best_overall:.12g}"
+                ),
+            },
+        ),
+    )
+
+
+def reference_next_in_sequence(
+    schema: AspectSchema,
+    history: Sequence[DocumentProfile],
+    candidates: Sequence[DocumentProfile],
+    window: Window,
+    gamma: float = DEFAULT_GAMMA,
+) -> RerankResult:
+    """next_in_sequence scoring every distinct candidate row with a full count
+    kernel over the window plus that row: the reference
+    diversify.next_in_sequence must reproduce exactly."""
+    if not candidates:
+        raise ContractError("candidate set must be non-empty")
+    if not 0.0 < gamma <= 1.0:
+        raise ContractError(f"gamma must lie in (0, 1] (got {gamma!r})")
+    # The window's labels are checked first, then the candidates' in id order.
+    # Both values read only rows, so they are scored once per row.
+    recent = [_label_indices(schema, d) for d in window_slice(history, window)]
+    ordered = sorted(candidates, key=lambda d: d.id)
+    keys = [_label_indices(schema, cand) for cand in ordered]
+    scores: dict[tuple, tuple[float, float]] = {}
+    for key in keys:
+        if key not in scores:
+            affinity = 0.0
+            for age, r in enumerate(reversed(recent)):
+                affinity += (gamma**age) * _distance(schema, key, r)
+            scores[key] = (_diversity(schema, recent + [key]).overall, affinity)
+    best_primary, _, best = _pick((*scores[key], cand) for key, cand in zip(keys, ordered))
+    return RerankResult(
+        selected=(best.id,),
+        diversity=collection_diversity(schema, [best]),
+        objective=best_primary,
+        trace=(
+            {
+                "kind": "next",
+                "doc": best.id,
+                "window_diversity": best_primary,
+                "detail": (
+                    f"next item {best.id}: windowed diversity with it "
+                    f"{best_primary:.12g}"
                 ),
             },
         ),

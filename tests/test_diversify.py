@@ -42,6 +42,7 @@ from helpers import (
     random_docs,
     random_schema,
     reference_greedy_select,
+    reference_next_in_sequence,
     reference_rerank_combined,
     reference_suggest_interaction,
     reference_swap_diversify,
@@ -524,8 +525,8 @@ def step_instance(seed):
 
 
 def test_every_step_matches_a_full_kernel_per_candidate():
-    """greedy, the blend, swap and interaction return exactly what they
-    returned when every candidate ran the full count kernel."""
+    """greedy, the blend, swap, interaction and sequence return exactly what
+    they returned when every candidate ran the full count kernel."""
     for seed in range(1500):
         rng, schema, docs, log, options = step_instance(seed)
         n = len(docs)
@@ -542,6 +543,21 @@ def test_every_step_matches_a_full_kernel_per_candidate():
         corpus_docs = {d.id: d for d in docs}
         want = reference_suggest_interaction(schema, corpus_docs, log, options).as_dict()
         assert suggest_interaction(schema, corpus_docs, log, options).as_dict() == want, seed
+        # A history that repeats documents and timestamps, windowed empty, by
+        # count or by cutoff, against a non-empty tail of the pool.
+        history = [
+            replace(rng.choice(docs), timestamp=t // 2) for t in range(rng.randint(0, 8))
+        ]
+        candidates = docs[rng.randint(0, n - 1):]
+        window = rng.choice([
+            Window("last", 0),
+            Window("last", rng.randint(1, 9)),
+            Window("cutoff", rng.randint(0, 4)),
+        ][: 2 + bool(history)])  # a cutoff needs timestamped history
+        for gamma in (1.0, 0.5, 1.0 - rng.random()):
+            want = reference_next_in_sequence(schema, history, candidates, window, gamma).as_dict()
+            got = next_in_sequence(schema, history, candidates, window, gamma).as_dict()
+            assert got == want, (seed, window, gamma)
 
 
 def test_duplicate_ids_are_reported_sorted_without_quadratic_counting():
