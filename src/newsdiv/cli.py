@@ -24,7 +24,7 @@ from .errors import (
     too_deeply_nested,
 )
 # interaction_diversity is unused here; newsbench/tracing.py patches this name.
-from .metrics import Window, collection_diversity, interaction_diversity, parse_window  # noqa: F401
+from .metrics import Window, _check_unique_ids, collection_diversity, interaction_diversity, parse_window  # noqa: F401
 from .oracle import max_diversity_oracle
 
 EXIT_OK = 0
@@ -61,7 +61,7 @@ def cmd_score(args) -> int:
         if missing:
             raise UnknownEntityError(f"unknown document ids: {missing}")
         docs = [corpus.documents[i] for i in wanted]
-        diversify._check_unique_ids(docs, "--ids")
+        _check_unique_ids(docs, "--ids")
     else:
         docs = corpus.docs()
     report = collection_diversity(schema, docs)

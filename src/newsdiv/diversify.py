@@ -11,7 +11,6 @@ key decides, then the smaller id.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import chain, repeat
 from typing import Iterable, Mapping, Sequence
@@ -29,6 +28,7 @@ from .metrics import (
     _distance_matrix,
     _diversity,
     _label_indices,
+    _label_rows,
     collection_diversity,
     docs_per_type,
     keyword_diversity,
@@ -77,21 +77,6 @@ def exclude_history(
 ) -> list[DocumentProfile]:
     """Novelty pre-filter: drop candidates the user has already consumed."""
     return [c for c in candidates if c.id not in history_ids]
-
-
-def _check_unique_ids(docs: Sequence[DocumentProfile], what: str) -> None:
-    counts = Counter(d.id for d in docs)
-    if len(counts) != len(docs):
-        dupes = sorted(i for i, c in counts.items() if c > 1)
-        raise ContractError(f"{what} contains duplicate document ids: {dupes}")
-
-
-def _label_rows(schema: AspectSchema, docs: Sequence[DocumentProfile], what: str) -> dict[str, tuple[int, ...]]:
-    """Each document's label-index row by id. Ids must be unique, and every
-    document's labels are checked here, in the given order, before a mode
-    scores any of them."""
-    _check_unique_ids(docs, what)
-    return {d.id: _label_indices(schema, d) for d in docs}
 
 
 def _result(schema: AspectSchema, row: Mapping[str, tuple], selected: list[DocumentProfile], trace: list) -> RerankResult:
@@ -149,17 +134,14 @@ def swap_diversify(
         if not available:
             break
         rows = [row[d.id] for d in current]
-        rests = [rows[:i] + rows[i + 1:] for i in range(len(rows))]
         # Removal preference: highest remainder diversity, then smaller id.
-        removal_order = sorted(
-            range(len(current)),
-            key=lambda i: (-_diversity(schema, rests[i]).overall, current[i].id),
-        )
+        remainders = _candidate_values(schema, rows, rows, -1)
+        removal_order = sorted(range(len(current)), key=lambda i: (-remainders[i], current[i].id))
         insertable = sorted(available, key=lambda d: d.id)
         insertable_rows = [row[d.id] for d in insertable]
         for chosen_idx in removal_order:
             # Insertion choice: highest resulting diversity, then smaller id.
-            values = _candidate_values(schema, rests[chosen_idx], insertable_rows)
+            values = _candidate_values(schema, rows[:chosen_idx] + rows[chosen_idx + 1:], insertable_rows)
             best_after, _, best_sub = _pick(zip(values, repeat(0.0), insertable))
             if best_after > before + SWAP_EPSILON:
                 break
@@ -216,8 +198,8 @@ def greedy_select(schema: AspectSchema, pool: Sequence[DocumentProfile], k: int)
         # it, and a row whose largest distance is not can be skipped whole.
         best = (-1.0, 0.0, None)  # below every distance, so the first pair replaces it
         for i, line in zip(range(n - 1), _distance_matrix(schema, list(row.values()))):
-            if max(line[i + 1:]) > best[0] + TIE_TOLERANCE:
-                best = _pick(chain([best], ((line[j], 0.0, (i, j)) for j in range(i + 1, n))))
+            if max(line) > best[0] + TIE_TOLERANCE:
+                best = _pick(chain([best], ((d, 0.0, (i, j)) for j, d in enumerate(line, i + 1))))
         best_dist, _, (i, j) = best
         seed = docs[i]
         trace.append(
@@ -276,17 +258,17 @@ def next_in_sequence(
     if not 0.0 < gamma <= 1.0:
         raise ContractError(f"gamma must lie in (0, 1] (got {gamma!r})")
     # The window's labels are checked first, then the candidates' in id order.
-    # Both values read only rows, so they are scored once per row.
+    # Both values read only rows, so they are scored once per distinct row.
     recent = [_label_indices(schema, d) for d in window_slice(history, window)]
     ordered = sorted(candidates, key=lambda d: d.id)
     keys = [_label_indices(schema, cand) for cand in ordered]
+    distinct = list(dict.fromkeys(keys))
     scores: dict[tuple, tuple[float, float]] = {}
-    for key in keys:
-        if key not in scores:
-            affinity = 0.0
-            for age, r in enumerate(reversed(recent)):
-                affinity += (gamma**age) * _distance(schema, key, r)
-            scores[key] = (_diversity(schema, recent + [key]).overall, affinity)
+    for key, value in zip(distinct, _candidate_values(schema, recent, distinct)):
+        affinity = 0.0
+        for age, r in enumerate(reversed(recent)):
+            affinity += (gamma**age) * _distance(schema, key, r)
+        scores[key] = (value, affinity)
     best_primary, _, best = _pick((*scores[key], cand) for key, cand in zip(keys, ordered))
     return RerankResult(
         selected=(best.id,),

@@ -26,15 +26,17 @@ distinct labels present per aspect, not O(n^2 * A). The sum runs over the
 labels present in label-index order, and counts are exact integers, so the
 report is bitwise identical for every ordering of the same documents.
 
-A selection step asks for the value of the selection plus each of n
-candidates. That value depends, per aspect, only on the candidate's label,
-so `_candidate_values` sums the kernel's pair total once per label the
-candidates carry and scores each candidate with A lookups: O(A * L * p^2 +
-n * A) per step for L such labels, with every value bitwise the kernel's.
+A selection step asks for the value of the selection plus (or less) one
+document for each of n candidates. That value depends, per aspect, only on
+the candidate's label, so `_candidate_values` sums the kernel's pair total
+once per label the candidates carry and scores each candidate with A
+lookups: O(A * L * p^2 + n * A) per step for L such labels, with every value
+bitwise the kernel's. Distances between rows come as an upper triangle.
 """
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from operator import add
 from typing import Iterator, Mapping, Sequence
@@ -172,6 +174,20 @@ def _label_indices(schema: AspectSchema, doc: DocumentProfile) -> tuple[int, ...
     return tuple(out)
 
 
+def _check_unique_ids(docs: Sequence[DocumentProfile], what: str) -> None:
+    dupes = sorted(i for i, c in Counter(d.id for d in docs).items() if c > 1)
+    if dupes:
+        raise ContractError(f"{what} contains duplicate document ids: {dupes}")
+
+
+def _label_rows(schema: AspectSchema, docs: Sequence[DocumentProfile], what: str) -> dict[str, tuple[int, ...]]:
+    """Each document's label-index row by id. Ids must be unique, and every
+    document's labels are checked here, in the given order, before a mode
+    scores any of them."""
+    _check_unique_ids(docs, what)
+    return {d.id: _label_indices(schema, d) for d in docs}
+
+
 def _distance(schema: AspectSchema, r1: Sequence[int], r2: Sequence[int]) -> float:
     """Blended distance between two rows: doc_distance of their documents."""
     total = 0.0
@@ -221,38 +237,40 @@ def _diversity(schema: AspectSchema, rows: Sequence[Sequence[int]]) -> Diversity
 
 
 def _candidate_values(
-    schema: AspectSchema, rows: Sequence[Sequence[int]], candidates: Sequence[Sequence[int]]
+    schema: AspectSchema, rows: Sequence[Sequence[int]], candidates: Sequence[Sequence[int]], step: int = 1
 ) -> list[float]:
-    """_diversity(schema, rows + [c]).overall for each candidate row c,
-    bitwise: per aspect the pair total with one more label-i document is
-    summed once per label i, and the weighted totals are added in aspect
-    order from 0.0, as the kernel adds them."""
-    divisor = max(len(rows) * (len(rows) + 1) // 2, 1)
+    """_diversity(schema, rows + [c]).overall for each candidate row c, or
+    with step -1 that of rows less one row with c's labels, bitwise: per
+    aspect the pair total with one label-i row more (or less) is summed once
+    per label i, and the weighted totals are added in aspect order from 0.0,
+    as the kernel adds them. A count left at 0 adds only +0.0 terms."""
+    size = len(rows) + step
+    divisor = max(size * (size - 1) // 2, 1)
     values = [0.0] * len(candidates)
     for a, (aspect, column) in enumerate(zip(schema.aspects, zip(*candidates))):
         counts, weight = _counts(rows, a), schema.weights[aspect.name]
         table = {}
         for i in set(column):
             grown = dict(counts)
-            grown[i] = grown.get(i, 0) + 1
+            grown[i] = grown.get(i, 0) + step
             table[i] = weight * _pair_total(aspect.matrix, grown)
         values = list(map(add, values, map(table.__getitem__, column)))
     return [v / divisor for v in values]
 
 
 def _distance_matrix(schema: AspectSchema, rows: Sequence[Sequence[int]]) -> Iterator[list[float]]:
-    """The distances between the rows, one matrix row at a time, so a caller
-    that reads each once holds O(n) of them. Each cell adds w_a * D_a in
-    aspect order, as _distance does, so it is bitwise the value _distance
-    returns."""
+    """The strict upper triangle of the distances between the rows, one
+    matrix row at a time: row i holds the distances from row i to rows
+    i+1..n-1, so the last is empty. Each cell adds w_a * D_a in aspect
+    order, as _distance does, so it is bitwise the value _distance returns."""
     aspects = [
         ([[schema.weights[a.name] * d for d in line] for line in a.matrix], [row[i] for row in rows])
         for i, a in enumerate(schema.aspects)
     ]
-    for row in rows:
-        cells = [0.0] * len(rows)
+    for i, row in enumerate(rows, 1):
+        cells = [0.0] * (len(rows) - i)
         for (weighted, column), label in zip(aspects, row):
-            cells = list(map(add, cells, map(weighted[label].__getitem__, column)))
+            cells = list(map(add, cells, map(weighted[label].__getitem__, column[i:])))
         yield cells
 
 

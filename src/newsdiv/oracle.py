@@ -24,7 +24,8 @@ the tie tolerance (5e-10 per pair) is far above the rounding error of these
 sums, so a pruned subset could never have beaten the best by more than the
 tolerance. A subset that survives is summed exactly as plain enumeration
 sums it, row-major over its indices, and compared the same way, so the
-search returns the subset plain enumeration would.
+search returns the subset plain enumeration would. It reads only distances
+from an index to a larger one: the upper triangle, half the matrix.
 """
 from __future__ import annotations
 
@@ -34,9 +35,8 @@ from operator import add
 from typing import Sequence
 
 from .aspect_model import AspectSchema
-from .diversify import _label_rows
 from .errors import ContractError, GuardExceededError
-from .metrics import DocumentProfile, TIE_TOLERANCE, _distance_matrix, collection_diversity
+from .metrics import DocumentProfile, TIE_TOLERANCE, _distance_matrix, _label_rows, collection_diversity
 
 # Refuse the search beyond this many k-subsets.
 ENUMERATION_GUARD = 10**7
@@ -98,39 +98,38 @@ def max_diversity_oracle(schema: AspectSchema, pool: Sequence[DocumentProfile], 
     )
 
 
-def _pair_sum(matrix: list[list[float]], combo: tuple[int, ...]) -> float:
-    """Pair sum of one subset, row-major: the order plain enumeration adds in."""
+def _pair_sum(upper: list[list[float]], combo: tuple[int, ...]) -> float:
+    """Pair sum of one subset, row-major: the order plain enumeration adds
+    in. upper[i][y - i - 1] is the distance between i and y > i."""
     s = 0.0
     for a, i in enumerate(combo):
-        row = matrix[i]
+        row, skip = upper[i], i + 1
         for b in combo[a + 1:]:
-            s += row[b]
+            s += row[b - skip]
     return s
 
 
-def _reach(matrix: list[list[float]]) -> list[list[float]]:
-    """reach[j][x - j] = max over y >= j of matrix[x][y], for every x >= j."""
-    n = len(matrix)
-    reach = [[]] * n
-    below: list[float] = []
-    for j in range(n - 1, -1, -1):
-        row = matrix[j]
-        below = [max(row[j:])] + [a if a > b else b for a, b in zip(below, row[j + 1:])]
-        reach[j] = below
-    return reach
+def _reach(upper: list[list[float]]) -> list[list[float]]:
+    """reach[j][x - j] = max over y >= j of the distance between x and y,
+    for every x >= j: 0.0 for y = x, upper[j][x - j - 1] for y = j < x."""
+    reach, below = [], []
+    for row in reversed(upper):
+        below = [max(row, default=0.0)] + [a if a > b else b for a, b in zip(below, row)]
+        reach.append(below)
+    return reach[::-1]
 
 
-def _search(matrix: list[list[float]], k: int, tolerance: float) -> tuple[int, ...]:
+def _search(upper: list[list[float]], k: int, tolerance: float) -> tuple[int, ...]:
     """The k-subset (1 < k < n) plain enumeration keeps: in lexicographic
     order, each subset replaces the best so far when its pair sum is more
     than `tolerance` higher. Depth first with an explicit stack, because k can
     reach the thousands, beyond the recursion limit."""
-    n = len(matrix)
+    n = len(upper)
     half = tolerance / 2
-    reach = _reach(matrix)
+    reach = _reach(upper)
     best_sum, best_combo = -1.0, ()
-    # Frame: next index j, prefix, its pair sum, and gains[x - j] = sum of
-    # matrix[i][x] over prefix members i, for x >= j only: a frame never
+    # Frame: next index j, prefix, its pair sum, and gains[x - j] = summed
+    # distance from x to the prefix members, for x >= j only: a frame never
     # reads an index below its j, so a deep stack holds no dead prefixes.
     stack = [(0, (), 0.0, [0.0] * n)]
     while stack:
@@ -147,11 +146,11 @@ def _search(matrix: list[list[float]], k: int, tolerance: float) -> tuple[int, .
             if r < n - j:
                 rest = gains[1:]
                 stack.append((j + 1, prefix, base, rest))
-                stack.append((j + 1, prefix + (j,), base + gains[0], list(map(add, rest, matrix[j][j + 1:]))))
+                stack.append((j + 1, prefix + (j,), base + gains[0], list(map(add, rest, upper[j]))))
                 continue
             leaves = [prefix + tuple(range(j, n))]  # the one completion left
         for combo in leaves:
-            s = _pair_sum(matrix, combo)
+            s = _pair_sum(upper, combo)
             if s > best_sum + tolerance:
                 best_sum, best_combo = s, combo
     return best_combo

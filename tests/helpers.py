@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Mapping, Sequence
 
 from newsdiv.aspect_model import Aspect, AspectSchema, LabelGraph
-from newsdiv.diversify import DEFAULT_GAMMA, SWAP_EPSILON, RerankResult, _label_rows, _pick, _result
+from newsdiv.diversify import DEFAULT_GAMMA, SWAP_EPSILON, RerankResult, _pick, _result
 from newsdiv.errors import ContractError, GuardExceededError, UnknownEntityError
 from newsdiv.metrics import (
     TIE_TOLERANCE,
@@ -25,6 +25,7 @@ from newsdiv.metrics import (
     _distance,
     _diversity,
     _label_indices,
+    _label_rows,
     collection_diversity,
     doc_distance,
     docs_per_type,

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,6 +14,11 @@ from newsdiv.metrics import (
     InteractionRecord,
     Keyword,
     Window,
+    _candidate_values,
+    _distance,
+    _distance_matrix,
+    _diversity,
+    _label_indices,
     collection_diversity,
     doc_distance,
     docs_per_type,
@@ -58,6 +64,43 @@ def test_unknown_label_names_the_offender(schema):
     stub = doc("s", "Climate", "Sports")
     with pytest.raises(UnknownEntityError, match="Sports"):
         doc_distance(schema, stub, stub)
+
+
+# --- step and distance kernels ---
+
+
+def kernel_rows(seed):
+    """A seeded schema with the label rows of 1-10 documents over at most 4
+    labels per aspect, so many pools hold a label only one row carries."""
+    rng = random.Random(seed)
+    schema = random_schema(rng, max_aspects=3, max_labels=4)
+    return schema, [_label_indices(schema, d) for d in random_docs(rng, schema, rng.randint(1, 10))]
+
+
+def test_step_values_are_the_kernel_on_each_list_bit_for_bit():
+    one_row = emptied = 0
+    for seed in range(1500):
+        schema, rows = kernel_rows(seed)
+        removed = _candidate_values(schema, rows, rows, -1)
+        added = _candidate_values(schema, rows, rows)
+        for i, row in enumerate(rows):
+            rest = rows[:i] + rows[i + 1:]
+            assert removed[i].hex() == _diversity(schema, rest).overall.hex(), (seed, i)
+            assert added[i].hex() == _diversity(schema, rows + [row]).overall.hex(), (seed, i)
+        one_row += len(rows) == 1
+        emptied += any(1 in Counter(r[a] for r in rows).values() for a in range(len(schema.aspects)))
+    # Both edges occur often: a one-row list, and a label whose count drops to 0.
+    assert one_row > 50 and emptied > 500, (one_row, emptied)
+
+
+def test_distance_rows_are_the_upper_triangle_bit_for_bit():
+    for seed in range(500):
+        schema, rows = kernel_rows(seed)
+        matrix = list(_distance_matrix(schema, rows))
+        assert len(matrix) == len(rows) and matrix[-1] == [], seed
+        for i, line in enumerate(matrix):
+            want = [_distance(schema, rows[i], r).hex() for r in rows[i + 1:]]
+            assert [d.hex() for d in line] == want, (seed, i)
 
 
 # --- reference list values ---
