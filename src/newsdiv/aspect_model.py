@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import InitVar, dataclass, field
 from typing import Iterable, Mapping
 
-from .errors import DerivationError, UnknownEntityError, ValidationError, json_isinstance, load_json
+from .errors import DerivationError, UnknownEntityError, ValidationError, json_float, json_isinstance, load_json
 
 # Blend weights must sum to 1 within this tolerance.
 WEIGHT_TOLERANCE = 1e-9
@@ -319,7 +319,8 @@ def load_schema(text: str) -> AspectSchema:
                     f"aspect {name!r}: distance entries must be [label, label, value] "
                     f"(got {trip!r})"
                 )
-            distances.append(((trip[0], trip[1]), float(trip[2])))
+            value = json_float(trip[2], f"aspect {name!r}: distance {trip[0]}/{trip[1]}")
+            distances.append(((trip[0], trip[1]), value))
         graph = None
         if entry.get("graph") is not None:
             graph = _parse_graph(name, entry["graph"])
@@ -329,5 +330,5 @@ def load_schema(text: str) -> AspectSchema:
     for key, value in raw_weights.items():
         if not json_isinstance(value, (int, float)):
             raise ValidationError(f"blend weight for {key!r} must be a number")
-        weights[key] = float(value)
+        weights[key] = json_float(value, f"blend weight for {key!r}")
     return AspectSchema(aspects=tuple(aspects), weights=weights)

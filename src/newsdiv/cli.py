@@ -18,6 +18,7 @@ from .errors import (
     ContractError,
     GuardExceededError,
     NewsdivError,
+    ParseError,
     UnknownEntityError,
     ValidationError,
     load_json,
@@ -35,7 +36,10 @@ EXIT_GUARD = 3
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
 def _load_schema_corpus(args) -> tuple[AspectSchema, corpus_io.Corpus]:

@@ -12,7 +12,7 @@ from typing import Mapping
 
 from .aspect_model import AspectSchema
 from .diversify import RerankResult
-from .errors import ParseError, ValidationError, json_isinstance, too_deeply_nested
+from .errors import ParseError, ValidationError, json_float, json_isinstance, too_deeply_nested
 from .metrics import (
     DiversityReport,
     DocumentProfile,
@@ -165,7 +165,9 @@ def load_interactions(
         raise ValidationError(
             f"interaction type weights must map types to numbers (got {type_weights!r})"
         )
-    return InteractionLog(records=tuple(records), type_weights=dict(type_weights))
+    else:
+        type_weights = {t: json_float(w, f"interaction type weight for {t!r}") for t, w in type_weights.items()}
+    return InteractionLog(records=tuple(records), type_weights=type_weights)
 
 
 def load_history(text: str) -> list[tuple[str, int]]:

@@ -30,6 +30,15 @@ def json_isinstance(value, types) -> bool:
     return isinstance(value, types) and not isinstance(value, bool)
 
 
+def json_float(value, what: str) -> float:
+    """A parsed JSON number as a float. An integer too large for one raises
+    ValidationError naming `what`."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{what} is too large for a float") from None
+
+
 class NewsdivError(Exception):
     """Base class for every error raised by this package."""
 

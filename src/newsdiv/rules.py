@@ -23,7 +23,7 @@ from itertools import chain, compress
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .aspect_model import AspectSchema
-from .errors import ValidationError, json_isinstance
+from .errors import ValidationError, json_float, json_isinstance
 from .metrics import DocumentProfile
 
 SCOPES = ("global", "context", "request")
@@ -358,6 +358,8 @@ EXPLAINED_FIELDS = {
 NUMBER_FIELDS = frozenset(
     {"delta", "before", "after", "matched", "clamped", "needed", "found", "gain", "score"}
 )
+# The number fields explain prints as they are; it formats the others as floats.
+COUNT_FIELDS = frozenset({"matched", "clamped", "needed", "found"})
 
 
 def _check_explainable(data: Mapping) -> None:
@@ -370,6 +372,7 @@ def _check_explainable(data: Mapping) -> None:
     if not isinstance(trace, (list, tuple)) or not all(isinstance(t, Mapping) for t in trace):
         raise ValidationError("result 'trace' must be a list of objects")
     numbers = {f"{a} diversity": v for a, v in diversity.get("per_aspect", {}).items()}
+    counts = set()  # the numbers explain prints as they are
     if "overall" in diversity:
         numbers["overall diversity"] = diversity["overall"]
     if "objective" in data:
@@ -385,11 +388,15 @@ def _check_explainable(data: Mapping) -> None:
             where = f"trace record {i} ({kind}) field {field!r}"
             if field in NUMBER_FIELDS:
                 numbers[where] = record.get(field)
+                if field in COUNT_FIELDS:
+                    counts.add(where)
             elif not isinstance(record.get(field), str):
                 raise ValidationError(f"result {where} must be a string (got {record.get(field)!r})")
     for where, value in numbers.items():
         if not json_isinstance(value, (int, float)):
             raise ValidationError(f"result {where} must be a number (got {value!r})")
+        if where not in counts:
+            json_float(value, f"result {where}")
 
 
 def explain_result(result) -> str:

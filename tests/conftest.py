@@ -1,3 +1,4 @@
+import os
 import pathlib
 
 import pytest
@@ -14,6 +15,11 @@ settings.register_profile(
 settings.load_profile("ci")
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+
+# The tests that start `python -m newsdiv` or a script import the package
+# from this checkout, as the suite itself does through pyproject's pythonpath.
+_SRC = str(FIXTURES.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 
 @pytest.fixture(scope="session")

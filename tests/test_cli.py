@@ -192,6 +192,62 @@ def test_deeply_nested_input_exits_2(paths, tmp_path, capsys, text, argv):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["score", "--schema", "{bad}", "--corpus", "{corpus}"],
+        ["score", "--schema", "{schema}", "--corpus", "{bad}"],
+        ["rerank", *S, "--mode", "list", "--k", "1", "--rules", "{bad}"],
+        ["rerank", *S, "--mode", "sequence", "--k", "1", "--history", "{bad}"],
+        ["rerank", *S, "--mode", "interaction", "--k", "1", "--interactions", "{bad}"],
+        ["explain", "--result", "{bad}"],
+    ],
+    ids=["schema", "corpus", "rules", "history", "interactions", "explain-result"],
+)
+def test_files_that_are_not_utf8_exit_2(paths, tmp_path, capsys, argv):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"id": "a1"}\n\xff\n')
+    assert cli.main([a.format(bad=bad, **paths) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {bad} is not UTF-8 text: invalid start byte at byte 13\n"
+    assert captured.out == ""
+
+
+BIG = "1" + "0" * 400  # a JSON integer no float can hold
+
+
+@pytest.mark.parametrize(
+    "key, old, new, argv, field",
+    [
+        ("schema", '"Immigration", 1.0]', f'"Immigration", {BIG}]', ["score", *S],
+         "aspect 'topic': distance Climate/Immigration"),
+        ("schema", '{"topic": 0.5,', f'{{"topic": {BIG},', ["score", *S], "blend weight for 'topic'"),
+        (None, "--type-weights", f'{{"like": {BIG}, "share": 0}}',
+         ["rerank", *S, "--mode", "interaction", "--k", "1", "--interactions", "{interactions}"],
+         "interaction type weight for 'like'"),
+        ("list_result", '"objective": 0.75,', f'"objective": {BIG},', ["explain", "--result", "{list_result}"],
+         "result objective"),
+        ("list_result", '"overall": 0.75,', f'"overall": {BIG},', ["explain", "--result", "{list_result}"],
+         "result overall diversity"),
+    ],
+    ids=["schema-distance", "schema-weight", "type-weights", "explain-objective", "explain-overall"],
+)
+def test_integers_too_large_for_a_float_exit_2(paths, fixtures_dir, tmp_path, capsys, key, old, new, argv, field):
+    files = dict(paths, list_result=str(fixtures_dir / "golden" / "rerank_list.out"))
+    if key is not None:
+        text = pathlib.Path(files[key]).read_text()
+        assert old in text
+        files[key] = str(tmp_path / pathlib.Path(files[key]).name)
+        pathlib.Path(files[key]).write_text(text.replace(old, new, 1))
+    argv = [a.format(**files) for a in argv]
+    if key is None:
+        argv += [old, new]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {field} is too large for a float\n"
+    assert captured.out == ""
+
+
 # --- rerank modes ---
 
 
@@ -448,7 +504,8 @@ def test_repeat_invocations_are_byte_identical(paths):
 # --- fuzzing (in-process) ---
 #
 # One JSON value somewhere in one fixture file is swapped for a list, an
-# object, null, NaN, a huge number or an empty string, or its key is dropped.
+# object, null, NaN, a huge float, an integer too large for a float or an
+# empty string, or its key is dropped.
 # Every subcommand and rerank mode then runs on the mutated inputs: each must
 # return an exit code of the CLI (0, 1, 2 or 3) without raising.
 
@@ -467,7 +524,7 @@ FILES = {
 }
 
 DROP = object()
-MUTATIONS = [[], {}, None, float("nan"), 1e308, "", DROP]
+MUTATIONS = [[], {}, None, float("nan"), 1e308, 10**400, "", DROP]
 
 
 def load(name, text):
