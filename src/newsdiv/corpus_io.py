@@ -166,7 +166,9 @@ def load_interactions(
             f"interaction type weights must map types to numbers (got {type_weights!r})"
         )
     else:
-        type_weights = {t: json_float(w, f"interaction type weight for {t!r}") for t, w in type_weights.items()}
+        type_weights = {
+            t: json_float(w, f"interaction type weight for {t!r}") for t, w in type_weights.items()
+        }
     return InteractionLog(records=tuple(records), type_weights=type_weights)
 
 

@@ -248,6 +248,17 @@ def test_integers_too_large_for_a_float_exit_2(paths, fixtures_dir, tmp_path, ca
     assert captured.out == ""
 
 
+def test_explain_prints_counts_too_large_for_a_float(fixtures_dir, tmp_path, capsys):
+    """Counts such as a violation's "needed" are printed as they are, so no
+    float needs to hold them."""
+    text = (fixtures_dir / "golden" / "graph_rerank_ancestor_rules.out").read_text()
+    assert '"needed": 2,' in text
+    saved = tmp_path / "result.json"
+    saved.write_text(text.replace('"needed": 2,', f'"needed": {BIG},', 1))
+    assert cli.main(["explain", "--result", str(saved)]) == 0
+    assert f"needs {BIG} matching" in capsys.readouterr().out
+
+
 # --- rerank modes ---
 
 
