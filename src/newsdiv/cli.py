@@ -1,14 +1,15 @@
 """Command line interface.
 
-Subcommands: score, rerank, oracle, explain. All input comes from files,
-all primary output goes to stdout (JSON except explain, which prints text).
-Exit codes: 0 success, 1 I/O error, 2 validation/contract error, 3
-enumeration guard exceeded. Output is byte-deterministic for fixed inputs.
+Subcommands: score, rerank, oracle, explain. All input comes from files.
+Each cmd_* returns its output (JSON except explain, which returns text) and
+main alone writes it to stdout. Exit codes: 0 success, 1 I/O error, 2
+validation/contract error, JSON decode failure or output stdout cannot
+encode, 3 enumeration guard exceeded. Output is byte-deterministic for
+fixed inputs.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 
@@ -22,7 +23,6 @@ from .errors import (
     UnknownEntityError,
     ValidationError,
     load_json,
-    too_deeply_nested,
 )
 # interaction_diversity is unused here; newsbench/tracing.py patches this name.
 from .metrics import Window, _check_unique_ids, collection_diversity, interaction_diversity, parse_window  # noqa: F401
@@ -55,7 +55,7 @@ def _load_schema_corpus(args) -> tuple[AspectSchema, corpus_io.Corpus]:
     return schema, corpus
 
 
-def cmd_score(args) -> int:
+def cmd_score(args) -> str:
     schema, corpus = _load_schema_corpus(args)
     if args.ids is not None:
         wanted = [i.strip() for i in args.ids.split(",") if i.strip()]
@@ -68,9 +68,7 @@ def cmd_score(args) -> int:
         _check_unique_ids(docs, "--ids")
     else:
         docs = corpus.docs()
-    report = collection_diversity(schema, docs)
-    sys.stdout.write(corpus_io.write_report(report))
-    return EXIT_OK
+    return corpus_io.write_report(collection_diversity(schema, docs))
 
 
 def _load_rules(args, schema):
@@ -95,7 +93,7 @@ def _history_profiles(args, corpus):
     ]
 
 
-def cmd_rerank(args) -> int:
+def cmd_rerank(args) -> str:
     schema, corpus = _load_schema_corpus(args)
     ruleset, request_rules = _load_rules(args, schema)
 
@@ -135,10 +133,7 @@ def cmd_rerank(args) -> int:
     elif args.mode == "interaction":
         if not args.interactions:
             raise ContractError("interaction mode requires --interactions")
-        try:
-            weights = json.loads(args.type_weights) if args.type_weights else None
-        except RecursionError:
-            raise too_deeply_nested("--type-weights") from None
+        weights = load_json(args.type_weights, "--type-weights") if args.type_weights else None
         log = corpus_io.load_interactions(_read(args.interactions), weights)
         logged = {(r.doc, r.type) for r in log.records}
         options = [
@@ -160,24 +155,19 @@ def cmd_rerank(args) -> int:
         schema, ruleset.active(request_rules), selected_docs
     )
     trace = application.trace_for(result.selected) + result.trace + violations
-    result = replace(result, trace=trace)
-    sys.stdout.write(corpus_io.write_report(result))
-    return EXIT_OK
+    return corpus_io.write_report(replace(result, trace=trace))
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args) -> str:
     schema, corpus = _load_schema_corpus(args)
-    result = max_diversity_oracle(schema, corpus.docs(), args.k)
-    sys.stdout.write(corpus_io.write_report(result))
-    return EXIT_OK
+    return corpus_io.write_report(max_diversity_oracle(schema, corpus.docs(), args.k))
 
 
-def cmd_explain(args) -> int:
+def cmd_explain(args) -> str:
     data = load_json(_read(args.result), "result file")
     if not isinstance(data, dict) or "selected" not in data:
         raise ValidationError("result file does not look like a rerank result")
-    sys.stdout.write(rules_mod.explain_result(data) + "\n")
-    return EXIT_OK
+    return rules_mod.explain_result(data) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -227,18 +217,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # The stream encodes all of the text before it writes any of it.
+        sys.stdout.write(args.func(args))
+        return EXIT_OK
     except GuardExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (OSError, IOError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON: {exc}", file=sys.stderr)
+    except UnicodeEncodeError as exc:
+        print(f"error: output is not {exc.encoding} text: {exc.reason} at character {exc.start}",
+              file=sys.stderr)
         return EXIT_VALIDATION
     except NewsdivError as exc:
         print(f"error: {exc}", file=sys.stderr)

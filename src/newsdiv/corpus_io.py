@@ -12,7 +12,7 @@ from typing import Mapping
 
 from .aspect_model import AspectSchema
 from .diversify import RerankResult
-from .errors import ParseError, ValidationError, json_float, json_isinstance, too_deeply_nested
+from .errors import ValidationError, json_decode_error, json_float, json_isinstance
 from .metrics import (
     DiversityReport,
     DocumentProfile,
@@ -39,11 +39,10 @@ def _iter_jsonl(text: str):
         if not line.strip():
             continue
         try:
-            yield lineno, json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"line {lineno}: invalid JSON: {exc.msg}") from exc
-        except RecursionError:
-            raise too_deeply_nested(f"line {lineno}") from None
+            obj = json.loads(line)  # not load_json: one call frame less per line
+        except (ValueError, RecursionError) as exc:
+            raise json_decode_error(exc, f"line {lineno}") from exc
+        yield lineno, obj
 
 
 def _parse_keywords(lineno: int, doc_id: str, raw) -> tuple[Keyword, ...]:

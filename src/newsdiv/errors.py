@@ -2,27 +2,32 @@
 
 The CLI maps these onto exit codes: parse/validation/lookup/contract
 problems exit 2, I/O problems exit 1, enumeration-guard refusals exit 3.
+Every json.loads failure becomes a ParseError through json_decode_error.
 """
 import json
+import sys
 
 
 def load_json(text: str, what: str):
-    """Decode one JSON document. Malformed text (reported with line and
-    column) and text nested too deeply to decode raise ParseError naming
-    `what`."""
+    """Decode one JSON document; a failure raises json_decode_error(exc, what)."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(
+    except (ValueError, RecursionError) as exc:
+        raise json_decode_error(exc, what) from exc
+
+
+def json_decode_error(exc: Exception, what: str) -> "ParseError":
+    """The ParseError naming `what` for a json.loads failure: malformed text
+    (JSONDecodeError, with line and column), text nested too deeply
+    (RecursionError), or an integer past Python's digit limit (a plain
+    ValueError, the only other one json.loads raises on text)."""
+    if isinstance(exc, json.JSONDecodeError):
+        return ParseError(
             f"{what} is not valid JSON: line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
-    except RecursionError:
-        raise too_deeply_nested(what) from None
-
-
-def too_deeply_nested(what: str) -> "ParseError":
-    """The error for JSON text that json.loads gave up on with RecursionError."""
-    return ParseError(f"{what} nests too deeply to parse")
+        )
+    if isinstance(exc, RecursionError):
+        return ParseError(f"{what} nests too deeply to parse")
+    return ParseError(f"{what} holds an integer of more than {sys.get_int_max_str_digits()} digits")
 
 
 def json_isinstance(value, types) -> bool:

@@ -4,6 +4,7 @@ import contextlib
 import copy
 import io
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -257,6 +258,87 @@ def test_explain_prints_counts_too_large_for_a_float(fixtures_dir, tmp_path, cap
     saved.write_text(text.replace('"needed": 2,', f'"needed": {BIG},', 1))
     assert cli.main(["explain", "--result", str(saved)]) == 0
     assert f"needs {BIG} matching" in capsys.readouterr().out
+
+
+# --- every JSON decode failure exits 2 (in-process) ---
+
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+LONG = "1" * (DIGIT_LIMIT + 1)  # json.dumps cannot write it, so the tests write the text
+
+
+@pytest.mark.skipif(DIGIT_LIMIT == 0, reason="integer string conversion is unlimited")
+@pytest.mark.parametrize(
+    "key, old, new, argv, what",
+    [
+        ("schema", '{"topic": 0.5,', '{"topic": N,', ["score", *S], "schema"),
+        ("corpus", '"timestamp": 1700000100', '"timestamp": N', ["score", *S], "line 1"),
+        ("rules", '"boost": 0.2', '"boost": N',
+         ["rerank", *S, "--mode", "list", "--k", "1", "--rules", "{rules}", "--context", "election"], "line 2"),
+        ("history", '"ts": 1700001000', '"ts": N',
+         ["rerank", *S, "--mode", "sequence", "--k", "1", "--history", "{history}"], "line 1"),
+        ("interactions", '"ts": 1700000150', '"ts": N',
+         ["rerank", *S, "--mode", "interaction", "--k", "1", "--interactions", "{interactions}"], "line 1"),
+        (None, "--type-weights", '{"like": N}',
+         ["rerank", *S, "--mode", "interaction", "--k", "1", "--interactions", "{interactions}"], "--type-weights"),
+        ("list_result", '"objective": 0.75,', '"objective": N,', ["explain", "--result", "{list_result}"],
+         "result file"),
+    ],
+    ids=["schema-weight", "corpus-timestamp", "rule-boost", "history-ts", "interaction-ts",
+         "type-weights", "explain-objective"],
+)
+def test_integers_past_the_digit_limit_exit_2(paths, fixtures_dir, tmp_path, capsys, key, old, new, argv, what):
+    files = dict(paths, list_result=str(fixtures_dir / "golden" / "rerank_list.out"))
+    new = new.replace("N", LONG)
+    if key is not None:
+        text = pathlib.Path(files[key]).read_text()
+        assert old in text
+        files[key] = str(tmp_path / pathlib.Path(files[key]).name)
+        pathlib.Path(files[key]).write_text(text.replace(old, new, 1))
+    argv = [a.format(**files) for a in argv]
+    if key is None:
+        argv += [old, new]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {what} holds an integer of more than {DIGIT_LIMIT} digits\n"
+    assert captured.out == ""
+
+
+def test_malformed_type_weights_name_the_flag(paths, capsys):
+    argv = ["rerank", "--schema", paths["schema"], "--corpus", paths["corpus"], "--mode", "interaction",
+            "--k", "1", "--interactions", paths["interactions"], "--type-weights", '{"like": 0.5,']
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --type-weights is not valid JSON: line 1 column 14: ")
+    assert captured.out == ""
+
+
+# --- output the stream cannot encode (subprocess: only a real stream encodes) ---
+
+LONE_SURROGATE = r'"\ud800"'  # a JSON escape that decodes to a str no UTF-8 stream can write
+
+
+def run_utf8(*args):
+    env = dict(os.environ, PYTHONIOENCODING="utf-8")
+    return subprocess.run(PKG + list(args), capture_output=True, text=True, timeout=60, env=env)
+
+
+def test_explain_output_the_stream_cannot_encode_exits_2(tmp_path):
+    result = tmp_path / "result.json"
+    result.write_text('{"selected": [' + LONE_SURROGATE + '], "trace": []}')
+    proc = run_utf8("explain", "--result", str(result))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "error: output is not utf-8 text: surrogates not allowed at character 10\n"
+    assert proc.stdout == ""
+
+
+def test_json_output_escapes_a_lone_surrogate(paths, tmp_path):
+    text = pathlib.Path(paths["corpus"]).read_text()
+    assert '"id": "a1"' in text
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(text.replace('"id": "a1"', '"id": ' + LONE_SURROGATE, 1))
+    proc = run_utf8("rerank", "--schema", paths["schema"], "--corpus", str(corpus), "--mode", "summary", "--k", "8")
+    assert proc.returncode == 0, proc.stderr
+    assert "\ud800" in json.loads(proc.stdout)["selected"]
 
 
 # --- rerank modes ---
@@ -515,8 +597,8 @@ def test_repeat_invocations_are_byte_identical(paths):
 # --- fuzzing (in-process) ---
 #
 # One JSON value somewhere in one fixture file is swapped for a list, an
-# object, null, NaN, a huge float, an integer too large for a float or an
-# empty string, or its key is dropped.
+# object, null, NaN, a huge float, an integer too large for a float, an
+# empty string or a lone surrogate, or its key is dropped.
 # Every subcommand and rerank mode then runs on the mutated inputs: each must
 # return an exit code of the CLI (0, 1, 2 or 3) without raising.
 
@@ -535,7 +617,7 @@ FILES = {
 }
 
 DROP = object()
-MUTATIONS = [[], {}, None, float("nan"), 1e308, 10**400, "", DROP]
+MUTATIONS = [[], {}, None, float("nan"), 1e308, 10**400, "", "\ud800", DROP]
 
 
 def load(name, text):
@@ -616,5 +698,7 @@ def test_mutated_inputs_end_in_an_exit_code(originals, workdir, data):
         paths[k] = str(workdir / name)
         (workdir / name).write_text(dump(name, obj))
     for argv in commands(paths):
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        # A StringIO never encodes, so it would hide output a real stdout cannot write.
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
             assert cli.main(argv) in (0, 1, 2, 3), argv

@@ -1,5 +1,7 @@
-"""The package runs on the standard library alone."""
+"""The package runs on the standard library alone, decodes JSON in one
+mapping and writes its output in one place."""
 
+import ast
 import os
 import pathlib
 import subprocess
@@ -53,3 +55,27 @@ def test_public_api_is_pinned():
     assert sorted(newsdiv.__all__) == PUBLIC_API
     for name in PUBLIC_API:
         assert getattr(newsdiv, name) is not None, name
+
+
+
+def _calls(dotted: str):
+    """(module.function, call) for every call of `dotted` (such as "json.loads")
+    in src/newsdiv; calls outside any function are in "module.<module>"."""
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and ast.unparse(child.func) == dotted:
+                yield f"{path.stem}.{where}", child
+            yield from visit(child, where)
+
+    for path in sorted((ROOT / "src" / "newsdiv").glob("*.py")):
+        yield from visit(ast.parse(path.read_text()), "<module>")
+
+
+def test_json_is_decoded_in_one_mapping_and_output_written_in_one_place():
+    assert {where for where, _ in _calls("json.loads")} == {"errors.load_json", "corpus_io._iter_jsonl"}
+    assert {where for where, _ in _calls("sys.stdout.write")} == {"cli.main"}
+    # print writes to stdout unless it is given a file
+    assert all(any(k.arg == "file" for k in call.keywords) for _, call in _calls("print"))
