@@ -57,21 +57,20 @@ def test_public_api_is_pinned():
         assert getattr(newsdiv, name) is not None, name
 
 
-
 def _calls(dotted: str):
     """(module.function, call) for every call of `dotted` (such as "json.loads")
     in src/newsdiv; calls outside any function are in "module.<module>"."""
     def visit(node, where):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from visit(child, child.name)
+                yield from visit(child, f"{where.split('.')[0]}.{child.name}")
                 continue
             if isinstance(child, ast.Call) and ast.unparse(child.func) == dotted:
-                yield f"{path.stem}.{where}", child
+                yield where, child
             yield from visit(child, where)
 
     for path in sorted((ROOT / "src" / "newsdiv").glob("*.py")):
-        yield from visit(ast.parse(path.read_text()), "<module>")
+        yield from visit(ast.parse(path.read_text()), f"{path.stem}.<module>")
 
 
 def test_json_is_decoded_in_one_mapping_and_output_written_in_one_place():
