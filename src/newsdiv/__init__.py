@@ -41,8 +41,6 @@ from .metrics import (
     Keyword,
     Window,
     collection_diversity,
-    doc_distance,
-    entropy_diversity,
     interaction_diversity,
     keyword_diversity,
 )
@@ -75,8 +73,6 @@ __all__ = [
     "Window",
     "apply_rules",
     "collection_diversity",
-    "doc_distance",
-    "entropy_diversity",
     "exclude_history",
     "explain_result",
     "greedy_select",

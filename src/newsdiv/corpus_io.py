@@ -34,14 +34,15 @@ class Corpus:
         return list(self.documents.values())
 
 
-def _iter_jsonl(text: str):
+def _iter_jsonl(text: str, what: str):
+    """(line number, object) per non-blank line; decode errors name `what`."""
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
             obj = json.loads(line)  # not load_json: one call frame less per line
         except (ValueError, RecursionError) as exc:
-            raise json_decode_error(exc, f"line {lineno}") from exc
+            raise json_decode_error(exc, f"{what} line {lineno}") from exc
         yield lineno, obj
 
 
@@ -49,7 +50,7 @@ def _parse_keywords(lineno: int, doc_id: str, raw) -> tuple[Keyword, ...]:
     if raw is None:
         return ()
     if not isinstance(raw, list):
-        raise ValidationError(f"line {lineno}: 'keywords' for {doc_id!r} must be a list")
+        raise ValidationError(f"corpus line {lineno}: 'keywords' for {doc_id!r} must be a list")
     keywords = []
     for entry in raw:
         if (
@@ -58,7 +59,7 @@ def _parse_keywords(lineno: int, doc_id: str, raw) -> tuple[Keyword, ...]:
             or not isinstance(entry.get("labels"), dict)
         ):
             raise ValidationError(
-                f"line {lineno}: keyword entries need a 'term' and a 'labels' map"
+                f"corpus line {lineno}: keyword entries need a 'term' and a 'labels' map"
             )
         keywords.append(Keyword(term=entry["term"], labels=dict(entry["labels"])))
     return tuple(keywords)
@@ -91,34 +92,34 @@ def load_corpus(schema: AspectSchema, text: str) -> Corpus:
     schema violation raise with the offending line number.
     """
     documents: dict[str, DocumentProfile] = {}
-    for lineno, obj in _iter_jsonl(text):
+    for lineno, obj in _iter_jsonl(text, "corpus"):
         if not isinstance(obj, dict):
-            raise ValidationError(f"line {lineno}: document must be a JSON object")
+            raise ValidationError(f"corpus line {lineno}: document must be a JSON object")
         doc_id = obj.get("id")
         if not isinstance(doc_id, str) or not doc_id:
-            raise ValidationError(f"line {lineno}: document needs a non-empty string 'id'")
+            raise ValidationError(f"corpus line {lineno}: document needs a non-empty string 'id'")
         if doc_id in documents:
-            raise ValidationError(f"line {lineno}: duplicate document id {doc_id!r}")
+            raise ValidationError(f"corpus line {lineno}: duplicate document id {doc_id!r}")
         labels = obj.get("labels")
         if not isinstance(labels, dict):
-            raise ValidationError(f"line {lineno}: document {doc_id!r} needs a 'labels' map")
-        validate_labels(schema, labels, f"line {lineno}")
+            raise ValidationError(f"corpus line {lineno}: document {doc_id!r} needs a 'labels' map")
+        validate_labels(schema, labels, f"corpus line {lineno}")
         relevance = obj.get("relevance")
         if relevance is not None:
             if not json_isinstance(relevance, (int, float)) or not 0.0 <= relevance <= 1.0:
                 raise ValidationError(
-                    f"line {lineno}: relevance for {doc_id!r} must lie in [0, 1] "
+                    f"corpus line {lineno}: relevance for {doc_id!r} must lie in [0, 1] "
                     f"(got {relevance!r})"
                 )
             relevance = float(relevance)
         timestamp = obj.get("timestamp")
         if timestamp is not None and not json_isinstance(timestamp, int):
             raise ValidationError(
-                f"line {lineno}: timestamp for {doc_id!r} must be an integer"
+                f"corpus line {lineno}: timestamp for {doc_id!r} must be an integer"
             )
         keywords = _parse_keywords(lineno, doc_id, obj.get("keywords"))
         for kw in keywords:
-            validate_labels(schema, kw.labels, f"line {lineno}: keyword {kw.term!r}")
+            validate_labels(schema, kw.labels, f"corpus line {lineno}: keyword {kw.term!r}")
         documents[doc_id] = DocumentProfile(
             id=doc_id,
             labels=dict(labels),
@@ -140,13 +141,13 @@ def load_interactions(
     in the log. Given weights must be a mapping from type to number.
     """
     records = []
-    for lineno, obj in _iter_jsonl(text):
+    for lineno, obj in _iter_jsonl(text, "interactions"):
         if not isinstance(obj, dict):
-            raise ValidationError(f"line {lineno}: interaction must be a JSON object")
+            raise ValidationError(f"interactions line {lineno}: interaction must be a JSON object")
         for key, kind in (("user", str), ("doc", str), ("type", str), ("ts", int)):
             if not json_isinstance(obj.get(key), kind):
                 raise ValidationError(
-                    f"line {lineno}: interaction needs {key!r} of type {kind.__name__}"
+                    f"interactions line {lineno}: interaction needs {key!r} of type {kind.__name__}"
                 )
         records.append(
             InteractionRecord(
@@ -174,14 +175,14 @@ def load_interactions(
 def load_history(text: str) -> list[tuple[str, int]]:
     """Parse a JSONL consumption history of {"doc": id, "ts": int} events."""
     events = []
-    for lineno, obj in _iter_jsonl(text):
+    for lineno, obj in _iter_jsonl(text, "history"):
         if (
             not isinstance(obj, dict)
             or not isinstance(obj.get("doc"), str)
             or not json_isinstance(obj.get("ts"), int)
         ):
             raise ValidationError(
-                f"line {lineno}: history events need a string 'doc' and integer 'ts'"
+                f"history line {lineno}: history events need a string 'doc' and integer 'ts'"
             )
         events.append((obj["doc"], obj["ts"]))
     return events
@@ -197,13 +198,13 @@ def load_rules(schema: AspectSchema, text: str) -> tuple[RuleSet, list[Rule]]:
     persistent = []
     request_rules = []
     seen = set()
-    for lineno, obj in _iter_jsonl(text):
+    for lineno, obj in _iter_jsonl(text, "rules"):
         try:
             rule = parse_rule(schema, obj)
         except ValidationError as exc:
-            raise ValidationError(f"line {lineno}: {exc}") from exc
+            raise ValidationError(f"rules line {lineno}: {exc}") from exc
         if rule.id in seen:
-            raise ValidationError(f"line {lineno}: duplicate rule id {rule.id!r}")
+            raise ValidationError(f"rules line {lineno}: duplicate rule id {rule.id!r}")
         seen.add(rule.id)
         if rule.scope == "request":
             request_rules.append(rule)

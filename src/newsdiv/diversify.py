@@ -24,7 +24,6 @@ from .metrics import (
     TIE_TOLERANCE,
     Window,
     _candidate_values,
-    _distance,
     _distance_matrix,
     _diversity,
     _label_indices,
@@ -257,18 +256,18 @@ def next_in_sequence(
         raise ContractError("candidate set must be non-empty")
     if not 0.0 < gamma <= 1.0:
         raise ContractError(f"gamma must lie in (0, 1] (got {gamma!r})")
-    # The window's labels are checked first, then the candidates' in id order.
-    # Both values read only rows, so they are scored once per distinct row.
+    # Checks: window labels, candidate ids, candidate labels in id order. Both
+    # values are scored once per distinct row; affinities add gamma**age times
+    # one pair-kernel row from each window item, newest first.
     recent = [_label_indices(schema, d) for d in window_slice(history, window)]
     ordered = sorted(candidates, key=lambda d: d.id)
-    keys = [_label_indices(schema, cand) for cand in ordered]
+    keys = list(_label_rows(schema, ordered, "candidate set").values())
     distinct = list(dict.fromkeys(keys))
-    scores: dict[tuple, tuple[float, float]] = {}
-    for key, value in zip(distinct, _candidate_values(schema, recent, distinct)):
-        affinity = 0.0
-        for age, r in enumerate(reversed(recent)):
-            affinity += (gamma**age) * _distance(schema, key, r)
-        scores[key] = (value, affinity)
+    affinities = [0.0] * len(distinct)
+    for age, r in enumerate(reversed(recent)):
+        line, decay = next(_distance_matrix(schema, [r] + distinct)), gamma**age
+        affinities = [a + decay * d for a, d in zip(affinities, line)]
+    scores = dict(zip(distinct, zip(_candidate_values(schema, recent, distinct), affinities)))
     best_primary, _, best = _pick((*scores[key], cand) for key, cand in zip(keys, ordered))
     return RerankResult(
         selected=(best.id,),

@@ -9,12 +9,14 @@ distance blends per-aspect label distances with the schema's weights:
 
     dist(d_i, d_j) = sum over aspects a of w_a * dist_a(label_i, label_j)
 
-Both live in [0, 1]. Lists with fewer than two documents score 0.
+Both live in [0, 1]. Lists with fewer than two documents score 0; the
+distance of two documents is their `collection_diversity` (divisor 1).
 
 A document's row is its label index per aspect, in schema aspect order;
-`_label_indices` builds it and is the only label check. `_distance` and the
-count kernel `_diversity` read rows only, so the modes resolve each input
-document once and then call them directly.
+`_label_indices` builds it and is the only label check. Two kernels read
+rows and the distance matrices: the count kernel `_diversity` (stepped by
+`_candidate_values`) and the pair kernel `_distance_matrix`. The modes
+resolve each input document once and then call them directly.
 
 Per-aspect pair sums depend only on label counts. With c_l documents
 carrying label l and the aspect's distance matrix D,
@@ -35,13 +37,12 @@ bitwise the kernel's. Distances between rows come as an upper triangle.
 """
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from operator import add
 from typing import Iterator, Mapping, Sequence
 
-from .aspect_model import AspectSchema
+from .aspect_model import WEIGHT_TOLERANCE, AspectSchema
 from .errors import ContractError, UnknownEntityError, ValidationError
 
 # Two diversity values within this tolerance count as tied.
@@ -96,7 +97,7 @@ class InteractionLog:
                     f"interaction type weight for {t!r} is negative or NaN ({w!r})"
                 )
         total = sum(self.type_weights.values())
-        if not abs(total - 1.0) <= TIE_TOLERANCE:
+        if not abs(total - 1.0) <= WEIGHT_TOLERANCE:
             raise ValidationError(
                 f"interaction type weights must sum to 1 (got {total!r})"
             )
@@ -182,23 +183,9 @@ def _check_unique_ids(docs: Sequence[DocumentProfile], what: str) -> None:
 
 def _label_rows(schema: AspectSchema, docs: Sequence[DocumentProfile], what: str) -> dict[str, tuple[int, ...]]:
     """Each document's label-index row by id. Ids must be unique, and every
-    document's labels are checked here, in the given order, before a mode
-    scores any of them."""
+    label is checked here, in the given order, before a mode scores any."""
     _check_unique_ids(docs, what)
     return {d.id: _label_indices(schema, d) for d in docs}
-
-
-def _distance(schema: AspectSchema, r1: Sequence[int], r2: Sequence[int]) -> float:
-    """Blended distance between two rows: doc_distance of their documents."""
-    total = 0.0
-    for aspect, i, j in zip(schema.aspects, r1, r2):
-        total += schema.weights[aspect.name] * aspect.matrix[i][j]
-    return total
-
-
-def doc_distance(schema: AspectSchema, d1: DocumentProfile, d2: DocumentProfile) -> float:
-    """Blended distance between two documents (convex in the aspect weights)."""
-    return _distance(schema, _label_indices(schema, d1), _label_indices(schema, d2))
 
 
 def _counts(rows: Sequence[Sequence[int]], a: int) -> dict[int, int]:
@@ -261,8 +248,8 @@ def _candidate_values(
 def _distance_matrix(schema: AspectSchema, rows: Sequence[Sequence[int]]) -> Iterator[list[float]]:
     """The strict upper triangle of the distances between the rows, one
     matrix row at a time: row i holds the distances from row i to rows
-    i+1..n-1, so the last is empty. Each cell adds w_a * D_a in aspect
-    order, as _distance does, so it is bitwise the value _distance returns."""
+    i+1..n-1, so the last is empty. Each cell adds w_a * D_a to 0.0 in aspect
+    order, so it is bitwise the overall _diversity of the two rows."""
     aspects = [
         ([[schema.weights[a.name] * d for d in line] for line in a.matrix], [row[i] for row in rows])
         for i, a in enumerate(schema.aspects)
@@ -361,31 +348,3 @@ def keyword_diversity(schema: AspectSchema, keywords: Sequence[Keyword]) -> floa
     ]
     return collection_diversity(schema, pseudo).overall
 
-
-def entropy_diversity(docs: Sequence[DocumentProfile], aspect_name: str) -> float:
-    """Normalized Shannon entropy of the label distribution along one aspect.
-
-    Normalizer is log of the number of distinct labels present (at least 2),
-    so a single distinct label scores 0 and a uniform spread scores 1. This
-    is the entropy-style alternative to the pairwise-mean metric; it ignores
-    label distances entirely.
-    """
-    if not docs:
-        raise ContractError("entropy diversity needs at least one document")
-    counts: dict[str, int] = {}
-    for d in docs:
-        if aspect_name not in d.labels:
-            raise UnknownEntityError(
-                f"document {d.id!r} has no label for aspect {aspect_name!r}"
-            )
-        label = d.labels[aspect_name]
-        counts[label] = counts.get(label, 0) + 1
-    distinct = len(counts)
-    if distinct < 2:
-        return 0.0
-    n = len(docs)
-    entropy = 0.0
-    for label in sorted(counts):
-        p = counts[label] / n
-        entropy -= p * math.log2(p)
-    return entropy / math.log2(max(distinct, 2))

@@ -23,7 +23,7 @@ from itertools import chain, compress
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .aspect_model import AspectSchema
-from .errors import ValidationError, json_float, json_isinstance
+from .errors import UnknownEntityError, ValidationError, json_float, json_isinstance
 from .metrics import DocumentProfile
 
 SCOPES = ("global", "context", "request")
@@ -86,6 +86,12 @@ def compile_predicate(schema: AspectSchema, predicate, rule_id: str) -> Callable
     compiled branches.
     """
 
+    def aspect_named(name):
+        try:
+            return schema.aspect(name)
+        except UnknownEntityError:
+            raise _invalid(rule_id, f"unknown aspect {name!r}") from None
+
     def compile_(pred, depth):
         if depth > MAX_PREDICATE_DEPTH:
             raise _invalid(rule_id, f"predicate nests deeper than {MAX_PREDICATE_DEPTH} levels")
@@ -110,14 +116,14 @@ def compile_predicate(schema: AspectSchema, predicate, rule_id: str) -> Callable
             inner = pred["ancestor"]
             if not isinstance(inner, dict) or "aspect" not in inner or "node" not in inner:
                 raise _invalid(rule_id, "ancestor test needs 'aspect' and 'node'")
-            aspect, node = schema.aspect(inner["aspect"]), inner["node"]
+            aspect, node = aspect_named(inner["aspect"]), inner["node"]
             if aspect.graph is None:
                 raise _invalid(rule_id, f"aspect {aspect.name!r} has no label graph for an ancestor test")
             if node not in aspect.graph.nodes:
                 raise _invalid(rule_id, f"unknown graph node {node!r} for aspect {aspect.name!r}")
             accepted = tuple(l for l in aspect.labels if node in aspect.graph.ancestors[l])
         elif "aspect" in pred:
-            aspect, op, value = schema.aspect(pred["aspect"]), pred.get("op", "eq"), pred.get("value")
+            aspect, op, value = aspect_named(pred["aspect"]), pred.get("op", "eq"), pred.get("value")
             if op == "eq":
                 accepted = (value,)
             elif op != "in":

@@ -22,12 +22,10 @@ from newsdiv.metrics import (
     InteractionLog,
     InteractionRecord,
     Window,
-    _distance,
     _diversity,
     _label_indices,
     _label_rows,
     collection_diversity,
-    doc_distance,
     docs_per_type,
     interaction_diversity,
     window_slice,
@@ -415,6 +413,16 @@ class ExactReference:
         return best
 
 
+def reference_distance(schema: AspectSchema, r1: Sequence[int], r2: Sequence[int]) -> float:
+    """Blended distance between two label-index rows, one pair at a time:
+    the reference the pair kernel metrics._distance_matrix must reproduce
+    bit for bit."""
+    total = 0.0
+    for aspect, i, j in zip(schema.aspects, r1, r2):
+        total += schema.weights[aspect.name] * aspect.matrix[i][j]
+    return total
+
+
 def enumerate_oracle(schema: AspectSchema, pool: Sequence[DocumentProfile], k: int) -> OracleResult:
     """Plain enumeration of every k-subset: the reference the branch and
     bound in max_diversity_oracle must reproduce exactly."""
@@ -428,10 +436,11 @@ def enumerate_oracle(schema: AspectSchema, pool: Sequence[DocumentProfile], k: i
             f"({ENUMERATION_GUARD}); use greedy_select for pools this large"
         )
     docs = sorted(pool, key=lambda d: d.id)
+    rows = [_label_indices(schema, d) for d in docs]
     matrix = [[0.0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            d = doc_distance(schema, docs[i], docs[j])
+            d = reference_distance(schema, rows[i], rows[j])
             matrix[i][j] = d
             matrix[j][i] = d
 
@@ -485,7 +494,7 @@ def reference_greedy_select(schema: AspectSchema, pool: Sequence[DocumentProfile
         )
     else:
         best_dist, _, best_pair = _pick(
-            (_distance(schema, row[docs[i].id], row[docs[j].id]), 0.0, (docs[i], docs[j]))
+            (reference_distance(schema, row[docs[i].id], row[docs[j].id]), 0.0, (docs[i], docs[j]))
             for i in range(n)
             for j in range(i + 1, n)
         )
@@ -724,7 +733,7 @@ def reference_next_in_sequence(
         if key not in scores:
             affinity = 0.0
             for age, r in enumerate(reversed(recent)):
-                affinity += (gamma**age) * _distance(schema, key, r)
+                affinity += (gamma**age) * reference_distance(schema, key, r)
             scores[key] = (_diversity(schema, recent + [key]).overall, affinity)
     best_primary, _, best = _pick((*scores[key], cand) for key, cand in zip(keys, ordered))
     return RerankResult(

@@ -29,7 +29,6 @@ from newsdiv.metrics import (
     InteractionRecord,
     Window,
     collection_diversity,
-    doc_distance,
     interaction_diversity,
 )
 from newsdiv.oracle import max_diversity_oracle

@@ -271,13 +271,15 @@ LONG = "1" * (DIGIT_LIMIT + 1)  # json.dumps cannot write it, so the tests write
     "key, old, new, argv, what",
     [
         ("schema", '{"topic": 0.5,', '{"topic": N,', ["score", *S], "schema"),
-        ("corpus", '"timestamp": 1700000100', '"timestamp": N', ["score", *S], "line 1"),
+        ("corpus", '"timestamp": 1700000100', '"timestamp": N', ["score", *S], "corpus line 1"),
         ("rules", '"boost": 0.2', '"boost": N',
-         ["rerank", *S, "--mode", "list", "--k", "1", "--rules", "{rules}", "--context", "election"], "line 2"),
+         ["rerank", *S, "--mode", "list", "--k", "1", "--rules", "{rules}", "--context", "election"],
+         "rules line 2"),
         ("history", '"ts": 1700001000', '"ts": N',
-         ["rerank", *S, "--mode", "sequence", "--k", "1", "--history", "{history}"], "line 1"),
+         ["rerank", *S, "--mode", "sequence", "--k", "1", "--history", "{history}"], "history line 1"),
         ("interactions", '"ts": 1700000150', '"ts": N',
-         ["rerank", *S, "--mode", "interaction", "--k", "1", "--interactions", "{interactions}"], "line 1"),
+         ["rerank", *S, "--mode", "interaction", "--k", "1", "--interactions", "{interactions}"],
+         "interactions line 1"),
         (None, "--type-weights", '{"like": N}',
          ["rerank", *S, "--mode", "interaction", "--k", "1", "--interactions", "{interactions}"], "--type-weights"),
         ("list_result", '"objective": 0.75,', '"objective": N,', ["explain", "--result", "{list_result}"],
@@ -310,6 +312,21 @@ def test_malformed_type_weights_name_the_flag(paths, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: --type-weights is not valid JSON: line 1 column 14: ")
     assert captured.out == ""
+
+
+def test_jsonl_errors_name_their_input(paths, tmp_path, capsys):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("{oops\n")
+    errors = {}
+    for key in ("corpus", "history"):
+        files = dict(paths, **{key: str(bad)})
+        argv = ["rerank", *S, "--mode", "sequence", "--k", "1", "--history", "{history}"]
+        assert cli.main([a.format(**files) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors[key] = captured.err
+    assert errors["corpus"].startswith("error: corpus line 1 is not valid JSON: ")
+    assert errors["history"].startswith("error: history line 1 is not valid JSON: ")
 
 
 # --- output the stream cannot encode (subprocess: only a real stream encodes) ---

@@ -127,6 +127,21 @@ def test_load_rules_rejects_duplicates_and_bad_lines(schema):
         load_rules(schema, bad + "\n")
 
 
+@pytest.mark.parametrize(
+    "predicate",
+    [{"aspect": "tone", "value": "sad"}, {"ancestor": {"aspect": "tone", "node": "x"}}],
+    ids=["aspect", "ancestor"],
+)
+def test_unknown_aspect_in_a_rule_names_the_line_and_the_rule(schema, predicate):
+    rules = [
+        {"id": f"r{i}", "scope": "global", "predicate": p, "action": {"exclude": True}}
+        for i, p in enumerate([{"aspect": "topic", "value": "Climate"}, predicate], 1)
+    ]
+    with pytest.raises(ValidationError) as info:
+        load_rules(schema, "".join(json.dumps(r) + "\n" for r in rules))
+    assert str(info.value) == "rules line 2: rule 'r2': unknown aspect 'tone'"
+
+
 # --- numeric formatting and reports ---
 
 

@@ -1,5 +1,5 @@
 """The package runs on the standard library alone, decodes JSON in one
-mapping and writes its output in one place."""
+mapping, writes its output in one place and reads distances in two kernels."""
 
 import ast
 import os
@@ -38,34 +38,34 @@ PUBLIC_API = [
     "InteractionLog", "InteractionRecord", "Keyword", "LabelGraph",
     "NewsdivError", "OracleResult", "ParseError", "RerankResult", "Rule",
     "RuleSet", "UnknownEntityError", "ValidationError", "Window",
-    "apply_rules", "collection_diversity", "doc_distance", "entropy_diversity",
-    "exclude_history", "explain_result", "greedy_select",
-    "interaction_diversity", "keyword_diversity", "load_corpus",
-    "load_history", "load_interactions", "load_rules", "load_schema",
-    "max_diversity_oracle", "next_in_sequence", "rerank_combined",
-    "select_summary_sources", "suggest_interaction", "swap_diversify",
-    "write_report",
+    "apply_rules", "collection_diversity", "exclude_history",
+    "explain_result", "greedy_select", "interaction_diversity",
+    "keyword_diversity", "load_corpus", "load_history", "load_interactions",
+    "load_rules", "load_schema", "max_diversity_oracle", "next_in_sequence",
+    "rerank_combined", "select_summary_sources", "suggest_interaction",
+    "swap_diversify", "write_report",
 ]
 
 
 def test_public_api_is_pinned():
     import newsdiv
 
-    assert len(PUBLIC_API) == 42
+    assert len(PUBLIC_API) == 40
     assert sorted(newsdiv.__all__) == PUBLIC_API
     for name in PUBLIC_API:
         assert getattr(newsdiv, name) is not None, name
 
 
-def _calls(dotted: str):
-    """(module.function, call) for every call of `dotted` (such as "json.loads")
-    in src/newsdiv; calls outside any function are in "module.<module>"."""
+def _nodes(kind):
+    """(module.function, node) for every node of this ast type in src/newsdiv;
+    a node is in its innermost function (a method or nested one too), and
+    nodes outside any function are in "module.<module>"."""
     def visit(node, where):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 yield from visit(child, f"{where.split('.')[0]}.{child.name}")
                 continue
-            if isinstance(child, ast.Call) and ast.unparse(child.func) == dotted:
+            if isinstance(child, kind):
                 yield where, child
             yield from visit(child, where)
 
@@ -73,8 +73,18 @@ def _calls(dotted: str):
         yield from visit(ast.parse(path.read_text()), f"{path.stem}.<module>")
 
 
+def _calls(dotted: str):
+    """(module.function, call) for every call of `dotted` (such as "json.loads")."""
+    return ((where, call) for where, call in _nodes(ast.Call) if ast.unparse(call.func) == dotted)
+
+
 def test_json_is_decoded_in_one_mapping_and_output_written_in_one_place():
     assert {where for where, _ in _calls("json.loads")} == {"errors.load_json", "corpus_io._iter_jsonl"}
     assert {where for where, _ in _calls("sys.stdout.write")} == {"cli.main"}
     # print writes to stdout unless it is given a file
     assert all(any(k.arg == "file" for k in call.keywords) for _, call in _calls("print"))
+
+
+def test_distances_are_read_only_by_the_count_and_pair_kernels():
+    readers = {where for where, node in _nodes(ast.Attribute) if node.attr == "matrix"}
+    assert readers == {"metrics._diversity", "metrics._candidate_values", "metrics._distance_matrix"}

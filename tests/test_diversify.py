@@ -111,6 +111,9 @@ def test_greedy_rejects_bad_k_and_duplicate_ids(schema, pool):
         greedy_select(schema, pool, 9)
     with pytest.raises(ContractError, match="duplicate"):
         greedy_select(schema, pool + [pool[0]], 2)
+    # Sequence mode rejects them too, even with an empty window.
+    with pytest.raises(ContractError, match="duplicate"):
+        next_in_sequence(schema, [], [pool[0], pool[0]], Window("last", 0))
 
 
 @given(st.integers(min_value=0, max_value=3_000))
@@ -349,6 +352,12 @@ def test_sequence_label_errors_name_the_window_before_the_candidates(schema):
         next_in_sequence(schema, history[:1], candidates[:2], Window("last", 1))
     with pytest.raises(UnknownEntityError, match="'h2' uses unknown label 'Sports'"):
         next_in_sequence(schema, history, candidates, Window("last", 2))
+    # Duplicate candidate ids are checked after the window's labels and
+    # before the candidates' labels.
+    with pytest.raises(ContractError, match=r"candidate set contains duplicate document ids: \['c1'\]"):
+        next_in_sequence(schema, history[:1], candidates + [candidates[2]], Window("last", 1))
+    with pytest.raises(UnknownEntityError, match="'h2' uses unknown label 'Sports'"):
+        next_in_sequence(schema, history, candidates + [candidates[2]], Window("last", 2))
 
 
 def _zz(relevance=None):
@@ -724,10 +733,9 @@ def test_duplicating_a_min_mean_distance_member_never_raises(seed):
     rng = random.Random(seed)
     schema = random_schema(rng, max_aspects=3, max_labels=5)
     docs = random_docs(rng, schema, rng.randint(2, 10))
-    from newsdiv.metrics import doc_distance
 
     def mean_dist(d):
-        return sum(doc_distance(schema, d, o) for o in docs if o is not d) / (len(docs) - 1)
+        return sum(collection_diversity(schema, [d, o]).overall for o in docs if o is not d) / (len(docs) - 1)
 
     center = min(docs, key=mean_dist)
     dup = DocumentProfile(id="dup", labels=dict(center.labels))

@@ -1,4 +1,4 @@
-"""Pairwise diversity metrics, windows, interaction blending, entropy."""
+"""Pairwise diversity metrics, windows, interaction blending."""
 
 import math
 import random
@@ -15,55 +15,71 @@ from newsdiv.metrics import (
     Keyword,
     Window,
     _candidate_values,
-    _distance,
     _distance_matrix,
     _diversity,
     _label_indices,
     collection_diversity,
-    doc_distance,
     docs_per_type,
-    entropy_diversity,
     interaction_diversity,
     keyword_diversity,
     parse_window,
     window_slice,
 )
 
-from helpers import random_docs, random_schema
+from helpers import random_docs, random_schema, reference_distance
 
 
 def doc(doc_id, topic, frame, **kw):
     return DocumentProfile(id=doc_id, labels={"topic": topic, "frame": frame}, **kw)
 
 
-# --- pairwise distance ---
+# --- pairwise distance: the diversity of a two-document list ---
+
+
+def distance(schema, d1, d2):
+    return collection_diversity(schema, [d1, d2]).overall
 
 
 def test_doc_distance_worked_pairs(schema):
     a = doc("x", "Climate", "Health")
     b = doc("y", "Immigration", "Security")
     c = doc("z", "Climate", "Cultural")
-    assert doc_distance(schema, a, b) == pytest.approx(1.0, abs=1e-12)
-    assert doc_distance(schema, a, c) == pytest.approx(0.25, abs=1e-12)
-    assert doc_distance(schema, a, a) == 0.0
+    assert distance(schema, a, b) == pytest.approx(1.0, abs=1e-12)
+    assert distance(schema, a, c) == pytest.approx(0.25, abs=1e-12)
+    assert distance(schema, a, a) == 0.0
 
 
 def test_doc_distance_is_symmetric(schema, pool):
     for d1 in pool:
         for d2 in pool:
-            assert doc_distance(schema, d1, d2) == doc_distance(schema, d2, d1)
+            assert distance(schema, d1, d2) == distance(schema, d2, d1)
+
+
+def test_two_document_diversity_is_the_pair_distance_bit_for_bit():
+    equal = 0
+    for seed in range(1200):
+        rng = random.Random(seed)
+        schema = random_schema(rng, max_aspects=4, max_labels=4)
+        d1, d2 = random_docs(rng, schema, 2)
+        r1, r2 = _label_indices(schema, d1), _label_indices(schema, d2)
+        got = distance(schema, d1, d2).hex()
+        assert got == reference_distance(schema, r1, r2).hex(), seed
+        assert got == reference_distance(schema, r2, r1).hex(), seed
+        equal += r1 == r2
+    # Pairs with equal labels on every aspect occur too.
+    assert equal > 20, equal
 
 
 def test_missing_label_is_a_contract_violation(schema):
     stub = DocumentProfile(id="s", labels={"topic": "Climate"})
     with pytest.raises(ContractError, match="missing a label"):
-        doc_distance(schema, stub, stub)
+        distance(schema, stub, stub)
 
 
 def test_unknown_label_names_the_offender(schema):
     stub = doc("s", "Climate", "Sports")
     with pytest.raises(UnknownEntityError, match="Sports"):
-        doc_distance(schema, stub, stub)
+        distance(schema, stub, stub)
 
 
 # --- step and distance kernels ---
@@ -99,7 +115,7 @@ def test_distance_rows_are_the_upper_triangle_bit_for_bit():
         matrix = list(_distance_matrix(schema, rows))
         assert len(matrix) == len(rows) and matrix[-1] == [], seed
         for i, line in enumerate(matrix):
-            want = [_distance(schema, rows[i], r).hex() for r in rows[i + 1:]]
+            want = [reference_distance(schema, rows[i], r).hex() for r in rows[i + 1:]]
             assert [d.hex() for d in line] == want, (seed, i)
 
 
@@ -343,34 +359,3 @@ def test_keyword_diversity_rejects_empty(schema):
     with pytest.raises(ContractError):
         keyword_diversity(schema, [])
 
-
-# --- entropy alternative ---
-
-
-def test_entropy_reference_value():
-    docs = [doc(f"e{i}", "Climate", "Health") for i in range(3)]
-    docs.append(doc("e3", "Immigration", "Health"))
-    value = entropy_diversity(docs, "topic")
-    assert value == pytest.approx(0.8113, abs=5e-5)
-    assert value == pytest.approx(
-        -(0.75 * math.log2(0.75) + 0.25 * math.log2(0.25)), abs=1e-12
-    )
-
-
-def test_entropy_extremes():
-    same = [doc(f"s{i}", "Climate", "Health") for i in range(4)]
-    assert entropy_diversity(same, "topic") == 0.0
-    spread = [
-        doc("s0", "Climate", "Health"),
-        doc("s1", "Climate", "Cultural"),
-        doc("s2", "Climate", "Security"),
-        doc("s3", "Climate", "Economy"),
-    ]
-    assert entropy_diversity(spread, "frame") == pytest.approx(1.0, abs=1e-12)
-
-
-def test_entropy_contract_errors():
-    with pytest.raises(ContractError):
-        entropy_diversity([], "topic")
-    with pytest.raises(UnknownEntityError):
-        entropy_diversity([DocumentProfile(id="x", labels={"frame": "Health"})], "topic")
