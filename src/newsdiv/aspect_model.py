@@ -303,7 +303,7 @@ def load_schema(text: str) -> AspectSchema:
             raise ValidationError(
                 f"aspect {name!r}: 'labels' must be a non-empty list of strings"
             )
-        raw_distances = entry.get("distances") or []
+        raw_distances = [] if entry.get("distances") is None else entry["distances"]
         if not isinstance(raw_distances, list):
             raise ValidationError(f"aspect {name!r}: 'distances' must be a list")
         distances = []

@@ -326,15 +326,13 @@ def interaction_diversity(schema: AspectSchema, corpus_docs: Mapping[str, Docume
 
     Each interaction type contributes the diversity of the distinct
     documents touched via that type; types with fewer than two documents
-    contribute 0. The result is the weight-blended sum over types.
+    contribute 0, though their labels are checked too. The result is the
+    weight-blended sum over types.
     """
     grouped = docs_per_type(corpus_docs, log)
     total = 0.0
     for t in log.type_weights:
-        group = grouped[t]
-        if len(group) < 2:
-            continue
-        total += log.type_weights[t] * collection_diversity(schema, group).overall
+        total += log.type_weights[t] * collection_diversity(schema, grouped[t]).overall
     return total
 
 

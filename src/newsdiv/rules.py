@@ -13,7 +13,8 @@ candidate list; it is reported as a violation when the final selection
 falls short. The trace holds one record per excluded document and one
 summary record per boost rule; RuleApplication.trace_for adds the
 per-document boost records of the selected documents, the ones explain
-narrates.
+narrates. EXPLAINED declares every trace record kind the package emits, the
+fields explain reads from it, and the line explain lists it with.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .aspect_model import AspectSchema
 from .errors import UnknownEntityError, ValidationError, json_float, json_isinstance
-from .metrics import DocumentProfile
+from .metrics import DocumentProfile, _check_unique_ids
 
 SCOPES = ("global", "context", "request")
 
@@ -250,8 +251,9 @@ def apply_rules(
     require_at_least is left to check_requirements on the final selection,
     never enforced. Input profiles are not mutated, so applying the same
     rules to the output reproduces the same survivors and adjusted
-    relevance (idempotence).
+    relevance (idempotence). Duplicate candidate ids raise ContractError.
     """
+    _check_unique_ids(candidates, "candidate list")
     # A compiled test reads only each aspect's label, and accepts only
     # strings, so documents sharing this key share every test's outcome.
     names = schema.aspect_names()
@@ -349,23 +351,36 @@ def check_requirements(
     return tuple(violations)
 
 
-# Trace fields explain_result reads, by record kind. An "add" record is also
-# read for whichever of "gain" and "score" it has.
-EXPLAINED_FIELDS = {
-    "seed": ("doc",),
-    "add": ("doc",),
-    "exclude": ("doc", "rule"),
-    "boost": ("doc", "rule", "before", "after"),
-    "boost_rule": ("rule", "delta", "matched", "clamped"),
-    "swap": ("out", "in", "before", "after"),
-    "violation": ("rule", "needed", "found"),
-    **dict.fromkeys(("warning", "next", "suggest", "note"), ("detail",)),
+# Every trace record kind the package emits: the fields explain reads from
+# it, each a string (str), a number it prints with .12g (float) or a count
+# it prints as it is (int), and, for the kinds explain lists, the section
+# and the line it lists each record with. An "add" record is also read for
+# whichever of "gain" and "score" it has; a "boost" line gets the change,
+# after - before.
+EXPLAINED = {
+    "seed": ({"doc": str}, None, None),
+    "add": ({"doc": str}, None, None),
+    "swap": (
+        {"out": str, "in": str, "before": float, "after": float},
+        "swaps", "  out {out} in {in}: diversity {before:.12g} -> {after:.12g}",
+    ),
+    "exclude": ({"doc": str, "rule": str}, "rules", "  excluded {doc} (rule {rule})"),
+    "boost_rule": (
+        {"rule": str, "delta": float, "matched": int, "clamped": int},
+        "rules", "  rule {rule} boosted {matched} documents by {delta:+.12g} ({clamped} clamped)",
+    ),
+    "boost": (
+        {"doc": str, "rule": str, "before": float, "after": float},
+        "rules", "  boosted {doc} by {change:+.12g} (rule {rule})",
+    ),
+    "violation": (
+        {"rule": str, "needed": int, "found": int},
+        "rules", "  VIOLATION: rule {rule} needs {needed} matching, selection has {found}",
+    ),
+    "warning": ({"detail": str}, "warnings", "warning: {detail}"),
+    **dict.fromkeys(("next", "suggest", "note"), ({"detail": str}, "notes", "note: {detail}")),
+    "keyword_diversity": ({}, None, None),
 }
-NUMBER_FIELDS = frozenset(
-    {"delta", "before", "after", "matched", "clamped", "needed", "found", "gain", "score"}
-)
-# The number fields explain prints as they are; it formats the others as floats.
-COUNT_FIELDS = frozenset({"matched", "clamped", "needed", "found"})
 
 
 def _check_explainable(data: Mapping) -> None:
@@ -387,14 +402,14 @@ def _check_explainable(data: Mapping) -> None:
         numbers["keyword diversity"] = data["keyword_diversity"]
     for i, record in enumerate(trace):
         kind = record.get("kind")
-        fields = EXPLAINED_FIELDS.get(kind, ()) if isinstance(kind, str) else ()
+        fields = EXPLAINED.get(kind, ({},))[0] if isinstance(kind, str) else {}
         if kind == "add":
-            fields += tuple(f for f in ("gain", "score") if f in record)
-        for field in fields:
+            fields = {**fields, **{f: float for f in ("gain", "score") if f in record}}
+        for field, type_ in fields.items():
             where = f"trace record {i} ({kind}) field {field!r}"
-            if field in NUMBER_FIELDS:
+            if type_ is not str:
                 numbers[where] = record.get(field)
-                if field in COUNT_FIELDS:
+                if type_ is int:
                     counts.add(where)
             elif not isinstance(record.get(field), str):
                 raise ValidationError(f"result {where} must be a string (got {record.get(field)!r})")
@@ -410,8 +425,8 @@ def explain_result(result) -> str:
 
     Works on a RerankResult or its serialized dict; a field it reads with
     the wrong shape raises ValidationError. Selected items show the marginal
-    diversity recorded when they were added, swaps show their narrative, and
-    rule effects come from the trace.
+    diversity recorded when they were added and their boosts; swaps, rule
+    effects, warnings and notes are each listed with their EXPLAINED line.
     """
     data = result.as_dict() if hasattr(result, "as_dict") else dict(result)
     _check_explainable(data)
@@ -432,12 +447,20 @@ def explain_result(result) -> str:
     if data.get("keyword_diversity") is not None:
         lines.append(f"keyword diversity: {data['keyword_diversity']:.12g}")
 
-    adds = {t["doc"]: t for t in trace if t.get("kind") == "add"}
-    seeds = {t["doc"]: t for t in trace if t.get("kind") == "seed"}
-    boosts: dict[str, list[dict]] = {}
+    adds, seeds, boosts = {}, set(), {}
+    sections = {"swaps": [], "rules": [], "warnings": [], "notes": []}
     for t in trace:
-        if t.get("kind") == "boost":
+        kind = t.get("kind")
+        if kind == "add":
+            adds[t["doc"]] = t
+        elif kind == "seed":
+            seeds.add(t["doc"])
+        elif kind == "boost":
+            t = {**t, "change": t["after"] - t["before"]}
             boosts.setdefault(t["doc"], []).append(t)
+        _, section, line = EXPLAINED.get(kind, (None,) * 3) if isinstance(kind, str) else (None,) * 3
+        if section:
+            sections[section].append(line.format_map(t))
     lines.append("selection detail:")
     for rank, doc_id in enumerate(selected, start=1):
         parts = [f"  {rank}. {doc_id}"]
@@ -450,47 +473,10 @@ def explain_result(result) -> str:
             elif "score" in rec:
                 parts.append(f"step score {rec['score']:.12g}")
         for b in boosts.get(doc_id, []):
-            parts.append(f"boost {b['after'] - b['before']:+.12g} by {b['rule']}")
+            parts.append(f"boost {b['change']:+.12g} by {b['rule']}")
         lines.append("  ".join(parts))
 
-    swaps = [t for t in trace if t.get("kind") == "swap"]
-    if swaps:
-        lines.append("swaps:")
-        for s in swaps:
-            lines.append(
-                f"  out {s['out']} in {s['in']}: "
-                f"diversity {s['before']:.12g} -> {s['after']:.12g}"
-            )
-
-    rule_records = [
-        t for t in trace if t.get("kind") in ("exclude", "boost_rule", "boost", "violation")
-    ]
-    if rule_records:
-        lines.append("rules:")
-        for t in rule_records:
-            if t["kind"] == "exclude":
-                lines.append(f"  excluded {t['doc']} (rule {t['rule']})")
-            elif t["kind"] == "boost_rule":
-                lines.append(
-                    f"  rule {t['rule']} boosted {t['matched']} documents "
-                    f"by {t['delta']:+.12g} ({t['clamped']} clamped)"
-                )
-            elif t["kind"] == "boost":
-                lines.append(
-                    f"  boosted {t['doc']} by {t['after'] - t['before']:+.12g} (rule {t['rule']})"
-                )
-            else:
-                lines.append(
-                    f"  VIOLATION: rule {t['rule']} needs {t['needed']} "
-                    f"matching, selection has {t['found']}"
-                )
-    else:
-        lines.append("rules: none")
-
-    warnings = [t for t in trace if t.get("kind") == "warning"]
-    for w in warnings:
-        lines.append(f"warning: {w['detail']}")
-    notes = [t for t in trace if t.get("kind") in ("next", "suggest", "note")]
-    for t in notes:
-        lines.append(f"note: {t['detail']}")
-    return "\n".join(lines)
+    if sections["swaps"]:
+        lines += ["swaps:", *sections["swaps"]]
+    lines += ["rules:", *sections["rules"]] if sections["rules"] else ["rules: none"]
+    return "\n".join(lines + sections["warnings"] + sections["notes"])

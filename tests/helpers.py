@@ -15,7 +15,14 @@ from typing import Mapping, Sequence
 
 from newsdiv.aspect_model import Aspect, AspectSchema, LabelGraph
 from newsdiv.diversify import DEFAULT_GAMMA, SWAP_EPSILON, RerankResult, _pick, _result
-from newsdiv.errors import ContractError, GuardExceededError, UnknownEntityError
+from newsdiv.errors import (
+    ContractError,
+    GuardExceededError,
+    UnknownEntityError,
+    ValidationError,
+    json_float,
+    json_isinstance,
+)
 from newsdiv.metrics import (
     TIE_TOLERANCE,
     DocumentProfile,
@@ -752,3 +759,152 @@ def reference_next_in_sequence(
             },
         ),
     )
+
+
+# explain before its trace kinds were declared in one table, kept verbatim:
+# the explain tests compare rules.explain_result against it.
+# Trace fields explain_result reads, by record kind. An "add" record is also
+# read for whichever of "gain" and "score" it has.
+EXPLAINED_FIELDS = {
+    "seed": ("doc",),
+    "add": ("doc",),
+    "exclude": ("doc", "rule"),
+    "boost": ("doc", "rule", "before", "after"),
+    "boost_rule": ("rule", "delta", "matched", "clamped"),
+    "swap": ("out", "in", "before", "after"),
+    "violation": ("rule", "needed", "found"),
+    **dict.fromkeys(("warning", "next", "suggest", "note"), ("detail",)),
+}
+NUMBER_FIELDS = frozenset(
+    {"delta", "before", "after", "matched", "clamped", "needed", "found", "gain", "score"}
+)
+# The number fields explain prints as they are; it formats the others as floats.
+COUNT_FIELDS = frozenset({"matched", "clamped", "needed", "found"})
+
+
+def _check_explainable(data: Mapping) -> None:
+    """Raise ValidationError unless a result has the shapes explain_result reads."""
+    selected, diversity, trace = data.get("selected", []), data.get("diversity", {}), data.get("trace", [])
+    if not isinstance(selected, (list, tuple)) or not all(isinstance(s, str) for s in selected):
+        raise ValidationError(f"result 'selected' must be a list of document ids (got {selected!r})")
+    if not isinstance(diversity, Mapping) or not isinstance(diversity.get("per_aspect", {}), Mapping):
+        raise ValidationError("result 'diversity' must be an object with a 'per_aspect' object")
+    if not isinstance(trace, (list, tuple)) or not all(isinstance(t, Mapping) for t in trace):
+        raise ValidationError("result 'trace' must be a list of objects")
+    numbers = {f"{a} diversity": v for a, v in diversity.get("per_aspect", {}).items()}
+    counts = set()  # the numbers explain prints as they are
+    if "overall" in diversity:
+        numbers["overall diversity"] = diversity["overall"]
+    if "objective" in data:
+        numbers["objective"] = data["objective"]
+    if data.get("keyword_diversity") is not None:
+        numbers["keyword diversity"] = data["keyword_diversity"]
+    for i, record in enumerate(trace):
+        kind = record.get("kind")
+        fields = EXPLAINED_FIELDS.get(kind, ()) if isinstance(kind, str) else ()
+        if kind == "add":
+            fields += tuple(f for f in ("gain", "score") if f in record)
+        for field in fields:
+            where = f"trace record {i} ({kind}) field {field!r}"
+            if field in NUMBER_FIELDS:
+                numbers[where] = record.get(field)
+                if field in COUNT_FIELDS:
+                    counts.add(where)
+            elif not isinstance(record.get(field), str):
+                raise ValidationError(f"result {where} must be a string (got {record.get(field)!r})")
+    for where, value in numbers.items():
+        if not json_isinstance(value, (int, float)):
+            raise ValidationError(f"result {where} must be a number (got {value!r})")
+        if where not in counts:
+            json_float(value, f"result {where}")
+
+
+def reference_explain_result(result) -> str:
+    """Render a human-readable explanation of a diversification result.
+
+    Works on a RerankResult or its serialized dict; a field it reads with
+    the wrong shape raises ValidationError. Selected items show the marginal
+    diversity recorded when they were added, swaps show their narrative, and
+    rule effects come from the trace.
+    """
+    data = result.as_dict() if hasattr(result, "as_dict") else dict(result)
+    _check_explainable(data)
+    trace = data.get("trace", [])
+
+    lines = []
+    selected = data.get("selected", [])
+    diversity = data.get("diversity", {})
+    lines.append(f"selected: {', '.join(selected) if selected else '(empty)'}")
+    if "overall" in diversity:
+        lines.append(f"overall diversity: {diversity['overall']:.12g}")
+        for aspect in sorted(diversity.get("per_aspect", {})):
+            lines.append(
+                f"  {aspect}: {diversity['per_aspect'][aspect]:.12g}"
+            )
+    if "objective" in data:
+        lines.append(f"objective: {data['objective']:.12g}")
+    if data.get("keyword_diversity") is not None:
+        lines.append(f"keyword diversity: {data['keyword_diversity']:.12g}")
+
+    adds = {t["doc"]: t for t in trace if t.get("kind") == "add"}
+    seeds = {t["doc"]: t for t in trace if t.get("kind") == "seed"}
+    boosts: dict[str, list[dict]] = {}
+    for t in trace:
+        if t.get("kind") == "boost":
+            boosts.setdefault(t["doc"], []).append(t)
+    lines.append("selection detail:")
+    for rank, doc_id in enumerate(selected, start=1):
+        parts = [f"  {rank}. {doc_id}"]
+        if doc_id in seeds:
+            parts.append("seed")
+        elif doc_id in adds:
+            rec = adds[doc_id]
+            if "gain" in rec:
+                parts.append(f"marginal diversity {rec['gain']:+.12g}")
+            elif "score" in rec:
+                parts.append(f"step score {rec['score']:.12g}")
+        for b in boosts.get(doc_id, []):
+            parts.append(f"boost {b['after'] - b['before']:+.12g} by {b['rule']}")
+        lines.append("  ".join(parts))
+
+    swaps = [t for t in trace if t.get("kind") == "swap"]
+    if swaps:
+        lines.append("swaps:")
+        for s in swaps:
+            lines.append(
+                f"  out {s['out']} in {s['in']}: "
+                f"diversity {s['before']:.12g} -> {s['after']:.12g}"
+            )
+
+    rule_records = [
+        t for t in trace if t.get("kind") in ("exclude", "boost_rule", "boost", "violation")
+    ]
+    if rule_records:
+        lines.append("rules:")
+        for t in rule_records:
+            if t["kind"] == "exclude":
+                lines.append(f"  excluded {t['doc']} (rule {t['rule']})")
+            elif t["kind"] == "boost_rule":
+                lines.append(
+                    f"  rule {t['rule']} boosted {t['matched']} documents "
+                    f"by {t['delta']:+.12g} ({t['clamped']} clamped)"
+                )
+            elif t["kind"] == "boost":
+                lines.append(
+                    f"  boosted {t['doc']} by {t['after'] - t['before']:+.12g} (rule {t['rule']})"
+                )
+            else:
+                lines.append(
+                    f"  VIOLATION: rule {t['rule']} needs {t['needed']} "
+                    f"matching, selection has {t['found']}"
+                )
+    else:
+        lines.append("rules: none")
+
+    warnings = [t for t in trace if t.get("kind") == "warning"]
+    for w in warnings:
+        lines.append(f"warning: {w['detail']}")
+    notes = [t for t in trace if t.get("kind") in ("next", "suggest", "note")]
+    for t in notes:
+        lines.append(f"note: {t['detail']}")
+    return "\n".join(lines)

@@ -196,7 +196,7 @@ def test_load_schema_rejects_unknown_weight_key(fixtures_dir):
         load_schema(json.dumps(raw))
 
 
-@pytest.mark.parametrize("value", [5, "Climate", {"Climate": 1.0}])
+@pytest.mark.parametrize("value", [5, "Climate", {"Climate": 1.0}, 0, False, "", {}])
 def test_load_schema_rejects_non_list_distances(value):
     import json
 

@@ -6,13 +6,16 @@ import io
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import reference_explain_result
 from newsdiv import cli
+from newsdiv.rules import explain_result
 
 PKG = [sys.executable, "-m", "newsdiv"]
 
@@ -719,3 +722,51 @@ def test_mutated_inputs_end_in_an_exit_code(originals, workdir, data):
         stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
             assert cli.main(argv) in (0, 1, 2, 3), argv
+
+
+# --- explain against its reference ---
+#
+# One to three values of a saved result are swapped for a list, an object,
+# null, NaN, a huge float, an integer too large for a float, a string, a
+# number, true or a stray boost record, or dropped; some give a trace record
+# a list or an object as its "kind", which cannot be a key. explain_result
+# must then give the text, or raise the exception type and message, of the
+# explain that read three field tables and listed each kind by hand.
+
+EXPLAIN_RESULTS = [
+    "graph_rerank_ancestor_rules.out", "graph_rerank_operator_rules.out", "rerank_list_rules.out",
+    "rerank_list.out", "rerank_list_lambda.out", "rerank_summary.out", "rerank_sequence.out",
+    "rerank_interaction.out",
+]
+EXPLAIN_MUTATIONS = [[], {}, None, float("nan"), 1e308, 10**400, "x", 7, True, {"kind": "boost"}, DROP]
+
+
+def outcome(explain, data):
+    try:
+        return explain(copy.deepcopy(data))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_explain_matches_its_reference_on_mutated_results(fixtures_dir):
+    rng = random.Random(14)
+    originals = [json.loads((fixtures_dir / "golden" / name).read_text()) for name in EXPLAIN_RESULTS]
+    same_text = odd_kinds = 0
+    for _ in range(4000):
+        data = rng.choice(originals)
+        for _ in range(rng.randint(1, 3)):
+            # pick a key, then one of its values, so rare fields get hit too
+            by_key = {}
+            for path in value_paths(data):
+                by_key.setdefault(path[-1] if isinstance(path[-1], str) else 0, []).append(path)
+            path = rng.choice(by_key[rng.choice(sorted(by_key, key=str))])
+            data = mutate(data, path, rng.choice(EXPLAIN_MUTATIONS))
+        trace = data.get("trace")
+        odd_kinds += isinstance(trace, list) and any(
+            isinstance(t, dict) and isinstance(t.get("kind"), (list, dict)) for t in trace
+        )
+        text = outcome(explain_result, data)
+        assert text == outcome(reference_explain_result, data), data
+        same_text += isinstance(text, str)
+    # both outcomes are exercised, and so are kinds that cannot be a key
+    assert 500 < same_text < 3500 and odd_kinds > 50, (same_text, odd_kinds)

@@ -1,5 +1,6 @@
 """The package runs on the standard library alone, decodes JSON in one
-mapping, writes its output in one place and reads distances in two kernels."""
+mapping, writes its output in one place, reads distances in two kernels and
+declares every trace record kind it emits."""
 
 import ast
 import os
@@ -88,3 +89,16 @@ def test_json_is_decoded_in_one_mapping_and_output_written_in_one_place():
 def test_distances_are_read_only_by_the_count_and_pair_kernels():
     readers = {where for where, node in _nodes(ast.Attribute) if node.attr == "matrix"}
     assert readers == {"metrics._diversity", "metrics._candidate_values", "metrics._distance_matrix"}
+
+
+def test_every_emitted_trace_kind_is_declared():
+    from newsdiv.rules import EXPLAINED
+
+    emitted = {
+        value.value
+        for _, node in _nodes(ast.Dict)
+        for key, value in zip(node.keys, node.values)
+        if isinstance(key, ast.Constant) and key.value == "kind"
+        and isinstance(value, ast.Constant) and isinstance(value.value, str)
+    }
+    assert emitted == set(EXPLAINED)

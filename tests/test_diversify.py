@@ -373,6 +373,14 @@ def _suggest_on_zz(schema, pool):
     return suggest_interaction(schema, corpus_docs, log, [("zz", "share")])
 
 
+def _interaction_diversity_on_zz(schema, pool):
+    log = InteractionLog(
+        records=(InteractionRecord(user="u", doc="zz", type="like", ts=1),),
+        type_weights={"like": 1.0},
+    )
+    return interaction_diversity(schema, {"zz": _zz()}, log)
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -383,11 +391,13 @@ def _suggest_on_zz(schema, pool):
         lambda schema, pool: select_summary_sources(schema, [_zz()], 1),
         lambda schema, pool: rerank_combined(schema, [_zz(relevance=0.5)], 1, 1.0),
         _suggest_on_zz,
+        _interaction_diversity_on_zz,
         lambda schema, pool: collection_diversity(schema, [_zz()]),
         lambda schema, pool: keyword_diversity(schema, [Keyword("zz", {"topic": "Sports", "frame": "Health"})]),
     ],
     ids=["sequence-empty-window", "swap-budget-0", "swap-empty-pool", "greedy-k1", "summary-k1",
-         "blend-lambda-1", "interaction-no-pairs", "diversity-of-one", "keyword-diversity-of-one"],
+         "blend-lambda-1", "interaction-no-pairs", "interaction-diversity-of-one", "diversity-of-one",
+         "keyword-diversity-of-one"],
 )
 def test_every_bad_label_raises_whatever_gets_scored(schema, pool, call):
     """A label is checked whether or not any pair it belongs to is scored."""

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from newsdiv.diversify import greedy_select
-from newsdiv.errors import NewsdivError, ValidationError
+from newsdiv.errors import ContractError, NewsdivError, ValidationError
 from newsdiv.metrics import DocumentProfile
 from newsdiv.rules import (
     MAX_PREDICATE_DEPTH,
@@ -341,6 +341,19 @@ def test_apply_rules_does_not_mutate_inputs(schema, pool):
     before = [(d.id, d.relevance) for d in pool]
     apply_rules(schema, RuleSet(rules=(exclude_security(schema),)), [up], pool)
     assert [(d.id, d.relevance) for d in pool] == before
+
+
+def test_apply_rules_rejects_duplicate_candidate_ids(schema):
+    up = rule(
+        schema,
+        id="up",
+        scope="request",
+        predicate={"aspect": "topic", "value": "Climate"},
+        action={"boost": 0.3},
+    )
+    twins = [doc("x", "Climate", "Economy", relevance=0.1), doc("x", "Climate", "Economy", relevance=0.6)]
+    with pytest.raises(ContractError, match=r"candidate list contains duplicate document ids: \['x'\]"):
+        apply_rules(schema, RuleSet(rules=()), [up], twins)
 
 
 def test_apply_rules_is_idempotent_on_example_pool(schema, pool):
