@@ -145,7 +145,7 @@ def cmd_rerank(args) -> str:
         if not options:
             raise ContractError("no interaction options remain to suggest")
         result = diversify.suggest_interaction(
-            schema, dict(corpus.documents), log, options
+            schema, corpus.documents, log, options
         )
     else:  # argparse choices prevent this
         raise ContractError(f"unknown mode {args.mode!r}")

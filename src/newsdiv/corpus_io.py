@@ -215,8 +215,6 @@ def load_rules(schema: AspectSchema, text: str) -> tuple[RuleSet, list[Rule]]:
 
 def round12(value):
     """Round floats (recursively) to 12 significant digits for output."""
-    if isinstance(value, bool):
-        return value
     if isinstance(value, float):
         return float(f"{value:.12g}")
     if isinstance(value, dict):

@@ -16,7 +16,7 @@ from itertools import chain, repeat
 from typing import Iterable, Mapping, Sequence
 
 from .aspect_model import AspectSchema
-from .errors import ContractError, UnknownEntityError
+from .errors import ContractError, UnknownEntityError, json_isinstance
 from .metrics import (
     DiversityReport,
     DocumentProfile,
@@ -24,6 +24,7 @@ from .metrics import (
     TIE_TOLERANCE,
     Window,
     _candidate_values,
+    _check_k,
     _distance_matrix,
     _diversity,
     _label_indices,
@@ -121,8 +122,8 @@ def swap_diversify(
     """
     if not items:
         raise ContractError("swap_diversify needs a non-empty starting list")
-    if budget < 0:
-        raise ContractError(f"swap budget must be >= 0 (got {budget})")
+    if not json_isinstance(budget, int) or budget < 0:
+        raise ContractError(f"swap budget must be an integer >= 0 (got {budget!r})")
     row = _label_rows(schema, list(items) + list(pool), "list plus pool")
 
     current = list(items)
@@ -176,8 +177,7 @@ def greedy_select(schema: AspectSchema, pool: Sequence[DocumentProfile], k: int)
     the grown selection, ties to the smaller id.
     """
     n = len(pool)
-    if k < 1 or k > n:
-        raise ContractError(f"k must satisfy 1 <= k <= |pool| (got k={k}, |pool|={n})")
+    _check_k(k, n)
     docs = sorted(pool, key=lambda d: d.id)
     row = _label_rows(schema, docs, "pool")
     trace: list[dict] = []
@@ -348,33 +348,26 @@ def suggest_interaction(
         doc_id: _label_indices(schema, corpus_docs[doc_id])
         for doc_id in dict.fromkeys(logged + [doc_id for doc_id, _ in options])
     }
-    grouped = docs_per_type(corpus_docs, log)
-    groups = {t: [row[d.id] for d in docs] for t, docs in grouped.items()}
-    own = {t: _diversity(schema, rows).overall for t, rows in groups.items()}
+    groups = {t: {d.id: row[d.id] for d in docs} for t, docs in docs_per_type(corpus_docs, log).items()}
+    own = {t: _diversity(schema, list(group.values())).overall for t, group in groups.items()}
+    # An option adding a new document to its weighted type's group changes
+    # that type's term only. Any other option reads its type's own value (an
+    # unweighted type's replaces no term), so it scores as the unchanged log.
+    changed: dict[tuple[str, str], float] = {}
+    for t, group in groups.items():
+        new = [i for i in dict.fromkeys(i for i, it in options if it == t) if i not in group]
+        values = _candidate_values(schema, list(group.values()), [row[i] for i in new])
+        changed.update(zip([(i, t) for i in new], values))
 
-    def log_diversity(itype: str | None, value: float) -> float:
-        """interaction_diversity of the log with itype's diversity replaced
-        by value (None replaces none). A group of fewer than two documents
-        adds w * 0.0 here where interaction_diversity skips it: the same bits."""
+    def entry(doc_id: str, itype: str) -> tuple[float, float, tuple[str, str]]:
+        """interaction_diversity of the log extended by the option, in weight
+        order (a group of fewer than two documents adds w * 0.0, the same
+        bits), then the option's own type's value."""
+        value = changed.get((doc_id, itype), own.get(itype, 0.0))
         total = 0.0
         for t, w in log.type_weights.items():
             total += w * (value if t == itype else own[t])
-        return total
-
-    # An option adding a document to its weighted type's group changes that
-    # type's term only; any other option leaves the log's value as it is.
-    grown: dict[str, dict[str, float]] = {}
-    for t, docs in grouped.items():
-        logged_ids = {d.id for d in docs}
-        new = [i for i in dict.fromkeys(i for i, it in options if it == t) if i not in logged_ids]
-        grown[t] = dict(zip(new, _candidate_values(schema, groups[t], [row[i] for i in new])))
-    unchanged = log_diversity(None, 0.0)
-
-    def entry(doc_id: str, itype: str) -> tuple[float, float, tuple[str, str]]:
-        value = grown.get(itype, {}).get(doc_id)
-        if value is None:
-            return unchanged, own.get(itype, 0.0), (doc_id, itype)
-        return log_diversity(itype, value), value, (doc_id, itype)
+        return total, value, (doc_id, itype)
 
     best_overall, _, (doc_id, itype) = _pick(
         entry(doc_id, itype) for doc_id, itype in sorted(options, key=lambda o: (o[1], o[0]))
@@ -415,14 +408,18 @@ def rerank_combined(
     farthest-pair seeding. The reported objective is
     lam * mean_relevance(selected) + (1 - lam) * diversity(selected).
     """
-    n = len(pool)
-    if k < 1 or k > n:
-        raise ContractError(f"k must satisfy 1 <= k <= |pool| (got k={k}, |pool|={n})")
+    _check_k(k, len(pool))
     if not 0.0 <= lam <= 1.0:
         raise ContractError(f"lambda must lie in [0, 1] (got {lam!r})")
     missing = sorted(d.id for d in pool if d.relevance is None)
     if missing:
         raise ContractError(f"documents missing relevance scores: {missing}")
+    # Written so that NaN fails; a bool is not a number, as in the loader.
+    outside = sorted(
+        d.id for d in pool if not (json_isinstance(d.relevance, (int, float)) and 0.0 <= d.relevance <= 1.0)
+    )
+    if outside:
+        raise ContractError(f"documents with relevance outside [0, 1]: {outside}")
 
     if lam == 0.0:
         base = greedy_select(schema, pool, k)

@@ -43,7 +43,7 @@ from operator import add
 from typing import Iterator, Mapping, Sequence
 
 from .aspect_model import WEIGHT_TOLERANCE, AspectSchema
-from .errors import ContractError, UnknownEntityError, ValidationError
+from .errors import ContractError, UnknownEntityError, ValidationError, json_isinstance
 
 # Two diversity values within this tolerance count as tied.
 TIE_TOLERANCE = 1e-9
@@ -137,6 +137,8 @@ class Window:
     def __post_init__(self):
         if self.kind not in ("last", "cutoff"):
             raise ValidationError(f"unknown window kind {self.kind!r}")
+        if not json_isinstance(self.value, int):
+            raise ValidationError(f"window value must be an integer (got {self.value!r})")
         if self.kind == "last" and self.value < 0:
             raise ValidationError("last-k window size must be >= 0")
 
@@ -179,6 +181,12 @@ def _check_unique_ids(docs: Sequence[DocumentProfile], what: str) -> None:
     dupes = sorted(i for i, c in Counter(d.id for d in docs).items() if c > 1)
     if dupes:
         raise ContractError(f"{what} contains duplicate document ids: {dupes}")
+
+
+def _check_k(k: int, n: int) -> None:
+    """A selection size must be an integer (not a bool) in [1, n]."""
+    if not json_isinstance(k, int) or not 1 <= k <= n:
+        raise ContractError(f"k must satisfy 1 <= k <= |pool| (got k={k!r}, |pool|={n})")
 
 
 def _label_rows(schema: AspectSchema, docs: Sequence[DocumentProfile], what: str) -> dict[str, tuple[int, ...]]:
@@ -309,16 +317,11 @@ def docs_per_type(corpus_docs: Mapping[str, DocumentProfile], log: InteractionLo
         raise UnknownEntityError(
             f"interaction records reference unknown documents: {unresolved}"
         )
-    grouped: dict[str, list[DocumentProfile]] = {t: [] for t in log.type_weights}
-    seen: dict[str, set[str]] = {t: set() for t in log.type_weights}
+    grouped: dict[str, dict[str, DocumentProfile]] = {t: {} for t in log.type_weights}
     for r in log.records:
-        if r.type not in grouped:
-            continue  # unweighted type contributes nothing
-        if r.doc in seen[r.type]:
-            continue
-        seen[r.type].add(r.doc)
-        grouped[r.type].append(corpus_docs[r.doc])
-    return grouped
+        # An unweighted type's document goes to a dict that is dropped.
+        grouped.get(r.type, {}).setdefault(r.doc, corpus_docs[r.doc])
+    return {t: list(docs.values()) for t, docs in grouped.items()}
 
 
 def interaction_diversity(schema: AspectSchema, corpus_docs: Mapping[str, DocumentProfile], log: InteractionLog) -> float:

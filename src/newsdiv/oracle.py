@@ -35,8 +35,8 @@ from operator import add
 from typing import Sequence
 
 from .aspect_model import AspectSchema
-from .errors import ContractError, GuardExceededError
-from .metrics import DocumentProfile, TIE_TOLERANCE, _distance_matrix, _label_rows, collection_diversity
+from .errors import GuardExceededError
+from .metrics import DocumentProfile, TIE_TOLERANCE, _check_k, _distance_matrix, _label_rows, collection_diversity
 
 # Refuse the search beyond this many k-subsets.
 ENUMERATION_GUARD = 10**7
@@ -71,8 +71,7 @@ def max_diversity_oracle(schema: AspectSchema, pool: Sequence[DocumentProfile], 
     duplicate document ids raise ContractError.
     """
     n = len(pool)
-    if k < 1 or k > n:
-        raise ContractError(f"k must satisfy 1 <= k <= |pool| (got k={k}, |pool|={n})")
+    _check_k(k, n)
     total = math.comb(n, k)
     if total > ENUMERATION_GUARD:
         raise GuardExceededError(

@@ -1,6 +1,7 @@
 """The package runs on the standard library alone, decodes JSON in one
-mapping, writes its output in one place, reads distances in two kernels and
-declares every trace record kind it emits."""
+mapping, writes its output in one place, reads distances in two kernels,
+checks a selection size in one place and declares every trace record kind it
+emits."""
 
 import ast
 import os
@@ -102,3 +103,14 @@ def test_every_emitted_trace_kind_is_declared():
         and isinstance(value, ast.Constant) and isinstance(value.value, str)
     }
     assert emitted == set(EXPLAINED)
+
+
+def test_k_is_checked_in_one_place():
+    # cli keeps its own "surviving candidates" message for list mode.
+    checks = {
+        where
+        for where, node in _nodes(ast.JoinedStr)
+        if isinstance(node.values[0], ast.Constant)
+        and node.values[0].value.startswith("k must satisfy 1 <= k <= |pool|")
+    }
+    assert checks == {"metrics._check_k"}

@@ -23,7 +23,7 @@ from newsdiv.diversify import (
     suggest_interaction,
     swap_diversify,
 )
-from newsdiv.errors import ContractError, UnknownEntityError
+from newsdiv.errors import ContractError, UnknownEntityError, ValidationError
 from newsdiv.metrics import (
     DocumentProfile,
     InteractionLog,
@@ -116,6 +116,17 @@ def test_greedy_rejects_bad_k_and_duplicate_ids(schema, pool):
         next_in_sequence(schema, [], [pool[0], pool[0]], Window("last", 0))
 
 
+@pytest.mark.parametrize("k", [1.5, True, "2", None])
+@pytest.mark.parametrize(
+    "call",
+    [greedy_select, select_summary_sources, lambda schema, pool, k: rerank_combined(schema, pool, k, 0.5)],
+    ids=["greedy", "summary", "blend"],
+)
+def test_k_must_be_an_integer(schema, pool, call, k):
+    with pytest.raises(ContractError, match="k must satisfy"):
+        call(schema, pool, k)
+
+
 @given(st.integers(min_value=0, max_value=3_000))
 def test_greedy_never_beats_the_oracle(seed):
     rng = random.Random(seed)
@@ -183,6 +194,13 @@ def test_swap_validation(schema):
         swap_diversify(schema, items, pool, budget=-1)
     with pytest.raises(ContractError, match="duplicate"):
         swap_diversify(schema, items + [items[0]], pool, budget=1)
+
+
+@pytest.mark.parametrize("budget", [1.5, True])
+def test_swap_budget_must_be_an_integer(schema, budget):
+    items, pool = swap_fixture(schema)
+    with pytest.raises(ContractError, match="swap budget must be an integer"):
+        swap_diversify(schema, items, pool, budget=budget)
 
 
 @given(st.integers(min_value=0, max_value=3_000))
@@ -256,6 +274,13 @@ def test_next_validation(schema):
         next_in_sequence(schema, history, cands, Window("last", 1), gamma=2.0)
     with pytest.raises(ContractError, match="gamma"):
         next_in_sequence(schema, history, cands, Window("last", 1), gamma=0.0)
+
+
+@pytest.mark.parametrize("kind", ["last", "cutoff"])
+@pytest.mark.parametrize("value", [1.5, True, "2"])
+def test_window_value_must_be_an_integer(kind, value):
+    with pytest.raises(ValidationError, match="window value must be an integer"):
+        Window(kind, value)
 
 
 @given(st.integers(min_value=0, max_value=3_000))
@@ -710,6 +735,17 @@ def test_combined_rerank_validation(schema, pool):
     unscored = [doc("u1", "Climate", "Health"), doc("u2", "Immigration", "Security")]
     with pytest.raises(ContractError, match="missing relevance.*u1.*u2"):
         rerank_combined(schema, unscored, 2, 0.5)
+
+
+@pytest.mark.parametrize("relevance", [float("nan"), 2.0, -0.5, True])
+def test_blend_rejects_relevance_outside_the_unit_interval(schema, relevance):
+    docs = [
+        doc("r3", "Climate", "Health", relevance=relevance),
+        doc("r1", "Immigration", "Security", relevance=0.9),
+        doc("r2", "Immigration", "Health", relevance=relevance),
+    ]
+    with pytest.raises(ContractError, match=r"relevance outside \[0, 1\]: \['r2', 'r3'\]"):
+        rerank_combined(schema, docs, 1, 0.5)
 
 
 def test_exclude_history_filters_by_id(pool):

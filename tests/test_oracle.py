@@ -74,6 +74,12 @@ def test_k_bounds_are_contract_errors(schema, pool):
         max_diversity_oracle(schema, pool, 9)
 
 
+@pytest.mark.parametrize("k", [1.5, True, "2", None])
+def test_k_must_be_an_integer(schema, pool, k):
+    with pytest.raises(ContractError, match="k must satisfy"):
+        max_diversity_oracle(schema, pool, k)
+
+
 def test_enumeration_guard_trips(schema):
     template = {"topic": "Climate", "frame": "Health"}
     big = [DocumentProfile(id=f"g{i:02d}", labels=dict(template)) for i in range(30)]
