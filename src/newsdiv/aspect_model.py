@@ -201,13 +201,24 @@ class Aspect:
 
 @dataclass(frozen=True)
 class AspectSchema:
-    """Ordered aspects plus blend weights that must sum to 1."""
+    """Ordered aspects plus blend weights that must sum to 1.
+
+    The schema remembers the label tuples it has checked: `_rows` maps the
+    per-aspect label values of a document (in aspect order) that passed a
+    label check to their label-index row. Only `_add_row` inserts, so a
+    tuple is checked once per schema; a copy made by `dataclasses.replace`
+    starts with an empty table. `_names` caches `aspect_names()`, from which
+    a table key is built once per document.
+    """
 
     aspects: tuple[Aspect, ...]
     weights: Mapping[str, float]
+    _names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _rows: dict[tuple, tuple[int, ...]] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        names = [a.name for a in self.aspects]
+        names = tuple(a.name for a in self.aspects)
+        object.__setattr__(self, "_names", names)
         if len(set(names)) != len(names):
             raise ValidationError("aspect names must be unique")
         if set(self.weights) != set(names):
@@ -236,7 +247,13 @@ class AspectSchema:
         raise UnknownEntityError(f"unknown aspect {name!r}")
 
     def aspect_names(self) -> tuple[str, ...]:
-        return tuple(a.name for a in self.aspects)
+        return self._names
+
+    def _add_row(self, key: tuple[str, ...]) -> tuple[int, ...]:
+        """Store and return the label-index row of `key`, one known label per
+        aspect in aspect order, which the caller has just checked."""
+        row = self._rows[key] = tuple(a.index[label] for a, label in zip(self.aspects, key))
+        return row
 
 
 def _parse_graph(name: str, obj) -> LabelGraph:

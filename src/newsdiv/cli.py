@@ -61,7 +61,7 @@ def cmd_score(args) -> str:
         wanted = [i.strip() for i in args.ids.split(",") if i.strip()]
         if not wanted:
             raise ValidationError(f"--ids names no document (got {args.ids!r})")
-        missing = sorted(set(wanted) - set(corpus.documents))
+        missing = sorted({i for i in wanted if i not in corpus.documents})
         if missing:
             raise UnknownEntityError(f"unknown document ids: {missing}")
         docs = [corpus.documents[i] for i in wanted]

@@ -1,7 +1,9 @@
 """Loading the engine's line-delimited JSON file formats; writing reports.
 
 Corpus files hold one document object per line; interaction and history
-files hold one event per line. Errors carry 1-based line numbers. Reports
+files hold one event per line. Errors carry 1-based line numbers. A schema
+remembers the label rows it has checked, so the corpus loader checks each
+distinct label tuple once and the modes read the rows it stored. Reports
 serialize deterministically with numbers at 12 significant digits.
 """
 from __future__ import annotations
@@ -34,15 +36,29 @@ class Corpus:
         return list(self.documents.values())
 
 
+# The C scanner that json.loads runs once it has skipped leading whitespace.
+_scan_once = json.JSONDecoder().scan_once
+
+
 def _iter_jsonl(text: str, what: str):
-    """(line number, object) per non-blank line; decode errors name `what`."""
+    """(line number, object) per non-blank line; decode errors name `what`.
+
+    A line the scanner decodes whole from its first character is a line
+    json.loads decodes to the same object. Every other line (blank, padded,
+    a BOM, invalid, too deep, an over-long integer) takes json.loads, whose
+    errors are the messages."""
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
         try:
-            obj = json.loads(line)  # not load_json: one call frame less per line
-        except (ValueError, RecursionError) as exc:
-            raise json_decode_error(exc, f"{what} line {lineno}") from exc
+            obj, end = _scan_once(line, 0)
+        except (StopIteration, ValueError, RecursionError):
+            end = -1
+        if end != len(line):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)  # not load_json: one call frame less per line
+            except (ValueError, RecursionError) as exc:
+                raise json_decode_error(exc, f"{what} line {lineno}") from exc
         yield lineno, obj
 
 
@@ -81,6 +97,19 @@ def validate_labels(schema: AspectSchema, labels: Mapping[str, str], where: str)
             )
 
 
+def _check_labels(schema: AspectSchema, names: tuple[str, ...], labels: Mapping[str, str], where: str) -> None:
+    """validate_labels, unless the schema's row table already holds this
+    label tuple and the map has no other key."""
+    key = tuple(map(labels.get, names))
+    try:
+        if key in schema._rows and len(labels) == len(names):
+            return
+    except TypeError:  # an unhashable label value: validate_labels names it
+        pass
+    validate_labels(schema, labels, where)
+    schema._add_row(key)
+
+
 def load_corpus(schema: AspectSchema, text: str) -> Corpus:
     """Parse a JSONL corpus, validating every document against the schema.
 
@@ -89,8 +118,11 @@ def load_corpus(schema: AspectSchema, text: str) -> Corpus:
          "relevance": 0.9, "timestamp": 1700000000, "keywords": [...]}
 
     relevance, timestamp, and keywords are optional. Duplicate ids and any
-    schema violation raise with the offending line number.
+    schema violation raise with the offending line number. Each distinct
+    label tuple is checked once per schema: the schema remembers the rows
+    it has checked, for this load, later loads and every mode.
     """
+    names = schema.aspect_names()
     documents: dict[str, DocumentProfile] = {}
     for lineno, obj in _iter_jsonl(text, "corpus"):
         if not isinstance(obj, dict):
@@ -103,7 +135,7 @@ def load_corpus(schema: AspectSchema, text: str) -> Corpus:
         labels = obj.get("labels")
         if not isinstance(labels, dict):
             raise ValidationError(f"corpus line {lineno}: document {doc_id!r} needs a 'labels' map")
-        validate_labels(schema, labels, f"corpus line {lineno}")
+        _check_labels(schema, names, labels, f"corpus line {lineno}")
         relevance = obj.get("relevance")
         if relevance is not None:
             if not json_isinstance(relevance, (int, float)) or not 0.0 <= relevance <= 1.0:
@@ -119,10 +151,10 @@ def load_corpus(schema: AspectSchema, text: str) -> Corpus:
             )
         keywords = _parse_keywords(lineno, doc_id, obj.get("keywords"))
         for kw in keywords:
-            validate_labels(schema, kw.labels, f"corpus line {lineno}: keyword {kw.term!r}")
+            _check_labels(schema, names, kw.labels, f"corpus line {lineno}: keyword {kw.term!r}")
         documents[doc_id] = DocumentProfile(
             id=doc_id,
-            labels=dict(labels),
+            labels=labels,
             relevance=relevance,
             timestamp=timestamp,
             keywords=keywords,

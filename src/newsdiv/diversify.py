@@ -254,7 +254,7 @@ def next_in_sequence(
     """
     if not candidates:
         raise ContractError("candidate set must be non-empty")
-    if not 0.0 < gamma <= 1.0:
+    if not json_isinstance(gamma, (int, float)) or not 0.0 < gamma <= 1.0:
         raise ContractError(f"gamma must lie in (0, 1] (got {gamma!r})")
     # Checks: window labels, candidate ids, candidate labels in id order. Both
     # values are scored once per distinct row; affinities add gamma**age times
@@ -409,7 +409,7 @@ def rerank_combined(
     lam * mean_relevance(selected) + (1 - lam) * diversity(selected).
     """
     _check_k(k, len(pool))
-    if not 0.0 <= lam <= 1.0:
+    if not json_isinstance(lam, (int, float)) or not 0.0 <= lam <= 1.0:
         raise ContractError(f"lambda must lie in [0, 1] (got {lam!r})")
     missing = sorted(d.id for d in pool if d.relevance is None)
     if missing:

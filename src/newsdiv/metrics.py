@@ -12,8 +12,10 @@ distance blends per-aspect label distances with the schema's weights:
 Both live in [0, 1]. Lists with fewer than two documents score 0; the
 distance of two documents is their `collection_diversity` (divisor 1).
 
-A document's row is its label index per aspect, in schema aspect order;
-`_label_indices` builds it and is the only label check. Two kernels read
+A document's row is its label index per aspect, in schema aspect order.
+`_label_indices` reads it from the schema's row table, which holds every
+label tuple the schema has checked, and checks a tuple the table does not
+hold yet; it is the modes' only label check. Two kernels read
 rows and the distance matrices: the count kernel `_diversity` (stepped by
 `_candidate_values`) and the pair kernel `_distance_matrix`. The modes
 resolve each input document once and then call them directly.
@@ -160,21 +162,24 @@ def parse_window(text: str) -> Window:
 
 def _label_indices(schema: AspectSchema, doc: DocumentProfile) -> tuple[int, ...]:
     """The document's row: its label index in each aspect, in schema aspect
-    order. This is the only label check."""
-    out = []
+    order, read from the schema's row table. A label tuple the table does not
+    hold (or cannot hash) is checked here, and stored once it passes."""
+    key = tuple(map(doc.labels.get, schema.aspect_names()))
+    try:
+        return schema._rows[key]
+    except (KeyError, TypeError):  # TypeError: an unhashable label value
+        pass
     for aspect in schema.aspects:
         label = doc.labels.get(aspect.name)
         if label is None:
             raise ContractError(
                 f"document {doc.id!r} is missing a label for aspect {aspect.name!r}"
             )
-        i = aspect.index.get(label) if isinstance(label, str) else None
-        if i is None:
+        if not isinstance(label, str) or label not in aspect.index:
             raise UnknownEntityError(
                 f"document {doc.id!r} uses unknown label {label!r} for aspect {aspect.name!r}"
             )
-        out.append(i)
-    return tuple(out)
+    return schema._add_row(key)
 
 
 def _check_unique_ids(docs: Sequence[DocumentProfile], what: str) -> None:

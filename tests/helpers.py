@@ -6,6 +6,7 @@ no module-level RNG state.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from dataclasses import replace
@@ -14,12 +15,14 @@ from itertools import combinations
 from typing import Mapping, Sequence
 
 from newsdiv.aspect_model import Aspect, AspectSchema, LabelGraph
+from newsdiv.corpus_io import Corpus, _parse_keywords
 from newsdiv.diversify import DEFAULT_GAMMA, SWAP_EPSILON, RerankResult, _pick, _result
 from newsdiv.errors import (
     ContractError,
     GuardExceededError,
     UnknownEntityError,
     ValidationError,
+    json_decode_error,
     json_float,
     json_isinstance,
 )
@@ -908,3 +911,74 @@ def reference_explain_result(result) -> str:
     for t in notes:
         lines.append(f"note: {t['detail']}")
     return "\n".join(lines)
+
+
+def _reference_iter_jsonl(text: str, what: str):
+    """(line number, object) per non-blank line; decode errors name `what`."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)  # not load_json: one call frame less per line
+        except (ValueError, RecursionError) as exc:
+            raise json_decode_error(exc, f"{what} line {lineno}") from exc
+        yield lineno, obj
+
+
+def _reference_validate_labels(schema: AspectSchema, labels: Mapping[str, str], where: str) -> None:
+    """Exactly one known label per schema aspect; nothing else."""
+    names = set(schema.aspect_names())
+    extra = set(labels) - names
+    if extra:
+        raise ValidationError(f"{where}: labels for unknown aspects {sorted(extra)}")
+    for aspect in schema.aspects:
+        if aspect.name not in labels:
+            raise ValidationError(f"{where}: missing label for aspect {aspect.name!r}")
+        value = labels[aspect.name]
+        if value not in aspect.labels:  # tuple membership: lists and dicts are just unknown
+            raise ValidationError(
+                f"{where}: unknown {aspect.name} label {value!r}"
+            )
+
+
+def reference_load_corpus(schema: AspectSchema, text: str) -> Corpus:
+    """The corpus loader before the C-scanner decode and the schema's row
+    table: a json.loads per line and validate_labels per document, the
+    reference corpus_io.load_corpus must match in result and message."""
+    documents: dict[str, DocumentProfile] = {}
+    for lineno, obj in _reference_iter_jsonl(text, "corpus"):
+        if not isinstance(obj, dict):
+            raise ValidationError(f"corpus line {lineno}: document must be a JSON object")
+        doc_id = obj.get("id")
+        if not isinstance(doc_id, str) or not doc_id:
+            raise ValidationError(f"corpus line {lineno}: document needs a non-empty string 'id'")
+        if doc_id in documents:
+            raise ValidationError(f"corpus line {lineno}: duplicate document id {doc_id!r}")
+        labels = obj.get("labels")
+        if not isinstance(labels, dict):
+            raise ValidationError(f"corpus line {lineno}: document {doc_id!r} needs a 'labels' map")
+        _reference_validate_labels(schema, labels, f"corpus line {lineno}")
+        relevance = obj.get("relevance")
+        if relevance is not None:
+            if not json_isinstance(relevance, (int, float)) or not 0.0 <= relevance <= 1.0:
+                raise ValidationError(
+                    f"corpus line {lineno}: relevance for {doc_id!r} must lie in [0, 1] "
+                    f"(got {relevance!r})"
+                )
+            relevance = float(relevance)
+        timestamp = obj.get("timestamp")
+        if timestamp is not None and not json_isinstance(timestamp, int):
+            raise ValidationError(
+                f"corpus line {lineno}: timestamp for {doc_id!r} must be an integer"
+            )
+        keywords = _parse_keywords(lineno, doc_id, obj.get("keywords"))
+        for kw in keywords:
+            _reference_validate_labels(schema, kw.labels, f"corpus line {lineno}: keyword {kw.term!r}")
+        documents[doc_id] = DocumentProfile(
+            id=doc_id,
+            labels=dict(labels),
+            relevance=relevance,
+            timestamp=timestamp,
+            keywords=keywords,
+        )
+    return Corpus(documents=documents)

@@ -1,6 +1,8 @@
 """File formats: corpus, interactions, history, rules, and report output."""
 
 import json
+import random
+from dataclasses import replace
 
 import pytest
 
@@ -12,8 +14,10 @@ from newsdiv.corpus_io import (
     round12,
     write_report,
 )
-from newsdiv.errors import ParseError, ValidationError
+from newsdiv.errors import NewsdivError, ParseError, ValidationError
 from newsdiv.metrics import collection_diversity
+
+from helpers import random_schema, reference_load_corpus
 
 
 def line(doc_id="x1", topic="Climate", frame="Health", **extra):
@@ -176,3 +180,116 @@ def test_rerank_result_json_includes_keyword_diversity(schema, pool):
     data = json.loads(write_report(result))
     assert data["keyword_diversity"] == 0.75
     assert data["selected"] == ["a1", "a7", "a2", "a8"]
+
+
+# --- parity with the reference loader ---
+
+
+def _labels(rng, schema):
+    return {a.name: rng.choice(a.labels) for a in schema.aspects}
+
+
+def _relabel(change):
+    """A corruption that lets `change` edit a copy of the document's labels."""
+    def corrupt(rng, doc, first_id):
+        labels = dict(doc["labels"])
+        change(rng, labels)
+        return [json.dumps({**doc, "labels": labels})]
+    return corrupt
+
+
+def _rekeyword(change):
+    """A corruption that gives the document one keyword, whose labels are
+    the document's after `change`."""
+    def corrupt(rng, doc, first_id):
+        labels = change(rng, dict(doc["labels"]))
+        return [json.dumps({**doc, "keywords": [{"term": "kw", "labels": labels}]})]
+    return corrupt
+
+
+def _pick(rng, labels):
+    return rng.choice(sorted(labels))
+
+
+def _drop_one(rng, labels):
+    del labels[_pick(rng, labels)]
+    return labels
+
+
+def _swap_for_extra(rng, labels):
+    labels["zz_extra"] = labels.pop(_pick(rng, labels))
+
+
+def _listify(rng, labels):
+    name = _pick(rng, labels)
+    labels[name] = [labels[name]]  # a known label, but in a list
+
+
+# Each corruption maps (rng, the document's object, the first document's
+# id) to the lines that replace that document's line.
+CORRUPTIONS = {
+    "none": lambda rng, doc, first: [json.dumps(doc)],
+    "leading-spaces": lambda rng, doc, first: ["  " + json.dumps(doc)],
+    "trailing-spaces": lambda rng, doc, first: [json.dumps(doc) + " \t"],
+    "blank-lines": lambda rng, doc, first: ["", "   ", json.dumps(doc), "\t"],
+    "bom": lambda rng, doc, first: ["\ufeff" + json.dumps(doc)],
+    "trailing-junk": lambda rng, doc, first: [json.dumps(doc) + "x"],
+    "trailing-object": lambda rng, doc, first: [json.dumps(doc) + " {}"],
+    "array-over-two-lines": lambda rng, doc, first: ["[1", "2]"],
+    "raw-u2028": lambda rng, doc, first: [json.dumps({**doc, "id": "a\u2028b"}, ensure_ascii=False)],
+    "deep-nesting": lambda rng, doc, first: ["[" * 100_000 + "]" * 100_000],
+    "5000-digit-integer": lambda rng, doc, first: [
+        json.dumps({**doc, "timestamp": 0}).replace('"timestamp": 0', '"timestamp": ' + "9" * 5000)
+    ],
+    "nan-relevance": lambda rng, doc, first: [json.dumps({**doc, "relevance": float("nan")})],
+    "true-relevance": lambda rng, doc, first: [json.dumps({**doc, "relevance": True})],
+    "relevance-2": lambda rng, doc, first: [json.dumps({**doc, "relevance": 2})],
+    "unknown-label": _relabel(lambda rng, labels: labels.update({_pick(rng, labels): "zz"})),
+    "missing-aspect": _relabel(_drop_one),
+    "extra-aspect": _relabel(lambda rng, labels: labels.update(zz_extra="x")),
+    "extra-for-missing": _relabel(_swap_for_extra),
+    "list-label": _relabel(_listify),
+    "dict-label": _relabel(lambda rng, labels: labels.update({_pick(rng, labels): {"x": 1}})),
+    "int-label": _relabel(lambda rng, labels: labels.update({_pick(rng, labels): 3})),
+    "null-label": _relabel(lambda rng, labels: labels.update({_pick(rng, labels): None})),
+    "duplicate-id": lambda rng, doc, first: [json.dumps({**doc, "id": first})],
+    "keyword-unknown-label": _rekeyword(lambda rng, labels: {**labels, _pick(rng, labels): "zz"}),
+    "keyword-extra-aspect": _rekeyword(lambda rng, labels: {**labels, "zz_extra": "x"}),
+    "keyword-list-label": _rekeyword(lambda rng, labels: {**labels, _pick(rng, labels): ["x"]}),
+    "keyword-missing-aspect": _rekeyword(_drop_one),
+    "keyword-labels-not-a-map": lambda rng, doc, first: [json.dumps({**doc, "keywords": [{"term": "kw", "labels": ["x"]}]})],
+}
+
+
+def _outcome(load, schema, text):
+    try:
+        return list(load(schema, text).documents.items())
+    except NewsdivError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("crlf", [False, True], ids=["lf", "crlf"])
+@pytest.mark.parametrize("way", sorted(CORRUPTIONS))
+def test_corrupted_corpora_load_as_the_reference_loader_does(way, crlf):
+    """A generated corpus with one line corrupted loads to an equal corpus,
+    or fails with the same error type and message, as the loader before the
+    C-scanner decode and the row table, whether the schema is cold or has
+    checked the corpus's label tuples before."""
+    for seed in range(12):
+        rng = random.Random(f"{way}:{seed}")
+        schema = random_schema(rng, max_aspects=3, max_labels=3)
+        docs = []
+        for i in range(rng.randint(2, 25)):
+            doc = {"id": f"d{i:03d}", "labels": _labels(rng, schema),
+                   "relevance": round(rng.random(), 6), "timestamp": 1_700_000_000 + 60 * i}
+            if rng.random() < 0.3:
+                doc["keywords"] = [{"term": f"t{i}", "labels": _labels(rng, schema)}]
+            docs.append(doc)
+        lines = [json.dumps(doc) for doc in docs]
+        at = rng.randrange(1, len(docs))
+        lines[at:at + 1] = CORRUPTIONS[way](rng, docs[at], docs[0]["id"])
+        text = ("\r\n" if crlf else "\n").join(lines) + "\n"
+        expected = _outcome(reference_load_corpus, schema, text)
+        assert _outcome(load_corpus, replace(schema), text) == expected  # cold table
+        load_corpus(schema, "\n".join(json.dumps(doc) for doc in docs))  # warm it
+        assert _outcome(load_corpus, schema, text) == expected

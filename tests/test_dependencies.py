@@ -1,6 +1,7 @@
 """The package runs on the standard library alone, decodes JSON in one
-mapping, writes its output in one place, reads distances in two kernels,
-checks a selection size in one place and declares every trace record kind it
+mapping, scans JSONL lines in one place, writes its output in one place,
+reads distances in two kernels, checks a selection size in one place, stores
+checked label rows in one place and declares every trace record kind it
 emits."""
 
 import ast
@@ -114,3 +115,34 @@ def test_k_is_checked_in_one_place():
         and node.values[0].value.startswith("k must satisfy 1 <= k <= |pool|")
     }
     assert checks == {"metrics._check_k"}
+
+
+def test_lines_are_scanned_in_one_place():
+    # corpus_io binds the C scanner once at module level and calls it per line.
+    names = {
+        where
+        for where, node in _nodes((ast.Name, ast.Attribute))
+        if "scan_once" in (node.id if isinstance(node, ast.Name) else node.attr)
+    }
+    assert names == {"corpus_io.<module>", "corpus_io._iter_jsonl"}
+    assert {where for where, _ in _calls("_scan_once")} == {"corpus_io._iter_jsonl"}
+
+
+def test_label_rows_are_stored_in_one_place():
+    assert {where for where, node in _nodes(ast.Attribute) if node.attr == "_rows"} == {
+        "aspect_model._add_row", "metrics._label_indices", "corpus_io._check_labels",
+    }
+    stores = {
+        where
+        for where, node in _nodes(ast.Subscript)
+        if isinstance(node.ctx, (ast.Store, ast.Del)) and ast.unparse(node.value).endswith("._rows")
+    }
+    assert stores == {"aspect_model._add_row"}
+    # No method of the table is called (setdefault, update, clear, ...).
+    assert not [
+        where
+        for where, call in _nodes(ast.Call)
+        if isinstance(call.func, ast.Attribute)
+        and isinstance(call.func.value, ast.Attribute)
+        and call.func.value.attr == "_rows"
+    ]

@@ -127,6 +127,16 @@ def test_k_must_be_an_integer(schema, pool, call, k):
         call(schema, pool, k)
 
 
+@pytest.mark.parametrize("value", ["0.5", None, True], ids=["str", "None", "True"])
+def test_lambda_and_gamma_must_be_numbers(schema, pool, value):
+    with pytest.raises(ContractError) as info:
+        rerank_combined(schema, pool[:3], 1, value)
+    assert str(info.value) == f"lambda must lie in [0, 1] (got {value!r})"
+    with pytest.raises(ContractError) as info:
+        next_in_sequence(schema, pool[:2], pool[2:3], Window("last", 1), value)
+    assert str(info.value) == f"gamma must lie in (0, 1] (got {value!r})"
+
+
 @given(st.integers(min_value=0, max_value=3_000))
 def test_greedy_never_beats_the_oracle(seed):
     rng = random.Random(seed)

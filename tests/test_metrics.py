@@ -1,12 +1,15 @@
 """Pairwise diversity metrics, windows, interaction blending."""
 
+import json
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
+from newsdiv.corpus_io import load_corpus
 from newsdiv.errors import ContractError, UnknownEntityError, ValidationError
 from newsdiv.metrics import (
     DocumentProfile,
@@ -80,6 +83,54 @@ def test_unknown_label_names_the_offender(schema):
     stub = doc("s", "Climate", "Sports")
     with pytest.raises(UnknownEntityError, match="Sports"):
         distance(schema, stub, stub)
+
+
+# --- the schema's row table ---
+
+
+def test_warm_rows_are_the_rows_of_a_cold_schema():
+    for seed in range(300):
+        rng = random.Random(seed)
+        schema = random_schema(rng, max_aspects=3, max_labels=3)
+        docs = random_docs(rng, schema, rng.randint(1, 30))
+        for d in docs + docs:  # the second pass reads stored rows only
+            assert _label_indices(schema, d) == _label_indices(replace(schema), d), seed
+            assert _label_indices(schema, d) == tuple(a.index[d.labels[a.name]] for a in schema.aspects)
+        assert len(schema._rows) == len({tuple(d.labels.values()) for d in docs}), seed
+
+
+def test_an_extra_aspect_is_rejected_by_the_loader_but_resolves_in_the_modes(schema, pool):
+    extra = doc("x", "Climate", "Health")
+    extra = replace(extra, labels={**extra.labels, "tone": "sad"})
+    assert _label_indices(schema, extra) == _label_indices(schema, pool[0])
+    assert collection_diversity(schema, [extra, pool[1]]) == collection_diversity(schema, pool[:2])
+    text = json.dumps({"id": "x", "labels": {**pool[0].labels, "tone": "sad"}})
+    with pytest.raises(ValidationError) as info:
+        load_corpus(schema, text)  # the tuple is in the table, the extra key is not
+    assert str(info.value) == "corpus line 1: labels for unknown aspects ['tone']"
+
+
+@pytest.mark.parametrize("value", [["Climate"], {"Climate": 1}], ids=["list", "dict"])
+def test_unhashable_labels_raise_the_label_messages(schema, pool, value):
+    collection_diversity(schema, pool)  # every tuple of the schema is stored
+    stub = DocumentProfile(id="s", labels={"topic": value, "frame": "Health"})
+    with pytest.raises(UnknownEntityError) as info:
+        _label_indices(schema, stub)
+    assert str(info.value) == f"document 's' uses unknown label {value!r} for aspect 'topic'"
+    text = json.dumps({"id": "s", "labels": {"topic": value, "frame": "Health"}})
+    with pytest.raises(ValidationError) as info:
+        load_corpus(schema, text)
+    assert str(info.value) == f"corpus line 1: unknown topic label {value!r}"
+
+
+def test_the_row_table_is_not_part_of_the_schema_value(schema, pool):
+    collection_diversity(schema, pool)
+    cold = replace(schema)
+    assert schema._rows and cold._rows == {}
+    assert cold == schema and repr(cold) == repr(schema)
+    assert "_rows" not in repr(schema)
+    reweighted = replace(schema, weights={"topic": 0.25, "frame": 0.75})
+    assert reweighted._rows == {} and reweighted != schema
 
 
 # --- step and distance kernels ---
