@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import InitVar, dataclass, field
 from typing import Iterable, Mapping
 
-from .errors import DerivationError, UnknownEntityError, ValidationError, json_float, json_isinstance, load_json
+from .errors import DerivationError, UnknownEntityError, ValidationError, json_float, json_isinstance, json_number_in, load_json
 
 # Blend weights must sum to 1 within this tolerance.
 WEIGHT_TOLERANCE = 1e-9
@@ -153,13 +153,13 @@ class Aspect:
                         f"aspect {self.name!r}: distance entry references unknown label {label!r}"
                     )
             if l1 == l2:
-                if value != 0.0:
+                if not json_number_in(value, 0.0, 0.0):
                     raise ValidationError(
                         f"aspect {self.name!r}: self-distance for {l1!r} must be 0 (got {value!r})"
                     )
                 continue
             key = _pair(l1, l2)
-            if not 0.0 <= value <= 1.0:
+            if not json_number_in(value, 0.0, 1.0):
                 raise ValidationError(
                     f"aspect {self.name!r}: distance out of range: {key[0]}/{key[1]} = "
                     f"{value!r} (must be in [0, 1])"
@@ -230,9 +230,8 @@ class AspectSchema:
             if extra:
                 parts.append(f"weights for unknown aspects {sorted(extra)}")
             raise ValidationError("blend weights must cover exactly the aspects: " + "; ".join(parts))
-        # Written so that NaN fails both checks.
         for name, w in self.weights.items():
-            if not 0.0 <= w <= 1.0:
+            if not json_number_in(w, 0.0, 1.0):
                 raise ValidationError(
                     f"blend weight for {name!r} is {w!r}; weights must lie in [0, 1]"
                 )

@@ -14,7 +14,7 @@ from typing import Mapping
 
 from .aspect_model import AspectSchema
 from .diversify import RerankResult
-from .errors import ValidationError, json_decode_error, json_float, json_isinstance
+from .errors import ValidationError, json_decode_error, json_float, json_isinstance, json_number_in
 from .metrics import (
     DiversityReport,
     DocumentProfile,
@@ -138,7 +138,7 @@ def load_corpus(schema: AspectSchema, text: str) -> Corpus:
         _check_labels(schema, names, labels, f"corpus line {lineno}")
         relevance = obj.get("relevance")
         if relevance is not None:
-            if not json_isinstance(relevance, (int, float)) or not 0.0 <= relevance <= 1.0:
+            if not json_number_in(relevance, 0.0, 1.0):
                 raise ValidationError(
                     f"corpus line {lineno}: relevance for {doc_id!r} must lie in [0, 1] "
                     f"(got {relevance!r})"

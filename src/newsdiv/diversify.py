@@ -16,7 +16,7 @@ from itertools import chain, repeat
 from typing import Iterable, Mapping, Sequence
 
 from .aspect_model import AspectSchema
-from .errors import ContractError, UnknownEntityError, json_isinstance
+from .errors import ContractError, UnknownEntityError, json_number_in
 from .metrics import (
     DiversityReport,
     DocumentProfile,
@@ -122,7 +122,7 @@ def swap_diversify(
     """
     if not items:
         raise ContractError("swap_diversify needs a non-empty starting list")
-    if not json_isinstance(budget, int) or budget < 0:
+    if not json_number_in(budget, 0, float("inf"), int):
         raise ContractError(f"swap budget must be an integer >= 0 (got {budget!r})")
     row = _label_rows(schema, list(items) + list(pool), "list plus pool")
 
@@ -254,7 +254,7 @@ def next_in_sequence(
     """
     if not candidates:
         raise ContractError("candidate set must be non-empty")
-    if not json_isinstance(gamma, (int, float)) or not 0.0 < gamma <= 1.0:
+    if not json_number_in(gamma, 0.0, 1.0) or gamma == 0.0:
         raise ContractError(f"gamma must lie in (0, 1] (got {gamma!r})")
     # Checks: window labels, candidate ids, candidate labels in id order. Both
     # values are scored once per distinct row; affinities add gamma**age times
@@ -409,15 +409,12 @@ def rerank_combined(
     lam * mean_relevance(selected) + (1 - lam) * diversity(selected).
     """
     _check_k(k, len(pool))
-    if not json_isinstance(lam, (int, float)) or not 0.0 <= lam <= 1.0:
+    if not json_number_in(lam, 0.0, 1.0):
         raise ContractError(f"lambda must lie in [0, 1] (got {lam!r})")
     missing = sorted(d.id for d in pool if d.relevance is None)
     if missing:
         raise ContractError(f"documents missing relevance scores: {missing}")
-    # Written so that NaN fails; a bool is not a number, as in the loader.
-    outside = sorted(
-        d.id for d in pool if not (json_isinstance(d.relevance, (int, float)) and 0.0 <= d.relevance <= 1.0)
-    )
+    outside = sorted(d.id for d in pool if not json_number_in(d.relevance, 0.0, 1.0))
     if outside:
         raise ContractError(f"documents with relevance outside [0, 1]: {outside}")
 

@@ -3,6 +3,9 @@
 The CLI maps these onto exit codes: parse/validation/lookup/contract
 problems exit 2, I/O problems exit 1, enumeration-guard refusals exit 3.
 Every json.loads failure becomes a ParseError through json_decode_error.
+Numeric parameters are range-checked by json_number_in: a bool is not a
+number, NaN lies in no interval, and a value is compared as given, never
+after float().
 """
 import json
 import sys
@@ -33,6 +36,11 @@ def json_decode_error(exc: Exception, what: str) -> "ParseError":
 def json_isinstance(value, types) -> bool:
     """isinstance for parsed JSON values: a JSON boolean is never a number."""
     return isinstance(value, types) and not isinstance(value, bool)
+
+
+def json_number_in(value, low, high, kind=(int, float)) -> bool:
+    """True when `value` is a `kind` that is not a bool and low <= value <= high."""
+    return json_isinstance(value, kind) and low <= value <= high
 
 
 def json_float(value, what: str) -> float:

@@ -45,7 +45,7 @@ from operator import add
 from typing import Iterator, Mapping, Sequence
 
 from .aspect_model import WEIGHT_TOLERANCE, AspectSchema
-from .errors import ContractError, UnknownEntityError, ValidationError, json_isinstance
+from .errors import ContractError, UnknownEntityError, ValidationError, json_float, json_isinstance, json_number_in
 
 # Two diversity values within this tolerance count as tied.
 TIE_TOLERANCE = 1e-9
@@ -92,17 +92,13 @@ class InteractionLog:
     type_weights: Mapping[str, float]
 
     def __post_init__(self):
-        # Written so that NaN fails both checks.
         for t, w in self.type_weights.items():
-            if not w >= 0.0:
-                raise ValidationError(
-                    f"interaction type weight for {t!r} is negative or NaN ({w!r})"
-                )
+            if not json_number_in(w, 0.0, float("inf")):
+                raise ValidationError(f"interaction type weight for {t!r} is negative or NaN ({w!r})")
+            json_float(w, f"interaction type weight for {t!r}")  # not an OverflowError in the sum
         total = sum(self.type_weights.values())
         if not abs(total - 1.0) <= WEIGHT_TOLERANCE:
-            raise ValidationError(
-                f"interaction type weights must sum to 1 (got {total!r})"
-            )
+            raise ValidationError(f"interaction type weights must sum to 1 (got {total!r})")
 
 
 @dataclass(frozen=True)
@@ -190,7 +186,7 @@ def _check_unique_ids(docs: Sequence[DocumentProfile], what: str) -> None:
 
 def _check_k(k: int, n: int) -> None:
     """A selection size must be an integer (not a bool) in [1, n]."""
-    if not json_isinstance(k, int) or not 1 <= k <= n:
+    if not json_number_in(k, 1, n, int):
         raise ContractError(f"k must satisfy 1 <= k <= |pool| (got k={k!r}, |pool|={n})")
 
 
@@ -281,20 +277,19 @@ def collection_diversity(schema: AspectSchema, docs: Sequence[DocumentProfile]) 
 
 
 def _check_sorted(docs: Sequence[DocumentProfile]) -> bool:
-    """True when timestamps are present; ContractError on mixed/unsorted input."""
+    """True when timestamps are present; ContractError on mixed, non-integer or unsorted input."""
     stamps = [d.timestamp for d in docs]
     have = [s for s in stamps if s is not None]
     if not have:
         return False
     if len(have) != len(stamps):
-        raise ContractError(
-            "sequence mixes documents with and without timestamps"
-        )
+        raise ContractError("sequence mixes documents with and without timestamps")
+    bad = [s for s in have if not json_isinstance(s, int)]
+    if bad:
+        raise ContractError(f"sequence timestamps must be integers (got {bad})")
     for earlier, later in zip(stamps, stamps[1:]):
         if later < earlier:
-            raise ContractError(
-                "sequence is not sorted by timestamp (non-decreasing required)"
-            )
+            raise ContractError("sequence is not sorted by timestamp (non-decreasing required)")
     return True
 
 

@@ -19,12 +19,12 @@ fields explain reads from it, and the line explain lists it with.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain, compress
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .aspect_model import AspectSchema
-from .errors import UnknownEntityError, ValidationError, json_float, json_isinstance
+from .errors import UnknownEntityError, ValidationError, json_float, json_isinstance, json_number_in
 from .metrics import DocumentProfile, _check_unique_ids
 
 SCOPES = ("global", "context", "request")
@@ -39,12 +39,24 @@ MAX_PREDICATE_DEPTH = 100
 
 @dataclass(frozen=True)
 class Rule:
+    """One editorial rule; its action value is checked when it is built."""
+
     id: str
     scope: str
     predicate: Mapping
     action: str  # "exclude" | "require_at_least" | "boost"
     value: float | int | None = None  # m for require_at_least, delta for boost
     context: str | None = None  # context tag, required for context scope
+
+    def __post_init__(self):
+        if self.action == "require_at_least":
+            if not json_number_in(self.value, 1, float("inf"), int):
+                raise _invalid(self.id, "require_at_least needs an integer m >= 1")
+        elif self.action == "boost":
+            if not json_number_in(self.value, -1.0, 1.0):
+                raise _invalid(self.id, f"boost delta must lie in [-1, 1] (got {self.value!r})")
+        elif self.action != "exclude":
+            raise _invalid(self.id, f"unknown action {self.action!r}")
 
 
 @dataclass(frozen=True)
@@ -167,25 +179,11 @@ def parse_rule(schema: AspectSchema, obj) -> Rule:
     if not isinstance(action_obj, dict) or len(action_obj) != 1:
         raise _invalid(rule_id, "action must be exactly one of exclude / require_at_least / boost")
     action, value = next(iter(action_obj.items()))
-    if action == "exclude":
-        value = None
-    elif action == "require_at_least":
-        if not json_isinstance(value, int) or value < 1:
-            raise _invalid(rule_id, "require_at_least needs an integer m >= 1")
-    elif action == "boost":
-        if not json_isinstance(value, (int, float)) or not -1.0 <= value <= 1.0:
-            raise _invalid(rule_id, f"boost delta must lie in [-1, 1] (got {value!r})")
-        value = float(value)
-    else:
-        raise _invalid(rule_id, f"unknown action {action!r}")
-    return Rule(
-        id=rule_id,
-        scope=scope,
-        predicate=predicate,
-        action=action,
-        value=value,
-        context=context,
+    rule = Rule(
+        id=rule_id, scope=scope, predicate=predicate, action=action,
+        value=None if action == "exclude" else value, context=context,
     )
+    return replace(rule, value=float(value)) if action == "boost" else rule
 
 
 @dataclass(frozen=True)

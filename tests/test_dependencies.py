@@ -1,8 +1,8 @@
 """The package runs on the standard library alone, decodes JSON in one
 mapping, scans JSONL lines in one place, writes its output in one place,
-reads distances in two kernels, checks a selection size in one place, stores
-checked label rows in one place and declares every trace record kind it
-emits."""
+reads distances in two kernels, checks a selection size in one place,
+range-checks every numeric parameter in one helper, stores checked label
+rows in one place and declares every trace record kind it emits."""
 
 import ast
 import os
@@ -115,6 +115,18 @@ def test_k_is_checked_in_one_place():
         and node.values[0].value.startswith("k must satisfy 1 <= k <= |pool|")
     }
     assert checks == {"metrics._check_k"}
+
+
+def test_numbers_are_range_checked_in_one_place():
+    # apply_rules keeps its clamp, a test on a computed value in its hot loop.
+    chained = {where for where, node in _nodes(ast.Compare) if len(node.ops) > 1}
+    assert chained == {"errors.json_number_in", "rules.apply_rules"}
+    # aspect_model: Aspect and AspectSchema; metrics: InteractionLog; rules: Rule.
+    assert {where for where, _ in _calls("json_number_in")} == {
+        "aspect_model.__post_init__", "metrics.__post_init__", "metrics._check_k",
+        "diversify.swap_diversify", "diversify.next_in_sequence", "diversify.rerank_combined",
+        "corpus_io.load_corpus", "rules.__post_init__",
+    }
 
 
 def test_lines_are_scanned_in_one_place():
