@@ -205,8 +205,8 @@ class AspectSchema:
 
     The schema remembers the label tuples it has checked: `_rows` maps the
     per-aspect label values of a document (in aspect order) that passed a
-    label check to their label-index row. Only `_add_row` inserts, so a
-    tuple is checked once per schema; a copy made by `dataclasses.replace`
+    label check to their label-index row. Only `_row` reads or writes it, so
+    a tuple is resolved once per schema; a copy made by `dataclasses.replace`
     starts with an empty table. `_names` caches `aspect_names()`, from which
     a table key is built once per document.
     """
@@ -248,10 +248,22 @@ class AspectSchema:
     def aspect_names(self) -> tuple[str, ...]:
         return self._names
 
-    def _add_row(self, key: tuple[str, ...]) -> tuple[int, ...]:
-        """Store and return the label-index row of `key`, one known label per
-        aspect in aspect order, which the caller has just checked."""
-        row = self._rows[key] = tuple(a.index[label] for a, label in zip(self.aspects, key))
+    def _row(self, labels: Mapping) -> tuple[int, ...] | None:
+        """The row of a label map: each aspect's label, in aspect order, as
+        its index in that aspect. A label tuple is resolved once and its row
+        stored; None when a label is missing, unknown or unhashable."""
+        key = tuple(map(labels.get, self._names))
+        try:
+            return self._rows[key]
+        except KeyError:
+            pass
+        except TypeError:  # an unhashable label value
+            return None
+        try:
+            row = tuple(a.index[label] for a, label in zip(self.aspects, key))
+        except KeyError:  # a missing or unknown label
+            return None
+        self._rows[key] = row
         return row
 
 

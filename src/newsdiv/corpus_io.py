@@ -98,16 +98,10 @@ def validate_labels(schema: AspectSchema, labels: Mapping[str, str], where: str)
 
 
 def _check_labels(schema: AspectSchema, names: tuple[str, ...], labels: Mapping[str, str], where: str) -> None:
-    """validate_labels, unless the schema's row table already holds this
-    label tuple and the map has no other key."""
-    key = tuple(map(labels.get, names))
-    try:
-        if key in schema._rows and len(labels) == len(names):
-            return
-    except TypeError:  # an unhashable label value: validate_labels names it
-        pass
-    validate_labels(schema, labels, where)
-    schema._add_row(key)
+    """validate_labels, unless the schema's row table resolves this label
+    map and the map has no other key."""
+    if len(labels) != len(names) or schema._row(labels) is None:
+        validate_labels(schema, labels, where)
 
 
 def load_corpus(schema: AspectSchema, text: str) -> Corpus:

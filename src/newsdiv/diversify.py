@@ -25,6 +25,7 @@ from .metrics import (
     Window,
     _candidate_values,
     _check_k,
+    _check_unique_ids,
     _distance_matrix,
     _diversity,
     _label_indices,
@@ -36,6 +37,7 @@ from .metrics import (
 )
 # interaction_diversity is unused here; newsbench/tracing.py patches this name.
 from .metrics import interaction_diversity  # noqa: F401
+from .rules import _record
 
 # A swap must improve overall diversity by more than this to be accepted.
 SWAP_EPSILON = 1e-12
@@ -150,19 +152,7 @@ def swap_diversify(
         removed = current[chosen_idx]
         current[chosen_idx] = best_sub
         available = [d for d in available if d.id != best_sub.id] + [removed]
-        trace.append(
-            {
-                "kind": "swap",
-                "out": removed.id,
-                "in": best_sub.id,
-                "before": before,
-                "after": best_after,
-                "detail": (
-                    f"swapped out {removed.id} for {best_sub.id}: "
-                    f"diversity {before:.12g} -> {best_after:.12g}"
-                ),
-            }
-        )
+        trace.append(_record("swap", out=removed.id, **{"in": best_sub.id}, before=before, after=best_after))
         # Exact label counts make the value order-free, so this is current's.
         before = best_after
     return _result(schema, row, current, trace)
@@ -178,19 +168,14 @@ def greedy_select(schema: AspectSchema, pool: Sequence[DocumentProfile], k: int)
     """
     n = len(pool)
     _check_k(k, n)
+    _check_unique_ids(pool, "pool")
     docs = sorted(pool, key=lambda d: d.id)
     row = _label_rows(schema, docs, "pool")
     trace: list[dict] = []
 
     if n == 1:
         seed = docs[0]
-        trace.append(
-            {
-                "kind": "seed",
-                "doc": seed.id,
-                "detail": f"seeded with {seed.id} (only candidate)",
-            }
-        )
+        trace.append(_record("seed", f"seeded with {seed.id} (only candidate)", doc=seed.id))
     else:
         # _pick's row-major scan over the pairs. Its secondary key is 0.0, so
         # an entry replaces the best only when more than TIE_TOLERANCE above
@@ -201,16 +186,8 @@ def greedy_select(schema: AspectSchema, pool: Sequence[DocumentProfile], k: int)
                 best = _pick(chain([best], ((d, 0.0, (i, j)) for j, d in enumerate(line, i + 1))))
         best_dist, _, (i, j) = best
         seed = docs[i]
-        trace.append(
-            {
-                "kind": "seed",
-                "doc": seed.id,
-                "detail": (
-                    f"seeded with {seed.id}, smaller id of most distant pair "
-                    f"({seed.id}, {docs[j].id}) at distance {best_dist:.12g}"
-                ),
-            }
-        )
+        detail = f"smaller id of most distant pair ({seed.id}, {docs[j].id}) at distance {best_dist:.12g}"
+        trace.append(_record("seed", f"seeded with {seed.id}, {detail}", doc=seed.id))
 
     selected = [seed]
     remaining = [d for d in docs if d.id != seed.id]
@@ -220,18 +197,8 @@ def greedy_select(schema: AspectSchema, pool: Sequence[DocumentProfile], k: int)
         best_value, _, best_cand = _pick(zip(values, repeat(0.0), remaining))  # id-sorted
         selected.append(best_cand)
         remaining = [d for d in remaining if d.id != best_cand.id]
-        trace.append(
-            {
-                "kind": "add",
-                "doc": best_cand.id,
-                "before": before,
-                "after": best_value,
-                "gain": best_value - before,
-                "detail": (
-                    f"added {best_cand.id}: diversity {before:.12g} -> {best_value:.12g}"
-                ),
-            }
-        )
+        gain = best_value - before
+        trace.append(_record("add", doc=best_cand.id, before=before, after=best_value, gain=gain))
         before = best_value
     return _result(schema, row, selected, trace)
 
@@ -260,6 +227,7 @@ def next_in_sequence(
     # values are scored once per distinct row; affinities add gamma**age times
     # one pair-kernel row from each window item, newest first.
     recent = [_label_indices(schema, d) for d in window_slice(history, window)]
+    _check_unique_ids(candidates, "candidate set")
     ordered = sorted(candidates, key=lambda d: d.id)
     keys = list(_label_rows(schema, ordered, "candidate set").values())
     distinct = list(dict.fromkeys(keys))
@@ -273,17 +241,7 @@ def next_in_sequence(
         selected=(best.id,),
         diversity=collection_diversity(schema, [best]),
         objective=best_primary,
-        trace=(
-            {
-                "kind": "next",
-                "doc": best.id,
-                "window_diversity": best_primary,
-                "detail": (
-                    f"next item {best.id}: windowed diversity with it "
-                    f"{best_primary:.12g}"
-                ),
-            },
-        ),
+        trace=(_record("next", doc=best.id, window_diversity=best_primary),),
     )
 
 
@@ -301,21 +259,10 @@ def select_summary_sources(schema: AspectSchema, pool: Sequence[DocumentProfile]
     pooled = [kw for doc_id in result.selected for kw in by_id[doc_id].keywords]
     if pooled:
         kd = keyword_diversity(schema, pooled)
-        trace.append(
-            {
-                "kind": "keyword_diversity",
-                "value": kd,
-                "detail": f"pooled keyword diversity of selected sources: {kd:.12g}",
-            }
-        )
+        trace.append(_record("keyword_diversity", value=kd))
     if len(result.selected) >= 2 and result.diversity.overall == 0.0:
-        trace.append(
-            {
-                "kind": "warning",
-                "detail": "selected sources are indistinguishable under the schema "
-                "(zero diversity)",
-            }
-        )
+        detail = "selected sources are indistinguishable under the schema (zero diversity)"
+        trace.append(_record("warning", detail))
     return replace(result, trace=tuple(trace), keyword_diversity=kd)
 
 
@@ -376,18 +323,7 @@ def suggest_interaction(
         selected=(doc_id,),
         diversity=_diversity(schema, [row[doc_id]]),
         objective=best_overall,
-        trace=(
-            {
-                "kind": "suggest",
-                "doc": doc_id,
-                "type": itype,
-                "overall": best_overall,
-                "detail": (
-                    f"suggest {itype} on {doc_id}: extended interaction "
-                    f"diversity {best_overall:.12g}"
-                ),
-            },
-        ),
+        trace=(_record("suggest", doc=doc_id, type=itype, overall=best_overall),),
     )
 
 
@@ -411,6 +347,7 @@ def rerank_combined(
     _check_k(k, len(pool))
     if not json_number_in(lam, 0.0, 1.0):
         raise ContractError(f"lambda must lie in [0, 1] (got {lam!r})")
+    _check_unique_ids(pool, "pool")
     missing = sorted(d.id for d in pool if d.relevance is None)
     if missing:
         raise ContractError(f"documents missing relevance scores: {missing}")
@@ -421,12 +358,7 @@ def rerank_combined(
     if lam == 0.0:
         base = greedy_select(schema, pool, k)
         trace = list(base.trace)
-        trace.append(
-            {
-                "kind": "note",
-                "detail": "lambda = 0: selection delegated to pure diversity greedy",
-            }
-        )
+        trace.append(_record("note", "lambda = 0: selection delegated to pure diversity greedy"))
         return replace(base, trace=tuple(trace), objective=base.diversity.overall)
 
     docs = sorted(pool, key=lambda d: d.id)
@@ -442,19 +374,15 @@ def rerank_combined(
         )  # id-sorted
         selected.append(best_cand)
         remaining = [d for d in remaining if d.id != best_cand.id]
+        detail = (
+            f"added {best_cand.id}: score {best_score:.12g} (relevance {best_cand.relevance:.12g}, "
+            f"diversity {best_div:.12g}, lambda {lam:.12g})"
+        )
         trace.append(
-            {
-                "kind": "add",
-                "doc": best_cand.id,
-                "relevance": best_cand.relevance,
-                "diversity_after": best_div,
-                "score": best_score,
-                "detail": (
-                    f"added {best_cand.id}: score {best_score:.12g} "
-                    f"(relevance {best_cand.relevance:.12g}, "
-                    f"diversity {best_div:.12g}, lambda {lam:.12g})"
-                ),
-            }
+            _record(
+                "add", detail,
+                doc=best_cand.id, relevance=best_cand.relevance, diversity_after=best_div, score=best_score,
+            )
         )
 
     result = _result(schema, row, selected, trace)

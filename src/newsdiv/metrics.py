@@ -93,6 +93,8 @@ class InteractionLog:
 
     def __post_init__(self):
         for t, w in self.type_weights.items():
+            if not json_isinstance(w, (int, float)):
+                raise ValidationError(f"interaction type weight for {t!r} must be a number (got {w!r})")
             if not json_number_in(w, 0.0, float("inf")):
                 raise ValidationError(f"interaction type weight for {t!r} is negative or NaN ({w!r})")
             json_float(w, f"interaction type weight for {t!r}")  # not an OverflowError in the sum
@@ -158,13 +160,11 @@ def parse_window(text: str) -> Window:
 
 def _label_indices(schema: AspectSchema, doc: DocumentProfile) -> tuple[int, ...]:
     """The document's row: its label index in each aspect, in schema aspect
-    order, read from the schema's row table. A label tuple the table does not
-    hold (or cannot hash) is checked here, and stored once it passes."""
-    key = tuple(map(doc.labels.get, schema.aspect_names()))
-    try:
-        return schema._rows[key]
-    except (KeyError, TypeError):  # TypeError: an unhashable label value
-        pass
+    order, from the schema's row table. A label the table cannot resolve is
+    reported here."""
+    row = schema._row(doc.labels)
+    if row is not None:
+        return row
     for aspect in schema.aspects:
         label = doc.labels.get(aspect.name)
         if label is None:
@@ -175,11 +175,16 @@ def _label_indices(schema: AspectSchema, doc: DocumentProfile) -> tuple[int, ...
             raise UnknownEntityError(
                 f"document {doc.id!r} uses unknown label {label!r} for aspect {aspect.name!r}"
             )
-    return schema._add_row(key)
 
 
 def _check_unique_ids(docs: Sequence[DocumentProfile], what: str) -> None:
-    dupes = sorted(i for i, c in Counter(d.id for d in docs).items() if c > 1)
+    """Document ids must be unique strings. The modes that sort by id check
+    them first, so a wrong id is named here and never fails the sort."""
+    ids = [d.id for d in docs]
+    wrong = [i for i in ids if not isinstance(i, str)]
+    if wrong:
+        raise ContractError(f"{what} contains document ids that are not strings: {wrong}")
+    dupes = sorted(i for i, c in Counter(ids).items() if c > 1)
     if dupes:
         raise ContractError(f"{what} contains duplicate document ids: {dupes}")
 

@@ -36,7 +36,9 @@ from typing import Sequence
 
 from .aspect_model import AspectSchema
 from .errors import GuardExceededError
-from .metrics import DocumentProfile, TIE_TOLERANCE, _check_k, _distance_matrix, _label_rows, collection_diversity
+from .metrics import (
+    DocumentProfile, TIE_TOLERANCE, _check_k, _check_unique_ids, _distance_matrix, _label_rows, collection_diversity,
+)
 
 # Refuse the search beyond this many k-subsets.
 ENUMERATION_GUARD = 10**7
@@ -78,6 +80,7 @@ def max_diversity_oracle(schema: AspectSchema, pool: Sequence[DocumentProfile], 
             f"C({n}, {k}) = {total} exceeds the enumeration guard "
             f"({ENUMERATION_GUARD}); use greedy_select for pools this large"
         )
+    _check_unique_ids(pool, "pool")
     docs = sorted(pool, key=lambda d: d.id)
     rows = list(_label_rows(schema, docs, "pool").values())  # every label checked, whatever k
     pairs = k * (k - 1) // 2

@@ -14,7 +14,9 @@ falls short. The trace holds one record per excluded document and one
 summary record per boost rule; RuleApplication.trace_for adds the
 per-document boost records of the selected documents, the ones explain
 narrates. EXPLAINED declares every trace record kind the package emits, the
-fields explain reads from it, and the line explain lists it with.
+fields explain reads from it, the line explain lists it with, and the
+template its `detail` is worded with. Every record, here and in diversify,
+is built in one place, _record, which refuses a kind EXPLAINED lacks.
 """
 from __future__ import annotations
 
@@ -216,18 +218,7 @@ class RuleApplication:
             trace.append(record)
             if record["kind"] == "boost_rule":
                 trace += [
-                    {
-                        "kind": "boost",
-                        "rule": rule_id,
-                        "doc": doc_id,
-                        "delta": delta,
-                        "before": before,
-                        "after": after,
-                        "detail": (
-                            f"rule {rule_id} boosted {doc_id}: "
-                            f"relevance {before:.12g} -> {after:.12g}"
-                        ),
-                    }
+                    _record("boost", rule=rule_id, doc=doc_id, delta=delta, before=before, after=after)
                     for doc_id in chosen
                     for rule_id, delta, before, after in self.boosts[doc_id]
                     if rule_id == record["rule"]
@@ -272,15 +263,7 @@ def apply_rules(
         if rule.action == "exclude":
             live = [members for members, flag in zip(live, flags) if not flag]
             for i in positions:
-                doc_id = candidates[i].id
-                adjustments.append(
-                    {
-                        "kind": "exclude",
-                        "rule": rule.id,
-                        "doc": doc_id,
-                        "detail": f"rule {rule.id} excluded {doc_id}",
-                    }
-                )
+                adjustments.append(_record("exclude", rule=rule.id, doc=candidates[i].id))
         else:
             rule_id, delta, clamped = rule.id, rule.value, 0
             for i in positions:
@@ -295,17 +278,7 @@ def apply_rules(
                 relevance[doc_id] = after
                 boosts[doc_id].append((rule_id, delta, before, after))
             adjustments.append(
-                {
-                    "kind": "boost_rule",
-                    "rule": rule_id,
-                    "delta": delta,
-                    "matched": len(positions),
-                    "clamped": clamped,
-                    "detail": (
-                        f"rule {rule_id} boosted {len(positions)} documents "
-                        f"by {delta:+.12g} ({clamped} clamped)"
-                    ),
-                }
+                _record("boost_rule", rule=rule_id, delta=delta, matched=len(positions), clamped=clamped)
             )
 
     current = [candidates[i] for i in sorted(chain.from_iterable(live))]
@@ -334,51 +307,63 @@ def check_requirements(
             continue
         found = sum(map(compile_predicate(schema, rule.predicate, rule.id), docs))
         if found < rule.value:
-            violations.append(
-                {
-                    "kind": "violation",
-                    "rule": rule.id,
-                    "needed": rule.value,
-                    "found": found,
-                    "detail": (
-                        f"rule {rule.id} requires at least {rule.value} matching "
-                        f"documents, selection has {found}"
-                    ),
-                }
-            )
+            violations.append(_record("violation", rule=rule.id, needed=rule.value, found=found))
     return tuple(violations)
 
 
 # Every trace record kind the package emits: the fields explain reads from
 # it, each a string (str), a number it prints with .12g (float) or a count
-# it prints as it is (int), and, for the kinds explain lists, the section
-# and the line it lists each record with. An "add" record is also read for
+# it prints as it is (int); for the kinds explain lists, the section and the
+# line it lists each record with; and the template _record words a record's
+# detail with when its emitter passes none. An "add" record is also read for
 # whichever of "gain" and "score" it has; a "boost" line gets the change,
 # after - before.
 EXPLAINED = {
-    "seed": ({"doc": str}, None, None),
-    "add": ({"doc": str}, None, None),
+    "seed": ({"doc": str}, None, None, None),
+    "add": ({"doc": str}, None, None, "added {doc}: diversity {before:.12g} -> {after:.12g}"),
     "swap": (
         {"out": str, "in": str, "before": float, "after": float},
         "swaps", "  out {out} in {in}: diversity {before:.12g} -> {after:.12g}",
+        "swapped out {out} for {in}: diversity {before:.12g} -> {after:.12g}",
     ),
-    "exclude": ({"doc": str, "rule": str}, "rules", "  excluded {doc} (rule {rule})"),
+    "exclude": (
+        {"doc": str, "rule": str}, "rules", "  excluded {doc} (rule {rule})", "rule {rule} excluded {doc}",
+    ),
     "boost_rule": (
         {"rule": str, "delta": float, "matched": int, "clamped": int},
         "rules", "  rule {rule} boosted {matched} documents by {delta:+.12g} ({clamped} clamped)",
+        "rule {rule} boosted {matched} documents by {delta:+.12g} ({clamped} clamped)",
     ),
     "boost": (
         {"doc": str, "rule": str, "before": float, "after": float},
         "rules", "  boosted {doc} by {change:+.12g} (rule {rule})",
+        "rule {rule} boosted {doc}: relevance {before:.12g} -> {after:.12g}",
     ),
     "violation": (
         {"rule": str, "needed": int, "found": int},
         "rules", "  VIOLATION: rule {rule} needs {needed} matching, selection has {found}",
+        "rule {rule} requires at least {needed} matching documents, selection has {found}",
     ),
-    "warning": ({"detail": str}, "warnings", "warning: {detail}"),
-    **dict.fromkeys(("next", "suggest", "note"), ({"detail": str}, "notes", "note: {detail}")),
-    "keyword_diversity": ({}, None, None),
+    "warning": ({"detail": str}, "warnings", "warning: {detail}", None),
+    "next": (
+        {"detail": str}, "notes", "note: {detail}",
+        "next item {doc}: windowed diversity with it {window_diversity:.12g}",
+    ),
+    "suggest": (
+        {"detail": str}, "notes", "note: {detail}",
+        "suggest {type} on {doc}: extended interaction diversity {overall:.12g}",
+    ),
+    "note": ({"detail": str}, "notes", "note: {detail}", None),
+    "keyword_diversity": ({}, None, None, "pooled keyword diversity of selected sources: {value:.12g}"),
 }
+
+
+def _record(kind: str, detail: str | None = None, **fields) -> dict:
+    """The trace record of a kind EXPLAINED declares: its kind, the fields in
+    the order given, then its detail, worded by the kind's template over the
+    fields unless the emitter words it. An undeclared kind raises KeyError."""
+    template = EXPLAINED[kind][3]
+    return {"kind": kind, **fields, "detail": template.format_map(fields) if detail is None else detail}
 
 
 def _check_explainable(data: Mapping) -> None:
@@ -456,7 +441,7 @@ def explain_result(result) -> str:
         elif kind == "boost":
             t = {**t, "change": t["after"] - t["before"]}
             boosts.setdefault(t["doc"], []).append(t)
-        _, section, line = EXPLAINED.get(kind, (None,) * 3) if isinstance(kind, str) else (None,) * 3
+        _, section, line, _ = EXPLAINED.get(kind, (None,) * 4) if isinstance(kind, str) else (None,) * 4
         if section:
             sections[section].append(line.format_map(t))
     lines.append("selection detail:")

@@ -1,12 +1,15 @@
 """The package runs on the standard library alone, decodes JSON in one
 mapping, scans JSONL lines in one place, writes its output in one place,
 reads distances in two kernels, checks a selection size in one place,
-range-checks every numeric parameter in one helper, stores checked label
-rows in one place and declares every trace record kind it emits."""
+range-checks every numeric parameter in one helper, reads and stores
+checked label rows in one method, declares every trace record kind it
+emits, and builds every trace record in one constructor, whose calls pass
+each field the kind's detail template names."""
 
 import ast
 import os
 import pathlib
+import string
 import subprocess
 import sys
 
@@ -96,13 +99,30 @@ def test_distances_are_read_only_by_the_count_and_pair_kernels():
 def test_every_emitted_trace_kind_is_declared():
     from newsdiv.rules import EXPLAINED
 
-    emitted = {
-        value.value
-        for _, node in _nodes(ast.Dict)
-        for key, value in zip(node.keys, node.values)
-        if isinstance(key, ast.Constant) and key.value == "kind"
-        and isinstance(value, ast.Constant) and isinstance(value.value, str)
+    # Records are built only by rules._record, the one dict with a "kind" key.
+    literals = {
+        where
+        for where, node in _nodes(ast.Dict)
+        if any(isinstance(key, ast.Constant) and key.value == "kind" for key in node.keys)
     }
+    assert literals == {"rules._record"}
+    emitted = set()
+    for where, call in _calls("_record"):
+        kind = call.args[0]
+        assert isinstance(kind, ast.Constant) and kind.value in EXPLAINED, where
+        emitted.add(kind.value)
+        if len(call.args) > 1 or any(k.arg == "detail" for k in call.keywords):
+            continue  # the emitter words its own detail
+        # The kind's template names only fields the call passes, by keyword
+        # or as a key of a **{...} display.
+        passed = {k.arg for k in call.keywords if k.arg is not None} | {
+            key.value
+            for k in call.keywords
+            if k.arg is None and isinstance(k.value, ast.Dict)
+            for key in k.value.keys
+        }
+        named = {name for _, name, _, _ in string.Formatter().parse(EXPLAINED[kind.value][3]) if name}
+        assert named <= passed, (where, kind.value, named - passed)
     assert emitted == set(EXPLAINED)
 
 
@@ -141,15 +161,14 @@ def test_lines_are_scanned_in_one_place():
 
 
 def test_label_rows_are_stored_in_one_place():
-    assert {where for where, node in _nodes(ast.Attribute) if node.attr == "_rows"} == {
-        "aspect_model._add_row", "metrics._label_indices", "corpus_io._check_labels",
-    }
+    # AspectSchema._row is the table's only reader and writer.
+    assert {where for where, node in _nodes(ast.Attribute) if node.attr == "_rows"} == {"aspect_model._row"}
     stores = {
         where
         for where, node in _nodes(ast.Subscript)
         if isinstance(node.ctx, (ast.Store, ast.Del)) and ast.unparse(node.value).endswith("._rows")
     }
-    assert stores == {"aspect_model._add_row"}
+    assert stores == {"aspect_model._row"}
     # No method of the table is called (setdefault, update, clear, ...).
     assert not [
         where

@@ -625,6 +625,29 @@ def test_duplicate_ids_are_reported_sorted_without_quadratic_counting():
     assert time.perf_counter() - start < 1.0
 
 
+# mode name -> (call on docs whose first member carries the wrong id, what
+# the mode calls the list it checks); each mode sorts the list by id.
+ID_MODES = {
+    "greedy": (lambda schema, docs: greedy_select(schema, docs, 2), "pool"),
+    "summary": (lambda schema, docs: select_summary_sources(schema, docs, 2), "pool"),
+    "blend": (lambda schema, docs: rerank_combined(schema, docs, 2, 0.5), "pool"),
+    "swap": (lambda schema, docs: swap_diversify(schema, docs[1:3], [docs[0]] + docs[3:], 1), "list plus pool"),
+    "oracle": (lambda schema, docs: max_diversity_oracle(schema, docs, 2), "pool"),
+    "sequence": (
+        lambda schema, docs: next_in_sequence(schema, docs[1:3], docs, Window("last", 1)), "candidate set"
+    ),
+}
+
+
+@pytest.mark.parametrize("bad_id", [None, 7, True, []], ids=["None", "7", "True", "list"])
+@pytest.mark.parametrize("mode", sorted(ID_MODES))
+def test_a_document_id_that_is_not_a_string_is_named(schema, pool, mode, bad_id):
+    call, what = ID_MODES[mode]
+    with pytest.raises(ContractError) as info:
+        call(schema, [replace(pool[0], id=bad_id)] + list(pool[1:]))
+    assert str(info.value) == f"{what} contains document ids that are not strings: {[bad_id]}"
+
+
 # --- summary mode ---
 
 
@@ -647,7 +670,21 @@ def test_summary_warns_on_indistinguishable_sources(schema):
     clones = [doc(f"c{i}", "Climate", "Health") for i in range(3)]
     result = select_summary_sources(schema, clones, 2)
     assert result.diversity.overall == 0.0
-    assert any(t["kind"] == "warning" for t in result.trace)
+    warning = result.trace[-1]
+    assert list(warning) == ["kind", "detail"]
+    assert warning == {
+        "kind": "warning",
+        "detail": "selected sources are indistinguishable under the schema (zero diversity)",
+    }
+
+
+def test_records_no_golden_file_holds_keep_their_fields_and_text(schema, pool):
+    note = rerank_combined(schema, pool, 2, 0.0).trace[-1]
+    assert list(note) == ["kind", "detail"]
+    assert note == {"kind": "note", "detail": "lambda = 0: selection delegated to pure diversity greedy"}
+    (seed,) = greedy_select(schema, pool[:1], 1).trace
+    assert list(seed) == ["kind", "doc", "detail"]
+    assert seed == {"kind": "seed", "doc": "a1", "detail": "seeded with a1 (only candidate)"}
 
 
 # --- interaction mode ---

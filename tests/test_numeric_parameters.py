@@ -133,7 +133,7 @@ def test_numeric_parameters_return_or_raise_a_newsdiv_error(schema, pool, row, v
         ),
         (
             lambda v: InteractionLog((), {"like": v}),
-            "interaction type weight for 'like' is negative or NaN (True)",
+            "interaction type weight for 'like' must be a number (got True)",
         ),
     ],
     ids=["Aspect", "AspectSchema", "InteractionLog"],
@@ -142,6 +142,23 @@ def test_true_is_not_one(call, message):
     with pytest.raises(ValidationError) as info:
         call(True)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "value, problem",
+    [
+        ("0.5", "must be a number (got '0.5')"),
+        (None, "must be a number (got None)"),
+        ([], "must be a number (got [])"),
+        (-0.5, "is negative or NaN (-0.5)"),
+        (float("nan"), "is negative or NaN (nan)"),
+    ],
+    ids=["str", "None", "list", "negative", "nan"],
+)
+def test_an_interaction_weight_that_is_not_a_number_is_named_as_one(value, problem):
+    with pytest.raises(ValidationError) as info:
+        InteractionLog((), {"like": value})
+    assert str(info.value) == f"interaction type weight for 'like' {problem}"
 
 
 def test_rule_checks_its_action_value_with_the_loader_messages(schema):
