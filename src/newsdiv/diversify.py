@@ -8,12 +8,17 @@ interaction history in the direction that raises type-weighted diversity.
 Every procedure is deterministic and picks its winners through `_pick`:
 values within TIE_TOLERANCE count as tied, then the documented secondary
 key decides, then the smaller id.
+
+The modes select by position: greedy, summary, blend, sequence (and the
+oracle) in the id-ordered pool `metrics._by_id` checks once, swap in its list
+plus pool. Greedy and the blend step through one loop, `_grow`, with their
+own step score, and `_result` builds a result from the chosen positions.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import chain, repeat
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .aspect_model import AspectSchema
 from .errors import ContractError, UnknownEntityError, json_number_in
@@ -23,20 +28,21 @@ from .metrics import (
     InteractionLog,
     TIE_TOLERANCE,
     Window,
+    _by_id,
     _candidate_values,
     _check_k,
+    _check_relevance,
     _check_unique_ids,
     _distance_matrix,
     _diversity,
     _label_indices,
-    _label_rows,
-    collection_diversity,
     docs_per_type,
     keyword_diversity,
     window_slice,
 )
-# interaction_diversity is unused here; newsbench/tracing.py patches this name.
-from .metrics import interaction_diversity  # noqa: F401
+# collection_diversity and interaction_diversity are unused here;
+# newsbench/tracing.py patches these names.
+from .metrics import collection_diversity, interaction_diversity  # noqa: F401
 from .rules import _record
 
 # A swap must improve overall diversity by more than this to be accepted.
@@ -81,10 +87,10 @@ def exclude_history(
     return [c for c in candidates if c.id not in history_ids]
 
 
-def _result(schema: AspectSchema, row: Mapping[str, tuple], selected: list[DocumentProfile], trace: list) -> RerankResult:
-    """The result selecting these documents, scored from their rows."""
-    report = _diversity(schema, [row[d.id] for d in selected])
-    return RerankResult(tuple(d.id for d in selected), report, report.overall, tuple(trace))
+def _result(schema: AspectSchema, docs: Sequence, rows: Sequence, chosen: list, trace: list) -> RerankResult:
+    """The result selecting the documents at these positions, scored from their rows."""
+    report = _diversity(schema, [rows[i] for i in chosen])
+    return RerankResult(tuple(docs[i].id for i in chosen), report, report.overall, tuple(trace))
 
 
 def _pick(entries: Iterable[tuple]) -> tuple:
@@ -126,24 +132,26 @@ def swap_diversify(
         raise ContractError("swap_diversify needs a non-empty starting list")
     if not json_number_in(budget, 0, float("inf"), int):
         raise ContractError(f"swap budget must be an integer >= 0 (got {budget!r})")
-    row = _label_rows(schema, list(items) + list(pool), "list plus pool")
-
-    current = list(items)
-    available = list(pool)
+    docs = [*items, *pool]
+    _check_unique_ids(docs, "list plus pool")
+    rows = [_label_indices(schema, d) for d in docs]
+    # Positions into docs: the list's, and the pool's (swapped-out ones too).
+    current = list(range(len(items)))
+    available = list(range(len(items), len(docs)))
     trace: list[dict] = []
-    before = _diversity(schema, [row[d.id] for d in current]).overall
+    before = _diversity(schema, [rows[i] for i in current]).overall
     for _ in range(budget):
         if not available:
             break
-        rows = [row[d.id] for d in current]
+        held = [rows[i] for i in current]
         # Removal preference: highest remainder diversity, then smaller id.
-        remainders = _candidate_values(schema, rows, rows, -1)
-        removal_order = sorted(range(len(current)), key=lambda i: (-remainders[i], current[i].id))
-        insertable = sorted(available, key=lambda d: d.id)
-        insertable_rows = [row[d.id] for d in insertable]
+        remainders = _candidate_values(schema, held, held, -1)
+        removal_order = sorted(range(len(current)), key=lambda x: (-remainders[x], docs[current[x]].id))
+        insertable = sorted(available, key=lambda i: docs[i].id)
+        insertable_rows = [rows[i] for i in insertable]
         for chosen_idx in removal_order:
             # Insertion choice: highest resulting diversity, then smaller id.
-            values = _candidate_values(schema, rows[:chosen_idx] + rows[chosen_idx + 1:], insertable_rows)
+            values = _candidate_values(schema, held[:chosen_idx] + held[chosen_idx + 1:], insertable_rows)
             best_after, _, best_sub = _pick(zip(values, repeat(0.0), insertable))
             if best_after > before + SWAP_EPSILON:
                 break
@@ -151,11 +159,25 @@ def swap_diversify(
             break
         removed = current[chosen_idx]
         current[chosen_idx] = best_sub
-        available = [d for d in available if d.id != best_sub.id] + [removed]
-        trace.append(_record("swap", out=removed.id, **{"in": best_sub.id}, before=before, after=best_after))
+        available[available.index(best_sub)] = removed  # its order is never read: ids sort it
+        out, into = docs[removed].id, docs[best_sub].id
+        trace.append(_record("swap", out=out, **{"in": into}, before=before, after=best_after))
         # Exact label counts make the value order-free, so this is current's.
         before = best_after
-    return _result(schema, row, current, trace)
+    return _result(schema, docs, rows, current, trace)
+
+
+def _grow(schema: AspectSchema, rows: Sequence[tuple], chosen: list[int], k: int, score) -> Iterator[tuple]:
+    """Grow `chosen`, positions in an id-ordered pool, to k, adding per step the
+    best remaining i (ties to the smaller id) under score(remaining, values),
+    values[x] being the diversity with remaining[x] added. Yields (score, i, v)."""
+    remaining = [i for i in range(len(rows)) if i not in chosen]
+    while len(chosen) < k:
+        values = _candidate_values(schema, [rows[i] for i in chosen], [rows[i] for i in remaining])
+        best, _, (i, v) = _pick(zip(score(remaining, values), repeat(0.0), zip(remaining, values)))
+        chosen.append(i)
+        remaining.remove(i)
+        yield best, i, v
 
 
 def greedy_select(schema: AspectSchema, pool: Sequence[DocumentProfile], k: int) -> RerankResult:
@@ -166,41 +188,36 @@ def greedy_select(schema: AspectSchema, pool: Sequence[DocumentProfile], k: int)
     id. Each later step adds the candidate that maximizes the diversity of
     the grown selection, ties to the smaller id.
     """
-    n = len(pool)
-    _check_k(k, n)
-    _check_unique_ids(pool, "pool")
-    docs = sorted(pool, key=lambda d: d.id)
-    row = _label_rows(schema, docs, "pool")
-    trace: list[dict] = []
+    _check_k(k, len(pool))
+    return _greedy(schema, *_by_id(schema, pool, "pool"), k)
 
+
+def _greedy(schema: AspectSchema, docs: list[DocumentProfile], rows: list[tuple], k: int) -> RerankResult:
+    """greedy_select on a pool from _by_id: its documents and rows in id order."""
+    n = len(docs)
+    trace: list[dict] = []
     if n == 1:
-        seed = docs[0]
-        trace.append(_record("seed", f"seeded with {seed.id} (only candidate)", doc=seed.id))
+        seed = 0
+        trace.append(_record("seed", f"seeded with {docs[0].id} (only candidate)", doc=docs[0].id))
     else:
         # _pick's row-major scan over the pairs. Its secondary key is 0.0, so
         # an entry replaces the best only when more than TIE_TOLERANCE above
         # it, and a row whose largest distance is not can be skipped whole.
         best = (-1.0, 0.0, None)  # below every distance, so the first pair replaces it
-        for i, line in zip(range(n - 1), _distance_matrix(schema, list(row.values()))):
+        for i, line in zip(range(n - 1), _distance_matrix(schema, rows)):
             if max(line) > best[0] + TIE_TOLERANCE:
                 best = _pick(chain([best], ((d, 0.0, (i, j)) for j, d in enumerate(line, i + 1))))
-        best_dist, _, (i, j) = best
-        seed = docs[i]
-        detail = f"smaller id of most distant pair ({seed.id}, {docs[j].id}) at distance {best_dist:.12g}"
-        trace.append(_record("seed", f"seeded with {seed.id}, {detail}", doc=seed.id))
+        best_dist, _, (seed, j) = best
+        first = docs[seed].id
+        detail = f"smaller id of most distant pair ({first}, {docs[j].id}) at distance {best_dist:.12g}"
+        trace.append(_record("seed", f"seeded with {first}, {detail}", doc=first))
 
-    selected = [seed]
-    remaining = [d for d in docs if d.id != seed.id]
+    chosen = [seed]
     before = 0.0  # a single document
-    while len(selected) < k:
-        values = _candidate_values(schema, [row[d.id] for d in selected], [row[d.id] for d in remaining])
-        best_value, _, best_cand = _pick(zip(values, repeat(0.0), remaining))  # id-sorted
-        selected.append(best_cand)
-        remaining = [d for d in remaining if d.id != best_cand.id]
-        gain = best_value - before
-        trace.append(_record("add", doc=best_cand.id, before=before, after=best_value, gain=gain))
-        before = best_value
-    return _result(schema, row, selected, trace)
+    for after, i, _ in _grow(schema, rows, chosen, k, lambda remaining, values: values):
+        trace.append(_record("add", doc=docs[i].id, before=before, after=after, gain=after - before))
+        before = after
+    return _result(schema, docs, rows, chosen, trace)
 
 
 def next_in_sequence(
@@ -227,22 +244,16 @@ def next_in_sequence(
     # values are scored once per distinct row; affinities add gamma**age times
     # one pair-kernel row from each window item, newest first.
     recent = [_label_indices(schema, d) for d in window_slice(history, window)]
-    _check_unique_ids(candidates, "candidate set")
-    ordered = sorted(candidates, key=lambda d: d.id)
-    keys = list(_label_rows(schema, ordered, "candidate set").values())
+    ordered, keys = _by_id(schema, candidates, "candidate set")
     distinct = list(dict.fromkeys(keys))
     affinities = [0.0] * len(distinct)
     for age, r in enumerate(reversed(recent)):
         line, decay = next(_distance_matrix(schema, [r] + distinct)), gamma**age
         affinities = [a + decay * d for a, d in zip(affinities, line)]
     scores = dict(zip(distinct, zip(_candidate_values(schema, recent, distinct), affinities)))
-    best_primary, _, best = _pick((*scores[key], cand) for key, cand in zip(keys, ordered))
-    return RerankResult(
-        selected=(best.id,),
-        diversity=collection_diversity(schema, [best]),
-        objective=best_primary,
-        trace=(_record("next", doc=best.id, window_diversity=best_primary),),
-    )
+    best_primary, _, best = _pick((*scores[key], i) for i, key in enumerate(keys))
+    trace = [_record("next", doc=ordered[best].id, window_diversity=best_primary)]
+    return replace(_result(schema, ordered, keys, [best], trace), objective=best_primary)
 
 
 def select_summary_sources(schema: AspectSchema, pool: Sequence[DocumentProfile], k: int) -> RerankResult:
@@ -283,11 +294,12 @@ def suggest_interaction(
     """
     if not options:
         raise ContractError("options must be non-empty")
+    wrong = [(i, t) for i, t in options if not (isinstance(i, str) and isinstance(t, str))]
+    if wrong:
+        raise ContractError(f"options with a document id or type that is not a string: {wrong}")
     unresolved = sorted({doc_id for doc_id, _ in options if doc_id not in corpus_docs})
     if unresolved:
-        raise UnknownEntityError(
-            f"options reference unknown documents: {unresolved}"
-        )
+        raise UnknownEntityError(f"options reference unknown documents: {unresolved}")
     # Every label is checked before any option is scored: the log's documents
     # (docs_per_type reports unknown ones), then the options'.
     logged = [r.doc for r in log.records if r.doc in corpus_docs]
@@ -347,44 +359,28 @@ def rerank_combined(
     _check_k(k, len(pool))
     if not json_number_in(lam, 0.0, 1.0):
         raise ContractError(f"lambda must lie in [0, 1] (got {lam!r})")
-    _check_unique_ids(pool, "pool")
-    missing = sorted(d.id for d in pool if d.relevance is None)
+    docs, rows = _by_id(schema, pool, "pool")
+    missing = [d.id for d in docs if d.relevance is None]
     if missing:
         raise ContractError(f"documents missing relevance scores: {missing}")
-    outside = sorted(d.id for d in pool if not json_number_in(d.relevance, 0.0, 1.0))
-    if outside:
-        raise ContractError(f"documents with relevance outside [0, 1]: {outside}")
+    _check_relevance(docs)
 
     if lam == 0.0:
-        base = greedy_select(schema, pool, k)
-        trace = list(base.trace)
-        trace.append(_record("note", "lambda = 0: selection delegated to pure diversity greedy"))
-        return replace(base, trace=tuple(trace), objective=base.diversity.overall)
+        base = _greedy(schema, docs, rows, k)
+        note = _record("note", "lambda = 0: selection delegated to pure diversity greedy")
+        return replace(base, trace=base.trace + (note,))
 
-    docs = sorted(pool, key=lambda d: d.id)
-    row = _label_rows(schema, docs, "pool")
-    selected: list[DocumentProfile] = []
-    remaining = list(docs)
+    def blend(remaining: list[int], values: list[float]) -> list[float]:
+        return [lam * docs[i].relevance + (1.0 - lam) * v for i, v in zip(remaining, values)]
+
+    chosen: list[int] = []
     trace: list[dict] = []
+    for score, i, v in _grow(schema, rows, chosen, k, blend):
+        d = docs[i]
+        detail = f"added {d.id}: score {score:.12g} (relevance {d.relevance:.12g}, diversity {v:.12g}, "
+        detail += f"lambda {lam:.12g})"
+        trace.append(_record("add", detail, doc=d.id, relevance=d.relevance, diversity_after=v, score=score))
 
-    while len(selected) < k:
-        values = _candidate_values(schema, [row[d.id] for d in selected], [row[d.id] for d in remaining])
-        best_score, _, (best_cand, best_div) = _pick(
-            (lam * c.relevance + (1.0 - lam) * v, 0.0, (c, v)) for c, v in zip(remaining, values)
-        )  # id-sorted
-        selected.append(best_cand)
-        remaining = [d for d in remaining if d.id != best_cand.id]
-        detail = (
-            f"added {best_cand.id}: score {best_score:.12g} (relevance {best_cand.relevance:.12g}, "
-            f"diversity {best_div:.12g}, lambda {lam:.12g})"
-        )
-        trace.append(
-            _record(
-                "add", detail,
-                doc=best_cand.id, relevance=best_cand.relevance, diversity_after=best_div, score=best_score,
-            )
-        )
-
-    result = _result(schema, row, selected, trace)
-    mean_rel = sum(d.relevance for d in selected) / len(selected)
+    result = _result(schema, docs, rows, chosen, trace)
+    mean_rel = sum(docs[i].relevance for i in chosen) / len(chosen)
     return replace(result, objective=lam * mean_rel + (1.0 - lam) * result.diversity.overall)

@@ -15,10 +15,11 @@ distance of two documents is their `collection_diversity` (divisor 1).
 A document's row is its label index per aspect, in schema aspect order.
 `_label_indices` reads it from the schema's row table, which holds every
 label tuple the schema has checked, and checks a tuple the table does not
-hold yet; it is the modes' only label check. Two kernels read
-rows and the distance matrices: the count kernel `_diversity` (stepped by
-`_candidate_values`) and the pair kernel `_distance_matrix`. The modes
-resolve each input document once and then call them directly.
+hold yet; it is the modes' only label check. Two kernels read rows and the
+distance matrices: the count kernel `_diversity` (stepped by
+`_candidate_values`) and the pair kernel `_distance_matrix`. The modes select
+by position in the pool `_by_id` checks once: the documents in id order and
+their rows (swap keeps its list and pool in input order).
 
 Per-aspect pair sums depend only on label counts. With c_l documents
 carrying label l and the aspect's distance matrix D,
@@ -195,11 +196,19 @@ def _check_k(k: int, n: int) -> None:
         raise ContractError(f"k must satisfy 1 <= k <= |pool| (got k={k!r}, |pool|={n})")
 
 
-def _label_rows(schema: AspectSchema, docs: Sequence[DocumentProfile], what: str) -> dict[str, tuple[int, ...]]:
-    """Each document's label-index row by id. Ids must be unique, and every
-    label is checked here, in the given order, before a mode scores any."""
+def _by_id(schema: AspectSchema, docs: Sequence[DocumentProfile], what: str) -> tuple[list, list[tuple]]:
+    """The pool the modes select from by position: the documents in id order
+    and their rows. Ids are checked once, here, then every label in id order."""
     _check_unique_ids(docs, what)
-    return {d.id: _label_indices(schema, d) for d in docs}
+    ordered = sorted(docs, key=lambda d: d.id)
+    return ordered, [_label_indices(schema, d) for d in ordered]
+
+
+def _check_relevance(docs: Sequence[DocumentProfile]) -> None:
+    """A relevance score, where a document has one, is a number in [0, 1]."""
+    outside = [d.id for d in docs if d.relevance is not None and not json_number_in(d.relevance, 0.0, 1.0)]
+    if outside:
+        raise ContractError(f"documents with relevance outside [0, 1]: {sorted(outside)}")
 
 
 def _counts(rows: Sequence[Sequence[int]], a: int) -> dict[int, int]:

@@ -37,7 +37,7 @@ from typing import Sequence
 from .aspect_model import AspectSchema
 from .errors import GuardExceededError
 from .metrics import (
-    DocumentProfile, TIE_TOLERANCE, _check_k, _check_unique_ids, _distance_matrix, _label_rows, collection_diversity,
+    DocumentProfile, TIE_TOLERANCE, _by_id, _check_k, _distance_matrix, collection_diversity,
 )
 
 # Refuse the search beyond this many k-subsets.
@@ -80,9 +80,7 @@ def max_diversity_oracle(schema: AspectSchema, pool: Sequence[DocumentProfile], 
             f"C({n}, {k}) = {total} exceeds the enumeration guard "
             f"({ENUMERATION_GUARD}); use greedy_select for pools this large"
         )
-    _check_unique_ids(pool, "pool")
-    docs = sorted(pool, key=lambda d: d.id)
-    rows = list(_label_rows(schema, docs, "pool").values())  # every label checked, whatever k
+    docs, rows = _by_id(schema, pool, "pool")  # every label checked, whatever k
     pairs = k * (k - 1) // 2
     if k == 1 or k == n:
         picks = range(k)  # the first id, or the only subset
@@ -92,12 +90,7 @@ def max_diversity_oracle(schema: AspectSchema, pool: Sequence[DocumentProfile], 
     chosen = [docs[i] for i in picks]
     # Recompute through the metric itself so the reported value is exactly
     # what collection_diversity(best_subset) returns.
-    value = collection_diversity(schema, chosen).overall
-    return OracleResult(
-        best_subset=tuple(d.id for d in chosen),
-        best_value=value,
-        evaluated=total,
-    )
+    return OracleResult(tuple(d.id for d in chosen), collection_diversity(schema, chosen).overall, total)
 
 
 def _pair_sum(upper: list[list[float]], combo: tuple[int, ...]) -> float:

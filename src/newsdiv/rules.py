@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .aspect_model import AspectSchema
 from .errors import UnknownEntityError, ValidationError, json_float, json_isinstance, json_number_in
-from .metrics import DocumentProfile, _check_unique_ids
+from .metrics import DocumentProfile, _check_relevance, _check_unique_ids
 
 SCOPES = ("global", "context", "request")
 
@@ -240,16 +240,17 @@ def apply_rules(
     require_at_least is left to check_requirements on the final selection,
     never enforced. Input profiles are not mutated, so applying the same
     rules to the output reproduces the same survivors and adjusted
-    relevance (idempotence). Duplicate candidate ids raise ContractError.
+    relevance (idempotence). Duplicate candidate ids, and a relevance that
+    is not None or a number in [0, 1], raise ContractError.
     """
     _check_unique_ids(candidates, "candidate list")
-    # A compiled test reads only each aspect's label, and accepts only
-    # strings, so documents sharing this key share every test's outcome.
-    names = schema.aspect_names()
-    groups: dict[tuple, list[int]] = {}
+    _check_relevance(candidates)
+    # A compiled test reads only each aspect's label and accepts only schema
+    # labels, so documents sharing a label-index row share every outcome. One
+    # without a row is a group of its own, keyed by its unique id (never a row).
+    groups: dict[tuple | str, list[int]] = {}
     for i, doc in enumerate(candidates):
-        key = tuple(label if isinstance(label := doc.labels.get(n), str) else None for n in names)
-        groups.setdefault(key, []).append(i)
+        groups.setdefault(schema._row(doc.labels) or doc.id, []).append(i)
     live = list(groups.values())  # each group's input positions, ascending
     relevance = {d.id: d.relevance for d in candidates}
     adjustments: list[dict] = []

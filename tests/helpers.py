@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 from newsdiv.aspect_model import Aspect, AspectSchema, LabelGraph
 from newsdiv.corpus_io import Corpus, _parse_keywords
-from newsdiv.diversify import DEFAULT_GAMMA, SWAP_EPSILON, RerankResult, _pick, _result
+from newsdiv.diversify import DEFAULT_GAMMA, SWAP_EPSILON, RerankResult, _pick
 from newsdiv.errors import (
     ContractError,
     GuardExceededError,
@@ -32,9 +32,9 @@ from newsdiv.metrics import (
     InteractionLog,
     InteractionRecord,
     Window,
+    _check_unique_ids,
     _diversity,
     _label_indices,
-    _label_rows,
     collection_diversity,
     docs_per_type,
     interaction_diversity,
@@ -476,6 +476,24 @@ def enumerate_oracle(schema: AspectSchema, pool: Sequence[DocumentProfile], k: i
         best_value=value,
         evaluated=total,
     )
+
+
+# The modes' bookkeeping before they selected by position in an id-ordered
+# pool, kept verbatim for the references below: rows by id, and a result
+# built from the selected documents.
+
+
+def _label_rows(schema: AspectSchema, docs: Sequence[DocumentProfile], what: str) -> dict[str, tuple[int, ...]]:
+    """Each document's label-index row by id. Ids must be unique, and every
+    label is checked here, in the given order, before a mode scores any."""
+    _check_unique_ids(docs, what)
+    return {d.id: _label_indices(schema, d) for d in docs}
+
+
+def _result(schema: AspectSchema, row: Mapping[str, tuple], selected: list[DocumentProfile], trace: list) -> RerankResult:
+    """The result selecting these documents, scored from their rows."""
+    report = _diversity(schema, [row[d.id] for d in selected])
+    return RerankResult(tuple(d.id for d in selected), report, report.overall, tuple(trace))
 
 
 # The modes as they scored candidates before per-step tables: one full count

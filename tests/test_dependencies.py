@@ -3,8 +3,9 @@ mapping, scans JSONL lines in one place, writes its output in one place,
 reads distances in two kernels, checks a selection size in one place,
 range-checks every numeric parameter in one helper, reads and stores
 checked label rows in one method, declares every trace record kind it
-emits, and builds every trace record in one constructor, whose calls pass
-each field the kind's detail template names."""
+emits, builds every trace record in one constructor, whose calls pass
+each field the kind's detail template names, checks ids and orders the
+modes' pools by id in one helper, and steps greedy selections in one loop."""
 
 import ast
 import os
@@ -143,7 +144,7 @@ def test_numbers_are_range_checked_in_one_place():
     assert chained == {"errors.json_number_in", "rules.apply_rules"}
     # aspect_model: Aspect and AspectSchema; metrics: InteractionLog; rules: Rule.
     assert {where for where, _ in _calls("json_number_in")} == {
-        "aspect_model.__post_init__", "metrics.__post_init__", "metrics._check_k",
+        "aspect_model.__post_init__", "metrics.__post_init__", "metrics._check_k", "metrics._check_relevance",
         "diversify.swap_diversify", "diversify.next_in_sequence", "diversify.rerank_combined",
         "corpus_io.load_corpus", "rules.__post_init__",
     }
@@ -177,3 +178,34 @@ def test_label_rows_are_stored_in_one_place():
         and isinstance(call.func.value, ast.Attribute)
         and call.func.value.attr == "_rows"
     ]
+
+
+def test_pools_are_checked_and_ordered_by_id_in_one_helper():
+    # The id-keyed row map the modes once shared is gone.
+    assert not [path.name for path in (ROOT / "src" / "newsdiv").glob("*.py") if "_label_rows" in path.read_text()]
+    # swap checks its list and pool in input order; score and apply_rules take
+    # documents in input order too.
+    assert {where for where, _ in _calls("_check_unique_ids")} == {
+        "metrics._by_id", "diversify.swap_diversify", "cli.cmd_score", "rules.apply_rules",
+    }
+    # A sort of documents by id: a sorted(...) or .sort(...) whose key is a
+    # lambda returning its argument's id.
+    by_id = {
+        where
+        for where, call in _nodes(ast.Call)
+        if ast.unparse(call.func) == "sorted" or ast.unparse(call.func).endswith(".sort")
+        for k in call.keywords
+        if k.arg == "key"
+        and isinstance(k.value, ast.Lambda)
+        and ast.unparse(k.value.body) == f"{k.value.args.args[0].arg}.id"
+    }
+    assert by_id == {"metrics._by_id"}
+
+
+def test_selection_steps_are_scored_in_one_loop():
+    # greedy and the blend step through _grow; swap, sequence and interaction
+    # score their own candidate sets.
+    assert {where for where, _ in _calls("_candidate_values")} == {
+        "diversify._grow", "diversify.swap_diversify", "diversify.next_in_sequence",
+        "diversify.suggest_interaction",
+    }

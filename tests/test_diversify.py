@@ -732,6 +732,16 @@ def test_suggest_interaction_validation(schema):
         suggest_interaction(schema, corpus_docs, log, [("zz", "like")])
 
 
+@pytest.mark.parametrize("position", ["id", "type"])
+@pytest.mark.parametrize("value", [None, 7, True, []], ids=["None", "7", "True", "list"])
+def test_suggest_interaction_names_options_that_are_not_strings(schema, by_id, position, value):
+    # Either option sort would compare the value with a string.
+    options = [(value, "like"), ("zz", "like")] if position == "id" else [("a1", value), ("a2", "like")]
+    with pytest.raises(ContractError) as info:
+        suggest_interaction(schema, by_id, InteractionLog((), {"like": 1.0}), options)
+    assert str(info.value) == f"options with a document id or type that is not a string: {options[:1]}"
+
+
 # --- relevance/diversity blending ---
 
 

@@ -91,6 +91,9 @@ ROWS = {
     "blend relevance": lambda schema, pool, v: rerank_combined(
         schema, [replace(pool[0], relevance=v)] + pool[1:3], 2, 0.5
     ),
+    "apply_rules relevance": lambda schema, pool, v: apply_rules(
+        schema, RuleSet(rules=()), [_rule("boost", 0.5)], [replace(pool[0], relevance=v)] + pool[1:]
+    ),
     "Rule require_at_least": lambda schema, pool, v: _apply_rule(schema, pool, "require_at_least", v),
     "Rule boost": lambda schema, pool, v: _apply_rule(schema, pool, "boost", v),
     "DocumentProfile timestamp": lambda schema, pool, v: _sequence(

@@ -295,6 +295,24 @@ def test_boost_treats_missing_relevance_as_zero(schema):
     assert result.adjusted_relevance == {"n1": 0.4}
 
 
+@pytest.mark.parametrize(
+    "value", ["0.5", float("nan"), 5.0, float("inf"), -0.5, True], ids=["str", "nan", "5", "inf", "-0.5", "True"]
+)
+def test_apply_rules_rejects_relevance_outside_the_unit_interval(schema, pool, value):
+    # None is no score and boosts from 0.0; any other relevance is a number in [0, 1].
+    up = rule(
+        schema,
+        id="up",
+        scope="request",
+        predicate={"aspect": "topic", "value": "Climate"},
+        action={"boost": 0.1},
+    )
+    docs = [replace(pool[0], relevance=value)] + list(pool[1:])
+    with pytest.raises(ContractError) as info:
+        apply_rules(schema, RuleSet(rules=()), [up], docs)
+    assert str(info.value) == "documents with relevance outside [0, 1]: ['a1']"
+
+
 def test_requirements_are_deferred_not_filtered(schema, pool):
     need = rule(
         schema,
