@@ -14,7 +14,7 @@ from typing import Mapping
 
 from .aspect_model import AspectSchema
 from .diversify import RerankResult
-from .errors import ValidationError, json_decode_error, json_float, json_isinstance, json_number_in
+from .errors import ValidationError, json_decode_error, json_isinstance, json_number_in
 from .metrics import (
     DiversityReport,
     DocumentProfile,
@@ -185,16 +185,10 @@ def load_interactions(
         if not types:
             raise ValidationError("interaction log is empty and no type weights given")
         type_weights = {t: 1.0 / len(types) for t in types}
-    elif not isinstance(type_weights, Mapping) or not all(
-        json_isinstance(w, (int, float)) for w in type_weights.values()
-    ):
+    elif not isinstance(type_weights, Mapping):
         raise ValidationError(
             f"interaction type weights must map types to numbers (got {type_weights!r})"
         )
-    else:
-        type_weights = {
-            t: json_float(w, f"interaction type weight for {t!r}") for t, w in type_weights.items()
-        }
     return InteractionLog(records=tuple(records), type_weights=type_weights)
 
 

@@ -9,10 +9,11 @@ Every procedure is deterministic and picks its winners through `_pick`:
 values within TIE_TOLERANCE count as tied, then the documented secondary
 key decides, then the smaller id.
 
-The modes select by position: greedy, summary, blend, sequence (and the
-oracle) in the id-ordered pool `metrics._by_id` checks once, swap in its list
-plus pool. Greedy and the blend step through one loop, `_grow`, with their
-own step score, and `_result` builds a result from the chosen positions.
+Every mode that takes a pool (and the oracle) selects by position in the
+id-ordered pool `metrics._by_id` checks once; swap's is its list plus pool,
+and its list keeps its slots. Greedy and the blend step through one loop,
+`_grow`, with their own step score, and `_result` builds a result from the
+chosen positions.
 """
 from __future__ import annotations
 
@@ -32,7 +33,6 @@ from .metrics import (
     _candidate_values,
     _check_k,
     _check_relevance,
-    _check_unique_ids,
     _distance_matrix,
     _diversity,
     _label_indices,
@@ -132,12 +132,11 @@ def swap_diversify(
         raise ContractError("swap_diversify needs a non-empty starting list")
     if not json_number_in(budget, 0, float("inf"), int):
         raise ContractError(f"swap budget must be an integer >= 0 (got {budget!r})")
-    docs = [*items, *pool]
-    _check_unique_ids(docs, "list plus pool")
-    rows = [_label_indices(schema, d) for d in docs]
-    # Positions into docs: the list's, and the pool's (swapped-out ones too).
-    current = list(range(len(items)))
-    available = list(range(len(items), len(docs)))
+    docs, rows = _by_id(schema, [*items, *pool], "list plus pool")
+    at = {d.id: i for i, d in enumerate(docs)}
+    # Positions into docs: the list's in list order, and the pool's (swapped-out ones too).
+    current = [at[d.id] for d in items]
+    available = [at[d.id] for d in pool]
     trace: list[dict] = []
     before = _diversity(schema, [rows[i] for i in current]).overall
     for _ in range(budget):
@@ -146,8 +145,8 @@ def swap_diversify(
         held = [rows[i] for i in current]
         # Removal preference: highest remainder diversity, then smaller id.
         remainders = _candidate_values(schema, held, held, -1)
-        removal_order = sorted(range(len(current)), key=lambda x: (-remainders[x], docs[current[x]].id))
-        insertable = sorted(available, key=lambda i: docs[i].id)
+        removal_order = sorted(range(len(current)), key=lambda x: (-remainders[x], current[x]))
+        insertable = sorted(available)
         insertable_rows = [rows[i] for i in insertable]
         for chosen_idx in removal_order:
             # Insertion choice: highest resulting diversity, then smaller id.
@@ -159,7 +158,7 @@ def swap_diversify(
             break
         removed = current[chosen_idx]
         current[chosen_idx] = best_sub
-        available[available.index(best_sub)] = removed  # its order is never read: ids sort it
+        available[available.index(best_sub)] = removed  # its order is never read: it is sorted
         out, into = docs[removed].id, docs[best_sub].id
         trace.append(_record("swap", out=out, **{"in": into}, before=before, after=best_after))
         # Exact label counts make the value order-free, so this is current's.
@@ -241,15 +240,19 @@ def next_in_sequence(
     if not json_number_in(gamma, 0.0, 1.0) or gamma == 0.0:
         raise ContractError(f"gamma must lie in (0, 1] (got {gamma!r})")
     # Checks: window labels, candidate ids, candidate labels in id order. Both
-    # values are scored once per distinct row; affinities add gamma**age times
-    # one pair-kernel row from each window item, newest first.
+    # values are scored once per distinct row. One pair-kernel call gives each
+    # distinct window row its distances to them; affinities add gamma**age
+    # times those of each window item, newest first.
     recent = [_label_indices(schema, d) for d in window_slice(history, window)]
     ordered, keys = _by_id(schema, candidates, "candidate set")
     distinct = list(dict.fromkeys(keys))
+    past = list(dict.fromkeys(recent))
+    lines = zip(past, range(len(past) - 1, -1, -1), _distance_matrix(schema, past + distinct))
+    towards = {r: line[skip:] for r, skip, line in lines}
     affinities = [0.0] * len(distinct)
     for age, r in enumerate(reversed(recent)):
-        line, decay = next(_distance_matrix(schema, [r] + distinct)), gamma**age
-        affinities = [a + decay * d for a, d in zip(affinities, line)]
+        decay = gamma**age
+        affinities = [a + decay * d for a, d in zip(affinities, towards[r])]
     scores = dict(zip(distinct, zip(_candidate_values(schema, recent, distinct), affinities)))
     best_primary, _, best = _pick((*scores[key], i) for i, key in enumerate(keys))
     trace = [_record("next", doc=ordered[best].id, window_diversity=best_primary)]
@@ -294,6 +297,9 @@ def suggest_interaction(
     """
     if not options:
         raise ContractError("options must be non-empty")
+    shapeless = [o for o in options if not (isinstance(o, (tuple, list)) and len(o) == 2)]
+    if shapeless:
+        raise ContractError(f"options that are not (document id, type) pairs: {shapeless}")
     wrong = [(i, t) for i, t in options if not (isinstance(i, str) and isinstance(t, str))]
     if wrong:
         raise ContractError(f"options with a document id or type that is not a string: {wrong}")

@@ -17,9 +17,9 @@ A document's row is its label index per aspect, in schema aspect order.
 label tuple the schema has checked, and checks a tuple the table does not
 hold yet; it is the modes' only label check. Two kernels read rows and the
 distance matrices: the count kernel `_diversity` (stepped by
-`_candidate_values`) and the pair kernel `_distance_matrix`. The modes select
-by position in the pool `_by_id` checks once: the documents in id order and
-their rows (swap keeps its list and pool in input order).
+`_candidate_values`) and the pair kernel `_distance_matrix`. Every mode that
+takes a pool selects by position in the pool `_by_id` checks once: the
+documents in id order and their rows.
 
 Per-aspect pair sums depend only on label counts. With c_l documents
 carrying label l and the aspect's distance matrix D,

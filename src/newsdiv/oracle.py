@@ -36,9 +36,9 @@ from typing import Sequence
 
 from .aspect_model import AspectSchema
 from .errors import GuardExceededError
-from .metrics import (
-    DocumentProfile, TIE_TOLERANCE, _by_id, _check_k, _distance_matrix, collection_diversity,
-)
+from .metrics import DocumentProfile, TIE_TOLERANCE, _by_id, _check_k, _distance_matrix, _diversity
+# collection_diversity is unused here; newsbench/tracing.py patches this name.
+from .metrics import collection_diversity  # noqa: F401
 
 # Refuse the search beyond this many k-subsets.
 ENUMERATION_GUARD = 10**7
@@ -87,10 +87,9 @@ def max_diversity_oracle(schema: AspectSchema, pool: Sequence[DocumentProfile], 
     else:
         tolerance = TIE_TOLERANCE * pairs  # on pair sums, not means
         picks = _search(list(_distance_matrix(schema, rows)), k, tolerance)
-    chosen = [docs[i] for i in picks]
-    # Recompute through the metric itself so the reported value is exactly
-    # what collection_diversity(best_subset) returns.
-    return OracleResult(tuple(d.id for d in chosen), collection_diversity(schema, chosen).overall, total)
+    # The count kernel on the picks' rows: bitwise collection_diversity(best_subset).
+    value = _diversity(schema, [rows[i] for i in picks]).overall
+    return OracleResult(tuple(docs[i].id for i in picks), value, total)
 
 
 def _pair_sum(upper: list[list[float]], combo: tuple[int, ...]) -> float:

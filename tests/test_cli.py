@@ -433,6 +433,15 @@ def test_rerank_interaction_rejects_bad_type_weights(paths, weights):
     assert "Traceback" not in proc.stderr
 
 
+def test_a_type_weight_that_is_not_a_number_is_named(paths, capsys):
+    argv = ["rerank", "--schema", paths["schema"], "--corpus", paths["corpus"], "--mode", "interaction",
+            "--k", "1", "--interactions", paths["interactions"], "--type-weights", '{"like": "heavy"}']
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: interaction type weight for 'like' must be a number (got 'heavy')\n"
+    assert captured.out == ""
+
+
 def test_rerank_history_excludes_consumed_docs(paths):
     data = rerank(
         paths, "--mode", "list", "--k", "2", "--history", paths["history"]

@@ -4,8 +4,10 @@ reads distances in two kernels, checks a selection size in one place,
 range-checks every numeric parameter in one helper, reads and stores
 checked label rows in one method, declares every trace record kind it
 emits, builds every trace record in one constructor, whose calls pass
-each field the kind's detail template names, checks ids and orders the
-modes' pools by id in one helper, and steps greedy selections in one loop."""
+each field the kind's detail template names, checks ids and orders every
+mode's pool by id in one helper, sorts by id nowhere else, builds the
+pair kernel's tables at most once per function and never in a loop, and
+steps greedy selections in one loop."""
 
 import ast
 import os
@@ -183,13 +185,14 @@ def test_label_rows_are_stored_in_one_place():
 def test_pools_are_checked_and_ordered_by_id_in_one_helper():
     # The id-keyed row map the modes once shared is gone.
     assert not [path.name for path in (ROOT / "src" / "newsdiv").glob("*.py") if "_label_rows" in path.read_text()]
-    # swap checks its list and pool in input order; score and apply_rules take
-    # documents in input order too.
+    # Every mode checks its pool in _by_id; score and apply_rules take
+    # documents in input order.
     assert {where for where, _ in _calls("_check_unique_ids")} == {
-        "metrics._by_id", "diversify.swap_diversify", "cli.cmd_score", "rules.apply_rules",
+        "metrics._by_id", "cli.cmd_score", "rules.apply_rules",
     }
-    # A sort of documents by id: a sorted(...) or .sort(...) whose key is a
-    # lambda returning its argument's id.
+    # A sort keyed by ids: a sorted(...) or .sort(...) whose key is a lambda
+    # that reads an id attribute anywhere. Positions into a _by_id pool sort
+    # as their ids do.
     by_id = {
         where
         for where, call in _nodes(ast.Call)
@@ -197,9 +200,33 @@ def test_pools_are_checked_and_ordered_by_id_in_one_helper():
         for k in call.keywords
         if k.arg == "key"
         and isinstance(k.value, ast.Lambda)
-        and ast.unparse(k.value.body) == f"{k.value.args.args[0].arg}.id"
+        and any(isinstance(node, ast.Attribute) and node.attr == "id" for node in ast.walk(k.value.body))
     }
     assert by_id == {"metrics._by_id"}
+
+
+def test_each_mode_builds_its_distance_tables_once():
+    # _distance_matrix builds the weighted tables per call, so no function
+    # calls it twice, and no call sits where it repeats: in a loop's body (a
+    # for's iterable is evaluated once) or in a comprehension.
+    callers = [where for where, _ in _calls("_distance_matrix")]
+    assert len(callers) == len(set(callers)), callers
+    repeated = []
+    for path in sorted((ROOT / "src" / "newsdiv").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.For, ast.AsyncFor)):
+                parts = node.body + node.orelse
+            elif isinstance(node, (ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+                parts = [node]
+            else:
+                continue
+            repeated += [
+                (path.stem, ast.unparse(call))
+                for part in parts
+                for call in ast.walk(part)
+                if isinstance(call, ast.Call) and ast.unparse(call.func) == "_distance_matrix"
+            ]
+    assert repeated == []
 
 
 def test_selection_steps_are_scored_in_one_loop():

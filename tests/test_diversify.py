@@ -206,6 +206,17 @@ def test_swap_validation(schema):
         swap_diversify(schema, items + [items[0]], pool, budget=1)
 
 
+def test_swap_checks_labels_in_id_order(schema):
+    """The list and the pool are one pool: a fault in the pool is reported
+    first when its document's id sorts first."""
+    items, pool = swap_fixture(schema)
+    late = doc("z1", "Nowhere", "Health")
+    early = doc("a0", "Climate", "Nowhere")
+    with pytest.raises(UnknownEntityError) as info:
+        swap_diversify(schema, [late, *items], [*pool, early], 1)
+    assert str(info.value) == "document 'a0' uses unknown label 'Nowhere' for aspect 'frame'"
+
+
 @pytest.mark.parametrize("budget", [1.5, True])
 def test_swap_budget_must_be_an_integer(schema, budget):
     items, pool = swap_fixture(schema)
@@ -441,9 +452,8 @@ def test_every_bad_label_raises_whatever_gets_scored(schema, pool, call):
 
 
 def test_each_input_document_is_resolved_once_per_call(monkeypatch):
-    """Every mode resolves each input document's labels once, and each pooled
-    keyword's once. The oracle's final collection_diversity and sequence's
-    one-document report may resolve a selected document again."""
+    """Every mode resolves each input document's labels exactly once, and each
+    pooled keyword's once."""
     counts = Counter()
     resolve = metrics_mod._label_indices
 
@@ -478,24 +488,22 @@ def test_each_input_document_is_resolved_once_per_call(monkeypatch):
         log = InteractionLog(records, {"click": 0.5, "like": 0.5})
         options = [(rng.choice(docs).id, rng.choice(types)) for _ in range(rng.randint(1, 6))]
         touched = {r.doc for r in records} | {doc_id for doc_id, _ in options}
-        # (call, input documents, a selected document may be resolved twice, keywords pooled)
+        # (call, input documents, keywords pooled)
         cases = [
-            (lambda: greedy_select(schema, docs, k).selected, docs, False, False),
-            (lambda: select_summary_sources(schema, docs, k).selected, docs, False, True),
-            (lambda: rerank_combined(schema, docs, k, lam).selected, docs, False, False),
-            (lambda: swap_diversify(schema, head, tail, rng.randint(0, 4)).selected, docs, False, False),
-            (lambda: next_in_sequence(schema, head, tail, Window("last", len(recent))).selected, recent + tail, True, False),
-            (lambda: max_diversity_oracle(schema, docs, k).best_subset, docs, True, False),
+            (lambda: greedy_select(schema, docs, k).selected, docs, False),
+            (lambda: select_summary_sources(schema, docs, k).selected, docs, True),
+            (lambda: rerank_combined(schema, docs, k, lam).selected, docs, False),
+            (lambda: swap_diversify(schema, head, tail, rng.randint(0, 4)).selected, docs, False),
+            (lambda: next_in_sequence(schema, head, tail, Window("last", len(recent))).selected, recent + tail, False),
+            (lambda: max_diversity_oracle(schema, docs, k).best_subset, docs, False),
             (lambda: suggest_interaction(schema, by_id, log, options).selected,
-             [d for d in docs if d.id in touched], False, False),
+             [d for d in docs if d.id in touched], False),
         ]
-        for run, inputs, report, pooled in cases:
+        for run, inputs, pooled in cases:
             counts.clear()
             selected = run()
             doc_counts = {i: c for i, c in counts.items() if i in by_id}
-            assert set(doc_counts) == {d.id for d in inputs}, (seed, doc_counts)
-            for doc_id, c in doc_counts.items():
-                assert c <= 1 + (report and doc_id in selected), (seed, doc_id, c)
+            assert doc_counts == dict.fromkeys((d.id for d in inputs), 1), (seed, doc_counts)
             keywords = sum(len(by_id[i].keywords) for i in selected) if pooled else 0
             assert sorted(c for i, c in counts.items() if i not in by_id) == [1] * keywords, (seed, counts)
 
@@ -612,6 +620,22 @@ def test_every_step_matches_a_full_kernel_per_candidate():
             want = reference_next_in_sequence(schema, history, candidates, window, gamma).as_dict()
             got = next_in_sequence(schema, history, candidates, window, gamma).as_dict()
             assert got == want, (seed, window, gamma)
+
+
+def test_a_long_window_of_repeated_rows_matches_the_reference():
+    """Hundreds of window items over few distinct rows: each distinct window
+    row's distances are read once, and every affinity keeps the reference's
+    bits."""
+    rng = random.Random(20)
+    schema = random_schema(rng, max_aspects=3, max_labels=3, exact=True)
+    history = random_docs(rng, schema, 420, with_timestamps=True)
+    candidates = [replace(d, id=f"c{i:03d}") for i, d in enumerate(random_docs(rng, schema, 60))]
+    cutoff = history[100].timestamp
+    for window in (Window("last", 300), Window("last", 420), Window("cutoff", cutoff)):
+        for gamma in (1.0, 0.5, 0.97):
+            want = reference_next_in_sequence(schema, history, candidates, window, gamma).as_dict()
+            got = next_in_sequence(schema, history, candidates, window, gamma).as_dict()
+            assert got == want, (window, gamma)
 
 
 def test_duplicate_ids_are_reported_sorted_without_quadratic_counting():
@@ -740,6 +764,19 @@ def test_suggest_interaction_names_options_that_are_not_strings(schema, by_id, p
     with pytest.raises(ContractError) as info:
         suggest_interaction(schema, by_id, InteractionLog((), {"like": 1.0}), options)
     assert str(info.value) == f"options with a document id or type that is not a string: {options[:1]}"
+
+
+@pytest.mark.parametrize(
+    "option",
+    ["a1", "ab", ("a1",), ("a1", "like", "x"), ["a1", "like", "x"], None, {"a1": "like"}],
+    ids=["id-string", "two-character-string", "one-tuple", "three-tuple", "three-list", "None", "dict"],
+)
+def test_suggest_interaction_names_options_that_are_not_pairs(schema, by_id, option):
+    # A string or a tuple of another length would unpack into the wrong option or fail unpacking.
+    options = [("a2", "like"), option]
+    with pytest.raises(ContractError) as info:
+        suggest_interaction(schema, by_id, InteractionLog((), {"like": 1.0}), options)
+    assert str(info.value) == f"options that are not (document id, type) pairs: {[option]}"
 
 
 # --- relevance/diversity blending ---
