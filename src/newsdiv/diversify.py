@@ -247,8 +247,7 @@ def next_in_sequence(
     ordered, keys = _by_id(schema, candidates, "candidate set")
     distinct = list(dict.fromkeys(keys))
     past = list(dict.fromkeys(recent))
-    lines = zip(past, range(len(past) - 1, -1, -1), _distance_matrix(schema, past + distinct))
-    towards = {r: line[skip:] for r, skip, line in lines}
+    towards = dict(zip(past, _distance_matrix(schema, past, distinct)))
     affinities = [0.0] * len(distinct)
     for age, r in enumerate(reversed(recent)):
         decay = gamma**age

@@ -268,19 +268,27 @@ def _candidate_values(
     return [v / divisor for v in values]
 
 
-def _distance_matrix(schema: AspectSchema, rows: Sequence[Sequence[int]]) -> Iterator[list[float]]:
-    """The strict upper triangle of the distances between the rows, one
-    matrix row at a time: row i holds the distances from row i to rows
-    i+1..n-1, so the last is empty. Each cell adds w_a * D_a to 0.0 in aspect
-    order, so it is bitwise the overall _diversity of the two rows."""
-    aspects = [
-        ([[schema.weights[a.name] * d for d in line] for line in a.matrix], [row[i] for row in rows])
+def _distance_matrix(
+    schema: AspectSchema, rows: Sequence[Sequence[int]], to: Sequence[Sequence[int]] | None = None
+) -> Iterator[list[float]]:
+    """The distances between label-index rows, one matrix row at a time.
+    Without `to`, the strict upper triangle: row i holds the distances from
+    row i to rows i+1..n-1, so the last is empty. With `to`, the rectangle:
+    row i holds the distances from row i to every row of `to`. Each cell adds
+    w_a * D_a to 0.0 in aspect order, so it is bitwise the overall _diversity
+    of the two rows. The tables hold 0.0 + w_a * D_a, so a cell starts as its
+    first aspect's entry; a sum that starts at 0.0 is never -0.0, so adding
+    0.0 + x is adding x."""
+    columns = rows if to is None else to
+    (first, head), *others = [
+        ([[0.0 + schema.weights[a.name] * d for d in line] for line in a.matrix], [row[i] for row in columns])
         for i, a in enumerate(schema.aspects)
     ]
     for i, row in enumerate(rows, 1):
-        cells = [0.0] * (len(rows) - i)
-        for (weighted, column), label in zip(aspects, row):
-            cells = list(map(add, cells, map(weighted[label].__getitem__, column[i:])))
+        start = i if to is None else 0
+        cells = list(map(first[row[0]].__getitem__, head[start:]))
+        for (weighted, column), label in zip(others, row[1:]):
+            cells = list(map(add, cells, map(weighted[label].__getitem__, column[start:])))
         yield cells
 
 

@@ -23,16 +23,39 @@ left; it is bounded once and then summed without descending further. Half
 the tie tolerance (5e-10 per pair) is far above the rounding error of these
 sums, so a pruned subset could never have beaten the best by more than the
 tolerance. A subset that survives is summed exactly as plain enumeration
-sums it, row-major over its indices, and compared the same way, so the
-search returns the subset plain enumeration would. It reads only distances
-from an index to a larger one: the upper triangle, half the matrix.
+sums it, row-major over its indices, and compared the same way. It reads
+only distances from an index to a larger one: the upper triangle, half the
+matrix.
+
+Documents with the same label-index row are interchangeable, so the search
+visits only canonical subsets: those that never skip a document and then
+take a later one with the same row. Every subset has the value of the
+canonical subset with the same count per row, whose picks are each row's
+first members, and that canonical subset comes first in lexicographic
+order. Once the search has passed it, summed or pruned, best_sum is at least
+its value minus the tolerance, and best_sum never falls, so a later subset
+of the same value is never more than the tolerance higher and cannot
+replace the best. A frame that skips index j sets the gains of j's later
+row members to -inf, which drops them from the bound and from every leaf;
+a last pick x needs no member of its row in [j, x). So the work follows the
+distinct label tuples and how many documents share each, not the number of
+documents, and tied documents are never searched in every order.
+
+Exact sums of the same distances are equal, but float sums in another order
+can differ by a few ulps: at most pairs**2 * 2**-52, distances being at
+most 1. A non-canonical subset could therefore replace where its canonical
+one did not only if the canonical sum fell short of best_sum + tolerance by
+no more than that. When a canonical sum lands there in a pool with a
+repeated row, the search runs once more with every document its own row,
+which is the search over every subset. Either way the search returns the
+subset plain enumeration would.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from operator import add
-from typing import Sequence
+from typing import Hashable, Sequence
 
 from .aspect_model import AspectSchema
 from .errors import GuardExceededError
@@ -66,9 +89,13 @@ def max_diversity_oracle(schema: AspectSchema, pool: Sequence[DocumentProfile], 
     its mean pairwise distance is more than TIE_TOLERANCE higher, so values
     within TIE_TOLERANCE count as tied and resolve to the lexicographically
     smallest id tuple. Subsets whose upper bound cannot beat the best are
-    skipped (see the module docstring); the result equals that of
-    summing every subset. `evaluated` counts the subsets covered, summed or
-    bounded out: always C(|pool|, k). Guarded: C(|pool|, k) above
+    skipped, and so is every subset that takes a later document in place of
+    an earlier one with the same labels: it has the same value, comes later
+    and so cannot win. A sum within rounding of the tie edge reruns the
+    search over every subset (see the module docstring). The result equals
+    that of summing every subset, and the cost follows the distinct label
+    tuples, not the documents. `evaluated` counts the subsets covered, summed
+    or bounded out: always C(|pool|, k). Guarded: C(|pool|, k) above
     ENUMERATION_GUARD raises GuardExceededError instead of running, and
     duplicate document ids raise ContractError.
     """
@@ -86,7 +113,7 @@ def max_diversity_oracle(schema: AspectSchema, pool: Sequence[DocumentProfile], 
         picks = range(k)  # the first id, or the only subset
     else:
         tolerance = TIE_TOLERANCE * pairs  # on pair sums, not means
-        picks = _search(list(_distance_matrix(schema, rows)), k, tolerance)
+        picks = _search(list(_distance_matrix(schema, rows)), k, tolerance, rows)
     # The count kernel on the picks' rows: bitwise collection_diversity(best_subset).
     value = _diversity(schema, [rows[i] for i in picks]).overall
     return OracleResult(tuple(docs[i].id for i in picks), value, total)
@@ -113,15 +140,29 @@ def _reach(upper: list[list[float]]) -> list[list[float]]:
     return reach[::-1]
 
 
-def _search(upper: list[list[float]], k: int, tolerance: float) -> tuple[int, ...]:
+def _search(upper: list[list[float]], k: int, tolerance: float, rows: Sequence[Hashable]) -> tuple[int, ...]:
     """The k-subset (1 < k < n) plain enumeration keeps: in lexicographic
     order, each subset replaces the best so far when its pair sum is more
-    than `tolerance` higher. Depth first with an explicit stack, because k can
-    reach the thousands, beyond the recursion limit."""
+    than `tolerance` higher. rows[x] is x's label-index row; only canonical
+    subsets are visited, and a sum on the tolerance edge reruns the search
+    with every index its own row (see the module docstring). Depth first with
+    an explicit stack, because k can reach the thousands, beyond the
+    recursion limit."""
     n = len(upper)
     half = tolerance / 2
+    pairs = k * (k - 1) // 2
+    slack = pairs * pairs * 2.0**-52  # how far two orders of one pair sum can differ
     reach = _reach(upper)
-    best_sum, best_combo = -1.0, ()
+    # later[x]: the indices after x with x's row; prev[x]: the last one
+    # before x, or -1.
+    members, prev, place = {}, [], []
+    for x, row in enumerate(rows):
+        same = members.setdefault(row, [])
+        prev.append(same[-1] if same else -1)
+        place.append((same, len(same) + 1))
+        same.append(x)
+    later = [same[a:] for same, a in place]
+    best_sum, best_combo, edge = -1.0, (), False
     # Frame: next index j, prefix, its pair sum, and gains[x - j] = summed
     # distance from x to the prefix members, for x >= j only: a frame never
     # reads an index below its j, so a deep stack holds no dead prefixes.
@@ -131,15 +172,19 @@ def _search(upper: list[list[float]], k: int, tolerance: float) -> tuple[int, ..
         r = k - len(prefix)
         if r == 1:
             floor = best_sum + half
-            leaves = [prefix + (x,) for x, g in enumerate(gains, j) if base + g >= floor]
+            leaves = [prefix + (x,) for x, g in enumerate(gains, j) if base + g >= floor and prev[x] < j]
         else:
             c = (r - 1) / 2
             scores = sorted([g + c * h for g, h in zip(gains, reach[j])])
             if base + sum(scores[-r:]) < best_sum + half:
                 continue  # no subset at this level from index j on can win
             if r < n - j:
-                rest = gains[1:]
-                stack.append((j + 1, prefix, base, rest))
+                rest = skip = gains[1:]
+                if later[j]:  # skipping j rules out the later members of its row
+                    skip = rest[:]
+                    for y in later[j]:
+                        skip[y - j - 1] = -math.inf
+                stack.append((j + 1, prefix, base, skip))
                 stack.append((j + 1, prefix + (j,), base + gains[0], list(map(add, rest, upper[j]))))
                 continue
             leaves = [prefix + tuple(range(j, n))]  # the one completion left
@@ -147,4 +192,8 @@ def _search(upper: list[list[float]], k: int, tolerance: float) -> tuple[int, ..
             s = _pair_sum(upper, combo)
             if s > best_sum + tolerance:
                 best_sum, best_combo = s, combo
+            elif s >= best_sum + tolerance - slack:
+                edge = True
+    if edge and len(members) < n:
+        return _search(upper, k, tolerance, range(n))
     return best_combo

@@ -170,6 +170,16 @@ def test_distance_rows_are_the_upper_triangle_bit_for_bit():
             assert [d.hex() for d in line] == want, (seed, i)
 
 
+def test_distance_rectangle_is_bit_for_bit():
+    for seed in range(500):
+        schema, rows = kernel_rows(seed)
+        columns = rows[::-1]
+        matrix = list(_distance_matrix(schema, rows, columns))
+        assert len(matrix) == len(rows), seed
+        for row, line in zip(rows, matrix):
+            assert [d.hex() for d in line] == [reference_distance(schema, row, c).hex() for c in columns], seed
+
+
 # --- reference list values ---
 
 

@@ -149,6 +149,102 @@ def test_search_matches_enumeration_on_bench_shaped_pools(k):
     assert got == enumerate_oracle(schema, docs, k).as_dict()
 
 
+def narrow_instance(seed):
+    """A bench-shaped narrow pool: 20-26 documents drawn from at most 9 label
+    tuples of a 2 x 3 schema. k cycles through 3, 4 and 5, every tenth pool
+    takes 6 and every fortieth 7, and the larger k get the smaller pools, so
+    plain enumeration stays under 80,000 subsets a pool."""
+    rng = random.Random(seed)
+    schema = random_schema(rng, max_aspects=2, max_labels=3, exact=True)
+    tuples = random_docs(rng, schema, rng.randint(2, 9))
+    k = 7 if seed % 40 == 39 else 6 if seed % 10 == 9 else 3 + seed % 3
+    n = rng.randint(20, {3: 26, 4: 26, 5: 23}.get(k, 20))
+    docs = [DocumentProfile(id=f"n{i:02d}", labels=rng.choice(tuples).labels) for i in range(n)]
+    return schema, docs, k
+
+
+def test_search_matches_enumeration_on_narrow_pools():
+    for seed in range(200):
+        schema, docs, k = narrow_instance(seed)
+        got = max_diversity_oracle(schema, docs, k).as_dict()
+        assert got == enumerate_oracle(schema, docs, k).as_dict(), seed
+
+
+def test_search_work_follows_distinct_tuples(monkeypatch):
+    """40 documents over 4 label tuples, k=6: searching every reordering of
+    the tied documents took 169,908 bound evaluations (one sort each) and
+    summed 309 subsets; without the last pick's row check the canonical
+    search still sums 49."""
+    rng = random.Random(40)
+    schema = random_schema(rng, max_aspects=2, max_labels=3)
+    tuples = random_docs(rng, schema, 6)
+    docs = [DocumentProfile(id=f"r{i:02d}", labels=rng.choice(tuples).labels) for i in range(40)]
+    assert len({tuple(sorted(d.labels.items())) for d in docs}) == 4
+    sorts, sums, pair_sum = [], [], oracle._pair_sum
+
+    def counting_sort(*args, **kwargs):
+        sorts.append(1)
+        return sorted(*args, **kwargs)
+
+    def counting_sum(upper, combo):
+        sums.append(combo)
+        return pair_sum(upper, combo)
+
+    monkeypatch.setattr(oracle, "sorted", counting_sort, raising=False)
+    monkeypatch.setattr(oracle, "_pair_sum", counting_sum)
+    result = max_diversity_oracle(schema, docs, 6)
+    assert len(sorts) <= 1_000 and len(sums) <= 20, (len(sorts), len(sums))
+    # The pick of the search over every subset, which enumeration matches.
+    assert result.best_subset == ("r00", "r01", "r02", "r03", "r07", "r09")
+
+
+def counted_searches(monkeypatch):
+    """Record the rows argument of every _search call, the fallback's too."""
+    search, seen = oracle._search, []
+
+    def counting(upper, k, tolerance, rows):
+        seen.append(list(rows))
+        return search(upper, k, tolerance, rows)
+
+    monkeypatch.setattr(oracle, "_search", counting)
+    return seen
+
+
+def test_sum_on_the_tolerance_edge_reruns_the_search_over_every_subset(monkeypatch):
+    """Dyadic distances and a power-of-two tolerance add exactly: the
+    canonical (0, 1, 3) sums to 1.0625, exactly the best (0, 1, 2) plus the
+    tolerance, so the search runs again with every index its own row. Its
+    reordering (1, 2, 3) sums to the same, so the pick stays."""
+    # Rows p, q, p, r: d(p, q) = 0.5, d(p, r) = 0.25, d(q, r) = 0.3125.
+    upper = [[0.5, 0.0, 0.25], [0.5, 0.3125], [0.25], []]
+    tolerance = 2.0**-4
+    seen = counted_searches(monkeypatch)
+    got = oracle._search(upper, 3, tolerance, "pqpr")
+    assert seen == [list("pqpr"), [0, 1, 2, 3]]
+    plain, best = None, -1.0  # plain enumeration at this tolerance
+    for combo in combinations(range(4), 3):
+        s = oracle._pair_sum(upper, combo)
+        if s > best + tolerance:
+            plain, best = combo, s
+    assert got == oracle._search(upper, 3, tolerance, range(4)) == plain == (0, 1, 2)
+
+
+def test_reordered_sum_one_ulp_past_the_tolerance_wins_as_in_enumeration(monkeypatch):
+    """(d0, d1, d3) sums to exactly 0.8 + 3e-9, the best (d0, d1, d2) plus
+    the tolerance, and does not replace it; its reordering (d1, d2, d3) adds
+    the same distances in another order, lands one ulp higher and does.
+    Canonical subsets alone would keep (d0, d1, d2)."""
+    # Labels p, q, p, r: d2 repeats d0's row.
+    distances = {("p", "q"): 0.4, ("p", "r"): 0.15, ("q", "r"): 0.2500000030000001}
+    schema = AspectSchema(aspects=(Aspect("t", ["p", "q", "r"], distances),), weights={"t": 1.0})
+    docs = [DocumentProfile(id=f"d{i}", labels={"t": label}) for i, label in enumerate("pqpr")]
+    seen = counted_searches(monkeypatch)
+    got = max_diversity_oracle(schema, docs, 3)
+    assert len(seen) == 2
+    assert got.best_subset == ("d1", "d2", "d3")
+    assert got.as_dict() == enumerate_oracle(schema, docs, 3).as_dict()
+
+
 def test_oracle_value_is_the_exact_maximum():
     for seed in range(300):
         schema, docs, k = oracle_instance(seed)
