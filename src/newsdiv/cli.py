@@ -10,6 +10,7 @@ fixed inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 
@@ -170,7 +171,11 @@ def cmd_explain(args) -> str:
     return rules_mod.explain_result(data) + "\n"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process. parse_args leaves it as
+    it was: each call fills a fresh namespace, and --context appends to a
+    copy of its default list."""
     parser = argparse.ArgumentParser(
         prog="newsdiv",
         description="Multi-aspect diversity scoring and diversification for news lists.",

@@ -21,6 +21,7 @@ from .metrics import (
     InteractionLog,
     InteractionRecord,
     Keyword,
+    _profile,
 )
 from .oracle import OracleResult
 from .rules import Rule, RuleSet, parse_rule
@@ -82,7 +83,11 @@ def _parse_keywords(lineno: int, doc_id: str, raw) -> tuple[Keyword, ...]:
 
 
 def validate_labels(schema: AspectSchema, labels: Mapping[str, str], where: str) -> None:
-    """Exactly one known label per schema aspect; nothing else."""
+    """Exactly one known label per schema aspect; nothing else. A map with
+    one key per aspect that the schema's row table resolves passes with that
+    one lookup; any other is walked aspect by aspect for the message."""
+    if len(labels) == len(schema.aspects) and schema._row(labels) is not None:
+        return
     names = set(schema.aspect_names())
     extra = set(labels) - names
     if extra:
@@ -97,13 +102,6 @@ def validate_labels(schema: AspectSchema, labels: Mapping[str, str], where: str)
             )
 
 
-def _check_labels(schema: AspectSchema, names: tuple[str, ...], labels: Mapping[str, str], where: str) -> None:
-    """validate_labels, unless the schema's row table resolves this label
-    map and the map has no other key."""
-    if len(labels) != len(names) or schema._row(labels) is None:
-        validate_labels(schema, labels, where)
-
-
 def load_corpus(schema: AspectSchema, text: str) -> Corpus:
     """Parse a JSONL corpus, validating every document against the schema.
 
@@ -114,22 +112,26 @@ def load_corpus(schema: AspectSchema, text: str) -> Corpus:
     relevance, timestamp, and keywords are optional. Duplicate ids and any
     schema violation raise with the offending line number. Each distinct
     label tuple is checked once per schema: the schema remembers the rows
-    it has checked, for this load, later loads and every mode.
+    it has checked, for this load, later loads and every mode. So a
+    document costs the scan of its line plus one row lookup, and a few
+    class tests on what the scan decoded.
     """
-    names = schema.aspect_names()
     documents: dict[str, DocumentProfile] = {}
+    # The decoder builds only plain dict, list, str, int, float, bool and
+    # None objects, so a class test is the isinstance test, and an int class
+    # test also rejects a bool.
     for lineno, obj in _iter_jsonl(text, "corpus"):
-        if not isinstance(obj, dict):
+        if obj.__class__ is not dict:
             raise ValidationError(f"corpus line {lineno}: document must be a JSON object")
         doc_id = obj.get("id")
-        if not isinstance(doc_id, str) or not doc_id:
+        if doc_id.__class__ is not str or not doc_id:
             raise ValidationError(f"corpus line {lineno}: document needs a non-empty string 'id'")
         if doc_id in documents:
             raise ValidationError(f"corpus line {lineno}: duplicate document id {doc_id!r}")
         labels = obj.get("labels")
-        if not isinstance(labels, dict):
+        if labels.__class__ is not dict:
             raise ValidationError(f"corpus line {lineno}: document {doc_id!r} needs a 'labels' map")
-        _check_labels(schema, names, labels, f"corpus line {lineno}")
+        validate_labels(schema, labels, f"corpus line {lineno}")
         relevance = obj.get("relevance")
         if relevance is not None:
             if not json_number_in(relevance, 0.0, 1.0):
@@ -137,22 +139,21 @@ def load_corpus(schema: AspectSchema, text: str) -> Corpus:
                     f"corpus line {lineno}: relevance for {doc_id!r} must lie in [0, 1] "
                     f"(got {relevance!r})"
                 )
-            relevance = float(relevance)
+            if relevance.__class__ is not float:
+                relevance = float(relevance)
         timestamp = obj.get("timestamp")
-        if timestamp is not None and not json_isinstance(timestamp, int):
+        if timestamp is not None and timestamp.__class__ is not int:
             raise ValidationError(
                 f"corpus line {lineno}: timestamp for {doc_id!r} must be an integer"
             )
-        keywords = _parse_keywords(lineno, doc_id, obj.get("keywords"))
-        for kw in keywords:
-            _check_labels(schema, names, kw.labels, f"corpus line {lineno}: keyword {kw.term!r}")
-        documents[doc_id] = DocumentProfile(
-            id=doc_id,
-            labels=labels,
-            relevance=relevance,
-            timestamp=timestamp,
-            keywords=keywords,
-        )
+        keywords = obj.get("keywords")
+        if keywords is None:
+            keywords = ()
+        else:
+            keywords = _parse_keywords(lineno, doc_id, keywords)
+            for kw in keywords:
+                validate_labels(schema, kw.labels, f"corpus line {lineno}: keyword {kw.term!r}")
+        documents[doc_id] = _profile(doc_id, labels, relevance, timestamp, keywords)
     return Corpus(documents=documents)
 
 

@@ -40,7 +40,7 @@ def json_isinstance(value, types) -> bool:
 
 def json_number_in(value, low, high, kind=(int, float)) -> bool:
     """True when `value` is a `kind` that is not a bool and low <= value <= high."""
-    return json_isinstance(value, kind) and low <= value <= high
+    return isinstance(value, kind) and not isinstance(value, bool) and low <= value <= high
 
 
 def json_float(value, what: str) -> float:

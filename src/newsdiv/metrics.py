@@ -77,6 +77,21 @@ class DocumentProfile:
     keywords: tuple[Keyword, ...] = ()
 
 
+def _profile(id, labels, relevance, timestamp, keywords) -> DocumentProfile:
+    """DocumentProfile(id, labels, relevance, timestamp, keywords), equal in
+    vars, == and repr, for the corpus loader. It fills the instance dict
+    directly: the frozen dataclass's __init__ makes one object.__setattr__
+    call per field. Valid while DocumentProfile defines no __post_init__."""
+    doc = object.__new__(DocumentProfile)
+    fields = doc.__dict__
+    fields["id"] = id
+    fields["labels"] = labels
+    fields["relevance"] = relevance
+    fields["timestamp"] = timestamp
+    fields["keywords"] = keywords
+    return doc
+
+
 @dataclass(frozen=True)
 class InteractionRecord:
     user: str

@@ -36,10 +36,11 @@ order. Once the search has passed it, summed or pruned, best_sum is at least
 its value minus the tolerance, and best_sum never falls, so a later subset
 of the same value is never more than the tolerance higher and cannot
 replace the best. A frame that skips index j sets the gains of j's later
-row members to -inf, which drops them from the bound and from every leaf;
-a last pick x needs no member of its row in [j, x). So the work follows the
-distinct label tuples and how many documents share each, not the number of
-documents, and tied documents are never searched in every order.
+row members to -inf, which drops them from the bound and from every leaf,
+and the search then only skips them; a last pick x needs no member of its
+row in [j, x). So the work follows the distinct label tuples and how many
+documents share each, not the number of documents, and tied documents are
+never searched in every order.
 
 Exact sums of the same distances are equal, but float sums in another order
 can differ by a few ulps: at most pairs**2 * 2**-52, distances being at
@@ -180,6 +181,9 @@ def _search(upper: list[list[float]], k: int, tolerance: float, rows: Sequence[H
                 continue  # no subset at this level from index j on can win
             if r < n - j:
                 rest = skip = gains[1:]
+                if gains[0] == -math.inf:  # j is ruled out, and so is the rest of its row
+                    stack.append((j + 1, prefix, base, skip))
+                    continue
                 if later[j]:  # skipping j rules out the later members of its row
                     skip = rest[:]
                     for y in later[j]:

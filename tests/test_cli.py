@@ -623,6 +623,21 @@ def test_repeat_invocations_are_byte_identical(paths):
     assert first == second
 
 
+def test_in_process_calls_share_the_parser_but_not_flags(paths, capsys):
+    """cli.main builds its parser once per process; the --context and
+    --lambda of one call do not carry over to the next."""
+    args = ["rerank", "--schema", paths["schema"], "--corpus", paths["corpus"],
+            "--mode", "list", "--k", "4", "--rules", paths["rules"]]
+    assert cli.build_parser() is cli.build_parser()
+    assert cli.main(args + ["--context", "election", "--lambda", "0.3"]) == 0
+    first = capsys.readouterr().out
+    assert cli.main(args) == 0
+    second = capsys.readouterr().out
+    assert first == run(*args, "--context", "election", "--lambda", "0.3").stdout
+    assert second == run(*args).stdout
+    assert first != second
+
+
 # --- fuzzing (in-process) ---
 #
 # One JSON value somewhere in one fixture file is swapped for a list, an

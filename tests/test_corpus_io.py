@@ -2,7 +2,7 @@
 
 import json
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -15,7 +15,7 @@ from newsdiv.corpus_io import (
     write_report,
 )
 from newsdiv.errors import NewsdivError, ParseError, ValidationError
-from newsdiv.metrics import collection_diversity
+from newsdiv.metrics import DocumentProfile, collection_diversity
 
 from helpers import random_schema, reference_load_corpus
 
@@ -42,6 +42,19 @@ def test_example_corpus_loads_eight_documents(corpus):
 def test_blank_lines_are_skipped(schema):
     text = line("x1") + "\n\n" + line("x2", frame="Security") + "\n"
     assert len(load_corpus(schema, text).docs()) == 2
+
+
+def test_loaded_profiles_equal_the_dataclass_built_from_their_fields(schema, corpus):
+    """The loader fills each profile's fields without calling
+    DocumentProfile.__init__, so it would skip a __post_init__."""
+    assert "__post_init__" not in vars(DocumentProfile)
+    bare = load_corpus(schema, line("x1", relevance=1)).docs()
+    for doc in corpus.docs() + bare:
+        built = DocumentProfile(**{f.name: getattr(doc, f.name) for f in fields(DocumentProfile)})
+        assert type(doc) is DocumentProfile
+        assert doc == built and repr(doc) == repr(built)
+        assert [(k, type(v), v) for k, v in vars(doc).items()] == [(k, type(v), v) for k, v in vars(built).items()]
+    assert (bare[0].relevance, bare[0].timestamp, bare[0].keywords) == (1.0, None, ())
 
 
 @pytest.mark.parametrize(
@@ -258,14 +271,32 @@ CORRUPTIONS = {
     "keyword-list-label": _rekeyword(lambda rng, labels: {**labels, _pick(rng, labels): ["x"]}),
     "keyword-missing-aspect": _rekeyword(_drop_one),
     "keyword-labels-not-a-map": lambda rng, doc, first: [json.dumps({**doc, "keywords": [{"term": "kw", "labels": ["x"]}]})],
+    "int-relevance-0": lambda rng, doc, first: [json.dumps({**doc, "relevance": 0})],
+    "int-relevance-1": lambda rng, doc, first: [json.dumps({**doc, "relevance": 1})],
+    "negative-zero-relevance": lambda rng, doc, first: [json.dumps({**doc, "relevance": -0.0})],
+    "null-relevance": lambda rng, doc, first: [json.dumps({**doc, "relevance": None})],
+    "true-timestamp": lambda rng, doc, first: [json.dumps({**doc, "timestamp": True})],
+    "float-timestamp": lambda rng, doc, first: [json.dumps({**doc, "timestamp": 1.0})],
+    "empty-keywords": lambda rng, doc, first: [json.dumps({**doc, "keywords": []})],
+    "null-keywords": lambda rng, doc, first: [json.dumps({**doc, "keywords": None})],
+    "object-keywords": lambda rng, doc, first: [json.dumps({**doc, "keywords": {}})],
+    "labels-not-a-map": lambda rng, doc, first: [json.dumps({**doc, "labels": list(doc["labels"].values())})],
+    "empty-id": lambda rng, doc, first: [json.dumps({**doc, "id": ""})],
+    "int-id": lambda rng, doc, first: [json.dumps({**doc, "id": 7})],
 }
 
 
 def _outcome(load, schema, text):
+    """The documents, each with the type and repr of every field (an int
+    relevance equals its float), or the error's type and message."""
     try:
-        return list(load(schema, text).documents.items())
+        documents = load(schema, text).documents
     except NewsdivError as exc:
         return type(exc), str(exc)
+    return [
+        (doc_id, doc, [(k, type(v), repr(v)) for k, v in vars(doc).items()])
+        for doc_id, doc in documents.items()
+    ]
 
 
 @pytest.mark.parametrize("crlf", [False, True], ids=["lf", "crlf"])
