@@ -73,13 +73,11 @@ def cmd_score(args) -> str:
 
 
 def _load_rules(args, schema):
-    if not args.rules:
+    if args.rules is None:
         return rules_mod.RuleSet(rules=()), []
     ruleset, request_rules = corpus_io.load_rules(schema, _read(args.rules))
     if args.context:
-        ruleset = rules_mod.RuleSet(
-            rules=ruleset.rules, context_tags=frozenset(args.context)
-        )
+        ruleset = replace(ruleset, context_tags=frozenset(args.context))
     return ruleset, request_rules
 
 
@@ -99,7 +97,7 @@ def cmd_rerank(args) -> str:
     ruleset, request_rules = _load_rules(args, schema)
 
     history = []
-    if args.history:
+    if args.history is not None:
         history = _history_profiles(args, corpus)
     candidates = diversify.exclude_history(
         corpus.docs(), {d.id for d in history}
@@ -125,16 +123,16 @@ def cmd_rerank(args) -> str:
     elif args.mode == "summary":
         result = diversify.select_summary_sources(schema, survivors, args.k)
     elif args.mode == "sequence":
-        if not args.history:
+        if args.history is None:
             raise ContractError("sequence mode requires --history")
-        window = parse_window(args.window) if args.window else Window("last", len(history))
+        window = Window("last", len(history)) if args.window is None else parse_window(args.window)
         result = diversify.next_in_sequence(
             schema, history, survivors, window, gamma=args.gamma
         )
-    elif args.mode == "interaction":
-        if not args.interactions:
+    else:  # interaction; argparse's choices admit no other mode
+        if args.interactions is None:
             raise ContractError("interaction mode requires --interactions")
-        weights = load_json(args.type_weights, "--type-weights") if args.type_weights else None
+        weights = None if args.type_weights is None else load_json(args.type_weights, "--type-weights")
         log = corpus_io.load_interactions(_read(args.interactions), weights)
         logged = {(r.doc, r.type) for r in log.records}
         options = [
@@ -148,8 +146,6 @@ def cmd_rerank(args) -> str:
         result = diversify.suggest_interaction(
             schema, corpus.documents, log, options
         )
-    else:  # argparse choices prevent this
-        raise ContractError(f"unknown mode {args.mode!r}")
 
     selected_docs = [corpus.documents[i] for i in result.selected]
     violations = rules_mod.check_requirements(

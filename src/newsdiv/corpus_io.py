@@ -3,8 +3,9 @@
 Corpus files hold one document object per line; interaction and history
 files hold one event per line. Errors carry 1-based line numbers. A schema
 remembers the label rows it has checked, so the corpus loader checks each
-distinct label tuple once and the modes read the rows it stored. Reports
-serialize deterministically with numbers at 12 significant digits.
+distinct label tuple once and the modes read the rows it stored. A report
+is whatever defines `as_dict`; it serializes deterministically with numbers
+at 12 significant digits.
 """
 from __future__ import annotations
 
@@ -13,17 +14,8 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .aspect_model import AspectSchema
-from .diversify import RerankResult
 from .errors import ValidationError, json_decode_error, json_isinstance, json_number_in
-from .metrics import (
-    DiversityReport,
-    DocumentProfile,
-    InteractionLog,
-    InteractionRecord,
-    Keyword,
-    _profile,
-)
-from .oracle import OracleResult
+from .metrics import DocumentProfile, InteractionLog, InteractionRecord, Keyword
 from .rules import Rule, RuleSet, parse_rule
 
 
@@ -113,8 +105,9 @@ def load_corpus(schema: AspectSchema, text: str) -> Corpus:
     schema violation raise with the offending line number. Each distinct
     label tuple is checked once per schema: the schema remembers the rows
     it has checked, for this load, later loads and every mode. So a
-    document costs the scan of its line plus one row lookup, and a few
-    class tests on what the scan decoded.
+    document costs the scan of its line plus one row lookup, a few class
+    tests on what the scan decoded and `DocumentProfile(...)`, whose own
+    `__init__` fills the instance dict directly.
     """
     documents: dict[str, DocumentProfile] = {}
     # The decoder builds only plain dict, list, str, int, float, bool and
@@ -153,7 +146,7 @@ def load_corpus(schema: AspectSchema, text: str) -> Corpus:
             keywords = _parse_keywords(lineno, doc_id, keywords)
             for kw in keywords:
                 validate_labels(schema, kw.labels, f"corpus line {lineno}: keyword {kw.term!r}")
-        documents[doc_id] = _profile(doc_id, labels, relevance, timestamp, keywords)
+        documents[doc_id] = DocumentProfile(doc_id, labels, relevance, timestamp, keywords)
     return Corpus(documents=documents)
 
 
@@ -246,8 +239,10 @@ def round12(value):
 
 
 def write_report(obj) -> str:
-    """Serialize a DiversityReport, RerankResult, or OracleResult as JSON:
+    """Serialize an object whose class defines an `as_dict` method (a
+    DiversityReport, RerankResult or OracleResult) as JSON of that dict:
     sorted keys, 12 significant digits, newline-terminated."""
-    if not isinstance(obj, (DiversityReport, RerankResult, OracleResult)):
+    as_dict = getattr(type(obj), "as_dict", None)
+    if not callable(as_dict):
         raise ValidationError(f"cannot serialize {type(obj).__name__} as a report")
-    return json.dumps(round12(obj.as_dict()), sort_keys=True, indent=2) + "\n"
+    return json.dumps(round12(as_dict(obj)), sort_keys=True, indent=2) + "\n"

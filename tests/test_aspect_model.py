@@ -1,12 +1,14 @@
 """Schema construction, graph-derived distances, and ancestor queries."""
 
 import dataclasses
+import json
 import math
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from newsdiv import cli
 from newsdiv.aspect_model import (
     Aspect,
     AspectSchema,
@@ -310,3 +312,57 @@ def test_schema_loader_reports_graph_errors_as_validation_errors(fixtures_dir):
     frame["edges"] = [e for e in frame["edges"] if "Economy" not in e]
     with pytest.raises(ValidationError, match="not graph nodes"):
         load_schema(json.dumps(raw))
+
+
+# --- invalid graphs, aspects and schema files: one exact message each ---
+
+
+def one_aspect(**entry):
+    """Schema text with one aspect 't' over labels a and b, `entry` merged in."""
+    return json.dumps({"aspects": [{"name": "t", "labels": ["a", "b"], **entry}], "weights": {"t": 1.0}})
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: load_schema(one_aspect(graph={"nodes": ["a", "b", "a"], "edges": [["a", "b"]]})),
+         "label graph nodes must be unique"),
+        (lambda: load_schema(one_aspect(graph={"nodes": ["a", "b"], "edges": [["a", "a"]]})),
+         "label graph has self-loop at 'a'"),
+        (lambda: load_schema(one_aspect(graph={"nodes": ["a", "b"], "edges": [["a", "z"]]})),
+         "label graph edge ('a', 'z') references an unknown node"),
+        (lambda: load_schema(one_aspect(graph={"nodes": ["a", "b"], "edges": [["a", "b"], ["b", "a"]]})),
+         "label graph has duplicate edge ('b', 'a')"),
+        (lambda: Aspect("", ["a"], distances=()), "aspect name must be non-empty"),
+        (lambda: Aspect("t", [], distances=()), "aspect 't' has no labels"),
+        (lambda: load_schema(one_aspect(labels=["a", "b", "a"])), "aspect 't' has duplicate labels"),
+        (lambda: load_schema(one_aspect(graph=["a", "b"])), "aspect 't': graph must be an object"),
+        (lambda: load_schema(one_aspect(graph={"nodes": ["a", 1], "edges": []})),
+         "aspect 't': graph nodes must be a list of strings"),
+        (lambda: load_schema(one_aspect(graph={"nodes": ["a", "b"], "edges": {}})),
+         "aspect 't': graph edges must be a list of pairs"),
+        (lambda: load_schema("[]"), "schema root must be a JSON object"),
+        (lambda: load_schema('{"aspects": [], "weights": {}}'), "schema must define a non-empty 'aspects' list"),
+        (lambda: load_schema('{"aspects": ["t"], "weights": {"t": 1.0}}'), "each aspect must be a JSON object"),
+    ],
+    ids=[
+        "duplicate-node", "self-loop", "unknown-node", "duplicate-edge", "empty-name", "no-labels",
+        "duplicate-labels", "graph-not-object", "nodes-not-strings", "edges-not-list", "root-not-object",
+        "no-aspects", "aspect-not-object",
+    ],
+)
+def test_invalid_graphs_aspects_and_schemas_are_named(build, message):
+    with pytest.raises(ValidationError) as info:
+        build()
+    assert type(info.value) is ValidationError
+    assert str(info.value) == message
+
+
+def test_an_invalid_schema_file_exits_2(tmp_path, fixtures_dir, capsys):
+    schema = tmp_path / "schema.json"
+    schema.write_text(one_aspect(graph={"nodes": ["a", "b"], "edges": [["a", "a"]]}))
+    argv = ["score", "--schema", str(schema), "--corpus", str(fixtures_dir / "example_corpus.jsonl")]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: label graph has self-loop at 'a'\n"
+    assert captured.out == ""

@@ -442,6 +442,31 @@ def test_a_type_weight_that_is_not_a_number_is_named(paths, capsys):
     assert captured.out == ""
 
 
+NO_FILE = "[Errno 2] No such file or directory: ''"
+
+
+@pytest.mark.parametrize(
+    "flags, code, message",
+    [
+        (["--mode", "interaction", "--interactions", "{interactions}", "--type-weights="], 2,
+         "--type-weights is not valid JSON: line 1 column 1: Expecting value"),
+        (["--mode", "sequence", "--history", "{history}", "--window="], 2,
+         "window value in '' is not an integer"),
+        (["--mode", "list", "--rules="], 1, NO_FILE),
+        (["--mode", "list", "--history="], 1, NO_FILE),
+        (["--mode", "sequence", "--history="], 1, NO_FILE),
+        (["--mode", "interaction", "--interactions="], 1, NO_FILE),
+    ],
+    ids=["type-weights", "window", "rules", "list-history", "sequence-history", "interactions"],
+)
+def test_an_empty_flag_value_is_not_an_absent_flag(paths, capsys, flags, code, message):
+    argv = ["rerank", *S, "--k", "1", *flags]
+    assert cli.main([a.format(**paths) for a in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 def test_rerank_history_excludes_consumed_docs(paths):
     data = rerank(
         paths, "--mode", "list", "--k", "2", "--history", paths["history"]

@@ -1,5 +1,6 @@
 """File formats: corpus, interactions, history, rules, and report output."""
 
+import inspect
 import json
 import random
 from dataclasses import fields, replace
@@ -45,15 +46,23 @@ def test_blank_lines_are_skipped(schema):
 
 
 def test_loaded_profiles_equal_the_dataclass_built_from_their_fields(schema, corpus):
-    """The loader fills each profile's fields without calling
-    DocumentProfile.__init__, so it would skip a __post_init__."""
+    """DocumentProfile's own __init__ fills the instance dict directly, so
+    it would skip a __post_init__; its signature is the one the dataclass
+    would generate."""
     assert "__post_init__" not in vars(DocumentProfile)
+    assert str(inspect.signature(DocumentProfile)) == (
+        "(id: 'str', labels: 'Mapping[str, str]', relevance: 'float | None' = None, "
+        "timestamp: 'int | None' = None, keywords: 'tuple[Keyword, ...]' = ()) -> None"
+    )
     bare = load_corpus(schema, line("x1", relevance=1)).docs()
     for doc in corpus.docs() + bare:
         built = DocumentProfile(**{f.name: getattr(doc, f.name) for f in fields(DocumentProfile)})
         assert type(doc) is DocumentProfile
         assert doc == built and repr(doc) == repr(built)
         assert [(k, type(v), v) for k, v in vars(doc).items()] == [(k, type(v), v) for k, v in vars(built).items()]
+        copy = replace(doc)
+        assert copy == doc and vars(copy) == vars(doc)
+        assert replace(doc, relevance=0.5) == DocumentProfile(**{**vars(doc), "relevance": 0.5})
     assert (bare[0].relevance, bare[0].timestamp, bare[0].keywords) == (1.0, None, ())
 
 
@@ -184,6 +193,16 @@ def test_write_report_validation(schema, pool):
         write_report([1, 2, 3])
     with pytest.raises(ValidationError, match="cannot serialize"):
         write_report(collection_diversity(schema, pool).as_dict())
+    with pytest.raises(ValidationError, match="cannot serialize type as a report"):
+        write_report(type(collection_diversity(schema, pool)))
+
+
+def test_write_report_serializes_whatever_defines_as_dict():
+    class Summary:
+        def as_dict(self):
+            return {"b": 1 / 3, "a": [2, 0.1 + 0.2]}
+
+    assert write_report(Summary()) == '{\n  "a": [\n    2,\n    0.3\n  ],\n  "b": 0.333333333333\n}\n'
 
 
 def test_rerank_result_json_includes_keyword_diversity(schema, pool):

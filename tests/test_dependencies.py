@@ -7,7 +7,8 @@ emits, builds every trace record in one constructor, whose calls pass
 each field the kind's detail template names, checks ids and orders every
 mode's pool by id in one helper, sorts by id nowhere else, builds the
 pair kernel's tables at most once per function and never in a loop, and
-steps greedy selections in one loop."""
+steps greedy selections in one loop. No code makes an instance without
+its class's __init__, and the loader imports no mode."""
 
 import ast
 import os
@@ -236,3 +237,14 @@ def test_selection_steps_are_scored_in_one_loop():
         "diversify._grow", "diversify.swap_diversify", "diversify.next_in_sequence",
         "diversify.suggest_interaction",
     }
+
+
+def test_instances_are_made_by_their_init_and_the_loader_imports_no_mode():
+    assert [where for where, _ in _calls("object.__new__")] == []
+    # write_report serializes by as_dict, so no result class is imported.
+    imported = {
+        node.module
+        for where, node in _nodes(ast.ImportFrom)
+        if where.startswith("corpus_io.") and node.level == 1
+    }
+    assert imported == {"aspect_model", "errors", "metrics", "rules"}

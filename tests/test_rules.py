@@ -85,6 +85,22 @@ def test_parse_rule_failures_name_the_rule(schema, obj, message):
         parse_rule(schema, obj)
 
 
+@pytest.mark.parametrize(
+    "predicate, message",
+    [
+        ({"all": []}, "rule 'x': 'all' must hold a non-empty list of predicates"),
+        ({"any": []}, "rule 'x': 'any' must hold a non-empty list of predicates"),
+        ({"any": {"aspect": "topic", "value": "Climate"}}, "rule 'x': 'any' must hold a non-empty list of predicates"),
+    ],
+    ids=["empty-all", "empty-any", "any-not-a-list"],
+)
+def test_combinators_need_a_non_empty_list(schema, predicate, message):
+    with pytest.raises(ValidationError) as info:
+        rule(schema, id="x", scope="global", predicate=predicate, action={"exclude": True})
+    assert type(info.value) is ValidationError
+    assert str(info.value) == message
+
+
 def test_ancestor_predicate_requires_a_graph(schema, graph_schema):
     pred = {"ancestor": {"aspect": "frame", "node": "cluster1"}}
     with pytest.raises(ValidationError, match="no label graph"):
