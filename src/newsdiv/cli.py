@@ -92,7 +92,27 @@ def _history_profiles(args, corpus):
     ]
 
 
+# The rerank flags one mode alone reads: (flag, its attribute, that mode).
+_MODE_FLAGS = (
+    ("--lambda", "lambda_", "list"),
+    ("--window", "window", "sequence"),
+    ("--gamma", "gamma", "sequence"),
+    ("--interactions", "interactions", "interaction"),
+    ("--type-weights", "type_weights", "interaction"),
+)
+
+
+def _check_flags(args) -> None:
+    """Refuse a given flag that the chosen rerank mode would ignore."""
+    for flag, dest, mode in _MODE_FLAGS:
+        if getattr(args, dest) is not None and args.mode != mode:
+            raise ContractError(f"{flag} is read only in {mode} mode (got --mode {args.mode})")
+    if args.context and args.rules is None:
+        raise ContractError(f"--context is read only with --rules (got --mode {args.mode} without --rules)")
+
+
 def cmd_rerank(args) -> str:
+    _check_flags(args)
     schema, corpus = _load_schema_corpus(args)
     ruleset, request_rules = _load_rules(args, schema)
 
@@ -126,9 +146,8 @@ def cmd_rerank(args) -> str:
         if args.history is None:
             raise ContractError("sequence mode requires --history")
         window = Window("last", len(history)) if args.window is None else parse_window(args.window)
-        result = diversify.next_in_sequence(
-            schema, history, survivors, window, gamma=args.gamma
-        )
+        gamma = diversify.DEFAULT_GAMMA if args.gamma is None else args.gamma
+        result = diversify.next_in_sequence(schema, history, survivors, window, gamma=gamma)
     else:  # interaction; argparse's choices admit no other mode
         if args.interactions is None:
             raise ContractError("interaction mode requires --interactions")
@@ -194,8 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     rerank.add_argument("--lambda", dest="lambda_", type=float, default=None,
                         help="relevance/diversity blend for list mode")
     rerank.add_argument("--window", default=None, help="'last:K' or 'cutoff:TS'")
-    rerank.add_argument("--gamma", type=float, default=diversify.DEFAULT_GAMMA,
-                        help="recency decay for sequence tie-breaks")
+    rerank.add_argument("--gamma", type=float, default=None,
+                        help=f"recency decay for sequence tie-breaks (default {diversify.DEFAULT_GAMMA})")
     rerank.add_argument("--rules", default=None, help="JSONL rules file")
     rerank.add_argument("--history", default=None, help="JSONL consumption history")
     rerank.add_argument("--interactions", default=None, help="JSONL interaction log")

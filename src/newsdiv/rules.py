@@ -3,9 +3,14 @@
 compile_predicate checks each predicate against the schema and compiles
 it into a test: when a rule loads (an unknown aspect or label fails
 immediately, never at apply time) and once per rule whenever rules are
-applied. A compiled test reads only each aspect's label, so apply_rules
-runs it once per distinct label tuple among the candidates, and a rule
-costs the tuples plus the documents it hits, not every document.
+applied. A compiled test runs on an item set, which maps each aspect's
+labels to bitmasks of the items carrying them, and returns the mask of the
+items it matches: a leaf ORs label masks, and `all`, `any` and `not` are
+`&`, `|` and `^`. apply_rules builds one item set over the distinct label
+tuples among the candidates, so a rule costs one mask over those tuples;
+after the rule loop, one pass over the boosted documents replays each one's
+boosts in rule order. check_requirements counts a rule's matches in the
+final selection as the set bits of one mask.
 
 Application is pure: input profiles are never mutated, boosts come back
 as an adjusted-relevance map, and require_at_least never alters the
@@ -20,9 +25,10 @@ is built in one place, _record, which refuses a kind EXPLAINED lacks.
 """
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, replace
+from functools import reduce
 from itertools import chain, compress
+from operator import and_, or_
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .aspect_model import AspectSchema
@@ -90,15 +96,16 @@ def _invalid(rule_id: str, message: str) -> ValidationError:
     return ValidationError(f"rule {rule_id!r}: {message}")
 
 
-def compile_predicate(schema: AspectSchema, predicate, rule_id: str) -> Callable[[DocumentProfile], bool]:
-    """Check a predicate against the schema and return its test on one document.
+def compile_predicate(schema: AspectSchema, predicate, rule_id: str) -> Callable[[Mapping[str, Mapping], int], int]:
+    """Check a predicate against the schema and return its test on an item set.
 
     A predicate referencing anything outside the schema, or nesting deeper
-    than MAX_PREDICATE_DEPTH, raises an error naming the rule. Each leaf
-    compiles to the tuple of labels it accepts on one aspect (an `ancestor`
-    leaf: the labels whose graph ancestors hold the node), so a missing or
-    unknown label never matches; `all`, `any` and `not` combine their
-    compiled branches.
+    than MAX_PREDICATE_DEPTH, raises an error naming the rule. The test takes
+    an item set as `_index` builds it, `(index, full)`, and returns the mask
+    of the items that match. Each leaf ORs the masks of the labels it
+    accepts on one aspect (an `ancestor` leaf: the labels whose graph
+    ancestors hold the node), so a missing or unknown label never matches;
+    `all` is `&`, `any` is `|` and `not` is `full ^` its branch.
     """
 
     def aspect_named(name):
@@ -122,11 +129,11 @@ def compile_predicate(schema: AspectSchema, predicate, rule_id: str) -> Callable
             if not isinstance(pred[key], list) or not pred[key]:
                 raise _invalid(rule_id, f"{key!r} must hold a non-empty list of predicates")
             tests = [compile_(branch, depth + 1) for branch in pred[key]]
-            combine = all if key == "all" else any
-            return lambda doc: combine(test(doc) for test in tests)
+            combine = and_ if key == "all" else or_
+            return lambda index, full: reduce(combine, [test(index, full) for test in tests])
         if "not" in pred:
             test = compile_(pred["not"], depth + 1)
-            return lambda doc: not test(doc)
+            return lambda index, full: full ^ test(index, full)
         if "ancestor" in pred:
             inner = pred["ancestor"]
             if not isinstance(inner, dict) or "aspect" not in inner or "node" not in inner:
@@ -155,9 +162,36 @@ def compile_predicate(schema: AspectSchema, predicate, rule_id: str) -> Callable
                 rule_id, f"predicate must be one of eq/in/all/any/not/ancestor (got keys {sorted(pred)})"
             )
         name = aspect.name
-        return lambda doc: doc.labels.get(name) in accepted
+        return lambda index, full: reduce(or_, [index[name].get(label, 0) for label in accepted], 0)
 
     return compile_(predicate, 1)
+
+
+def _index(schema: AspectSchema, label_maps: Sequence[Mapping]) -> tuple[dict[str, dict], int]:
+    """The item set compiled predicates test: for each schema aspect, a dict
+    from each label the items carry to the mask of those items (item i is
+    bit i), and the mask of every item. A missing label is keyed None and an
+    unhashable one sets no bit, so neither ever matches a leaf."""
+    index: dict[str, dict] = {name: {} for name in schema.aspect_names()}
+    for name, masks in index.items():
+        bit = 1
+        for labels in label_maps:
+            label = labels.get(name)
+            try:
+                masks[label] = masks.get(label, 0) | bit
+            except TypeError:  # an unhashable label value
+                pass
+            bit <<= 1
+    return index, (1 << len(label_maps)) - 1
+
+
+_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bits(mask: int) -> list[int]:
+    """The positions of a mask's set bits, ascending."""
+    flags = bin(mask)[:1:-1].encode().translate(_FLAGS)  # byte i is bit i, 0 or 1
+    return list(compress(range(len(flags)), flags))
 
 
 def parse_rule(schema: AspectSchema, obj) -> Rule:
@@ -199,7 +233,8 @@ class RuleApplication:
     per excluded document, and one "boost_rule" record per boost rule with
     the count of documents it matched and of those whose boost was clamped.
     boosts: doc id -> that document's boost steps in application order, each
-    (rule id, delta, relevance before, relevance after).
+    (rule id, delta, relevance before, relevance after). Both maps list
+    their documents by label group, not in input order.
     """
 
     candidates: tuple[DocumentProfile, ...]
@@ -242,57 +277,80 @@ def apply_rules(
     rules to the output reproduces the same survivors and adjusted
     relevance (idempotence). Duplicate candidate ids, and a relevance that
     is not None or a number in [0, 1], raise ContractError.
+
+    Each rule's hits are the set bits of one mask over the candidates'
+    label groups. A boost only notes itself on the groups it hits; the
+    deltas are added, and clamped, document by document after the last rule.
     """
     _check_unique_ids(candidates, "candidate list")
     _check_relevance(candidates)
     # A compiled test reads only each aspect's label and accepts only schema
     # labels, so documents sharing a label-index row share every outcome. One
     # without a row is a group of its own, keyed by its unique id (never a row).
-    groups: dict[tuple | str, list[int]] = {}
+    by_key: dict[tuple | str, list[int]] = {}
     for i, doc in enumerate(candidates):
-        groups.setdefault(schema._row(doc.labels) or doc.id, []).append(i)
-    live = list(groups.values())  # each group's input positions, ascending
-    relevance = {d.id: d.relevance for d in candidates}
-    adjustments: list[dict] = []
-    boosts: defaultdict[str, list[tuple[str, float, float, float]]] = defaultdict(list)
+        by_key.setdefault(schema._row(doc.labels) or doc.id, []).append(i)
+    groups = list(by_key.values())  # each group's input positions, ascending
+    sizes = list(map(len, groups))
+    index, every = _index(schema, [candidates[members[0]].labels for members in groups])
+    live = every  # group g is bit g
+    adjustments: list[dict | None] = []
+    # Each boost rule as (its boost_rule record's place, the rule, documents
+    # matched), and each group's (rule, rule id, delta) steps in rule order,
+    # a rule being its place in `boosting`.
+    boosting: list[tuple[int, Rule, int]] = []
+    steps_of: list[list[tuple[int, str, float]]] = [[] for _ in groups]
     for rule in ruleset.active(request_rules):
         test = compile_predicate(schema, rule.predicate, rule.id)
         if rule.action not in ("exclude", "boost"):
             continue
-        flags = [test(candidates[members[0]]) for members in live]
-        positions = sorted(chain.from_iterable(compress(live, flags)))  # input order
+        hit = test(index, every) & live
+        hits = _bits(hit)
         if rule.action == "exclude":
-            live = [members for members, flag in zip(live, flags) if not flag]
-            for i in positions:
+            live ^= hit
+            for i in sorted(chain.from_iterable(groups[g] for g in hits)):  # input order
                 adjustments.append(_record("exclude", rule=rule.id, doc=candidates[i].id))
-        else:
-            rule_id, delta, clamped = rule.id, rule.value, 0
-            for i in positions:
-                doc_id = candidates[i].id
-                before = relevance[doc_id]
-                if before is None:
-                    before = 0.0
+            continue
+        step = (len(boosting), rule.id, rule.value)
+        for g in hits:
+            steps_of[g].append(step)
+        boosting.append((len(adjustments), rule, sum(map(sizes.__getitem__, hits))))
+        adjustments.append(None)  # filled in once the fold has counted the clamps
+
+    # Replay each boosted document's steps in rule order, excluded ones too.
+    clamped = [0] * len(boosting)
+    boosts: dict[str, tuple[tuple[str, float, float, float], ...]] = {}
+    adjusted: dict[str, float] = {}
+    for g, steps in enumerate(steps_of):
+        if not steps:
+            continue
+        alive = live >> g & 1
+        for i in groups[g]:
+            doc = candidates[i]
+            before = 0.0 if doc.relevance is None else doc.relevance
+            ledger = []
+            for slot, rule_id, delta in steps:
                 raw = before + delta
                 # min(1.0, max(0.0, raw)), spelled out for this hot loop
                 after = raw if 0.0 < raw < 1.0 else 1.0 if raw >= 1.0 else 0.0
-                clamped += after != raw
-                relevance[doc_id] = after
-                boosts[doc_id].append((rule_id, delta, before, after))
-            adjustments.append(
-                _record("boost_rule", rule=rule_id, delta=delta, matched=len(positions), clamped=clamped)
-            )
+                if after != raw:
+                    clamped[slot] += 1
+                ledger.append((rule_id, delta, before, after))
+                before = after
+            boosts[doc.id] = tuple(ledger)
+            if alive and before != doc.relevance:
+                adjusted[doc.id] = before
+    for (at, rule, matched), count in zip(boosting, clamped):
+        adjustments[at] = _record("boost_rule", rule=rule.id, delta=rule.value, matched=matched, clamped=count)
 
-    current = [candidates[i] for i in sorted(chain.from_iterable(live))]
-    boosted = {
-        d.id: relevance[d.id]
-        for d in current
-        if relevance[d.id] is not None and relevance[d.id] != d.relevance
-    }
+    kept = candidates if live == every else [
+        candidates[i] for i in sorted(chain.from_iterable(groups[g] for g in _bits(live)))
+    ]
     return RuleApplication(
-        candidates=tuple(current),
-        adjusted_relevance=boosted,
+        candidates=tuple(kept),
+        adjusted_relevance=adjusted,
         adjustments=tuple(adjustments),
-        boosts={doc_id: tuple(steps) for doc_id, steps in boosts.items()},
+        boosts=boosts,
     )
 
 
@@ -302,11 +360,12 @@ def check_requirements(
     docs: Sequence[DocumentProfile],
 ) -> tuple[dict, ...]:
     """Report require_at_least rules the given document list fails to meet."""
+    index, every = _index(schema, [d.labels for d in docs])
     violations = []
     for rule in require_rules:
         if rule.action != "require_at_least":
             continue
-        found = sum(map(compile_predicate(schema, rule.predicate, rule.id), docs))
+        found = compile_predicate(schema, rule.predicate, rule.id)(index, every).bit_count()
         if found < rule.value:
             violations.append(_record("violation", rule=rule.id, needed=rule.value, found=found))
     return tuple(violations)

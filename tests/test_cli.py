@@ -467,6 +467,43 @@ def test_an_empty_flag_value_is_not_an_absent_flag(paths, capsys, flags, code, m
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--mode", "list", "--window="], "--window is read only in sequence mode (got --mode list)"),
+        (["--mode", "list", "--type-weights="], "--type-weights is read only in interaction mode (got --mode list)"),
+        (["--mode", "list", "--interactions", "/no/such"],
+         "--interactions is read only in interaction mode (got --mode list)"),
+        (["--mode", "list", "--gamma", "nan"], "--gamma is read only in sequence mode (got --mode list)"),
+        (["--mode", "list", "--context", "x"], "--context is read only with --rules (got --mode list without --rules)"),
+        (["--mode", "summary", "--lambda", "0.5"], "--lambda is read only in list mode (got --mode summary)"),
+        (["--mode", "interaction", "--interactions", "{interactions}", "--history", "{history}", "--window", "last:2"],
+         "--window is read only in sequence mode (got --mode interaction)"),
+        (["--mode", "sequence", "--history", "{history}", "--lambda", "0.5"],
+         "--lambda is read only in list mode (got --mode sequence)"),
+    ],
+    ids=["window", "type-weights", "interactions", "gamma", "context", "lambda-summary", "window-interaction",
+         "lambda-sequence"],
+)
+def test_a_flag_the_mode_ignores_exits_2(paths, capsys, flags, message):
+    argv = ["rerank", *S, "--k", "2", *flags]
+    assert cli.main([a.format(**paths) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def test_sequence_mode_reads_gamma_and_defaults_it(paths, capsys):
+    argv = ["rerank", *S, "--mode", "sequence", "--k", "1", "--history", "{history}"]
+    argv = [a.format(**paths) for a in argv]
+    assert cli.main(argv) == 0
+    default = capsys.readouterr().out
+    assert cli.main(argv + ["--gamma", "0.5"]) == 0
+    assert capsys.readouterr().out == default
+    assert cli.main(argv + ["--gamma", "0"]) == 2
+    assert capsys.readouterr().err == "error: gamma must lie in (0, 1] (got 0.0)\n"
+
+
 def test_rerank_history_excludes_consumed_docs(paths):
     data = rerank(
         paths, "--mode", "list", "--k", "2", "--history", paths["history"]

@@ -13,6 +13,7 @@ from newsdiv.rules import (
     MAX_PREDICATE_DEPTH,
     Rule,
     RuleSet,
+    _index,
     apply_rules,
     check_requirements,
     compile_predicate,
@@ -44,7 +45,11 @@ def rule(schema, **obj):
 
 
 def matches(schema, predicate, doc):
-    return compile_predicate(schema, predicate, "t")(doc)
+    """Whether one document matches: the predicate's mask over the item set
+    of that document alone."""
+    mask = compile_predicate(schema, predicate, "t")(*_index(schema, [doc.labels]))
+    assert mask in (0, 1)
+    return mask == 1
 
 
 # --- parsing and validation ---
@@ -207,18 +212,64 @@ def test_hand_built_rules_are_checked_when_applied(schema, pool):
         check_requirements(schema, [need], pool)
 
 
+def mask_matches_reference(schema, predicate, docs):
+    """Check a predicate's mask over docs bit by bit against reference_matches."""
+    mask = compile_predicate(schema, predicate, "r")(*_index(schema, [d.labels for d in docs]))
+    assert mask >> len(docs) == 0
+    assert [mask >> i & 1 == 1 for i in range(len(docs))] == [reference_matches(schema, predicate, d) for d in docs]
+
+
 @given(st.integers(min_value=0, max_value=10_000))
 def test_compiled_predicates_agree_with_the_reference(seed):
     """Random predicate trees up to four levels deep on random graph
-    schemas, tested on documents that sometimes lack an aspect or carry a
-    label outside it."""
+    schemas, tested as one mask over documents that sometimes lack an aspect
+    or carry a label outside it."""
     rng = random.Random(seed)
     schema = random_graph_schema(rng)
     docs = random_partial_docs(rng, schema, 12)
     for _ in range(5):
-        predicate = random_predicate(rng, schema, 4)
-        test = compile_predicate(schema, predicate, "r")
-        assert [test(d) for d in docs] == [reference_matches(schema, predicate, d) for d in docs]
+        mask_matches_reference(schema, random_predicate(rng, schema, 4), docs)
+
+
+ODD_LABELS = [None, 1, True, 1.0, "unknown", ["list"], {"dict": 1}, ("tuple",)]
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+def test_masks_skip_missing_unhashable_and_non_string_labels(seed):
+    """Item sets whose labels are missing, unhashable (list, dict),
+    non-string or for aspects outside the schema: each bit agrees with
+    reference_matches, and an odd label never matches a leaf."""
+    rng = random.Random(seed)
+    schema = random_graph_schema(rng)
+    docs = []
+    for i in range(rng.randint(1, 16)):
+        labels = {}
+        for a in schema.aspects:
+            roll = rng.random()
+            if roll < 0.2:
+                continue
+            labels[a.name] = rng.choice(ODD_LABELS) if roll < 0.6 else rng.choice(a.labels)
+        if rng.random() < 0.5:
+            labels[f"extra{i}"] = rng.choice(ODD_LABELS + ["x"])
+        docs.append(DocumentProfile(id=f"d{i}", labels=labels))
+    for _ in range(5):
+        mask_matches_reference(schema, random_predicate(rng, schema, 4), docs)
+    odd = [d.labels for d in docs if all(type(d.labels.get(a.name)) is not str for a in schema.aspects)]
+    index, every = _index(schema, odd)
+    for aspect in schema.aspects:
+        leaf = compile_predicate(schema, {"aspect": aspect.name, "op": "in", "value": list(aspect.labels)}, "r")
+        assert leaf(index, every) == 0
+
+
+def test_not_over_an_empty_item_set_is_zero(schema):
+    index, every = _index(schema, [])
+    assert every == 0
+    for predicate in (
+        {"not": {"aspect": "topic", "value": "Climate"}},
+        {"not": {"any": [{"aspect": "topic", "value": "Climate"}, {"not": {"aspect": "frame", "value": "Health"}}]}},
+        {"all": [{"not": {"aspect": "frame", "value": "Health"}}]},
+    ):
+        assert compile_predicate(schema, predicate, "r")(index, every) == 0
 
 
 # --- scope ordering and application ---
@@ -456,6 +507,13 @@ def test_grouped_application_matches_the_per_document_reference(seed):
         rules.append(Rule(f"r{i}", "request", random_predicate(rng, schema, 3), action, value))
     rules.append(Rule("floor", "request", random_predicate(rng, schema, 2), "require_at_least", 1))
 
+    assert_matches_reference(schema, rules, docs)
+
+
+def assert_matches_reference(schema, rules, docs):
+    """apply_rules with `rules` as request rules agrees with
+    reference_apply_rules on survivors, adjusted relevance, trace records
+    and the boost ledger."""
     result = apply_rules(schema, RuleSet(rules=()), rules, docs)
     survivors, relevance, steps = reference_apply_rules(schema, rules, docs)
     assert result.candidates == tuple(survivors)
@@ -536,3 +594,62 @@ def test_explain_narrates_the_change_each_boost_made(schema):
     assert "rule up boosted 2 documents by +0.3 (1 clamped)" in text
     assert "boosted a by +0.05 (rule up)" in text
     assert "boosted b" not in text  # not selected
+
+
+# --- scale and work ---
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_learned_rule_scale_matches_the_reference(seed):
+    """300 random rules, mostly boosts, over ~2k documents with repeated
+    label tuples and odd labels."""
+    rng = random.Random(seed)
+    schema = random_graph_schema(rng)
+    docs = [
+        replace(d, relevance=rng.choice([None, 0.0, 1.0, round(rng.random(), 6)]))
+        for d in random_partial_docs(rng, schema, 2_000)
+    ]
+    rules = []
+    for i in range(300):
+        roll = rng.random()
+        if roll < 0.05:
+            action, value = "exclude", None
+        elif roll < 0.95:
+            action, value = "boost", round(rng.uniform(-0.5, 0.5), 3)
+        else:
+            action, value = "require_at_least", rng.randint(1, 3)
+        rules.append(Rule(f"r{i}", "request", random_predicate(rng, schema, 3), action, value))
+    assert_matches_reference(schema, rules, docs)
+
+
+def test_each_call_builds_one_item_set_and_tests_no_profile(monkeypatch, schema, pool):
+    """apply_rules and check_requirements build the item set once per call,
+    and every compiled test receives it, never a DocumentProfile."""
+    import newsdiv.rules as rules_mod
+
+    built, calls = [], []
+    index, compile_ = rules_mod._index, rules_mod.compile_predicate
+
+    def counted_index(*args):
+        built.append(args)
+        return index(*args)
+
+    def checked_compile(*args):
+        test = compile_(*args)
+
+        def checked(*given):
+            calls.append(given)
+            return test(*given)
+        return checked
+
+    monkeypatch.setattr(rules_mod, "_index", counted_index)
+    monkeypatch.setattr(rules_mod, "compile_predicate", checked_compile)
+    boost = boost_security(schema)
+    need = Rule("need", "request", {"aspect": "topic", "value": "Climate"}, "require_at_least", 2)
+    applied = apply_rules(schema, RuleSet(rules=(exclude_security(schema),)), [boost, need], pool)
+    assert len(built) == 1 and len(calls) == 2
+    check_requirements(schema, [need, boost], applied.candidates)
+    assert len(built) == 2 and len(calls) == 3
+    for given in calls:
+        assert [type(x) for x in given] == [dict, int]
+        assert all(type(masks) is dict for masks in given[0].values())

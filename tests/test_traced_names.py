@@ -54,3 +54,26 @@ def test_every_name_the_tracer_patches_is_bound_where_it_patches_it():
         ("diversify", "select_summary_sources"),
     ]:
         assert key in patched, key
+
+
+def test_a_traced_rerank_with_rules_records_the_rule_layers_work(fixtures_dir, capsys):
+    """The tracer binds apply_rules' `ruleset`, `request_rules` and
+    `candidates` by name to count its work, so renaming one fails here."""
+    from newsdiv import cli
+
+    argv = ["rerank", "--schema", str(fixtures_dir / "example_schema.json"),
+            "--corpus", str(fixtures_dir / "example_corpus.jsonl"), "--mode", "list", "--k", "3",
+            "--rules", str(fixtures_dir / "rules.jsonl"), "--context", "election"]
+    tracer = load_tracing().Tracer()
+    uninstall = tracer.install(newsdiv)
+    try:
+        assert tracer.root(0, cli.main, argv) == 0
+    finally:
+        uninstall()
+    capsys.readouterr()
+    by_name = {}
+    for request, parent, layer, name, start, end, work in tracer.spans:
+        by_name.setdefault(name, []).append((layer, parent, work))
+    # 8 candidates, 6 survive the Security exclude, 3 rules active with the election tag
+    assert by_name["apply_rules"] == [("rules", 0, (8, 6, 3))]
+    assert by_name["check_requirements"] == [("rules", 0, ())]
