@@ -8,8 +8,9 @@ labels to bitmasks of the items carrying them, and returns the mask of the
 items it matches: a leaf ORs label masks, and `all`, `any` and `not` are
 `&`, `|` and `^`. apply_rules builds one item set over the distinct label
 tuples among the candidates, so a rule costs one mask over those tuples;
-after the rule loop, one pass over the boosted documents replays each one's
-boosts in rule order. check_requirements counts a rule's matches in the
+after the rule loop, _fold adds each boosted document's deltas in rule
+order, clamping each sum, and keeps only the final relevance and each
+rule's clamp count. check_requirements counts a rule's matches in the
 final selection as the set bits of one mask.
 
 Application is pure: input profiles are never mutated, boosts come back
@@ -18,9 +19,12 @@ candidate list; it is reported as a violation when the final selection
 falls short. The trace holds one record per excluded document and one
 summary record per boost rule; RuleApplication.trace_for adds the
 per-document boost records of the selected documents, the ones explain
-narrates. EXPLAINED declares every trace record kind the package emits, the
-fields explain reads from it, the line explain lists it with, and the
-template its `detail` is worded with. Every record, here and in diversify,
+narrates. A document's boost steps are not stored: RuleApplication.boosts
+replays them through _fold, from the document's relevance and its group's
+steps, each time they are read, so a call pays for the steps it reads.
+EXPLAINED declares every trace record kind the package emits, the fields
+explain reads from it, the line explain lists it with, and the template
+its `detail` is worded with. Every record, here and in diversify,
 is built in one place, _record, which refuses a kind EXPLAINED lacks.
 """
 from __future__ import annotations
@@ -29,7 +33,7 @@ from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import chain, compress
 from operator import and_, or_
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .aspect_model import AspectSchema
 from .errors import UnknownEntityError, ValidationError, json_float, json_isinstance, json_number_in
@@ -222,6 +226,60 @@ def parse_rule(schema: AspectSchema, obj) -> Rule:
     return replace(rule, value=float(value)) if action == "boost" else rule
 
 
+def _fold(relevance: float | None, steps: Iterable[tuple[int, float]], clamped: list[int]) -> float:
+    """A document's relevance after its boost steps in rule order, each
+    (rule, delta), a rule being its place among the boost rules: each step
+    adds its delta to the relevance so far (0.0 for None) and clamps the sum
+    to [0, 1], counting the clamp in clamped[rule]."""
+    before = 0.0 if relevance is None else relevance
+    for slot, delta in steps:
+        raw = before + delta
+        # min(1.0, max(0.0, raw)), spelled out for this hot loop
+        before = raw if 0.0 < raw < 1.0 else 1.0 if raw >= 1.0 else 0.0
+        if before != raw:
+            clamped[slot] += 1
+    return before
+
+
+class _Boosts(Mapping):
+    """RuleApplication.boosts: doc id -> that document's boost steps, each
+    (rule id, delta, relevance before, relevance after), in rule order.
+
+    It holds each boosted document's relevance and its group's steps, and
+    replays a document's steps, one _fold each, when they are read, so
+    only the documents read cost a tuple per step. It lists its documents,
+    and compares and prints, as the dict of every document's steps would."""
+
+    __slots__ = ("_start", "_rule_ids")
+
+    def __init__(self, start: Mapping[str, tuple[float | None, tuple]], rule_ids: Sequence[str]):
+        self._start = start  # doc id -> (its relevance, its group's steps)
+        self._rule_ids = rule_ids  # each boost rule's id, by its place
+
+    def __getitem__(self, doc_id: str) -> tuple[tuple[str, float, float, float], ...]:
+        relevance, steps = self._start[doc_id]
+        clamped = [0] * len(self._rule_ids)  # apply_rules has counted the clamps
+        before = _fold(relevance, (), clamped)  # where the first step starts
+        ledger = []
+        for slot, delta in steps:
+            after = _fold(before, ((slot, delta),), clamped)
+            ledger.append((self._rule_ids[slot], delta, before, after))
+            before = after
+        return tuple(ledger)
+
+    def __contains__(self, doc_id) -> bool:
+        return doc_id in self._start
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._start)
+
+    def __len__(self) -> int:
+        return len(self._start)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
 @dataclass(frozen=True)
 class RuleApplication:
     """Pure outcome of applying rules to a candidate list.
@@ -232,9 +290,12 @@ class RuleApplication:
     adjustments: trace records in application order: one "exclude" record
     per excluded document, and one "boost_rule" record per boost rule with
     the count of documents it matched and of those whose boost was clamped.
-    boosts: doc id -> that document's boost steps in application order, each
-    (rule id, delta, relevance before, relevance after). Both maps list
-    their documents by label group, not in input order.
+    boosts: a read-only map, doc id -> that document's boost steps in
+    application order, each (rule id, delta, relevance before, relevance
+    after), excluded documents too. Its steps are replayed each time a
+    document is read, so read each document once; it compares equal to the
+    dict of every document's steps. Both maps list their documents by label
+    group, not in input order.
     """
 
     candidates: tuple[DocumentProfile, ...]
@@ -245,19 +306,20 @@ class RuleApplication:
     def trace_for(self, selected: Iterable[str]) -> tuple[dict, ...]:
         """The adjustments plus a "boost" record for each boost step of a
         selected document, after its rule's "boost_rule" record and in
-        input order."""
+        input order. Each selected, boosted document is replayed once."""
         wanted = set(selected)
-        chosen = [d.id for d in self.candidates if d.id in wanted and d.id in self.boosts]
+        records: dict[str, list[dict]] = {}  # rule id -> its "boost" records
+        for d in self.candidates:
+            if d.id in wanted and d.id in self.boosts:
+                for rule_id, delta, before, after in self.boosts[d.id]:
+                    records.setdefault(rule_id, []).append(
+                        _record("boost", rule=rule_id, doc=d.id, delta=delta, before=before, after=after)
+                    )
         trace = []
         for record in self.adjustments:
             trace.append(record)
             if record["kind"] == "boost_rule":
-                trace += [
-                    _record("boost", rule=rule_id, doc=doc_id, delta=delta, before=before, after=after)
-                    for doc_id in chosen
-                    for rule_id, delta, before, after in self.boosts[doc_id]
-                    if rule_id == record["rule"]
-                ]
+                trace += records.get(record["rule"], ())
         return tuple(trace)
 
 
@@ -280,7 +342,8 @@ def apply_rules(
 
     Each rule's hits are the set bits of one mask over the candidates'
     label groups. A boost only notes itself on the groups it hits; the
-    deltas are added, and clamped, document by document after the last rule.
+    deltas are added, and clamped, document by document after the last rule,
+    and the boost ledger is replayed only when it is read.
     """
     _check_unique_ids(candidates, "candidate list")
     _check_relevance(candidates)
@@ -296,10 +359,10 @@ def apply_rules(
     live = every  # group g is bit g
     adjustments: list[dict | None] = []
     # Each boost rule as (its boost_rule record's place, the rule, documents
-    # matched), and each group's (rule, rule id, delta) steps in rule order,
-    # a rule being its place in `boosting`.
+    # matched), and each group's (rule, delta) steps in rule order, a rule
+    # being its place in `boosting`.
     boosting: list[tuple[int, Rule, int]] = []
-    steps_of: list[list[tuple[int, str, float]]] = [[] for _ in groups]
+    steps_of: list[list[tuple[int, float]]] = [[] for _ in groups]
     for rule in ruleset.active(request_rules):
         test = compile_predicate(schema, rule.predicate, rule.id)
         if rule.action not in ("exclude", "boost"):
@@ -311,35 +374,28 @@ def apply_rules(
             for i in sorted(chain.from_iterable(groups[g] for g in hits)):  # input order
                 adjustments.append(_record("exclude", rule=rule.id, doc=candidates[i].id))
             continue
-        step = (len(boosting), rule.id, rule.value)
+        step = (len(boosting), rule.value)
         for g in hits:
             steps_of[g].append(step)
         boosting.append((len(adjustments), rule, sum(map(sizes.__getitem__, hits))))
         adjustments.append(None)  # filled in once the fold has counted the clamps
 
-    # Replay each boosted document's steps in rule order, excluded ones too.
+    # Fold each boosted document's steps in rule order, excluded ones too.
     clamped = [0] * len(boosting)
-    boosts: dict[str, tuple[tuple[str, float, float, float], ...]] = {}
+    start: dict[str, tuple[float | None, tuple[tuple[int, float], ...]]] = {}
     adjusted: dict[str, float] = {}
     for g, steps in enumerate(steps_of):
         if not steps:
             continue
+        steps = tuple(steps)  # the group's, shared by its documents
         alive = live >> g & 1
         for i in groups[g]:
             doc = candidates[i]
-            before = 0.0 if doc.relevance is None else doc.relevance
-            ledger = []
-            for slot, rule_id, delta in steps:
-                raw = before + delta
-                # min(1.0, max(0.0, raw)), spelled out for this hot loop
-                after = raw if 0.0 < raw < 1.0 else 1.0 if raw >= 1.0 else 0.0
-                if after != raw:
-                    clamped[slot] += 1
-                ledger.append((rule_id, delta, before, after))
-                before = after
-            boosts[doc.id] = tuple(ledger)
-            if alive and before != doc.relevance:
-                adjusted[doc.id] = before
+            relevance = doc.relevance
+            start[doc.id] = relevance, steps
+            after = _fold(relevance, steps, clamped)
+            if alive and after != relevance:
+                adjusted[doc.id] = after
     for (at, rule, matched), count in zip(boosting, clamped):
         adjustments[at] = _record("boost_rule", rule=rule.id, delta=rule.value, matched=matched, clamped=count)
 
@@ -350,7 +406,7 @@ def apply_rules(
         candidates=tuple(kept),
         adjusted_relevance=adjusted,
         adjustments=tuple(adjustments),
-        boosts=boosts,
+        boosts=_Boosts(start, [rule.id for _, rule, _ in boosting]),
     )
 
 

@@ -8,7 +8,8 @@ each field the kind's detail template names, checks ids and orders every
 mode's pool by id in one helper, sorts by id nowhere else, builds the
 pair kernel's tables at most once per function and never in a loop, and
 steps greedy selections in one loop. No code makes an instance without
-its class's __init__, and the loader imports no mode."""
+its class's __init__, the loader imports no mode, and only cli.main
+touches the garbage collector."""
 
 import ast
 import os
@@ -142,14 +143,29 @@ def test_k_is_checked_in_one_place():
 
 
 def test_numbers_are_range_checked_in_one_place():
-    # apply_rules keeps its clamp, a test on a computed value in its hot loop.
+    # rules._fold keeps the boost clamp, a test on a computed value in the
+    # hot loop that apply_rules and the boost ledger's replay both call.
     chained = {where for where, node in _nodes(ast.Compare) if len(node.ops) > 1}
-    assert chained == {"errors.json_number_in", "rules.apply_rules"}
+    assert chained == {"errors.json_number_in", "rules._fold"}
     # aspect_model: Aspect and AspectSchema; metrics: InteractionLog; rules: Rule.
     assert {where for where, _ in _calls("json_number_in")} == {
         "aspect_model.__post_init__", "metrics.__post_init__", "metrics._check_k", "metrics._check_relevance",
         "diversify.swap_diversify", "diversify.next_in_sequence", "diversify.rerank_combined",
         "corpus_io.load_corpus", "rules.__post_init__",
+    }
+
+
+def test_the_collector_is_paused_only_by_the_cli():
+    # No library function touches gc; cli.main pauses it around a command.
+    users = {
+        where
+        for where, node in _nodes((ast.Name, ast.Attribute, ast.alias, ast.ImportFrom))
+        if "gc" in (getattr(node, "id", None), getattr(node, "name", None), getattr(node, "module", None))
+        or isinstance(node, ast.Attribute) and ast.unparse(node.value) == "gc"
+    }
+    assert users == {"cli.<module>", "cli.main"}
+    assert {ast.unparse(call.func) for where, call in _nodes(ast.Call) if where == "cli.main"} >= {
+        "gc.isenabled", "gc.disable", "gc.enable",
     }
 
 

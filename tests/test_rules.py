@@ -1,5 +1,6 @@
 """Symbolic rule parsing, scope precedence, and pure application."""
 
+import gc
 import random
 from dataclasses import replace
 
@@ -441,6 +442,44 @@ def test_apply_rules_rejects_duplicate_candidate_ids(schema):
         apply_rules(schema, RuleSet(rules=()), [up], twins)
 
 
+class Tag(str):
+    """A str subclass, which a document id may be."""
+
+
+# how a document list gets its id check: apply_rules's candidate list, and
+# a mode's pool
+ID_CHECKS = {
+    "apply_rules": (lambda schema, docs: apply_rules(schema, RuleSet(rules=()), [], docs), "candidate list"),
+    "greedy": (lambda schema, docs: greedy_select(schema, docs, 2), "pool"),
+}
+
+
+@pytest.mark.parametrize("check", sorted(ID_CHECKS))
+@pytest.mark.parametrize(
+    "ids, message",
+    [
+        ([7], "contains document ids that are not strings: [7]"),
+        ([["a1"]], "contains document ids that are not strings: [['a1']]"),
+        (["a2", "a2", "a3"], "contains duplicate document ids: ['a2']"),
+        ([None, "a2", "a2"], "contains document ids that are not strings: [None]"),  # the type is named first
+    ],
+    ids=["int", "list", "duplicate", "both"],
+)
+def test_wrong_ids_are_named_whichever_list_is_checked(schema, pool, check, ids, message):
+    call, what = ID_CHECKS[check]
+    docs = [replace(d, id=i) for d, i in zip(pool, ids)] + list(pool[len(ids):])
+    with pytest.raises(ContractError) as info:
+        call(schema, docs)
+    assert str(info.value) == f"{what} {message}"
+
+
+@pytest.mark.parametrize("check", sorted(ID_CHECKS))
+def test_an_id_of_a_str_subclass_is_accepted(schema, pool, check):
+    call, _ = ID_CHECKS[check]
+    docs = [replace(pool[0], id=Tag("t1"))] + list(pool[1:])
+    call(schema, docs)
+
+
 def test_apply_rules_is_idempotent_on_example_pool(schema, pool):
     up = rule(
         schema,
@@ -599,10 +638,9 @@ def test_explain_narrates_the_change_each_boost_made(schema):
 # --- scale and work ---
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_learned_rule_scale_matches_the_reference(seed):
-    """300 random rules, mostly boosts, over ~2k documents with repeated
-    label tuples and odd labels."""
+def learned_rule_set(seed):
+    """A seeded schema, ~2k documents with repeated label tuples and odd
+    labels, and 300 random request rules, mostly boosts."""
     rng = random.Random(seed)
     schema = random_graph_schema(rng)
     docs = [
@@ -619,7 +657,101 @@ def test_learned_rule_scale_matches_the_reference(seed):
         else:
             action, value = "require_at_least", rng.randint(1, 3)
         rules.append(Rule(f"r{i}", "request", random_predicate(rng, schema, 3), action, value))
-    assert_matches_reference(schema, rules, docs)
+    return schema, rules, docs
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_learned_rule_scale_matches_the_reference(seed):
+    """300 random rules, mostly boosts, over ~2k documents with repeated
+    label tuples and odd labels."""
+    assert_matches_reference(*learned_rule_set(seed))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_learned_rule_scale_traces_the_reference_boosts(seed):
+    """trace_for on random selections of a 300-rule set gives, after each
+    boost_rule record, the reference's boost steps of the selected
+    survivors in input order. The set's excludes remove every document, so
+    they are dropped here to leave survivors to trace."""
+    schema, rules, docs = learned_rule_set(seed)
+    rules = [r for r in rules if r.action != "exclude"]
+    result = apply_rules(schema, RuleSet(rules=()), rules, docs)
+    survivors, _, steps = reference_apply_rules(schema, rules, docs)
+    order = {d.id: i for i, d in enumerate(survivors)}
+    boosts_of = {}  # rule id -> its boost steps of survivors, in input order
+    for rule_id, doc_id, *step in sorted((s for s in steps if len(s) == 5 and s[1] in order), key=lambda s: order[s[1]]):
+        boosts_of.setdefault(rule_id, []).append((doc_id, *step))
+    rng, traced = random.Random(seed), 0
+    for size in (0, 1, 10, 200):
+        selected = {d.id for d in rng.sample(docs, size)}
+        want = []
+        for record in result.adjustments:
+            want.append(record)
+            if record["kind"] == "boost_rule":
+                want += [
+                    {"kind": "boost", "rule": record["rule"], "doc": doc_id, "delta": delta, "before": before, "after": after}
+                    for doc_id, delta, before, after in boosts_of.get(record["rule"], ())
+                    if doc_id in selected
+                ]
+        got = [{k: v for k, v in t.items() if k != "detail"} if t["kind"] == "boost" else t
+               for t in result.trace_for(selected)]
+        assert got == want
+        traced += len(got) - len(result.adjustments)
+    assert traced > 1_000
+
+
+def test_the_boost_ledger_is_replayed_only_when_read(monkeypatch, collector):
+    """apply_rules folds the boosts without keeping a step tuple; reading
+    boosts replays a document's steps, and trace_for reads each selected,
+    boosted document once. The ledger reads as the reference's steps."""
+    import newsdiv.rules as rules_mod
+
+    rng = random.Random(41)
+    schema = random_graph_schema(rng)
+    docs = [
+        replace(d, relevance=rng.choice([None, round(rng.random(), 6)]))
+        for d in random_partial_docs(rng, schema, 2_000)
+    ]
+    rules = [
+        Rule(f"r{i}", "request", random_predicate(rng, schema, 3), *rng.choice(
+            [("boost", round(rng.uniform(-0.5, 0.5), 3))] * 9 + [("exclude", None)]
+        ))
+        for i in range(30)
+    ]
+    read, getitem = [], rules_mod._Boosts.__getitem__
+    monkeypatch.setattr(rules_mod._Boosts, "__getitem__", lambda self, doc_id: read.append(doc_id) or getitem(self, doc_id))
+    gc.collect()
+    gc.disable()
+    tracked = len(gc.get_objects())
+    result = apply_rules(schema, RuleSet(rules=()), rules, docs)
+    tracked = len(gc.get_objects()) - tracked
+    assert read == []
+    assert result.trace_for([]) == result.adjustments and read == []
+
+    selected = [d.id for d in rng.sample(docs, 300)]
+    result.trace_for(selected)
+    boosted = {d.id for d in result.candidates} & set(selected) & set(result.boosts)
+    assert boosted and sorted(read) == sorted(boosted)
+    # A step tuple kept per boost step would leave at least one tracked
+    # object per step alive; the result holds about one per document.
+    steps = sum(map(len, result.boosts.values()))
+    assert steps > 5 * len(docs) and tracked < steps / 2
+
+    survivors, _, steps = reference_apply_rules(schema, rules, docs)
+    ledger = {}
+    for rule_id, doc_id, *step in (s for s in steps if len(s) == 5):
+        ledger.setdefault(doc_id, []).append((rule_id, *step))
+    ledger = {doc_id: tuple(s) for doc_id, s in ledger.items()}
+    # listed by label group (first appearance), then in input order
+    first = {}
+    for i, d in enumerate(docs):
+        first.setdefault(schema._row(d.labels) or d.id, i)
+    position = {d.id: (first[schema._row(d.labels) or d.id], i) for i, d in enumerate(docs)}
+    assert list(result.boosts) == sorted(ledger, key=position.__getitem__)
+    assert dict(result.boosts) == ledger and result.boosts == ledger and ledger == result.boosts
+    assert len(result.boosts) == len(ledger) and all(doc_id in result.boosts for doc_id in ledger)
+    assert "nope" not in result.boosts and result.boosts.get("nope") is None
+    assert repr(result.boosts) == repr(dict(sorted(ledger.items(), key=lambda kv: position[kv[0]])))
 
 
 def test_each_call_builds_one_item_set_and_tests_no_profile(monkeypatch, schema, pool):
