@@ -566,15 +566,19 @@ def test_oracle_k4(paths):
     }
 
 
-def test_oracle_guard_exits_3(paths, tmp_path):
+def _guard_corpus(tmp_path):
+    """30 documents with one label tuple: C(30, 15) subsets trip the guard."""
     big = tmp_path / "big.jsonl"
-    lines = [
-        json.dumps({"id": f"g{i:02d}", "labels": {"topic": "Climate", "frame": "Health"}})
+    big.write_text("".join(
+        json.dumps({"id": f"g{i:02d}", "labels": {"topic": "Climate", "frame": "Health"}}) + "\n"
         for i in range(30)
-    ]
-    big.write_text("\n".join(lines) + "\n")
+    ))
+    return str(big)
+
+
+def test_oracle_guard_exits_3(paths, tmp_path):
     proc = run(
-        "oracle", "--schema", paths["schema"], "--corpus", str(big), "--k", "15",
+        "oracle", "--schema", paths["schema"], "--corpus", _guard_corpus(tmp_path), "--k", "15",
         expect=3,
     )
     assert "greedy_select" in proc.stderr
@@ -586,15 +590,6 @@ def test_oracle_k_out_of_range_exits_2(paths):
 
 
 # --- the collector ---
-
-
-def _guard_corpus(tmp_path):
-    big = tmp_path / "big.jsonl"
-    big.write_text("".join(
-        json.dumps({"id": f"g{i:02d}", "labels": {"topic": "Climate", "frame": "Health"}}) + "\n"
-        for i in range(30)
-    ))
-    return str(big)
 
 
 @pytest.mark.parametrize("initially", [True, False])

@@ -734,10 +734,10 @@ def test_the_boost_ledger_is_replayed_only_when_read(monkeypatch, collector):
     assert boosted and sorted(read) == sorted(boosted)
     # A step tuple kept per boost step would leave at least one tracked
     # object per step alive; the result holds about one per document.
-    steps = sum(map(len, result.boosts.values()))
-    assert steps > 5 * len(docs) and tracked < steps / 2
+    step_count = sum(map(len, result.boosts.values()))
+    assert step_count > 5 * len(docs) and tracked < step_count / 2
 
-    survivors, _, steps = reference_apply_rules(schema, rules, docs)
+    _, _, steps = reference_apply_rules(schema, rules, docs)
     ledger = {}
     for rule_id, doc_id, *step in (s for s in steps if len(s) == 5):
         ledger.setdefault(doc_id, []).append((rule_id, *step))
