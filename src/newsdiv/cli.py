@@ -5,16 +5,12 @@ Each cmd_* returns its output (JSON except explain, which returns text) and
 main alone writes it to stdout. Exit codes: 0 success, 1 I/O error, 2
 validation/contract error, JSON decode failure or output stdout cannot
 encode, 3 enumeration guard exceeded. Output is byte-deterministic for
-fixed inputs. main pauses the cyclic garbage collector while a command
-runs and restores its state after: the bulk of what a command builds
-(documents, item sets, trace records) holds no reference cycles, so the
-collector's passes would only walk it.
+fixed inputs.
 """
 from __future__ import annotations
 
 import argparse
 import functools
-import gc
 import sys
 from dataclasses import replace
 
@@ -242,8 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    collecting = gc.isenabled()
-    gc.disable()
     try:
         # The stream encodes all of the text before it writes any of it.
         sys.stdout.write(args.func(args))
@@ -261,9 +255,6 @@ def main(argv=None) -> int:
     except NewsdivError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    finally:
-        if collecting:
-            gc.enable()
 
 
 if __name__ == "__main__":

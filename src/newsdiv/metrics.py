@@ -199,13 +199,11 @@ def _check_unique_ids(docs: Sequence[DocumentProfile], what: str) -> None:
     """Document ids must be unique strings. The modes that sort by id check
     them first, so a wrong id is named here and never fails the sort."""
     ids = [d.id for d in docs]
-    if set(map(type, ids)) <= {str} and len(set(ids)) == len(ids):
-        return  # the common case; the scans below name what is wrong
     wrong = [i for i in ids if not isinstance(i, str)]
     if wrong:
         raise ContractError(f"{what} contains document ids that are not strings: {wrong}")
-    dupes = sorted(i for i, c in Counter(ids).items() if c > 1)
-    if dupes:
+    if len(set(ids)) != len(ids):
+        dupes = sorted(i for i, c in Counter(ids).items() if c > 1)
         raise ContractError(f"{what} contains duplicate document ids: {dupes}")
 
 

@@ -230,7 +230,9 @@ def _fold(relevance: float | None, steps: Iterable[tuple[int, float]], clamped: 
     """A document's relevance after its boost steps in rule order, each
     (rule, delta), a rule being its place among the boost rules: each step
     adds its delta to the relevance so far (0.0 for None) and clamps the sum
-    to [0, 1], counting the clamp in clamped[rule]."""
+    to [0, 1], counting the clamp in clamped[rule]. It holds the one clamp:
+    apply_rules folds all of a document's steps at once, and the boost
+    ledger's replay folds one step at a time to read each step's result."""
     before = 0.0 if relevance is None else relevance
     for slot, delta in steps:
         raw = before + delta
@@ -258,11 +260,11 @@ class _Boosts(Mapping):
 
     def __getitem__(self, doc_id: str) -> tuple[tuple[str, float, float, float], ...]:
         relevance, steps = self._start[doc_id]
-        clamped = [0] * len(self._rule_ids)  # apply_rules has counted the clamps
-        before = _fold(relevance, (), clamped)  # where the first step starts
+        before = 0.0 if relevance is None else relevance
+        unused = [0] * len(self._rule_ids)  # apply_rules has counted the clamps
         ledger = []
         for slot, delta in steps:
-            after = _fold(before, ((slot, delta),), clamped)
+            after = _fold(before, ((slot, delta),), unused)
             ledger.append((self._rule_ids[slot], delta, before, after))
             before = after
         return tuple(ledger)

@@ -1,4 +1,3 @@
-import gc
 import os
 import pathlib
 
@@ -64,11 +63,3 @@ def reference_lists(schema):
     for doc in docs:
         out.setdefault(doc.id[1], []).append(doc)
     return out
-
-
-@pytest.fixture
-def collector():
-    """The garbage collector's state, restored after the test whatever it does."""
-    enabled = gc.isenabled()
-    yield
-    (gc.enable if enabled else gc.disable)()

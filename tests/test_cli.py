@@ -2,7 +2,6 @@
 
 import contextlib
 import copy
-import gc
 import io
 import json
 import os
@@ -566,19 +565,15 @@ def test_oracle_k4(paths):
     }
 
 
-def _guard_corpus(tmp_path):
-    """30 documents with one label tuple: C(30, 15) subsets trip the guard."""
-    big = tmp_path / "big.jsonl"
-    big.write_text("".join(
-        json.dumps({"id": f"g{i:02d}", "labels": {"topic": "Climate", "frame": "Health"}}) + "\n"
-        for i in range(30)
-    ))
-    return str(big)
-
-
 def test_oracle_guard_exits_3(paths, tmp_path):
+    big = tmp_path / "big.jsonl"
+    lines = [
+        json.dumps({"id": f"g{i:02d}", "labels": {"topic": "Climate", "frame": "Health"}})
+        for i in range(30)
+    ]
+    big.write_text("\n".join(lines) + "\n")
     proc = run(
-        "oracle", "--schema", paths["schema"], "--corpus", _guard_corpus(tmp_path), "--k", "15",
+        "oracle", "--schema", paths["schema"], "--corpus", str(big), "--k", "15",
         expect=3,
     )
     assert "greedy_select" in proc.stderr
@@ -587,42 +582,6 @@ def test_oracle_guard_exits_3(paths, tmp_path):
 def test_oracle_k_out_of_range_exits_2(paths):
     run("oracle", "--schema", paths["schema"], "--corpus", paths["corpus"], "--k", "9",
         expect=2)
-
-
-# --- the collector ---
-
-
-@pytest.mark.parametrize("initially", [True, False])
-@pytest.mark.parametrize(
-    "argv, code",
-    [
-        (["score", "--schema", "{schema}", "--corpus", "{corpus}"], 0),
-        (["score", "--schema", "{schema}", "--corpus", "/no/such/file.jsonl"], 1),
-        (["score", "--schema", "{schema}", "--corpus", "{corpus}", "--ids", "zz"], 2),
-        (["oracle", "--schema", "{schema}", "--corpus", "{big}", "--k", "15"], 3),
-    ],
-)
-def test_main_restores_the_collector_after_each_exit(paths, tmp_path, capsys, collector, initially, argv, code):
-    (gc.enable if initially else gc.disable)()
-    argv = [a.format(big=_guard_corpus(tmp_path), **paths) for a in argv]
-    assert cli.main(argv) == code
-    assert gc.isenabled() is initially
-
-
-@pytest.mark.parametrize("initially", [True, False])
-def test_main_restores_the_collector_when_a_command_raises(paths, monkeypatch, collector, initially):
-    seen = []
-
-    def failing(*args):
-        seen.append(gc.isenabled())
-        raise RuntimeError("boom")
-
-    monkeypatch.setattr(cli, "collection_diversity", failing)
-    (gc.enable if initially else gc.disable)()
-    with pytest.raises(RuntimeError, match="boom"):
-        cli.main(["score", "--schema", paths["schema"], "--corpus", paths["corpus"]])
-    assert seen == [False]  # paused inside the command
-    assert gc.isenabled() is initially
 
 
 # --- explain ---

@@ -8,8 +8,7 @@ each field the kind's detail template names, checks ids and orders every
 mode's pool by id in one helper, sorts by id nowhere else, builds the
 pair kernel's tables at most once per function and never in a loop, and
 steps greedy selections in one loop. No code makes an instance without
-its class's __init__, the loader imports no mode, and only cli.main
-touches the garbage collector."""
+its class's __init__, and the loader imports no mode."""
 
 import ast
 import os
@@ -152,20 +151,6 @@ def test_numbers_are_range_checked_in_one_place():
         "aspect_model.__post_init__", "metrics.__post_init__", "metrics._check_k", "metrics._check_relevance",
         "diversify.swap_diversify", "diversify.next_in_sequence", "diversify.rerank_combined",
         "corpus_io.load_corpus", "rules.__post_init__",
-    }
-
-
-def test_the_collector_is_paused_only_by_the_cli():
-    # No library function touches gc; cli.main pauses it around a command.
-    users = {
-        where
-        for where, node in _nodes((ast.Name, ast.Attribute, ast.alias, ast.ImportFrom))
-        if "gc" in (getattr(node, "id", None), getattr(node, "name", None), getattr(node, "module", None))
-        or isinstance(node, ast.Attribute) and ast.unparse(node.value) == "gc"
-    }
-    assert users == {"cli.<module>", "cli.main"}
-    assert {ast.unparse(call.func) for where, call in _nodes(ast.Call) if where == "cli.main"} >= {
-        "gc.isenabled", "gc.disable", "gc.enable",
     }
 
 

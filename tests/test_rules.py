@@ -700,6 +700,14 @@ def test_learned_rule_scale_traces_the_reference_boosts(seed):
     assert traced > 1_000
 
 
+@pytest.fixture
+def collector():
+    """The garbage collector's state, restored after the test whatever it does."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
 def test_the_boost_ledger_is_replayed_only_when_read(monkeypatch, collector):
     """apply_rules folds the boosts without keeping a step tuple; reading
     boosts replays a document's steps, and trace_for reads each selected,
