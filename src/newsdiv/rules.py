@@ -19,9 +19,8 @@ candidate list; it is reported as a violation when the final selection
 falls short. The trace holds one record per excluded document and one
 summary record per boost rule; RuleApplication.trace_for adds the
 per-document boost records of the selected documents, the ones explain
-narrates. A document's boost steps are not stored: RuleApplication.boosts
-replays them through _fold, from the document's relevance and its group's
-steps, each time they are read, so a call pays for the steps it reads.
+narrates, replaying each one's steps through _fold from its relevance and
+its group's steps, so a call pays only for the steps it reports.
 EXPLAINED declares every trace record kind the package emits, the fields
 explain reads from it, the line explain lists it with, and the template
 its `detail` is worded with. Every record, here and in diversify,
@@ -29,11 +28,11 @@ is built in one place, _record, which refuses a kind EXPLAINED lacks.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import reduce
 from itertools import chain, compress
 from operator import and_, or_
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .aspect_model import AspectSchema
 from .errors import UnknownEntityError, ValidationError, json_float, json_isinstance, json_number_in
@@ -231,8 +230,8 @@ def _fold(relevance: float | None, steps: Iterable[tuple[int, float]], clamped: 
     (rule, delta), a rule being its place among the boost rules: each step
     adds its delta to the relevance so far (0.0 for None) and clamps the sum
     to [0, 1], counting the clamp in clamped[rule]. It holds the one clamp:
-    apply_rules folds all of a document's steps at once, and the boost
-    ledger's replay folds one step at a time to read each step's result."""
+    apply_rules folds all of a document's steps at once, and trace_for
+    folds one step at a time to read each step's result."""
     before = 0.0 if relevance is None else relevance
     for slot, delta in steps:
         raw = before + delta
@@ -241,45 +240,6 @@ def _fold(relevance: float | None, steps: Iterable[tuple[int, float]], clamped: 
         if before != raw:
             clamped[slot] += 1
     return before
-
-
-class _Boosts(Mapping):
-    """RuleApplication.boosts: doc id -> that document's boost steps, each
-    (rule id, delta, relevance before, relevance after), in rule order.
-
-    It holds each boosted document's relevance and its group's steps, and
-    replays a document's steps, one _fold each, when they are read, so
-    only the documents read cost a tuple per step. It lists its documents,
-    and compares and prints, as the dict of every document's steps would."""
-
-    __slots__ = ("_start", "_rule_ids")
-
-    def __init__(self, start: Mapping[str, tuple[float | None, tuple]], rule_ids: Sequence[str]):
-        self._start = start  # doc id -> (its relevance, its group's steps)
-        self._rule_ids = rule_ids  # each boost rule's id, by its place
-
-    def __getitem__(self, doc_id: str) -> tuple[tuple[str, float, float, float], ...]:
-        relevance, steps = self._start[doc_id]
-        before = 0.0 if relevance is None else relevance
-        unused = [0] * len(self._rule_ids)  # apply_rules has counted the clamps
-        ledger = []
-        for slot, delta in steps:
-            after = _fold(before, ((slot, delta),), unused)
-            ledger.append((self._rule_ids[slot], delta, before, after))
-            before = after
-        return tuple(ledger)
-
-    def __contains__(self, doc_id) -> bool:
-        return doc_id in self._start
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._start)
-
-    def __len__(self) -> int:
-        return len(self._start)
-
-    def __repr__(self) -> str:
-        return repr(dict(self.items()))
 
 
 @dataclass(frozen=True)
@@ -292,31 +252,37 @@ class RuleApplication:
     adjustments: trace records in application order: one "exclude" record
     per excluded document, and one "boost_rule" record per boost rule with
     the count of documents it matched and of those whose boost was clamped.
-    boosts: a read-only map, doc id -> that document's boost steps in
-    application order, each (rule id, delta, relevance before, relevance
-    after), excluded documents too. Its steps are replayed each time a
-    document is read, so read each document once; it compares equal to the
-    dict of every document's steps. Both maps list their documents by label
-    group, not in input order.
+    adjusted_relevance lists its documents by label group, not in input
+    order. A document's boost steps are reported only by trace_for.
     """
 
     candidates: tuple[DocumentProfile, ...]
     adjusted_relevance: Mapping[str, float]
     adjustments: tuple[dict, ...]
-    boosts: Mapping[str, tuple[tuple[str, float, float, float], ...]]
+    # What trace_for replays: each boosted survivor's relevance and its
+    # group's (rule, delta) steps, and each boost rule's id by its place.
+    _boosted: Mapping[str, tuple[float | None, tuple]] = field(repr=False)
+    _rule_ids: tuple[str, ...] = field(repr=False)
 
     def trace_for(self, selected: Iterable[str]) -> tuple[dict, ...]:
         """The adjustments plus a "boost" record for each boost step of a
         selected document, after its rule's "boost_rule" record and in
-        input order. Each selected, boosted document is replayed once."""
+        input order. Each selected, boosted document's steps are replayed
+        once, one _fold each."""
         wanted = set(selected)
         records: dict[str, list[dict]] = {}  # rule id -> its "boost" records
+        unused = [0] * len(self._rule_ids)  # apply_rules has counted the clamps
         for d in self.candidates:
-            if d.id in wanted and d.id in self.boosts:
-                for rule_id, delta, before, after in self.boosts[d.id]:
+            if d.id in wanted and d.id in self._boosted:
+                relevance, steps = self._boosted[d.id]
+                before = 0.0 if relevance is None else relevance
+                for slot, delta in steps:
+                    after = _fold(before, ((slot, delta),), unused)
+                    rule_id = self._rule_ids[slot]
                     records.setdefault(rule_id, []).append(
                         _record("boost", rule=rule_id, doc=d.id, delta=delta, before=before, after=after)
                     )
+                    before = after
         trace = []
         for record in self.adjustments:
             trace.append(record)
@@ -344,8 +310,8 @@ def apply_rules(
 
     Each rule's hits are the set bits of one mask over the candidates'
     label groups. A boost only notes itself on the groups it hits; the
-    deltas are added, and clamped, document by document after the last rule,
-    and the boost ledger is replayed only when it is read.
+    deltas are added, and clamped, document by document after the last rule;
+    trace_for replays the steps of the selected documents alone.
     """
     _check_unique_ids(candidates, "candidate list")
     _check_relevance(candidates)
@@ -384,7 +350,7 @@ def apply_rules(
 
     # Fold each boosted document's steps in rule order, excluded ones too.
     clamped = [0] * len(boosting)
-    start: dict[str, tuple[float | None, tuple[tuple[int, float], ...]]] = {}
+    boosted: dict[str, tuple[float | None, tuple[tuple[int, float], ...]]] = {}
     adjusted: dict[str, float] = {}
     for g, steps in enumerate(steps_of):
         if not steps:
@@ -394,10 +360,11 @@ def apply_rules(
         for i in groups[g]:
             doc = candidates[i]
             relevance = doc.relevance
-            start[doc.id] = relevance, steps
             after = _fold(relevance, steps, clamped)
-            if alive and after != relevance:
-                adjusted[doc.id] = after
+            if alive:
+                boosted[doc.id] = relevance, steps
+                if after != relevance:
+                    adjusted[doc.id] = after
     for (at, rule, matched), count in zip(boosting, clamped):
         adjustments[at] = _record("boost_rule", rule=rule.id, delta=rule.value, matched=matched, clamped=count)
 
@@ -408,7 +375,8 @@ def apply_rules(
         candidates=tuple(kept),
         adjusted_relevance=adjusted,
         adjustments=tuple(adjustments),
-        boosts=_Boosts(start, [rule.id for _, rule, _ in boosting]),
+        _boosted=boosted,
+        _rule_ids=tuple(rule.id for _, rule, _ in boosting),
     )
 
 

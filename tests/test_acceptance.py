@@ -219,7 +219,10 @@ def test_criterion_7_rule_application_invariants():
             if t["kind"] == "boost_rule" and t["rule"] == "conflict-boost"
         ]
         assert conflict["matched"] == 0
-        assert not [s for steps in first.boosts.values() for s in steps if s[0] == "conflict-boost"]
+        assert not [
+            t for t in first.trace_for(d.id for d in first.candidates)
+            if t["kind"] == "boost" and t["rule"] == "conflict-boost"
+        ]
 
         # idempotence on double application
         second = apply_rules(schema, ruleset, request, first.candidates)

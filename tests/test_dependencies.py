@@ -66,6 +66,15 @@ def test_public_api_is_pinned():
         assert getattr(newsdiv, name) is not None, name
 
 
+def test_rule_application_has_three_public_fields():
+    from dataclasses import fields
+
+    from newsdiv.rules import RuleApplication
+
+    public = [f.name for f in fields(RuleApplication) if not f.name.startswith("_")]
+    assert public == ["candidates", "adjusted_relevance", "adjustments"]
+
+
 def _nodes(kind):
     """(module.function, node) for every node of this ast type in src/newsdiv;
     a node is in its innermost function (a method or nested one too), and
@@ -143,7 +152,7 @@ def test_k_is_checked_in_one_place():
 
 def test_numbers_are_range_checked_in_one_place():
     # rules._fold keeps the boost clamp, a test on a computed value in the
-    # hot loop that apply_rules and the boost ledger's replay both call.
+    # hot loop that apply_rules and trace_for's replay both call.
     chained = {where for where, node in _nodes(ast.Compare) if len(node.ops) > 1}
     assert chained == {"errors.json_number_in", "rules._fold"}
     # aspect_model: Aspect and AspectSchema; metrics: InteractionLog; rules: Rule.
