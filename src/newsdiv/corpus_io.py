@@ -179,10 +179,6 @@ def load_interactions(
         if not types:
             raise ValidationError("interaction log is empty and no type weights given")
         type_weights = {t: 1.0 / len(types) for t in types}
-    elif not isinstance(type_weights, Mapping):
-        raise ValidationError(
-            f"interaction type weights must map types to numbers (got {type_weights!r})"
-        )
     return InteractionLog(records=tuple(records), type_weights=type_weights)
 
 

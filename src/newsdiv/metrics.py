@@ -110,6 +110,10 @@ class InteractionLog:
     type_weights: Mapping[str, float]
 
     def __post_init__(self):
+        if not isinstance(self.type_weights, Mapping):
+            raise ValidationError(
+                f"interaction type weights must map types to numbers (got {self.type_weights!r})"
+            )
         for t, w in self.type_weights.items():
             if not json_isinstance(w, (int, float)):
                 raise ValidationError(f"interaction type weight for {t!r} must be a number (got {w!r})")

@@ -28,7 +28,7 @@ is built in one place, _record, which refuses a kind EXPLAINED lacks.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain, compress
 from operator import and_, or_
@@ -50,7 +50,8 @@ MAX_PREDICATE_DEPTH = 100
 
 @dataclass(frozen=True)
 class Rule:
-    """One editorial rule; its action value is checked when it is built."""
+    """One editorial rule. Its scope, context tag, action and value are
+    checked when it is built, and a boost delta is stored as a float."""
 
     id: str
     scope: str
@@ -60,24 +61,35 @@ class Rule:
     context: str | None = None  # context tag, required for context scope
 
     def __post_init__(self):
+        if self.scope not in SCOPES:
+            raise _invalid(self.id, f"scope must be one of {list(SCOPES)} (got {self.scope!r})")
+        if self.context is not None and not isinstance(self.context, str):
+            raise _invalid(self.id, "context tag must be a string")
+        if self.scope == "context" and not self.context:
+            raise _invalid(self.id, "context-scope rules need a 'context' tag")
         if self.action == "require_at_least":
             if not json_number_in(self.value, 1, float("inf"), int):
                 raise _invalid(self.id, "require_at_least needs an integer m >= 1")
         elif self.action == "boost":
             if not json_number_in(self.value, -1.0, 1.0):
                 raise _invalid(self.id, f"boost delta must lie in [-1, 1] (got {self.value!r})")
+            object.__setattr__(self, "value", float(self.value))
         elif self.action != "exclude":
             raise _invalid(self.id, f"unknown action {self.action!r}")
 
 
 @dataclass(frozen=True)
 class RuleSet:
-    """Ordered rules plus the set of currently active context tags."""
+    """Ordered global and context rules plus the set of currently active
+    context tags; request-scope rules come with each request instead."""
 
     rules: tuple[Rule, ...]
     context_tags: frozenset[str] = frozenset()
 
     def __post_init__(self):
+        for rule in self.rules:
+            if rule.scope == "request":
+                raise _invalid(rule.id, "request-scope rules come with each request, not in a RuleSet")
         ids = [r.id for r in self.rules]
         if len(set(ids)) != len(ids):
             dupes = sorted({i for i in ids if ids.count(i) > 1})
@@ -86,13 +98,8 @@ class RuleSet:
     def active(self, request_rules: Sequence[Rule] = ()) -> list[Rule]:
         """Rules in evaluation order: global, active-context, request."""
         ordered = [r for r in self.rules if r.scope == "global"]
-        ordered += [
-            r
-            for r in self.rules
-            if r.scope == "context" and r.context in self.context_tags
-        ]
-        ordered += list(request_rules)
-        return ordered
+        ordered += [r for r in self.rules if r.scope == "context" and r.context in self.context_tags]
+        return ordered + list(request_rules)
 
 
 def _invalid(rule_id: str, message: str) -> ValidationError:
@@ -198,31 +205,22 @@ def _bits(mask: int) -> list[int]:
 
 
 def parse_rule(schema: AspectSchema, obj) -> Rule:
-    """Build and validate a Rule from a parsed JSON object."""
+    """Build a Rule from a parsed JSON object: id, action shape, Rule's checks, predicate."""
     if not isinstance(obj, dict):
         raise ValidationError("each rule must be a JSON object")
     rule_id = obj.get("id")
     if not isinstance(rule_id, str) or not rule_id:
         raise ValidationError("each rule needs a non-empty string 'id'")
-    scope = obj.get("scope")
-    if scope not in SCOPES:
-        raise _invalid(rule_id, f"scope must be one of {list(SCOPES)} (got {scope!r})")
-    context = obj.get("context")
-    if context is not None and not isinstance(context, str):
-        raise _invalid(rule_id, "context tag must be a string")
-    if scope == "context" and not context:
-        raise _invalid(rule_id, "context-scope rules need a 'context' tag")
-    predicate = obj.get("predicate")
-    compile_predicate(schema, predicate, rule_id)
     action_obj = obj.get("action")
     if not isinstance(action_obj, dict) or len(action_obj) != 1:
         raise _invalid(rule_id, "action must be exactly one of exclude / require_at_least / boost")
     action, value = next(iter(action_obj.items()))
     rule = Rule(
-        id=rule_id, scope=scope, predicate=predicate, action=action,
-        value=None if action == "exclude" else value, context=context,
+        id=rule_id, scope=obj.get("scope"), predicate=obj.get("predicate"), action=action,
+        value=None if action == "exclude" else value, context=obj.get("context"),
     )
-    return replace(rule, value=float(value)) if action == "boost" else rule
+    compile_predicate(schema, rule.predicate, rule_id)
+    return rule
 
 
 def _fold(relevance: float | None, steps: Iterable[tuple[int, float]], clamped: list[int]) -> float:
@@ -259,10 +257,9 @@ class RuleApplication:
     candidates: tuple[DocumentProfile, ...]
     adjusted_relevance: Mapping[str, float]
     adjustments: tuple[dict, ...]
-    # What trace_for replays: each boosted survivor's relevance and its
-    # group's (rule, delta) steps, and each boost rule's id by its place.
-    _boosted: Mapping[str, tuple[float | None, tuple]] = field(repr=False)
-    _rule_ids: tuple[str, ...] = field(repr=False)
+    # What trace_for replays: each boosted survivor's group's (rule, delta)
+    # steps, a rule being its place among the "boost_rule" records.
+    _boosted: Mapping[str, tuple[tuple[int, float], ...]] = field(repr=False)
 
     def trace_for(self, selected: Iterable[str]) -> tuple[dict, ...]:
         """The adjustments plus a "boost" record for each boost step of a
@@ -270,24 +267,24 @@ class RuleApplication:
         input order. Each selected, boosted document's steps are replayed
         once, one _fold each."""
         wanted = set(selected)
-        records: dict[str, list[dict]] = {}  # rule id -> its "boost" records
-        unused = [0] * len(self._rule_ids)  # apply_rules has counted the clamps
+        steps: dict[int, list[tuple]] = {}  # rule's place -> (doc, delta, before, after) per step
         for d in self.candidates:
             if d.id in wanted and d.id in self._boosted:
-                relevance, steps = self._boosted[d.id]
-                before = 0.0 if relevance is None else relevance
-                for slot, delta in steps:
-                    after = _fold(before, ((slot, delta),), unused)
-                    rule_id = self._rule_ids[slot]
-                    records.setdefault(rule_id, []).append(
-                        _record("boost", rule=rule_id, doc=d.id, delta=delta, before=before, after=after)
-                    )
+                before = 0.0 if d.relevance is None else d.relevance
+                for slot, delta in self._boosted[d.id]:
+                    after = _fold(before, ((0, delta),), [0])  # apply_rules has counted the clamps
+                    steps.setdefault(slot, []).append((d.id, delta, before, after))
                     before = after
         trace = []
+        slot = 0
         for record in self.adjustments:
             trace.append(record)
             if record["kind"] == "boost_rule":
-                trace += records.get(record["rule"], ())
+                trace += [
+                    _record("boost", rule=record["rule"], doc=doc, delta=delta, before=before, after=after)
+                    for doc, delta, before, after in steps.get(slot, ())
+                ]
+                slot += 1
         return tuple(trace)
 
 
@@ -350,7 +347,7 @@ def apply_rules(
 
     # Fold each boosted document's steps in rule order, excluded ones too.
     clamped = [0] * len(boosting)
-    boosted: dict[str, tuple[float | None, tuple[tuple[int, float], ...]]] = {}
+    boosted: dict[str, tuple[tuple[int, float], ...]] = {}
     adjusted: dict[str, float] = {}
     for g, steps in enumerate(steps_of):
         if not steps:
@@ -362,7 +359,7 @@ def apply_rules(
             relevance = doc.relevance
             after = _fold(relevance, steps, clamped)
             if alive:
-                boosted[doc.id] = relevance, steps
+                boosted[doc.id] = steps
                 if after != relevance:
                     adjusted[doc.id] = after
     for (at, rule, matched), count in zip(boosting, clamped):
@@ -376,7 +373,6 @@ def apply_rules(
         adjusted_relevance=adjusted,
         adjustments=tuple(adjustments),
         _boosted=boosted,
-        _rule_ids=tuple(rule.id for _, rule, _ in boosting),
     )
 
 
@@ -471,7 +467,9 @@ def _check_explainable(data: Mapping) -> None:
         numbers["keyword diversity"] = data["keyword_diversity"]
     for i, record in enumerate(trace):
         kind = record.get("kind")
-        fields = EXPLAINED.get(kind, ({},))[0] if isinstance(kind, str) else {}
+        if not isinstance(kind, str) or kind not in EXPLAINED:
+            raise ValidationError(f"result trace record {i} has an undeclared kind {kind!r}")
+        fields = EXPLAINED[kind][0]
         if kind == "add":
             fields = {**fields, **{f: float for f in ("gain", "score") if f in record}}
         for field, type_ in fields.items():
@@ -493,9 +491,10 @@ def explain_result(result) -> str:
     """Render a human-readable explanation of a diversification result.
 
     Works on a RerankResult or its serialized dict; a field it reads with
-    the wrong shape raises ValidationError. Selected items show the marginal
-    diversity recorded when they were added and their boosts; swaps, rule
-    effects, warnings and notes are each listed with their EXPLAINED line.
+    the wrong shape, or a trace kind EXPLAINED lacks, raises ValidationError.
+    Selected items show the marginal diversity recorded when they were added
+    and their boosts; swaps, rule effects, warnings and notes are each
+    listed with their EXPLAINED line.
     """
     data = result.as_dict() if hasattr(result, "as_dict") else dict(result)
     _check_explainable(data)
@@ -527,7 +526,7 @@ def explain_result(result) -> str:
         elif kind == "boost":
             t = {**t, "change": t["after"] - t["before"]}
             boosts.setdefault(t["doc"], []).append(t)
-        _, section, line, _ = EXPLAINED.get(kind, (None,) * 4) if isinstance(kind, str) else (None,) * 4
+        _, section, line, _ = EXPLAINED[kind]
         if section:
             sections[section].append(line.format_map(t))
     lines.append("selection detail:")

@@ -6,8 +6,10 @@ no module-level RNG state.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
+import pathlib
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -42,6 +44,16 @@ from newsdiv.metrics import (
 )
 from newsdiv.oracle import ENUMERATION_GUARD, OracleResult
 from newsdiv.rules import Rule, RuleSet, parse_rule
+
+
+def load_newsbench(name: str):
+    """The benchmark's module newsbench/<name>.py, loaded from its file (the
+    directory is not a package) as a fresh module of its own."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "newsbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"newsbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def random_schema(
@@ -782,8 +794,9 @@ def reference_next_in_sequence(
     )
 
 
-# explain before its trace kinds were declared in one table, kept verbatim:
-# the explain tests compare rules.explain_result against it.
+# explain before its trace kinds were declared in one table, kept verbatim
+# but for one rule: a trace record of a kind missing here is refused. The
+# explain tests compare rules.explain_result against it.
 # Trace fields explain_result reads, by record kind. An "add" record is also
 # read for whichever of "gain" and "score" it has.
 EXPLAINED_FIELDS = {
@@ -795,6 +808,7 @@ EXPLAINED_FIELDS = {
     "swap": ("out", "in", "before", "after"),
     "violation": ("rule", "needed", "found"),
     **dict.fromkeys(("warning", "next", "suggest", "note"), ("detail",)),
+    "keyword_diversity": (),
 }
 NUMBER_FIELDS = frozenset(
     {"delta", "before", "after", "matched", "clamped", "needed", "found", "gain", "score"}
@@ -822,7 +836,9 @@ def _check_explainable(data: Mapping) -> None:
         numbers["keyword diversity"] = data["keyword_diversity"]
     for i, record in enumerate(trace):
         kind = record.get("kind")
-        fields = EXPLAINED_FIELDS.get(kind, ()) if isinstance(kind, str) else ()
+        if not isinstance(kind, str) or kind not in EXPLAINED_FIELDS:
+            raise ValidationError(f"result trace record {i} has an undeclared kind {kind!r}")
+        fields = EXPLAINED_FIELDS[kind]
         if kind == "add":
             fields += tuple(f for f in ("gain", "score") if f in record)
         for field in fields:
@@ -844,7 +860,8 @@ def reference_explain_result(result) -> str:
     """Render a human-readable explanation of a diversification result.
 
     Works on a RerankResult or its serialized dict; a field it reads with
-    the wrong shape raises ValidationError. Selected items show the marginal
+    the wrong shape, or a trace kind it does not know, raises
+    ValidationError. Selected items show the marginal
     diversity recorded when they were added, swaps show their narrative, and
     rule effects come from the trace.
     """

@@ -635,6 +635,20 @@ def test_explain_rejects_malformed_results(tmp_path, capsys, result):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "record, kind",
+    [({"kind": "mystery", "detail": "?"}, "'mystery'"), ({"detail": "?"}, "None")],
+    ids=["mystery", "missing"],
+)
+def test_explain_exits_2_on_an_undeclared_trace_kind(tmp_path, capsys, record, kind):
+    path = tmp_path / "result.json"
+    path.write_text(json.dumps({"selected": ["a5"], "trace": [SWAP | {"out": "a1"}, record]}))
+    assert cli.main(["explain", "--result", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: result trace record 1 has an undeclared kind {kind}\n"
+
+
 # --- JSON booleans are not numbers ---
 
 LIST = ["--mode", "list", "--k", "3", "--rules", "{rules}", "--context", "election"]

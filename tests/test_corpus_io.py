@@ -16,7 +16,7 @@ from newsdiv.corpus_io import (
     write_report,
 )
 from newsdiv.errors import NewsdivError, ParseError, ValidationError
-from newsdiv.metrics import DocumentProfile, collection_diversity
+from newsdiv.metrics import DocumentProfile, InteractionLog, collection_diversity
 
 from helpers import random_schema, reference_load_corpus
 
@@ -111,6 +111,15 @@ def test_empty_interaction_log_needs_weights():
         load_interactions("")
     log = load_interactions("", {"like": 1.0})
     assert log.records == ()
+
+
+def test_type_weights_that_are_not_a_mapping_are_refused_by_the_log():
+    message = "interaction type weights must map types to numbers (got [('like', 1.0)])"
+    with pytest.raises(ValidationError) as built:
+        InteractionLog(records=(), type_weights=[("like", 1.0)])
+    with pytest.raises(ValidationError) as loaded:
+        load_interactions("", [("like", 1.0)])
+    assert str(built.value) == str(loaded.value) == message
 
 
 def test_malformed_interaction_line():

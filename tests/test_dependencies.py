@@ -8,7 +8,9 @@ each field the kind's detail template names, checks ids and orders every
 mode's pool by id in one helper, sorts by id nowhere else, builds the
 pair kernel's tables at most once per function and never in a loop, and
 steps greedy selections in one loop. No code makes an instance without
-its class's __init__, and the loader imports no mode."""
+its class's __init__, and the loader imports no mode. A rule's fields and
+an interaction log's type weights are checked in the class that holds
+them, and a rule application keeps one private field."""
 
 import ast
 import os
@@ -73,6 +75,15 @@ def test_rule_application_has_three_public_fields():
 
     public = [f.name for f in fields(RuleApplication) if not f.name.startswith("_")]
     assert public == ["candidates", "adjusted_relevance", "adjustments"]
+
+
+def test_rule_application_keeps_one_private_field():
+    from dataclasses import fields
+
+    from newsdiv.rules import RuleApplication
+
+    private = [f.name for f in fields(RuleApplication) if f.name.startswith("_")]
+    assert private == ["_boosted"]
 
 
 def _nodes(kind):
@@ -258,3 +269,27 @@ def test_instances_are_made_by_their_init_and_the_loader_imports_no_mode():
         if where.startswith("corpus_io.") and node.level == 1
     }
     assert imported == {"aspect_model", "errors", "metrics", "rules"}
+
+
+def test_rule_fields_are_checked_in_rule_alone():
+    messages = ("scope must be one of", "context tag must be a string", "context-scope rules need a 'context' tag")
+    rules = ast.parse((ROOT / "src" / "newsdiv" / "rules.py").read_text())
+    rule = next(node for node in rules.body if isinstance(node, ast.ClassDef) and node.name == "Rule")
+    post_init = next(node for node in rule.body if isinstance(node, ast.FunctionDef) and node.name == "__post_init__")
+    for message in messages:
+        everywhere = [where for where, node in _nodes(ast.Constant) if message in str(node.value)]
+        assert everywhere == ["rules.__post_init__"], (message, everywhere)
+        assert any(message in str(node.value) for node in ast.walk(post_init) if isinstance(node, ast.Constant))
+    # Rule stores a boost delta as a float, so no rule is rebuilt to do it.
+    replaced = {alias.name for node in ast.walk(rules) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "replace" not in replaced
+    assert [where for where, _ in _calls("dataclasses.replace") if where.startswith("rules.")] == []
+
+
+def test_type_weights_are_checked_in_the_interaction_log_alone():
+    checks = {
+        where
+        for where, call in _calls("isinstance")
+        if "type_weights" in ast.unparse(call.args[0]) and ast.unparse(call.args[1]) == "Mapping"
+    }
+    assert checks == {"metrics.__post_init__"}

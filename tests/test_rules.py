@@ -124,6 +124,58 @@ def test_ancestor_predicate_requires_a_graph(schema, graph_schema):
         )
 
 
+CLIMATE = {"aspect": "topic", "value": "Climate"}
+
+
+@pytest.mark.parametrize(
+    "scope, context, message",
+    [
+        ("globl", None, "rule 'r': scope must be one of ['global', 'context', 'request'] (got 'globl')"),
+        ("context", None, "rule 'r': context-scope rules need a 'context' tag"),
+        ("context", "", "rule 'r': context-scope rules need a 'context' tag"),
+        ("context", 5, "rule 'r': context tag must be a string"),
+        ("global", 5, "rule 'r': context tag must be a string"),
+    ],
+    ids=["unknown-scope", "no-tag", "empty-tag", "numeric-tag", "numeric-tag-on-global"],
+)
+def test_a_hand_built_rule_is_checked_like_a_parsed_one(schema, scope, context, message):
+    with pytest.raises(ValidationError) as built:
+        Rule("r", scope, CLIMATE, "exclude", context=context)
+    with pytest.raises(ValidationError) as parsed:
+        rule(schema, id="r", scope=scope, predicate=CLIMATE, action={"exclude": True}, context=context)
+    assert str(built.value) == str(parsed.value) == message
+
+
+def test_a_boost_delta_is_stored_as_a_float(schema):
+    built = Rule("r", "global", CLIMATE, "boost", 1)
+    parsed = rule(schema, id="r", scope="global", predicate=CLIMATE, action={"boost": 1})
+    assert built == parsed
+    assert type(built.value) is type(parsed.value) is float and built.value == 1.0
+
+
+def test_parse_rule_reports_the_first_fault_in_field_order(schema):
+    # id, action shape, then Rule's scope, context, action and value, then
+    # the predicate: each fault is reported once the ones before it are fixed
+    obj = {"id": "r", "scope": "globl", "context": 5, "predicate": {}, "action": {}}
+    for fix, message in [
+        ({"action": {"boost": 2}}, "action must be exactly one of exclude / require_at_least / boost"),
+        ({"scope": "global"}, "scope must be one of ['global', 'context', 'request'] (got 'globl')"),
+        ({"context": None}, "context tag must be a string"),
+        ({"action": {"boost": 0.5}}, "boost delta must lie in [-1, 1] (got 2)"),
+        ({}, "predicate must be a non-empty object"),
+    ]:
+        with pytest.raises(ValidationError) as info:
+            parse_rule(schema, obj)
+        assert str(info.value) == f"rule 'r': {message}"
+        obj.update(fix)
+
+
+def test_a_rule_set_refuses_request_scope_rules():
+    request = Rule("now", "request", CLIMATE, "exclude")
+    with pytest.raises(ValidationError, match="rule 'now': request-scope rules"):
+        RuleSet(rules=(request,))
+
+
 def test_duplicate_rule_ids_rejected(schema):
     r = rule(
         schema,

@@ -7,23 +7,15 @@ slow traced benchmark run.
 """
 
 import importlib
-import importlib.util
 import inspect
-import pathlib
 
 import newsdiv
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
+from helpers import load_newsbench
+
 MODULES = ("aspect_model", "cli", "corpus_io", "diversify", "metrics", "oracle", "rules")
 for _module in MODULES:
     importlib.import_module(f"newsdiv.{_module}")
-
-
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("newsbench_tracing", ROOT / "newsbench" / "tracing.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def bound_functions():
@@ -39,7 +31,7 @@ def test_every_name_the_tracer_patches_is_bound_where_it_patches_it():
     before = bound_functions()
     # install() reads each name from every module it patches, so a name a
     # module no longer binds raises AttributeError here.
-    uninstall = load_tracing().Tracer().install(newsdiv)
+    uninstall = load_newsbench("tracing").Tracer().install(newsdiv)
     try:
         patched = {key for key, value in bound_functions().items() if before.get(key) is not value}
     finally:
@@ -64,7 +56,7 @@ def test_a_traced_rerank_with_rules_records_the_rule_layers_work(fixtures_dir, c
     argv = ["rerank", "--schema", str(fixtures_dir / "example_schema.json"),
             "--corpus", str(fixtures_dir / "example_corpus.jsonl"), "--mode", "list", "--k", "3",
             "--rules", str(fixtures_dir / "rules.jsonl"), "--context", "election"]
-    tracer = load_tracing().Tracer()
+    tracer = load_newsbench("tracing").Tracer()
     uninstall = tracer.install(newsdiv)
     try:
         assert tracer.root(0, cli.main, argv) == 0
