@@ -26,7 +26,7 @@ from .errors import (
     load_json,
 )
 # interaction_diversity is unused here; newsbench/tracing.py patches this name.
-from .metrics import Window, _check_unique_ids, collection_diversity, interaction_diversity, parse_window  # noqa: F401
+from .metrics import Window, _Pool, _check_unique_ids, collection_diversity, interaction_diversity, parse_window  # noqa: F401
 from .oracle import max_diversity_oracle
 
 EXIT_OK = 0
@@ -119,17 +119,20 @@ def cmd_rerank(args) -> str:
     history = []
     if args.history is not None:
         history = _history_profiles(args, corpus)
-    candidates = diversify.exclude_history(
-        corpus.docs(), {d.id for d in history}
-    )
+    # The loader's pool, whose documents this request alone holds, goes on
+    # checked: each filter keeps it a pool, and every mode reads its rows.
+    candidates = diversify.exclude_history(corpus._pool, {d.id for d in history})
     application = rules_mod.apply_rules(schema, ruleset, request_rules, candidates)
-    survivors = list(application.candidates)
+    survivors = application.candidates
 
     if args.mode == "list":
         if args.lambda_ is not None:
             # Only the blend reads relevance, so only it sees the boosted values.
             boosted = application.adjusted_relevance
-            pool = [replace(d, relevance=boosted[d.id]) if d.id in boosted else d for d in survivors]
+            pool = _Pool(
+                [replace(d, relevance=boosted[d.id]) if d.id in boosted else d for d in survivors],
+                survivors.rows,
+            )
             result = diversify.rerank_combined(schema, pool, args.k, args.lambda_)
         else:
             if args.k < 1 or args.k > len(survivors):
@@ -137,8 +140,8 @@ def cmd_rerank(args) -> str:
                     f"k must satisfy 1 <= k <= {len(survivors)} surviving candidates "
                     f"(got k={args.k})"
                 )
-            initial = survivors[: args.k]
-            pool = survivors[args.k:]
+            initial = survivors.take(range(args.k))
+            pool = survivors.take(range(args.k, len(survivors)))
             result = diversify.swap_diversify(schema, initial, pool, budget=args.k)
     elif args.mode == "summary":
         result = diversify.select_summary_sources(schema, survivors, args.k)
@@ -176,7 +179,7 @@ def cmd_rerank(args) -> str:
 
 def cmd_oracle(args) -> str:
     schema, corpus = _load_schema_corpus(args)
-    return corpus_io.write_report(max_diversity_oracle(schema, corpus.docs(), args.k))
+    return corpus_io.write_report(max_diversity_oracle(schema, corpus._pool, args.k))
 
 
 def cmd_explain(args) -> str:

@@ -3,19 +3,22 @@
 Corpus files hold one document object per line; interaction and history
 files hold one event per line. Errors carry 1-based line numbers. A schema
 remembers the label rows it has checked, so the corpus loader checks each
-distinct label tuple once and the modes read the rows it stored. A report
-is whatever defines `as_dict`; it serializes deterministically with numbers
-at 12 significant digits.
+distinct label tuple once. The loader keeps each document's row: besides
+the documents keyed by id, a `Corpus` holds the one checked pool, the
+documents in file order with their rows, that the CLI hands through the
+rules to the mode unchecked. `Corpus.docs()` is a plain list, checked by
+every function it is passed to. A report is whatever defines `as_dict`; it
+serializes deterministically with numbers at 12 significant digits.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from .aspect_model import AspectSchema
 from .errors import ValidationError, json_decode_error, json_isinstance, json_number_in
-from .metrics import DocumentProfile, InteractionLog, InteractionRecord, Keyword
+from .metrics import DocumentProfile, InteractionLog, InteractionRecord, Keyword, _Pool
 from .rules import Rule, RuleSet, parse_rule
 
 
@@ -24,6 +27,9 @@ class Corpus:
     """Validated documents keyed by id."""
 
     documents: Mapping[str, DocumentProfile]
+    # The loader's documents in file order with their rows, which the CLI
+    # alone passes on: docs() is a plain list, checked by whatever takes it.
+    _pool: tuple = field(default=(), repr=False, compare=False)
 
     def docs(self) -> list[DocumentProfile]:
         return list(self.documents.values())
@@ -74,12 +80,14 @@ def _parse_keywords(lineno: int, doc_id: str, raw) -> tuple[Keyword, ...]:
     return tuple(keywords)
 
 
-def validate_labels(schema: AspectSchema, labels: Mapping[str, str], where: str) -> None:
-    """Exactly one known label per schema aspect; nothing else. A map with
-    one key per aspect that the schema's row table resolves passes with that
-    one lookup; any other is walked aspect by aspect for the message."""
-    if len(labels) == len(schema.aspects) and schema._row(labels) is not None:
-        return
+def validate_labels(schema: AspectSchema, labels: Mapping[str, str], where: str) -> tuple[int, ...]:
+    """Exactly one known label per schema aspect; nothing else. Returns the
+    map's row. A map with one key per aspect that the schema's row table
+    resolves passes with that one lookup; any other is walked aspect by
+    aspect for the message."""
+    row = schema._row(labels) if len(labels) == len(schema.aspects) else None
+    if row is not None:
+        return row
     names = set(schema.aspect_names())
     extra = set(labels) - names
     if extra:
@@ -110,6 +118,7 @@ def load_corpus(schema: AspectSchema, text: str) -> Corpus:
     `__init__` fills the instance dict directly.
     """
     documents: dict[str, DocumentProfile] = {}
+    rows = []  # each document's, in file order
     # The decoder builds only plain dict, list, str, int, float, bool and
     # None objects, so a class test is the isinstance test, and an int class
     # test also rejects a bool.
@@ -124,7 +133,7 @@ def load_corpus(schema: AspectSchema, text: str) -> Corpus:
         labels = obj.get("labels")
         if labels.__class__ is not dict:
             raise ValidationError(f"corpus line {lineno}: document {doc_id!r} needs a 'labels' map")
-        validate_labels(schema, labels, f"corpus line {lineno}")
+        rows.append(validate_labels(schema, labels, f"corpus line {lineno}"))
         relevance = obj.get("relevance")
         if relevance is not None:
             if not json_number_in(relevance, 0.0, 1.0):
@@ -147,7 +156,7 @@ def load_corpus(schema: AspectSchema, text: str) -> Corpus:
             for kw in keywords:
                 validate_labels(schema, kw.labels, f"corpus line {lineno}: keyword {kw.term!r}")
         documents[doc_id] = DocumentProfile(doc_id, labels, relevance, timestamp, keywords)
-    return Corpus(documents=documents)
+    return Corpus(documents, _Pool(documents.values(), rows))
 
 
 def load_interactions(

@@ -10,8 +10,9 @@ values within TIE_TOLERANCE count as tied, then the documented secondary
 key decides, then the smaller id.
 
 Every mode that takes a pool (and the oracle) selects by position in the
-id-ordered pool `metrics._by_id` checks once; swap's is its list plus pool,
-and its list keeps its slots. Greedy and the blend step through one loop,
+id-ordered pool `metrics._by_id` builds once: it checks any pool but the
+corpus loader's, which carries its rows; swap's is its list plus pool, and
+its list keeps its slots. Greedy and the blend step through one loop,
 `_grow`, with their own step score, and `_result` builds a result from the
 chosen positions.
 """
@@ -29,6 +30,7 @@ from .metrics import (
     InteractionLog,
     TIE_TOLERANCE,
     Window,
+    _Pool,
     _by_id,
     _candidate_values,
     _check_k,
@@ -83,7 +85,10 @@ class RerankResult:
 def exclude_history(
     candidates: Sequence[DocumentProfile], history_ids: set[str]
 ) -> list[DocumentProfile]:
-    """Novelty pre-filter: drop candidates the user has already consumed."""
+    """Novelty pre-filter: drop candidates the user has already consumed.
+    A loader's pool stays one."""
+    if isinstance(candidates, _Pool):
+        return candidates.take([i for i, c in enumerate(candidates) if c.id not in history_ids])
     return [c for c in candidates if c.id not in history_ids]
 
 
@@ -132,7 +137,10 @@ def swap_diversify(
         raise ContractError("swap_diversify needs a non-empty starting list")
     if not json_number_in(budget, 0, float("inf"), int):
         raise ContractError(f"swap budget must be an integer >= 0 (got {budget!r})")
-    docs, rows = _by_id(schema, [*items, *pool], "list plus pool")
+    both = [*items, *pool]
+    if isinstance(items, _Pool) and isinstance(pool, _Pool):  # one loader's pool, split in two
+        both = _Pool(both, [*items.rows, *pool.rows])
+    docs, rows = _by_id(schema, both, "list plus pool")
     at = {d.id: i for i, d in enumerate(docs)}
     # Positions into docs: the list's in list order, and the pool's (swapped-out ones too).
     current = [at[d.id] for d in items]
@@ -368,7 +376,8 @@ def rerank_combined(
     missing = [d.id for d in docs if d.relevance is None]
     if missing:
         raise ContractError(f"documents missing relevance scores: {missing}")
-    _check_relevance(docs)
+    if not isinstance(pool, _Pool):  # a loader's pool holds scores in [0, 1]
+        _check_relevance(docs)
 
     if lam == 0.0:
         base = _greedy(schema, docs, rows, k)

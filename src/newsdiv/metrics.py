@@ -18,8 +18,11 @@ label tuple the schema has checked, and checks a tuple the table does not
 hold yet; it is the modes' only label check. Two kernels read rows and the
 distance matrices: the count kernel `_diversity` (stepped by
 `_candidate_values`) and the pair kernel `_distance_matrix`. Every mode that
-takes a pool selects by position in the pool `_by_id` checks once: the
-documents in id order and their rows.
+takes a pool selects by position in the pool `_by_id` builds once: the
+documents in id order and their rows. `_by_id` has two constructors. A
+`_Pool`, which only the corpus loader makes from documents, carries the
+rows the loader resolved and only has to be put in id order; any other
+sequence has its ids and then its labels checked.
 
 Per-aspect pair sums depend only on label counts. With c_l documents
 carrying label l and the aspect's distance matrix D,
@@ -43,7 +46,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from operator import add
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .aspect_model import WEIGHT_TOLERANCE, AspectSchema
 from .errors import ContractError, UnknownEntityError, ValidationError, json_float, json_isinstance, json_number_in
@@ -217,9 +220,34 @@ def _check_k(k: int, n: int) -> None:
         raise ContractError(f"k must satisfy 1 <= k <= |pool| (got k={k!r}, |pool|={n})")
 
 
-def _by_id(schema: AspectSchema, docs: Sequence[DocumentProfile], what: str) -> tuple[list, list[tuple]]:
+class _Pool(tuple):
+    """Documents the corpus loader checked, in file order, with `rows`, their
+    rows in the same order: their ids are unique strings, their labels
+    resolved and their relevance scores in [0, 1]. Only the loader builds
+    one from documents. Every other is built from one: a filter or a split
+    of it, or the CLI's copy with the rules' boosted relevance, which the
+    rules clamp to [0, 1]. The CLI, which alone holds the loader's pool, is
+    the only caller that passes one; a list or a tuple, the public
+    `Corpus.docs()` included, is always checked."""
+
+    def __new__(cls, docs: Iterable[DocumentProfile], rows: list[tuple]) -> _Pool:
+        pool = tuple.__new__(cls, docs)
+        pool.rows = rows
+        return pool
+
+    def take(self, positions: Sequence[int]) -> _Pool:
+        """The documents at these positions, in that order, with their rows."""
+        rows = self.rows
+        return _Pool([self[i] for i in positions], [rows[i] for i in positions])
+
+
+def _by_id(schema: AspectSchema, docs: Sequence[DocumentProfile], what: str) -> tuple[Sequence, list[tuple]]:
     """The pool the modes select from by position: the documents in id order
-    and their rows. Ids are checked once, here, then every label in id order."""
+    and their rows. A loader's pool is only put in id order; any other
+    sequence has its ids checked, here, then every label in id order."""
+    if isinstance(docs, _Pool):
+        ordered = docs.take(sorted(range(len(docs)), key=lambda i: docs[i].id))
+        return ordered, ordered.rows
     _check_unique_ids(docs, what)
     ordered = sorted(docs, key=lambda d: d.id)
     return ordered, [_label_indices(schema, d) for d in ordered]

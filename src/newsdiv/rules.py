@@ -7,11 +7,14 @@ applied. A compiled test runs on an item set, which maps each aspect's
 labels to bitmasks of the items carrying them, and returns the mask of the
 items it matches: a leaf ORs label masks, and `all`, `any` and `not` are
 `&`, `|` and `^`. apply_rules builds one item set over the distinct label
-tuples among the candidates, so a rule costs one mask over those tuples;
-after the rule loop, _fold adds each boosted document's deltas in rule
-order, clamping each sum, and keeps only the final relevance and each
-rule's clamp count. check_requirements counts a rule's matches in the
-final selection as the set bits of one mask.
+tuples among the candidates, so a rule costs one mask over those tuples.
+It groups the loader's pool by the rows the loader stored and returns its
+survivors as a pool, with their rows; any other candidate list has its ids
+and relevance checked and is grouped by rows it resolves. After the rule
+loop, _fold adds each boosted document's deltas in rule order, clamping
+each sum, and keeps only the final relevance and each rule's clamp count.
+check_requirements counts a rule's matches in the final selection as the
+set bits of one mask.
 
 Application is pure: input profiles are never mutated, boosts come back
 as an adjusted-relevance map, and require_at_least never alters the
@@ -36,7 +39,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .aspect_model import AspectSchema
 from .errors import UnknownEntityError, ValidationError, json_float, json_isinstance, json_number_in
-from .metrics import DocumentProfile, _check_relevance, _check_unique_ids
+from .metrics import DocumentProfile, _Pool, _check_relevance, _check_unique_ids
 
 SCOPES = ("global", "context", "request")
 
@@ -50,7 +53,7 @@ MAX_PREDICATE_DEPTH = 100
 
 @dataclass(frozen=True)
 class Rule:
-    """One editorial rule. Its scope, context tag, action and value are
+    """One editorial rule. Its id, scope, context tag, action and value are
     checked when it is built, and a boost delta is stored as a float."""
 
     id: str
@@ -61,6 +64,8 @@ class Rule:
     context: str | None = None  # context tag, required for context scope
 
     def __post_init__(self):
+        if not isinstance(self.id, str) or not self.id:
+            raise ValidationError("each rule needs a non-empty string 'id'")
         if self.scope not in SCOPES:
             raise _invalid(self.id, f"scope must be one of {list(SCOPES)} (got {self.scope!r})")
         if self.context is not None and not isinstance(self.context, str):
@@ -205,21 +210,19 @@ def _bits(mask: int) -> list[int]:
 
 
 def parse_rule(schema: AspectSchema, obj) -> Rule:
-    """Build a Rule from a parsed JSON object: id, action shape, Rule's checks, predicate."""
+    """Build a Rule from a parsed JSON object: action shape, Rule's checks
+    (the id first), predicate."""
     if not isinstance(obj, dict):
         raise ValidationError("each rule must be a JSON object")
-    rule_id = obj.get("id")
-    if not isinstance(rule_id, str) or not rule_id:
-        raise ValidationError("each rule needs a non-empty string 'id'")
     action_obj = obj.get("action")
     if not isinstance(action_obj, dict) or len(action_obj) != 1:
-        raise _invalid(rule_id, "action must be exactly one of exclude / require_at_least / boost")
+        raise _invalid(obj.get("id"), "action must be exactly one of exclude / require_at_least / boost")
     action, value = next(iter(action_obj.items()))
     rule = Rule(
-        id=rule_id, scope=obj.get("scope"), predicate=obj.get("predicate"), action=action,
+        id=obj.get("id"), scope=obj.get("scope"), predicate=obj.get("predicate"), action=action,
         value=None if action == "exclude" else value, context=obj.get("context"),
     )
-    compile_predicate(schema, rule.predicate, rule_id)
+    compile_predicate(schema, rule.predicate, rule.id)
     return rule
 
 
@@ -310,14 +313,19 @@ def apply_rules(
     deltas are added, and clamped, document by document after the last rule;
     trace_for replays the steps of the selected documents alone.
     """
-    _check_unique_ids(candidates, "candidate list")
-    _check_relevance(candidates)
     # A compiled test reads only each aspect's label and accepts only schema
-    # labels, so documents sharing a label-index row share every outcome. One
-    # without a row is a group of its own, keyed by its unique id (never a row).
+    # labels, so documents sharing a label-index row share every outcome.
+    trusted = isinstance(candidates, _Pool)
+    if trusted:  # the loader checked its ids and relevance and resolved its rows
+        keys = candidates.rows
+    else:
+        _check_unique_ids(candidates, "candidate list")
+        _check_relevance(candidates)
+        # One without a row is a group of its own, keyed by its unique id (never a row).
+        keys = [schema._row(doc.labels) or doc.id for doc in candidates]
     by_key: dict[tuple | str, list[int]] = {}
-    for i, doc in enumerate(candidates):
-        by_key.setdefault(schema._row(doc.labels) or doc.id, []).append(i)
+    for i, key in enumerate(keys):
+        by_key.setdefault(key, []).append(i)
     groups = list(by_key.values())  # each group's input positions, ascending
     sizes = list(map(len, groups))
     index, every = _index(schema, [candidates[members[0]].labels for members in groups])
@@ -365,11 +373,11 @@ def apply_rules(
     for (at, rule, matched), count in zip(boosting, clamped):
         adjustments[at] = _record("boost_rule", rule=rule.id, delta=rule.value, matched=matched, clamped=count)
 
-    kept = candidates if live == every else [
-        candidates[i] for i in sorted(chain.from_iterable(groups[g] for g in _bits(live)))
-    ]
+    if live != every:
+        kept = sorted(chain.from_iterable(groups[g] for g in _bits(live)))
+        candidates = candidates.take(kept) if trusted else [candidates[i] for i in kept]
     return RuleApplication(
-        candidates=tuple(kept),
+        candidates=candidates if trusted else tuple(candidates),
         adjusted_relevance=adjusted,
         adjustments=tuple(adjustments),
         _boosted=boosted,

@@ -172,6 +172,11 @@ def test_numbers_are_range_checked_in_one_place():
         "diversify.swap_diversify", "diversify.next_in_sequence", "diversify.rerank_combined",
         "corpus_io.load_corpus", "rules.__post_init__",
     }
+    # A relevance score is range-checked in one place per path: the loader
+    # for the CLI's documents, _check_relevance for a library caller's.
+    relevance = {where for where, call in _calls("json_number_in") if "relevance" in ast.unparse(call.args[0])}
+    assert relevance == {"corpus_io.load_corpus", "metrics._check_relevance"}
+    assert _unless_pool("_check_relevance") == {"rules.apply_rules": True, "diversify.rerank_combined": True}
 
 
 def test_lines_are_scanned_in_one_place():
@@ -204,13 +209,83 @@ def test_label_rows_are_stored_in_one_place():
     ]
 
 
+def _pool_test(test, flags) -> bool | None:
+    """True for `isinstance(x, _Pool)` or a name in `flags` (a name assigned
+    one), False for `not` of either, None for any other test."""
+    if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
+        inner = _pool_test(test.operand, flags)
+        return None if inner is None else not inner
+    if isinstance(test, ast.Name) and test.id in flags:
+        return True
+    if ast.unparse(test).startswith("isinstance(") and ast.unparse(test).endswith(", _Pool)"):
+        return True
+    return None
+
+
+def _unless_pool(name: str) -> dict[str, bool]:
+    """For each function in src/newsdiv that calls `name` (by name or as a
+    method), whether every call sits where a loader's pool never reaches:
+    in the branch of a pool test that a pool does not take, or after a pool
+    branch that returns."""
+    out = {}
+
+    def visit(where, stmts, flags, guarded):
+        for i, stmt in enumerate(stmts):
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(f"{where.split('.')[0]}.{stmt.name}", stmt.body, set(), False)
+                continue
+            if isinstance(stmt, ast.ClassDef):
+                visit(where, stmt.body, flags, guarded)
+                continue
+            if isinstance(stmt, ast.Assign) and _pool_test(stmt.value, set()):
+                flags = flags | {t.id for t in stmt.targets}
+            if isinstance(stmt, ast.If) and _pool_test(stmt.test, flags) is not None:
+                pool, other = (stmt.body, stmt.orelse) if _pool_test(stmt.test, flags) else (stmt.orelse, stmt.body)
+                visit(where, pool, flags, guarded)
+                visit(where, other, flags, True)
+                if pool and isinstance(pool[-1], ast.Return):
+                    visit(where, stmts[i + 1:], flags, True)
+                    return
+                continue
+            for field, value in ast.iter_fields(stmt):
+                if isinstance(value, list) and value and isinstance(value[0], ast.stmt):
+                    visit(where, value, flags, guarded)  # a loop's, with's or try's body
+                    continue
+                for part in value if isinstance(value, list) else [value]:
+                    for node in ast.walk(part) if isinstance(part, ast.AST) else ():
+                        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == name:
+                            out[where] = out.get(where, True) and guarded
+
+    for path in sorted((ROOT / "src" / "newsdiv").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        visit(f"{path.stem}.<module>", tree.body, set(), False)
+    return out
+
+
 def test_pools_are_checked_and_ordered_by_id_in_one_helper():
     # The id-keyed row map the modes once shared is gone.
     assert not [path.name for path in (ROOT / "src" / "newsdiv").glob("*.py") if "_label_rows" in path.read_text()]
-    # Every mode checks its pool in _by_id; score and apply_rules take
-    # documents in input order.
-    assert {where for where, _ in _calls("_check_unique_ids")} == {
-        "metrics._by_id", "cli.cmd_score", "rules.apply_rules",
+    # The loader builds the one pool made from documents; every other is
+    # made from a pool's rows: a filter or split of one, or the blend's
+    # boosted copy.
+    assert {where for where, _ in _calls("_Pool")} == {
+        "corpus_io.load_corpus", "metrics.take", "cli.cmd_rerank", "diversify.swap_diversify",
+    }
+    # Each fact about a document is checked in one place per path: the
+    # loader for the CLI's pool, and for a library caller's documents ids in
+    # _check_unique_ids, labels in _label_indices and relevance in
+    # _check_relevance. Every mode checks its pool in _by_id; score and
+    # apply_rules take documents in input order. A function that takes a
+    # loader's pool skips them (True) and reads its rows instead of _row.
+    assert _unless_pool("_check_unique_ids") == {
+        "metrics._by_id": True, "cli.cmd_score": False, "rules.apply_rules": True,
+    }
+    assert _unless_pool("_label_indices") == {
+        "metrics._by_id": True, "metrics.collection_diversity": False,
+        "diversify.next_in_sequence": False, "diversify.suggest_interaction": False,
+    }
+    assert _unless_pool("_row") == {
+        "corpus_io.validate_labels": False, "metrics._label_indices": False, "rules.apply_rules": True,
     }
     # A sort keyed by ids: a sorted(...) or .sort(...) whose key is a lambda
     # that reads an id attribute anywhere. Positions into a _by_id pool sort
@@ -272,7 +347,10 @@ def test_instances_are_made_by_their_init_and_the_loader_imports_no_mode():
 
 
 def test_rule_fields_are_checked_in_rule_alone():
-    messages = ("scope must be one of", "context tag must be a string", "context-scope rules need a 'context' tag")
+    messages = (
+        "each rule needs a non-empty string 'id'", "scope must be one of", "context tag must be a string",
+        "context-scope rules need a 'context' tag",
+    )
     rules = ast.parse((ROOT / "src" / "newsdiv" / "rules.py").read_text())
     rule = next(node for node in rules.body if isinstance(node, ast.ClassDef) and node.name == "Rule")
     post_init = next(node for node in rule.body if isinstance(node, ast.FunctionDef) and node.name == "__post_init__")

@@ -154,20 +154,32 @@ def test_a_boost_delta_is_stored_as_a_float(schema):
 
 
 def test_parse_rule_reports_the_first_fault_in_field_order(schema):
-    # id, action shape, then Rule's scope, context, action and value, then
+    # action shape, then Rule's id, scope, context, action and value, then
     # the predicate: each fault is reported once the ones before it are fixed
-    obj = {"id": "r", "scope": "globl", "context": 5, "predicate": {}, "action": {}}
+    obj = {"id": 5, "scope": "globl", "context": 5, "predicate": {}, "action": {}}
     for fix, message in [
-        ({"action": {"boost": 2}}, "action must be exactly one of exclude / require_at_least / boost"),
-        ({"scope": "global"}, "scope must be one of ['global', 'context', 'request'] (got 'globl')"),
-        ({"context": None}, "context tag must be a string"),
-        ({"action": {"boost": 0.5}}, "boost delta must lie in [-1, 1] (got 2)"),
-        ({}, "predicate must be a non-empty object"),
+        ({"action": {"boost": 2}}, "rule 5: action must be exactly one of exclude / require_at_least / boost"),
+        ({"id": "r"}, "each rule needs a non-empty string 'id'"),
+        ({"scope": "global"}, "rule 'r': scope must be one of ['global', 'context', 'request'] (got 'globl')"),
+        ({"context": None}, "rule 'r': context tag must be a string"),
+        ({"action": {"boost": 0.5}}, "rule 'r': boost delta must lie in [-1, 1] (got 2)"),
+        ({}, "rule 'r': predicate must be a non-empty object"),
     ]:
         with pytest.raises(ValidationError) as info:
             parse_rule(schema, obj)
-        assert str(info.value) == f"rule 'r': {message}"
+        assert str(info.value) == message
         obj.update(fix)
+
+
+@pytest.mark.parametrize("rule_id", [5, "", None, True, ["r"]], ids=repr)
+def test_a_hand_built_rule_needs_a_non_empty_string_id(schema, rule_id):
+    # A rule built in code with another id would apply and write a trace
+    # that explain refuses.
+    with pytest.raises(ValidationError) as built:
+        Rule(rule_id, "global", CLIMATE, "exclude")
+    with pytest.raises(ValidationError) as parsed:
+        rule(schema, id=rule_id, scope="global", predicate=CLIMATE, action={"exclude": True})
+    assert str(built.value) == str(parsed.value) == "each rule needs a non-empty string 'id'"
 
 
 def test_a_rule_set_refuses_request_scope_rules():

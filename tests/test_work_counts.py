@@ -86,15 +86,15 @@ REQUESTS = {
 # The counts when each was last pinned, as upper bounds.
 PINS = {
     "score --ids": dict(rows=460, cells=0, entries=0, fold_steps=0, pair_sums=0, number_checks=459),
-    "rerank list": dict(rows=299, cells=0, entries=6174, fold_steps=64, pair_sums=0, number_checks=263),
-    "rerank list --lambda": dict(rows=432, cells=0, entries=2550, fold_steps=173, pair_sums=0, number_checks=442),
-    "rerank summary": dict(rows=357, cells=6786, entries=3024, fold_steps=72, pair_sums=0, number_checks=303),
-    "rerank sequence": dict(rows=409, cells=48, entries=16, fold_steps=166, pair_sums=0, number_checks=289),
-    "rerank interaction": dict(rows=300, cells=0, entries=816, fold_steps=55, pair_sums=0, number_checks=265),
+    "rerank list": dict(rows=100, cells=0, entries=6174, fold_steps=64, pair_sums=0, number_checks=163),
+    "rerank list --lambda": dict(rows=150, cells=0, entries=2550, fold_steps=173, pair_sums=0, number_checks=160),
+    "rerank summary": dict(rows=120, cells=6786, entries=3024, fold_steps=72, pair_sums=0, number_checks=183),
+    "rerank sequence": dict(rows=158, cells=48, entries=16, fold_steps=166, pair_sums=0, number_checks=159),
+    "rerank interaction": dict(rows=200, cells=0, entries=816, fold_steps=55, pair_sums=0, number_checks=165),
     "rerank sequence --rules, 2k documents": dict(
-        rows=5807, cells=904, entries=1356, fold_steps=8789, pair_sums=0, number_checks=4072
+        rows=2002, cells=904, entries=1356, fold_steps=8789, pair_sums=0, number_checks=2082
     ),
-    "oracle": dict(rows=44, cells=231, entries=0, fold_steps=0, pair_sums=35, number_checks=82),
+    "oracle": dict(rows=22, cells=231, entries=0, fold_steps=0, pair_sums=35, number_checks=82),
 }
 
 
