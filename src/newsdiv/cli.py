@@ -68,7 +68,7 @@ def cmd_score(args) -> str:
         docs = [corpus.documents[i] for i in wanted]
         _check_unique_ids(docs, "--ids")
     else:
-        docs = corpus.docs()
+        docs = corpus._pool  # the loader's rows, resolved once
     return corpus_io.write_report(collection_diversity(schema, docs))
 
 
@@ -103,12 +103,15 @@ _MODE_FLAGS = (
 
 
 def _check_flags(args) -> None:
-    """Refuse a given flag that the chosen rerank mode would ignore."""
+    """Refuse a given flag that the chosen rerank mode would ignore, and a
+    --k other than 1 in the modes that select one document."""
     for flag, dest, mode in _MODE_FLAGS:
         if getattr(args, dest) is not None and args.mode != mode:
             raise ContractError(f"{flag} is read only in {mode} mode (got --mode {args.mode})")
     if args.context and args.rules is None:
         raise ContractError(f"--context is read only with --rules (got --mode {args.mode} without --rules)")
+    if args.mode in ("sequence", "interaction") and args.k != 1:
+        raise ContractError(f"{args.mode} mode selects one document, so --k must be 1 (got --k {args.k})")
 
 
 def cmd_rerank(args) -> str:

@@ -343,7 +343,10 @@ def _distance_matrix(
 
 def collection_diversity(schema: AspectSchema, docs: Sequence[DocumentProfile]) -> DiversityReport:
     """Mean pairwise blended distance, with the per-aspect decomposition.
-    Every label is checked, even in a list of fewer than two (which scores 0)."""
+    Every label is checked, even in a list of fewer than two (which scores 0);
+    a loader's pool was checked on load and brings its rows."""
+    if isinstance(docs, _Pool):
+        return _diversity(schema, docs.rows)
     return _diversity(schema, [_label_indices(schema, d) for d in docs])
 
 

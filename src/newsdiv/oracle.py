@@ -22,41 +22,33 @@ can win either and the level ends. When r = n - j only one completion is
 left; it is bounded once and then summed without descending further. Half
 the tie tolerance (5e-10 per pair) is far above the rounding error of these
 sums, so a pruned subset could never have beaten the best by more than the
-tolerance. A subset that survives is summed exactly as plain enumeration
-sums it, row-major over its indices, and compared the same way. It reads
-only distances from an index to a larger one: the upper triangle, half the
-matrix.
+tolerance. A subset that survives is summed correctly rounded, with
+math.fsum, as plain enumeration sums it, and compared the same way. It
+reads only distances from an index to a larger one: the upper triangle,
+half the matrix.
 
 Documents with the same label-index row are interchangeable, so the search
 visits only canonical subsets: those that never skip a document and then
-take a later one with the same row. Every subset has the value of the
-canonical subset with the same count per row, whose picks are each row's
-first members, and that canonical subset comes first in lexicographic
-order. Once the search has passed it, summed or pruned, best_sum is at least
-its value minus the tolerance, and best_sum never falls, so a later subset
-of the same value is never more than the tolerance higher and cannot
-replace the best. A frame that skips index j sets the gains of j's later
-row members to -inf, which drops them from the bound and from every leaf,
-and the search then only skips them; a last pick x needs no member of its
-row in [j, x). So the work follows the distinct label tuples and how many
-documents share each, not the number of documents, and tied documents are
-never searched in every order.
-
-Exact sums of the same distances are equal, but float sums in another order
-can differ by a few ulps: at most pairs**2 * 2**-52, distances being at
-most 1. A non-canonical subset could therefore replace where its canonical
-one did not only if the canonical sum fell short of best_sum + tolerance by
-no more than that. When a canonical sum lands there in a pool with a
-repeated row, the search runs once more with every document its own row,
-which is the search over every subset. Either way the search returns the
-subset plain enumeration would.
+take a later one with the same row. Every subset sums the same distances as
+the canonical subset with the same count per row, whose picks are each
+row's first members, and a correctly rounded sum of the same distances is
+the same float in any order. That canonical subset comes first in
+lexicographic order. Once the search has passed it, summed or pruned,
+best_sum is at least its sum minus the tolerance, and best_sum never falls,
+so a later subset with the same sum is never more than the tolerance higher
+and cannot replace the best. A frame that skips index j sets the gains of
+j's later row members to -inf, which drops them from the bound and from
+every leaf, and the search then only skips them; a last pick x needs no
+member of its row in [j, x). So the work follows the distinct label tuples
+and how many documents share each, not the number of documents, and tied
+documents are never searched in every order.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from operator import add
-from typing import Hashable, Sequence
+from typing import Sequence
 
 from .aspect_model import AspectSchema
 from .errors import GuardExceededError
@@ -91,12 +83,11 @@ def max_diversity_oracle(schema: AspectSchema, pool: Sequence[DocumentProfile], 
     within TIE_TOLERANCE count as tied and resolve to the lexicographically
     smallest id tuple. Subsets whose upper bound cannot beat the best are
     skipped, and so is every subset that takes a later document in place of
-    an earlier one with the same labels: it has the same value, comes later
-    and so cannot win. A sum within rounding of the tie edge reruns the
-    search over every subset (see the module docstring). The result equals
-    that of summing every subset, and the cost follows the distinct label
-    tuples, not the documents. `evaluated` counts the subsets covered, summed
-    or bounded out: always C(|pool|, k). Guarded: C(|pool|, k) above
+    an earlier one with the same labels: it has the same pair sum, bit for
+    bit, comes later and so cannot win. The result equals that of summing
+    every subset, and the cost follows the distinct label tuples, not the
+    documents. `evaluated` counts the subsets covered, summed or bounded
+    out: always C(|pool|, k). Guarded: C(|pool|, k) above
     ENUMERATION_GUARD raises GuardExceededError instead of running, and
     duplicate document ids raise ContractError.
     """
@@ -121,14 +112,10 @@ def max_diversity_oracle(schema: AspectSchema, pool: Sequence[DocumentProfile], 
 
 
 def _pair_sum(upper: list[list[float]], combo: tuple[int, ...]) -> float:
-    """Pair sum of one subset, row-major: the order plain enumeration adds
-    in. upper[i][y - i - 1] is the distance between i and y > i."""
-    s = 0.0
-    for a, i in enumerate(combo):
-        row, skip = upper[i], i + 1
-        for b in combo[a + 1:]:
-            s += row[b - skip]
-    return s
+    """Pair sum of one subset, correctly rounded, as plain enumeration sums
+    it: subsets with the same distances get the same float in any order.
+    upper[i][y - i - 1] is the distance between i and y > i."""
+    return math.fsum(upper[i][y - i - 1] for a, i in enumerate(combo) for y in combo[a + 1:])
 
 
 def _reach(upper: list[list[float]]) -> list[list[float]]:
@@ -141,18 +128,15 @@ def _reach(upper: list[list[float]]) -> list[list[float]]:
     return reach[::-1]
 
 
-def _search(upper: list[list[float]], k: int, tolerance: float, rows: Sequence[Hashable]) -> tuple[int, ...]:
+def _search(upper: list[list[float]], k: int, tolerance: float, rows: Sequence) -> tuple[int, ...]:
     """The k-subset (1 < k < n) plain enumeration keeps: in lexicographic
     order, each subset replaces the best so far when its pair sum is more
-    than `tolerance` higher. rows[x] is x's label-index row; only canonical
-    subsets are visited, and a sum on the tolerance edge reruns the search
-    with every index its own row (see the module docstring). Depth first with
-    an explicit stack, because k can reach the thousands, beyond the
+    than `tolerance` higher. rows[x] is x's label-index row, and only
+    canonical subsets are visited: one pass, whatever the sums. Depth first
+    with an explicit stack, because k can reach the thousands, beyond the
     recursion limit."""
     n = len(upper)
     half = tolerance / 2
-    pairs = k * (k - 1) // 2
-    slack = pairs * pairs * 2.0**-52  # how far two orders of one pair sum can differ
     reach = _reach(upper)
     # later[x]: the indices after x with x's row; prev[x]: the last one
     # before x, or -1.
@@ -163,7 +147,7 @@ def _search(upper: list[list[float]], k: int, tolerance: float, rows: Sequence[H
         place.append((same, len(same) + 1))
         same.append(x)
     later = [same[a:] for same, a in place]
-    best_sum, best_combo, edge = -1.0, (), False
+    best_sum, best_combo = -1.0, ()
     # Frame: next index j, prefix, its pair sum, and gains[x - j] = summed
     # distance from x to the prefix members, for x >= j only: a frame never
     # reads an index below its j, so a deep stack holds no dead prefixes.
@@ -196,8 +180,4 @@ def _search(upper: list[list[float]], k: int, tolerance: float, rows: Sequence[H
             s = _pair_sum(upper, combo)
             if s > best_sum + tolerance:
                 best_sum, best_combo = s, combo
-            elif s >= best_sum + tolerance - slack:
-                edge = True
-    if edge and len(members) < n:
-        return _search(upper, k, tolerance, range(n))
     return best_combo

@@ -471,11 +471,8 @@ def enumerate_oracle(schema: AspectSchema, pool: Sequence[DocumentProfile], k: i
     best_combo = None
     best_sum = -1.0
     for combo in combinations(range(n), k):
-        s = 0.0
-        for a in range(k):
-            row = matrix[combo[a]]
-            for b in range(a + 1, k):
-                s += row[combo[b]]
+        # Correctly rounded: the same distances give the same sum in any order.
+        s = math.fsum(matrix[i][y] for a, i in enumerate(combo) for y in combo[a + 1:])
         if s > best_sum + tolerance:
             best_sum = s
             best_combo = combo

@@ -130,7 +130,7 @@ def test_the_cli_prints_what_the_checked_library_calls_print(files, name):
     mode, flags = REQUESTS[name]
     flags = {flag: str(files.get(value, value)) for flag, value in flags.items()}
     argv = ["rerank", "--schema", files["schema"], "--corpus", files["corpus"], "--mode", mode,
-            "--k", K, "--rules", files["rules"], "--context", "election", "--history", files["history"],
+            "--k", 1 if mode in ("sequence", "interaction") else K, "--rules", files["rules"], "--context", "election", "--history", files["history"],
             *chain.from_iterable(flags.items())]
     expected = library_rerank(files, mode, flags)
     assert run_cli(argv) == expected

@@ -481,9 +481,13 @@ def test_an_empty_flag_value_is_not_an_absent_flag(paths, capsys, flags, code, m
          "--window is read only in sequence mode (got --mode interaction)"),
         (["--mode", "sequence", "--history", "{history}", "--lambda", "0.5"],
          "--lambda is read only in list mode (got --mode sequence)"),
+        (["--mode", "sequence", "--history", "{history}", "--k", "7"],
+         "sequence mode selects one document, so --k must be 1 (got --k 7)"),
+        (["--mode", "interaction", "--interactions", "{interactions}", "--k", "7"],
+         "interaction mode selects one document, so --k must be 1 (got --k 7)"),
     ],
     ids=["window", "type-weights", "interactions", "gamma", "context", "lambda-summary", "window-interaction",
-         "lambda-sequence"],
+         "lambda-sequence", "k-sequence", "k-interaction"],
 )
 def test_a_flag_the_mode_ignores_exits_2(paths, capsys, flags, message):
     argv = ["rerank", *S, "--k", "2", *flags]

@@ -281,7 +281,7 @@ def test_pools_are_checked_and_ordered_by_id_in_one_helper():
         "metrics._by_id": True, "cli.cmd_score": False, "rules.apply_rules": True,
     }
     assert _unless_pool("_label_indices") == {
-        "metrics._by_id": True, "metrics.collection_diversity": False,
+        "metrics._by_id": True, "metrics.collection_diversity": True,
         "diversify.next_in_sequence": False, "diversify.suggest_interaction": False,
     }
     assert _unless_pool("_row") == {

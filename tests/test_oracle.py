@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 from newsdiv import oracle
 from newsdiv.aspect_model import Aspect, AspectSchema
 from newsdiv.errors import ContractError, GuardExceededError, UnknownEntityError
-from newsdiv.metrics import DocumentProfile, Window, collection_diversity
+from newsdiv.metrics import TIE_TOLERANCE, DocumentProfile, Window, _by_id, _distance_matrix, collection_diversity
 from newsdiv.diversify import next_in_sequence
 from newsdiv.oracle import max_diversity_oracle
 
@@ -200,51 +200,66 @@ def test_search_work_follows_distinct_tuples(monkeypatch):
     assert result.best_subset == ("r00", "r01", "r02", "r03", "r07", "r09")
 
 
-def counted_searches(monkeypatch):
-    """Record the rows argument of every _search call, the fallback's too."""
-    search, seen = oracle._search, []
+@pytest.fixture
+def searches(monkeypatch):
+    """One entry per _search call, a call from _search itself included."""
+    search, calls = oracle._search, []
 
-    def counting(upper, k, tolerance, rows):
-        seen.append(list(rows))
-        return search(upper, k, tolerance, rows)
+    def counting(*args):
+        calls.append(args)
+        return search(*args)
 
     monkeypatch.setattr(oracle, "_search", counting)
-    return seen
+    return calls
 
 
-def test_sum_on_the_tolerance_edge_reruns_the_search_over_every_subset(monkeypatch):
+def test_sum_on_the_tolerance_edge_keeps_the_first_in_one_search(searches):
     """Dyadic distances and a power-of-two tolerance add exactly: the
     canonical (0, 1, 3) sums to 1.0625, exactly the best (0, 1, 2) plus the
-    tolerance, so the search runs again with every index its own row. Its
-    reordering (1, 2, 3) sums to the same, so the pick stays."""
+    tolerance, so it does not replace it, and neither does its reordering
+    (1, 2, 3), which sums to the same."""
     # Rows p, q, p, r: d(p, q) = 0.5, d(p, r) = 0.25, d(q, r) = 0.3125.
     upper = [[0.5, 0.0, 0.25], [0.5, 0.3125], [0.25], []]
     tolerance = 2.0**-4
-    seen = counted_searches(monkeypatch)
     got = oracle._search(upper, 3, tolerance, "pqpr")
-    assert seen == [list("pqpr"), [0, 1, 2, 3]]
+    assert len(searches) == 1
     plain, best = None, -1.0  # plain enumeration at this tolerance
     for combo in combinations(range(4), 3):
         s = oracle._pair_sum(upper, combo)
         if s > best + tolerance:
             plain, best = combo, s
-    assert got == oracle._search(upper, 3, tolerance, range(4)) == plain == (0, 1, 2)
+    assert got == plain == (0, 1, 2)
 
 
-def test_reordered_sum_one_ulp_past_the_tolerance_wins_as_in_enumeration(monkeypatch):
-    """(d0, d1, d3) sums to exactly 0.8 + 3e-9, the best (d0, d1, d2) plus
-    the tolerance, and does not replace it; its reordering (d1, d2, d3) adds
-    the same distances in another order, lands one ulp higher and does.
-    Canonical subsets alone would keep (d0, d1, d2)."""
+def test_reordered_subsets_sum_alike_so_the_first_stays(searches):
+    """(d0, d1, d3) and (d1, d2, d3) hold the same label rows. Added
+    row-major, their distances land one ulp apart on either side of the
+    best (d0, d1, d2) plus the tolerance; correctly rounded, they sum to one
+    float, which does not replace the best, and one search finds it."""
     # Labels p, q, p, r: d2 repeats d0's row.
-    distances = {("p", "q"): 0.4, ("p", "r"): 0.15, ("q", "r"): 0.2500000030000001}
+    pq, pr, qr = 0.4, 0.15, 0.2500000030000001
+    assert pq + pr + qr != pq + qr + pr  # the two row-major orders
+    upper = [[pq, 0.0, pr], [pq, qr], [pr], []]
+    assert oracle._pair_sum(upper, (0, 1, 3)) == oracle._pair_sum(upper, (1, 2, 3))
+    distances = {("p", "q"): pq, ("p", "r"): pr, ("q", "r"): qr}
     schema = AspectSchema(aspects=(Aspect("t", ["p", "q", "r"], distances),), weights={"t": 1.0})
     docs = [DocumentProfile(id=f"d{i}", labels={"t": label}) for i, label in enumerate("pqpr")]
-    seen = counted_searches(monkeypatch)
     got = max_diversity_oracle(schema, docs, 3)
-    assert len(seen) == 2
-    assert got.best_subset == ("d1", "d2", "d3")
+    assert len(searches) == 1
+    assert got.best_subset == ("d0", "d1", "d2")
     assert got.as_dict() == enumerate_oracle(schema, docs, 3).as_dict()
+
+
+def test_canonical_search_equals_the_search_over_every_subset_on_narrow_pools():
+    """With every index its own row the search visits every subset; on
+    pools that repeat rows, the canonical search picks the same one."""
+    for seed in range(200):
+        schema, docs, k = narrow_instance(seed)
+        _, rows = _by_id(schema, docs, "pool")
+        upper = list(_distance_matrix(schema, rows))
+        tolerance = TIE_TOLERANCE * (k * (k - 1) // 2)
+        every = oracle._search(upper, k, tolerance, range(len(rows)))
+        assert oracle._search(upper, k, tolerance, rows) == every, seed
 
 
 def test_oracle_value_is_the_exact_maximum():

@@ -65,6 +65,7 @@ def _request(tmp_path, seed, shape, n, command, *, k=None, ids=0, head=0, histor
 
 RERANK = ["rerank", "--mode"]
 REQUESTS = {
+    "score": lambda p: _request(p, 1, "wide", 400, ["score"]),
     "score --ids": lambda p: _request(p, 1, "wide", 400, ["score"], ids=60),
     "rerank list": lambda p: _request(p, 2, "wide", 100, RERANK + ["list"], k=10, head=10, n_rules=4),
     "rerank list --lambda": lambda p: _request(
@@ -85,6 +86,7 @@ REQUESTS = {
 
 # The counts when each was last pinned, as upper bounds.
 PINS = {
+    "score": dict(rows=400, cells=0, entries=0, fold_steps=0, pair_sums=0, number_checks=459),
     "score --ids": dict(rows=460, cells=0, entries=0, fold_steps=0, pair_sums=0, number_checks=459),
     "rerank list": dict(rows=100, cells=0, entries=6174, fold_steps=64, pair_sums=0, number_checks=163),
     "rerank list --lambda": dict(rows=150, cells=0, entries=2550, fold_steps=173, pair_sums=0, number_checks=160),
