@@ -1,7 +1,9 @@
 """Loading the engine's line-delimited JSON file formats; writing reports.
 
 Corpus files hold one document object per line; interaction and history
-files hold one event per line. Errors carry 1-based line numbers. A schema
+files hold one event per line. Errors carry 1-based line numbers. Documents,
+keywords and interaction records check their own fields as they are built,
+and the loaders add the line number to the message. A schema
 remembers the label rows it has checked, so the corpus loader checks each
 distinct label tuple once. The loader keeps each document's row: besides
 the documents keyed by id, a `Corpus` holds the one checked pool, the
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .aspect_model import AspectSchema
-from .errors import ValidationError, json_decode_error, json_isinstance, json_number_in
+from .errors import ValidationError, json_decode_error, json_isinstance
 from .metrics import DocumentProfile, InteractionLog, InteractionRecord, Keyword, _Pool
 from .rules import Rule, RuleSet, parse_rule
 
@@ -61,23 +63,14 @@ def _iter_jsonl(text: str, what: str):
         yield lineno, obj
 
 
-def _parse_keywords(lineno: int, doc_id: str, raw) -> tuple[Keyword, ...]:
-    if raw is None:
-        return ()
-    if not isinstance(raw, list):
-        raise ValidationError(f"corpus line {lineno}: 'keywords' for {doc_id!r} must be a list")
-    keywords = []
-    for entry in raw:
-        if (
-            not isinstance(entry, dict)
-            or not isinstance(entry.get("term"), str)
-            or not isinstance(entry.get("labels"), dict)
-        ):
-            raise ValidationError(
-                f"corpus line {lineno}: keyword entries need a 'term' and a 'labels' map"
-            )
-        keywords.append(Keyword(term=entry["term"], labels=dict(entry["labels"])))
-    return tuple(keywords)
+def _parse_keywords(doc_id, raw) -> tuple[Keyword, ...]:
+    """A keyword list as Keywords, which check their fields; a non-object entry has neither."""
+    if raw.__class__ is not list:
+        raise ValidationError(f"'keywords' for {doc_id!r} must be a list")
+    return tuple(
+        Keyword(entry.get("term"), entry.get("labels")) if entry.__class__ is dict else Keyword(None, None)
+        for entry in raw
+    )
 
 
 def validate_labels(schema: AspectSchema, labels: Mapping[str, str], where: str) -> tuple[int, ...]:
@@ -109,53 +102,36 @@ def load_corpus(schema: AspectSchema, text: str) -> Corpus:
         {"id": "a1", "labels": {"topic": "Climate", "frame": "Health"},
          "relevance": 0.9, "timestamp": 1700000000, "keywords": [...]}
 
-    relevance, timestamp, and keywords are optional. Duplicate ids and any
-    schema violation raise with the offending line number. Each distinct
-    label tuple is checked once per schema: the schema remembers the rows
-    it has checked, for this load, later loads and every mode. So a
-    document costs the scan of its line plus one row lookup, a few class
-    tests on what the scan decoded and `DocumentProfile(...)`, whose own
-    `__init__` fills the instance dict directly.
+    relevance, timestamp, and keywords are optional. A document checks its
+    own fields as it is built; the loader adds the line number to its
+    message and checks what needs the JSON, the schema or the other
+    documents: the object and its keyword list, duplicate ids, and the
+    labels of the document and of each keyword against the schema. Each
+    distinct label tuple is checked once per schema: the schema remembers
+    the rows it has checked, for this load, later loads and every mode. So
+    a document costs the scan of its line plus one row lookup, a class test
+    on the decoded object and `DocumentProfile(...)`, whose own `__init__`
+    checks its fields and fills the instance dict directly.
     """
     documents: dict[str, DocumentProfile] = {}
     rows = []  # each document's, in file order
     # The decoder builds only plain dict, list, str, int, float, bool and
-    # None objects, so a class test is the isinstance test, and an int class
-    # test also rejects a bool.
+    # None objects, so a class test is the isinstance test.
     for lineno, obj in _iter_jsonl(text, "corpus"):
         if obj.__class__ is not dict:
             raise ValidationError(f"corpus line {lineno}: document must be a JSON object")
-        doc_id = obj.get("id")
-        if doc_id.__class__ is not str or not doc_id:
-            raise ValidationError(f"corpus line {lineno}: document needs a non-empty string 'id'")
+        doc_id, labels, keywords = obj.get("id"), obj.get("labels"), obj.get("keywords")
+        try:
+            keywords = _parse_keywords(doc_id, keywords) if keywords is not None else ()
+            doc = DocumentProfile(doc_id, labels, obj.get("relevance"), obj.get("timestamp"), keywords)
+        except ValidationError as exc:
+            raise ValidationError(f"corpus line {lineno}: {exc}") from exc
         if doc_id in documents:
             raise ValidationError(f"corpus line {lineno}: duplicate document id {doc_id!r}")
-        labels = obj.get("labels")
-        if labels.__class__ is not dict:
-            raise ValidationError(f"corpus line {lineno}: document {doc_id!r} needs a 'labels' map")
         rows.append(validate_labels(schema, labels, f"corpus line {lineno}"))
-        relevance = obj.get("relevance")
-        if relevance is not None:
-            if not json_number_in(relevance, 0.0, 1.0):
-                raise ValidationError(
-                    f"corpus line {lineno}: relevance for {doc_id!r} must lie in [0, 1] "
-                    f"(got {relevance!r})"
-                )
-            if relevance.__class__ is not float:
-                relevance = float(relevance)
-        timestamp = obj.get("timestamp")
-        if timestamp is not None and timestamp.__class__ is not int:
-            raise ValidationError(
-                f"corpus line {lineno}: timestamp for {doc_id!r} must be an integer"
-            )
-        keywords = obj.get("keywords")
-        if keywords is None:
-            keywords = ()
-        else:
-            keywords = _parse_keywords(lineno, doc_id, keywords)
-            for kw in keywords:
-                validate_labels(schema, kw.labels, f"corpus line {lineno}: keyword {kw.term!r}")
-        documents[doc_id] = DocumentProfile(doc_id, labels, relevance, timestamp, keywords)
+        for kw in keywords:
+            validate_labels(schema, kw.labels, f"corpus line {lineno}: keyword {kw.term!r}")
+        documents[doc_id] = doc
     return Corpus(documents, _Pool(documents.values(), rows))
 
 
@@ -173,16 +149,10 @@ def load_interactions(
     for lineno, obj in _iter_jsonl(text, "interactions"):
         if not isinstance(obj, dict):
             raise ValidationError(f"interactions line {lineno}: interaction must be a JSON object")
-        for key, kind in (("user", str), ("doc", str), ("type", str), ("ts", int)):
-            if not json_isinstance(obj.get(key), kind):
-                raise ValidationError(
-                    f"interactions line {lineno}: interaction needs {key!r} of type {kind.__name__}"
-                )
-        records.append(
-            InteractionRecord(
-                user=obj["user"], doc=obj["doc"], type=obj["type"], ts=obj["ts"]
-            )
-        )
+        try:
+            records.append(InteractionRecord(obj.get("user"), obj.get("doc"), obj.get("type"), obj.get("ts")))
+        except ValidationError as exc:
+            raise ValidationError(f"interactions line {lineno}: {exc}") from exc
     if type_weights is None:
         types = sorted({r.type for r in records})
         if not types:

@@ -34,7 +34,6 @@ from .metrics import (
     _by_id,
     _candidate_values,
     _check_k,
-    _check_relevance,
     _distance_matrix,
     _diversity,
     _label_indices,
@@ -376,8 +375,6 @@ def rerank_combined(
     missing = [d.id for d in docs if d.relevance is None]
     if missing:
         raise ContractError(f"documents missing relevance scores: {missing}")
-    if not isinstance(pool, _Pool):  # a loader's pool holds scores in [0, 1]
-        _check_relevance(docs)
 
     if lam == 0.0:
         base = _greedy(schema, docs, rows, k)

@@ -22,7 +22,7 @@ takes a pool selects by position in the pool `_by_id` builds once: the
 documents in id order and their rows. `_by_id` has two constructors. A
 `_Pool`, which only the corpus loader makes from documents, carries the
 rows the loader resolved and only has to be put in id order; any other
-sequence has its ids and then its labels checked.
+sequence has its entries and ids and then its labels checked.
 
 Per-aspect pair sums depend only on label counts. With c_l documents
 carrying label l and the aspect's distance matrix D,
@@ -62,19 +62,25 @@ class Keyword:
     term: str
     labels: Mapping[str, str]
 
+    def __post_init__(self):
+        if not isinstance(self.term, str) or not isinstance(self.labels, Mapping):
+            raise ValidationError("keyword entries need a 'term' and a 'labels' map")
+
 
 @dataclass(frozen=True)
 class DocumentProfile:
     """A document reduced to its aspect labels plus optional extras.
 
-    `labels` must hold exactly one label per schema aspect (validated by the
-    corpus loader). `relevance` is an optional score in [0, 1], `timestamp`
-    an optional epoch-seconds integer, `keywords` optional labeled terms for
-    content-level diversity.
+    `id` is a non-empty string and `labels` a map, which must hold exactly
+    one label per schema aspect (checked by the corpus loader and the
+    modes). `relevance` is an optional score in [0, 1], stored as a float,
+    `timestamp` an optional epoch-seconds integer, `keywords` optional
+    labeled terms for content-level diversity.
 
-    The dataclass keeps the class's own `__init__`, which fills the instance
-    dict directly (the generated one makes an `object.__setattr__` call per
-    field) and so would skip a `__post_init__`.
+    A document checks its own fields, as a `Rule` does, also when copied
+    with `dataclasses.replace`, in the class's own `__init__`: it fills the
+    instance dict directly (the generated one makes an `object.__setattr__`
+    call per field) and so would skip a `__post_init__`.
     """
 
     id: str
@@ -85,6 +91,19 @@ class DocumentProfile:
 
     def __init__(self, id: str, labels: Mapping[str, str], relevance: float | None = None,
                  timestamp: int | None = None, keywords: tuple[Keyword, ...] = ()) -> None:
+        if id.__class__ is not str and not isinstance(id, str) or not id:
+            raise ValidationError("document needs a non-empty string 'id'")
+        if labels.__class__ is not dict and not isinstance(labels, Mapping):
+            raise ValidationError(f"document {id!r} needs a 'labels' map")
+        if relevance is not None:
+            if not json_number_in(relevance, 0.0, 1.0):
+                raise ValidationError(f"relevance for {id!r} must lie in [0, 1] (got {relevance!r})")
+            if relevance.__class__ is not float:
+                relevance = float(relevance)
+        if timestamp is not None and timestamp.__class__ is not int and not json_isinstance(timestamp, int):
+            raise ValidationError(f"timestamp for {id!r} must be an integer")
+        if keywords and not (isinstance(keywords, tuple) and all(isinstance(kw, Keyword) for kw in keywords)):
+            raise ValidationError(f"keywords for {id!r} must be a tuple of Keyword entries")
         fields = self.__dict__
         fields["id"] = id
         fields["labels"] = labels
@@ -99,10 +118,17 @@ class DocumentProfile:
 
 @dataclass(frozen=True)
 class InteractionRecord:
+    """One interaction: string user, document id and type, integer time."""
+
     user: str
     doc: str
     type: str
     ts: int
+
+    def __post_init__(self):
+        for key, kind in (("user", str), ("doc", str), ("type", str), ("ts", int)):
+            if not json_isinstance(getattr(self, key), kind):
+                raise ValidationError(f"interaction needs {key!r} of type {kind.__name__}")
 
 
 @dataclass(frozen=True)
@@ -113,6 +139,11 @@ class InteractionLog:
     type_weights: Mapping[str, float]
 
     def __post_init__(self):
+        if not isinstance(self.records, (tuple, list)):
+            raise ValidationError(f"interaction log records must be a tuple (got {self.records!r})")
+        wrong = [r for r in self.records if not isinstance(r, InteractionRecord)]
+        if wrong:
+            raise ValidationError(f"interaction log records must be InteractionRecord entries (got {wrong!r})")
         if not isinstance(self.type_weights, Mapping):
             raise ValidationError(
                 f"interaction type weights must map types to numbers (got {self.type_weights!r})"
@@ -203,12 +234,13 @@ def _label_indices(schema: AspectSchema, doc: DocumentProfile) -> tuple[int, ...
 
 
 def _check_unique_ids(docs: Sequence[DocumentProfile], what: str) -> None:
-    """Document ids must be unique strings. The modes that sort by id check
-    them first, so a wrong id is named here and never fails the sort."""
-    ids = [d.id for d in docs]
-    wrong = [i for i in ids if not isinstance(i, str)]
+    """Every entry must be a document, and their ids unique. A document's id
+    is a string by construction, so the modes that sort by id check here
+    first, and a wrong entry is named here and never fails the sort."""
+    wrong = [d for d in docs if not isinstance(d, DocumentProfile)]
     if wrong:
-        raise ContractError(f"{what} contains document ids that are not strings: {wrong}")
+        raise ContractError(f"{what} contains entries that are not documents: {wrong}")
+    ids = [d.id for d in docs]
     if len(set(ids)) != len(ids):
         dupes = sorted(i for i, c in Counter(ids).items() if c > 1)
         raise ContractError(f"{what} contains duplicate document ids: {dupes}")
@@ -222,13 +254,13 @@ def _check_k(k: int, n: int) -> None:
 
 class _Pool(tuple):
     """Documents the corpus loader checked, in file order, with `rows`, their
-    rows in the same order: their ids are unique strings, their labels
-    resolved and their relevance scores in [0, 1]. Only the loader builds
-    one from documents. Every other is built from one: a filter or a split
-    of it, or the CLI's copy with the rules' boosted relevance, which the
-    rules clamp to [0, 1]. The CLI, which alone holds the loader's pool, is
-    the only caller that passes one; a list or a tuple, the public
-    `Corpus.docs()` included, is always checked."""
+    rows in the same order: their ids are unique and their labels resolved.
+    (Each document checked its own fields when it was built.) Only the
+    loader builds one from documents. Every other is built from one: a
+    filter or a split of it, or the CLI's copy with the rules' boosted
+    relevance. The CLI, which alone holds the loader's pool, is the only
+    caller that passes one; a list or a tuple, the public `Corpus.docs()`
+    included, is always checked."""
 
     def __new__(cls, docs: Iterable[DocumentProfile], rows: list[tuple]) -> _Pool:
         pool = tuple.__new__(cls, docs)
@@ -251,13 +283,6 @@ def _by_id(schema: AspectSchema, docs: Sequence[DocumentProfile], what: str) -> 
     _check_unique_ids(docs, what)
     ordered = sorted(docs, key=lambda d: d.id)
     return ordered, [_label_indices(schema, d) for d in ordered]
-
-
-def _check_relevance(docs: Sequence[DocumentProfile]) -> None:
-    """A relevance score, where a document has one, is a number in [0, 1]."""
-    outside = [d.id for d in docs if d.relevance is not None and not json_number_in(d.relevance, 0.0, 1.0)]
-    if outside:
-        raise ContractError(f"documents with relevance outside [0, 1]: {sorted(outside)}")
 
 
 def _counts(rows: Sequence[Sequence[int]], a: int) -> dict[int, int]:
@@ -351,16 +376,13 @@ def collection_diversity(schema: AspectSchema, docs: Sequence[DocumentProfile]) 
 
 
 def _check_sorted(docs: Sequence[DocumentProfile]) -> bool:
-    """True when timestamps are present; ContractError on mixed, non-integer or unsorted input."""
+    """True when timestamps are present; ContractError on mixed or unsorted input."""
     stamps = [d.timestamp for d in docs]
     have = [s for s in stamps if s is not None]
     if not have:
         return False
     if len(have) != len(stamps):
         raise ContractError("sequence mixes documents with and without timestamps")
-    bad = [s for s in have if not json_isinstance(s, int)]
-    if bad:
-        raise ContractError(f"sequence timestamps must be integers (got {bad})")
     for earlier, later in zip(stamps, stamps[1:]):
         if later < earlier:
             raise ContractError("sequence is not sorted by timestamp (non-decreasing required)")

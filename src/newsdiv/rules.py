@@ -9,8 +9,8 @@ items it matches: a leaf ORs label masks, and `all`, `any` and `not` are
 `&`, `|` and `^`. apply_rules builds one item set over the distinct label
 tuples among the candidates, so a rule costs one mask over those tuples.
 It groups the loader's pool by the rows the loader stored and returns its
-survivors as a pool, with their rows; any other candidate list has its ids
-and relevance checked and is grouped by rows it resolves. After the rule
+survivors as a pool, with their rows; any other candidate list has its
+entries and ids checked and is grouped by rows it resolves. After the rule
 loop, _fold adds each boosted document's deltas in rule order, clamping
 each sum, and keeps only the final relevance and each rule's clamp count.
 check_requirements counts a rule's matches in the final selection as the
@@ -39,7 +39,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .aspect_model import AspectSchema
 from .errors import UnknownEntityError, ValidationError, json_float, json_isinstance, json_number_in
-from .metrics import DocumentProfile, _Pool, _check_relevance, _check_unique_ids
+from .metrics import DocumentProfile, _Pool, _check_unique_ids
 
 SCOPES = ("global", "context", "request")
 
@@ -305,8 +305,8 @@ def apply_rules(
     require_at_least is left to check_requirements on the final selection,
     never enforced. Input profiles are not mutated, so applying the same
     rules to the output reproduces the same survivors and adjusted
-    relevance (idempotence). Duplicate candidate ids, and a relevance that
-    is not None or a number in [0, 1], raise ContractError.
+    relevance (idempotence). An entry that is not a document, or duplicate
+    candidate ids, raise ContractError.
 
     Each rule's hits are the set bits of one mask over the candidates'
     label groups. A boost only notes itself on the groups it hits; the
@@ -316,11 +316,10 @@ def apply_rules(
     # A compiled test reads only each aspect's label and accepts only schema
     # labels, so documents sharing a label-index row share every outcome.
     trusted = isinstance(candidates, _Pool)
-    if trusted:  # the loader checked its ids and relevance and resolved its rows
+    if trusted:  # the loader checked its ids and resolved its rows
         keys = candidates.rows
     else:
         _check_unique_ids(candidates, "candidate list")
-        _check_relevance(candidates)
         # One without a row is a group of its own, keyed by its unique id (never a row).
         keys = [schema._row(doc.labels) or doc.id for doc in candidates]
     by_key: dict[tuple | str, list[int]] = {}

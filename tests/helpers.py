@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import Mapping, Sequence
 
 from newsdiv.aspect_model import Aspect, AspectSchema, LabelGraph
-from newsdiv.corpus_io import Corpus, _parse_keywords
+from newsdiv.corpus_io import Corpus
 from newsdiv.diversify import DEFAULT_GAMMA, SWAP_EPSILON, RerankResult, _pick
 from newsdiv.errors import (
     ContractError,
@@ -33,6 +33,7 @@ from newsdiv.metrics import (
     DocumentProfile,
     InteractionLog,
     InteractionRecord,
+    Keyword,
     Window,
     _check_unique_ids,
     _diversity,
@@ -976,20 +977,31 @@ def _reference_validate_labels(schema: AspectSchema, labels: Mapping[str, str], 
 def reference_load_corpus(schema: AspectSchema, text: str) -> Corpus:
     """The corpus loader before the C-scanner decode and the schema's row
     table: a json.loads per line and validate_labels per document, the
-    reference corpus_io.load_corpus must match in result and message."""
+    reference corpus_io.load_corpus must match in result and message. A
+    line's own fields are checked first, in the order a document checks
+    them as it is built (its keyword list first, as the loader parses it
+    before it builds the document), then the duplicate id, then the labels
+    of the document and of each keyword against the schema."""
     documents: dict[str, DocumentProfile] = {}
     for lineno, obj in _reference_iter_jsonl(text, "corpus"):
         if not isinstance(obj, dict):
             raise ValidationError(f"corpus line {lineno}: document must be a JSON object")
         doc_id = obj.get("id")
+        keywords = obj.get("keywords")
+        if keywords is not None and not isinstance(keywords, list):
+            raise ValidationError(f"corpus line {lineno}: 'keywords' for {doc_id!r} must be a list")
+        for entry in keywords or ():
+            if (
+                not isinstance(entry, dict)
+                or not isinstance(entry.get("term"), str)
+                or not isinstance(entry.get("labels"), dict)
+            ):
+                raise ValidationError(f"corpus line {lineno}: keyword entries need a 'term' and a 'labels' map")
         if not isinstance(doc_id, str) or not doc_id:
             raise ValidationError(f"corpus line {lineno}: document needs a non-empty string 'id'")
-        if doc_id in documents:
-            raise ValidationError(f"corpus line {lineno}: duplicate document id {doc_id!r}")
         labels = obj.get("labels")
         if not isinstance(labels, dict):
             raise ValidationError(f"corpus line {lineno}: document {doc_id!r} needs a 'labels' map")
-        _reference_validate_labels(schema, labels, f"corpus line {lineno}")
         relevance = obj.get("relevance")
         if relevance is not None:
             if not json_isinstance(relevance, (int, float)) or not 0.0 <= relevance <= 1.0:
@@ -1003,7 +1015,10 @@ def reference_load_corpus(schema: AspectSchema, text: str) -> Corpus:
             raise ValidationError(
                 f"corpus line {lineno}: timestamp for {doc_id!r} must be an integer"
             )
-        keywords = _parse_keywords(lineno, doc_id, obj.get("keywords"))
+        if doc_id in documents:
+            raise ValidationError(f"corpus line {lineno}: duplicate document id {doc_id!r}")
+        _reference_validate_labels(schema, labels, f"corpus line {lineno}")
+        keywords = tuple(Keyword(term=entry["term"], labels=dict(entry["labels"])) for entry in keywords or ())
         for kw in keywords:
             _reference_validate_labels(schema, kw.labels, f"corpus line {lineno}: keyword {kw.term!r}")
         documents[doc_id] = DocumentProfile(

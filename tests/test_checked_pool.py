@@ -8,9 +8,13 @@ pin that split:
 - on a corpus whose lines are out of id order, with rules that exclude and
   boost, the CLI prints exactly what the public library calls print on
   `load_corpus(...).docs()`, for every rerank mode and the oracle;
-- a document a caller mutates after loading is still refused by every
-  public entry point, with the error it raised before the CLI stopped
-  checking.
+- a document whose labels a caller mutates after loading is still refused
+  by every public entry point that reads labels, with the error it raised
+  before the CLI stopped checking.
+
+A document, a keyword and an interaction record check their own fields
+when they are built, so a last table pins that every such input, and every
+entry that is not a document, ends in a `NewsdivError`.
 """
 
 import contextlib
@@ -34,8 +38,17 @@ from newsdiv.diversify import (
     suggest_interaction,
     swap_diversify,
 )
-from newsdiv.errors import ContractError, UnknownEntityError
-from newsdiv.metrics import Window, parse_window
+from newsdiv.errors import ContractError, NewsdivError, UnknownEntityError
+from newsdiv.metrics import (
+    InteractionLog,
+    InteractionRecord,
+    Keyword,
+    Window,
+    collection_diversity,
+    interaction_diversity,
+    keyword_diversity,
+    parse_window,
+)
 from newsdiv.oracle import max_diversity_oracle
 from newsdiv.rules import RuleSet, apply_rules, check_requirements
 
@@ -167,14 +180,9 @@ def _unlabel(doc):
     del doc.labels["topic"]
 
 
-def _overrate(doc):
-    doc.__dict__["relevance"] = 1.5  # a frozen dataclass a caller forced anyway
-
-
 MUTATIONS = {
     "unknown label": (_relabel, UnknownEntityError, "document 'a3' uses unknown label 'Sports' for aspect 'frame'"),
     "missing label": (_unlabel, ContractError, "document 'a3' is missing a label for aspect 'topic'"),
-    "relevance": (_overrate, ContractError, "documents with relevance outside [0, 1]: ['a3']"),
 }
 
 ENTRY_POINTS = {
@@ -193,11 +201,12 @@ ENTRY_POINTS = {
     ),
 }
 
-# Each entry point checks what it reads: the rules read relevance, not
-# labels; greedy, sequence, swap and the oracle read labels, not relevance.
+# Each entry point that reads labels checks them; the rules only test the
+# labels their predicates name. A relevance score is checked when a
+# document is built, so nothing re-checks one forced past the frozen
+# dataclass, as nothing re-checks a forced Rule field.
 LABELS = ("unknown label", "missing label")
-READS = {"apply_rules": ("relevance",), "rerank_combined": (*LABELS, "relevance")}
-CASES = [(entry, mutation) for entry in ENTRY_POINTS for mutation in READS.get(entry, LABELS)]
+CASES = [(entry, mutation) for entry in ENTRY_POINTS if entry != "apply_rules" for mutation in LABELS]
 
 
 @pytest.mark.parametrize("entry, mutation", CASES)
@@ -211,3 +220,51 @@ def test_a_document_mutated_after_loading_is_still_refused(fixtures_dir, entry, 
         ENTRY_POINTS[entry](schema, docs)
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+# --- documents, keywords and interaction records check themselves ---
+
+
+def _listed(docs):
+    """The documents with the first one's labels a list of its labels."""
+    return [replace(docs[0], labels=list(docs[0].labels.values())), *docs[1:]]
+
+
+def _listed_doc_log():
+    return InteractionLog((InteractionRecord("u", ["a1"], "like", 1),), {"like": 1.0})  # a list, not an id
+
+
+PROBES = {
+    "record doc not a string, suggest_interaction": lambda schema, corpus: suggest_interaction(
+        schema, corpus.documents, _listed_doc_log(), [("a2", "like")]
+    ),
+    "record doc not a string, interaction_diversity": lambda schema, corpus: interaction_diversity(
+        schema, corpus.documents, _listed_doc_log()
+    ),
+    "log of strings": lambda schema, corpus: InteractionLog(("x",), {"like": 1.0}),
+    "keyword labels a list": lambda schema, corpus: keyword_diversity(schema, [Keyword("t", ["x"])]),
+    "ids, greedy_select": lambda schema, corpus: greedy_select(schema, ["a1", "a2"], 1),
+    "ids, apply_rules": lambda schema, corpus: apply_rules(schema, RuleSet(rules=()), [], ["a1"]),
+    "ids, max_diversity_oracle": lambda schema, corpus: max_diversity_oracle(schema, ["a1", "a2"], 1),
+    "labels a list, greedy_select": lambda schema, corpus: greedy_select(schema, _listed(corpus.docs()), 1),
+    "labels a list, collection_diversity": lambda schema, corpus: collection_diversity(
+        schema, _listed(corpus.docs())
+    ),
+    "labels a list, apply_rules": lambda schema, corpus: apply_rules(
+        schema, RuleSet(rules=()), [], _listed(corpus.docs())
+    ),
+    "labels a list, check_requirements": lambda schema, corpus: check_requirements(
+        schema, [], _listed(corpus.docs())
+    ),
+    "labels a list, max_diversity_oracle": lambda schema, corpus: max_diversity_oracle(
+        schema, _listed(corpus.docs()), 1
+    ),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(PROBES))
+def test_a_malformed_record_or_entry_ends_in_a_newsdiv_error(fixtures_dir, probe):
+    schema = load_schema((fixtures_dir / "example_schema.json").read_text())
+    corpus = load_corpus(schema, (fixtures_dir / "example_corpus.jsonl").read_text())
+    with pytest.raises(NewsdivError):
+        PROBES[probe](schema, corpus)

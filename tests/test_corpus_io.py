@@ -16,7 +16,7 @@ from newsdiv.corpus_io import (
     write_report,
 )
 from newsdiv.errors import NewsdivError, ParseError, ValidationError
-from newsdiv.metrics import DocumentProfile, InteractionLog, collection_diversity
+from newsdiv.metrics import DocumentProfile, InteractionLog, InteractionRecord, Keyword, collection_diversity
 
 from helpers import random_schema, reference_load_corpus
 
@@ -85,6 +85,91 @@ def test_loaded_profiles_equal_the_dataclass_built_from_their_fields(schema, cor
 def test_corpus_errors_carry_line_numbers(schema, text, message):
     with pytest.raises((ParseError, ValidationError), match=message):
         load_corpus(schema, text)
+
+
+# A field's fault -> the message a document built with it raises; the
+# loader raises it for the same line with its line number.
+DOCUMENT_FAULTS = {
+    "int id": (dict(id=7), "document needs a non-empty string 'id'"),
+    "empty id": (dict(id=""), "document needs a non-empty string 'id'"),
+    "no id": (dict(id=None), "document needs a non-empty string 'id'"),
+    "labels a list": (dict(labels=["Climate", "Health"]), "document 'x1' needs a 'labels' map"),
+    "nan relevance": (dict(relevance=float("nan")), "relevance for 'x1' must lie in [0, 1] (got nan)"),
+    "bool relevance": (dict(relevance=True), "relevance for 'x1' must lie in [0, 1] (got True)"),
+    "string relevance": (dict(relevance="0.5"), "relevance for 'x1' must lie in [0, 1] (got '0.5')"),
+    "relevance above 1": (dict(relevance=1.5), "relevance for 'x1' must lie in [0, 1] (got 1.5)"),
+    "float timestamp": (dict(timestamp=1.0), "timestamp for 'x1' must be an integer"),
+    "bool timestamp": (dict(timestamp=False), "timestamp for 'x1' must be an integer"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(DOCUMENT_FAULTS))
+def test_a_document_checks_its_own_fields_with_the_loader_messages(schema, fault):
+    fields, message = DOCUMENT_FAULTS[fault]
+    good = json.loads(line())
+    with pytest.raises(ValidationError) as built:
+        DocumentProfile(**{**good, **fields})
+    with pytest.raises(ValidationError) as copied:
+        replace(DocumentProfile(**good), **fields)
+    with pytest.raises(ValidationError) as loaded:
+        load_corpus(schema, json.dumps({**good, **fields}))
+    assert str(built.value) == str(copied.value) == message
+    assert str(loaded.value) == f"corpus line 1: {message}"
+
+
+@pytest.mark.parametrize("keywords", [("heatwave",), 5, [Keyword("t", {})]], ids=["str", "int", "list"])
+def test_a_document_keeps_only_keywords_and_stores_relevance_as_a_float(keywords):
+    with pytest.raises(ValidationError) as info:
+        DocumentProfile("x1", {}, keywords=keywords)
+    assert str(info.value) == "keywords for 'x1' must be a tuple of Keyword entries"
+    doc = DocumentProfile("x1", {}, relevance=1)
+    assert type(doc.relevance) is float and doc.relevance == 1.0
+
+
+@pytest.mark.parametrize(
+    "built, entry",
+    [(lambda: Keyword("t", ["x"]), {"term": "t", "labels": ["x"]}), (lambda: Keyword(None, {}), {"labels": {}})],
+    ids=["labels a list", "no term"],
+)
+def test_a_keyword_checks_its_own_fields_with_the_loader_message(schema, built, entry):
+    message = "keyword entries need a 'term' and a 'labels' map"
+    with pytest.raises(ValidationError) as info:
+        built()
+    assert str(info.value) == message
+    for raw in (entry, "t"):  # an entry that is not an object has neither field
+        with pytest.raises(ValidationError) as info:
+            load_corpus(schema, line(keywords=[raw]))
+        assert str(info.value) == f"corpus line 1: {message}"
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (("u", ["a1"], "like", 1), "interaction needs 'doc' of type str"),
+        ((None, "a1", "like", 1), "interaction needs 'user' of type str"),
+        (("u", "a1", "like", True), "interaction needs 'ts' of type int"),
+    ],
+    ids=["doc a list", "no user", "bool ts"],
+)
+def test_an_interaction_record_checks_its_own_fields_with_the_loader_messages(fields, message):
+    with pytest.raises(ValidationError) as built:
+        InteractionRecord(*fields)
+    text = json.dumps(dict(zip(("user", "doc", "type", "ts"), fields)))
+    with pytest.raises(ValidationError) as loaded:
+        load_interactions(text, {"like": 1.0})
+    assert str(built.value) == message
+    assert str(loaded.value) == f"interactions line 1: {message}"
+
+
+def test_an_interaction_log_holds_only_interaction_records():
+    with pytest.raises(ValidationError) as info:
+        InteractionLog(("x", None), {"like": 1.0})
+    assert str(info.value) == "interaction log records must be InteractionRecord entries (got ['x', None])"
+    with pytest.raises(ValidationError) as info:
+        InteractionLog(None, {"like": 1.0})
+    assert str(info.value) == "interaction log records must be a tuple (got None)"
+    record = InteractionRecord("u", "a1", "like", 1)
+    assert InteractionLog([record], {"like": 1.0}).records == [record]
 
 
 # --- interactions and history ---
@@ -311,6 +396,16 @@ CORRUPTIONS = {
     "labels-not-a-map": lambda rng, doc, first: [json.dumps({**doc, "labels": list(doc["labels"].values())})],
     "empty-id": lambda rng, doc, first: [json.dumps({**doc, "id": ""})],
     "int-id": lambda rng, doc, first: [json.dumps({**doc, "id": 7})],
+    # Several faults on one line: the keyword list, then the document's own
+    # fields, then the duplicate id, then the labels against the schema.
+    "int-id-and-unknown-label": lambda rng, doc, first: [
+        json.dumps({**doc, "id": 7, "labels": {**doc["labels"], _pick(rng, doc["labels"]): "zz"}})
+    ],
+    "int-id-and-object-keywords": lambda rng, doc, first: [json.dumps({**doc, "id": 7, "keywords": {}})],
+    "unknown-label-and-nan-relevance": lambda rng, doc, first: [
+        json.dumps({**doc, "labels": {**doc["labels"], _pick(rng, doc["labels"]): "zz"}, "relevance": float("nan")})
+    ],
+    "duplicate-id-and-float-timestamp": lambda rng, doc, first: [json.dumps({**doc, "id": first, "timestamp": 1.0})],
 }
 
 

@@ -8,9 +8,10 @@ each field the kind's detail template names, checks ids and orders every
 mode's pool by id in one helper, sorts by id nowhere else, builds the
 pair kernel's tables at most once per function and never in a loop, and
 steps greedy selections in one loop. No code makes an instance without
-its class's __init__, and the loader imports no mode. A rule's fields and
-an interaction log's type weights are checked in the class that holds
-them, and a rule application keeps one private field."""
+its class's __init__, and the loader imports no mode. A rule's fields, a
+document's, a keyword's and an interaction record's fields and an
+interaction log's records and type weights are checked in the class that
+holds them, and a rule application keeps one private field."""
 
 import ast
 import os
@@ -166,17 +167,18 @@ def test_numbers_are_range_checked_in_one_place():
     # hot loop that apply_rules and trace_for's replay both call.
     chained = {where for where, node in _nodes(ast.Compare) if len(node.ops) > 1}
     assert chained == {"errors.json_number_in", "rules._fold"}
-    # aspect_model: Aspect and AspectSchema; metrics: InteractionLog; rules: Rule.
+    # aspect_model: Aspect and AspectSchema; metrics: DocumentProfile and
+    # InteractionLog; rules: Rule.
     assert {where for where, _ in _calls("json_number_in")} == {
-        "aspect_model.__post_init__", "metrics.__post_init__", "metrics._check_k", "metrics._check_relevance",
+        "aspect_model.__post_init__", "metrics.__init__", "metrics.__post_init__", "metrics._check_k",
         "diversify.swap_diversify", "diversify.next_in_sequence", "diversify.rerank_combined",
-        "corpus_io.load_corpus", "rules.__post_init__",
+        "rules.__post_init__",
     }
-    # A relevance score is range-checked in one place per path: the loader
-    # for the CLI's documents, _check_relevance for a library caller's.
+    # A relevance score is range-checked in one place, when a document is
+    # built, whether the loader or a library caller builds it.
     relevance = {where for where, call in _calls("json_number_in") if "relevance" in ast.unparse(call.args[0])}
-    assert relevance == {"corpus_io.load_corpus", "metrics._check_relevance"}
-    assert _unless_pool("_check_relevance") == {"rules.apply_rules": True, "diversify.rerank_combined": True}
+    assert relevance == {"metrics.__init__"}
+    assert [where for where, _ in _calls("_check_relevance")] == []  # no mode checks it again
 
 
 def test_lines_are_scanned_in_one_place():
@@ -271,12 +273,13 @@ def test_pools_are_checked_and_ordered_by_id_in_one_helper():
     assert {where for where, _ in _calls("_Pool")} == {
         "corpus_io.load_corpus", "metrics.take", "cli.cmd_rerank", "diversify.swap_diversify",
     }
-    # Each fact about a document is checked in one place per path: the
-    # loader for the CLI's pool, and for a library caller's documents ids in
-    # _check_unique_ids, labels in _label_indices and relevance in
-    # _check_relevance. Every mode checks its pool in _by_id; score and
-    # apply_rules take documents in input order. A function that takes a
-    # loader's pool skips them (True) and reads its rows instead of _row.
+    # A document checks its own fields when it is built. Each fact about a
+    # list of documents is checked in one place per path: the loader for the
+    # CLI's pool, and for a library caller's list its entries and unique ids
+    # in _check_unique_ids and its labels in _label_indices. Every mode
+    # checks its pool in _by_id; score and apply_rules take documents in
+    # input order. A function that takes a loader's pool skips them (True)
+    # and reads its rows instead of _row.
     assert _unless_pool("_check_unique_ids") == {
         "metrics._by_id": True, "cli.cmd_score": False, "rules.apply_rules": True,
     }
@@ -362,6 +365,30 @@ def test_rule_fields_are_checked_in_rule_alone():
     replaced = {alias.name for node in ast.walk(rules) if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert "replace" not in replaced
     assert [where for where, _ in _calls("dataclasses.replace") if where.startswith("rules.")] == []
+
+
+# A record class -> (the method that checks its fields, its messages).
+RECORD_MESSAGES = {
+    "DocumentProfile": ("__init__", (
+        "document needs a non-empty string 'id'", "needs a 'labels' map", "relevance for ", "timestamp for ",
+        "keywords for ",
+    )),
+    "Keyword": ("__post_init__", ("keyword entries need a 'term' and a 'labels' map",)),
+    "InteractionRecord": ("__post_init__", ("interaction needs",)),
+    "InteractionLog": ("__post_init__", ("records must be a tuple", "must be InteractionRecord entries")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_MESSAGES))
+def test_document_keyword_and_interaction_fields_are_checked_in_their_class_alone(name):
+    method, messages = RECORD_MESSAGES[name]
+    metrics = ast.parse((ROOT / "src" / "newsdiv" / "metrics.py").read_text())
+    cls = next(node for node in metrics.body if isinstance(node, ast.ClassDef) and node.name == name)
+    check = next(node for node in cls.body if isinstance(node, ast.FunctionDef) and node.name == method)
+    for message in messages:
+        everywhere = [where for where, node in _nodes(ast.Constant) if message in str(node.value)]
+        assert everywhere == [f"metrics.{method}"], (message, everywhere)
+        assert any(message in str(node.value) for node in ast.walk(check) if isinstance(node, ast.Constant))
 
 
 def test_type_weights_are_checked_in_the_interaction_log_alone():

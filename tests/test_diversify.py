@@ -649,7 +649,7 @@ def test_duplicate_ids_are_reported_sorted_without_quadratic_counting():
     assert time.perf_counter() - start < 1.0
 
 
-# mode name -> (call on docs whose first member carries the wrong id, what
+# mode name -> (call on docs whose first member is the wrong entry, what
 # the mode calls the list it checks); each mode sorts the list by id.
 ID_MODES = {
     "greedy": (lambda schema, docs: greedy_select(schema, docs, 2), "pool"),
@@ -663,13 +663,21 @@ ID_MODES = {
 }
 
 
-@pytest.mark.parametrize("bad_id", [None, 7, True, []], ids=["None", "7", "True", "list"])
+@pytest.mark.parametrize("bad_id", [None, 7, True, [], ""], ids=["None", "7", "True", "list", "empty"])
+def test_a_document_id_that_is_not_a_string_is_named(pool, bad_id):
+    # A document checks its id as it is built, with the loader's message.
+    with pytest.raises(ValidationError) as info:
+        replace(pool[0], id=bad_id)
+    assert str(info.value) == "document needs a non-empty string 'id'"
+
+
+@pytest.mark.parametrize("entry", ["a1", None, {"id": "a1"}], ids=["id", "None", "dict"])
 @pytest.mark.parametrize("mode", sorted(ID_MODES))
-def test_a_document_id_that_is_not_a_string_is_named(schema, pool, mode, bad_id):
+def test_an_entry_that_is_not_a_document_is_named(schema, pool, mode, entry):
     call, what = ID_MODES[mode]
     with pytest.raises(ContractError) as info:
-        call(schema, [replace(pool[0], id=bad_id)] + list(pool[1:]))
-    assert str(info.value) == f"{what} contains document ids that are not strings: {[bad_id]}"
+        call(schema, [entry] + list(pool[1:]))
+    assert str(info.value) == f"{what} contains entries that are not documents: {[entry]}"
 
 
 # --- summary mode ---
@@ -832,14 +840,11 @@ def test_combined_rerank_validation(schema, pool):
 
 
 @pytest.mark.parametrize("relevance", [float("nan"), 2.0, -0.5, True])
-def test_blend_rejects_relevance_outside_the_unit_interval(schema, relevance):
-    docs = [
-        doc("r3", "Climate", "Health", relevance=relevance),
-        doc("r1", "Immigration", "Security", relevance=0.9),
-        doc("r2", "Immigration", "Health", relevance=relevance),
-    ]
-    with pytest.raises(ContractError, match=r"relevance outside \[0, 1\]: \['r2', 'r3'\]"):
-        rerank_combined(schema, docs, 1, 0.5)
+def test_blend_rejects_relevance_outside_the_unit_interval(relevance):
+    # A document checks its relevance as it is built, so the blend never sees one outside [0, 1].
+    with pytest.raises(ValidationError) as info:
+        doc("r3", "Climate", "Health", relevance=relevance)
+    assert str(info.value) == f"relevance for 'r3' must lie in [0, 1] (got {relevance!r})"
 
 
 def test_exclude_history_filters_by_id(pool):

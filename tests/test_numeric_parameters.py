@@ -11,7 +11,6 @@ import pytest
 from newsdiv import (
     Aspect,
     AspectSchema,
-    ContractError,
     InteractionLog,
     NewsdivError,
     Rule,
@@ -181,6 +180,7 @@ def test_rule_checks_its_action_value_with_the_loader_messages(schema):
 
 
 def test_sequence_timestamps_must_be_integers(schema, pool):
-    with pytest.raises(ContractError) as info:
+    # A document checks its timestamp as it is built, with the loader's message.
+    with pytest.raises(ValidationError) as info:
         _sequence(schema, pool, Window("last", 1), stamps=(1, "0.5"))
-    assert str(info.value) == "sequence timestamps must be integers (got ['0.5'])"
+    assert str(info.value) == f"timestamp for {pool[1].id!r} must be an integer"

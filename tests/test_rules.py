@@ -430,19 +430,13 @@ def test_boost_treats_missing_relevance_as_zero(schema):
 @pytest.mark.parametrize(
     "value", ["0.5", float("nan"), 5.0, float("inf"), -0.5, True], ids=["str", "nan", "5", "inf", "-0.5", "True"]
 )
-def test_apply_rules_rejects_relevance_outside_the_unit_interval(schema, pool, value):
-    # None is no score and boosts from 0.0; any other relevance is a number in [0, 1].
-    up = rule(
-        schema,
-        id="up",
-        scope="request",
-        predicate={"aspect": "topic", "value": "Climate"},
-        action={"boost": 0.1},
-    )
-    docs = [replace(pool[0], relevance=value)] + list(pool[1:])
-    with pytest.raises(ContractError) as info:
-        apply_rules(schema, RuleSet(rules=()), [up], docs)
-    assert str(info.value) == "documents with relevance outside [0, 1]: ['a1']"
+def test_apply_rules_rejects_relevance_outside_the_unit_interval(pool, value):
+    # None is no score and boosts from 0.0; any other relevance is a number
+    # in [0, 1], checked when the document is built, so no candidate list
+    # can carry one.
+    with pytest.raises(ValidationError) as info:
+        replace(pool[0], relevance=value)
+    assert str(info.value) == f"relevance for 'a1' must lie in [0, 1] (got {value!r})"
 
 
 def test_requirements_are_deferred_not_filtered(schema, pool):
@@ -522,12 +516,9 @@ ID_CHECKS = {
 @pytest.mark.parametrize(
     "ids, message",
     [
-        ([7], "contains document ids that are not strings: [7]"),
-        ([["a1"]], "contains document ids that are not strings: [['a1']]"),
         (["a2", "a2", "a3"], "contains duplicate document ids: ['a2']"),
-        ([None, "a2", "a2"], "contains document ids that are not strings: [None]"),  # the type is named first
     ],
-    ids=["int", "list", "duplicate", "both"],
+    ids=["duplicate"],
 )
 def test_wrong_ids_are_named_whichever_list_is_checked(schema, pool, check, ids, message):
     call, what = ID_CHECKS[check]
@@ -535,6 +526,15 @@ def test_wrong_ids_are_named_whichever_list_is_checked(schema, pool, check, ids,
     with pytest.raises(ContractError) as info:
         call(schema, docs)
     assert str(info.value) == f"{what} {message}"
+
+
+@pytest.mark.parametrize("ids", [[7], [["a1"]], [None, "a2", "a2"]], ids=["int", "list", "both"])
+def test_an_id_that_is_not_a_string_is_refused_before_any_list_is_checked(pool, ids):
+    # A document checks its id as it is built, before a list holds it, so
+    # even with a duplicate further on the type is named first.
+    with pytest.raises(ValidationError) as info:
+        [replace(d, id=i) for d, i in zip(pool, ids)]
+    assert str(info.value) == "document needs a non-empty string 'id'"
 
 
 @pytest.mark.parametrize("check", sorted(ID_CHECKS))

@@ -89,12 +89,12 @@ PINS = {
     "score": dict(rows=400, cells=0, entries=0, fold_steps=0, pair_sums=0, number_checks=459),
     "score --ids": dict(rows=460, cells=0, entries=0, fold_steps=0, pair_sums=0, number_checks=459),
     "rerank list": dict(rows=100, cells=0, entries=6174, fold_steps=64, pair_sums=0, number_checks=163),
-    "rerank list --lambda": dict(rows=150, cells=0, entries=2550, fold_steps=173, pair_sums=0, number_checks=160),
+    "rerank list --lambda": dict(rows=150, cells=0, entries=2550, fold_steps=173, pair_sums=0, number_checks=273),
     "rerank summary": dict(rows=120, cells=6786, entries=3024, fold_steps=72, pair_sums=0, number_checks=183),
-    "rerank sequence": dict(rows=158, cells=48, entries=16, fold_steps=166, pair_sums=0, number_checks=159),
+    "rerank sequence": dict(rows=158, cells=48, entries=16, fold_steps=166, pair_sums=0, number_checks=179),
     "rerank interaction": dict(rows=200, cells=0, entries=816, fold_steps=55, pair_sums=0, number_checks=165),
     "rerank sequence --rules, 2k documents": dict(
-        rows=2002, cells=904, entries=1356, fold_steps=8789, pair_sums=0, number_checks=2082
+        rows=2002, cells=904, entries=1356, fold_steps=8789, pair_sums=0, number_checks=2092
     ),
     "oracle": dict(rows=22, cells=231, entries=0, fold_steps=0, pair_sums=35, number_checks=82),
 }
