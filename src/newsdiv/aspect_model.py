@@ -9,6 +9,10 @@ unordered label pair takes its distance from the first of three sources: an
 explicit entry, the hop count in an optional label graph divided by the
 label diameter, or a last-resort default of 1.0. Defaulted pairs are
 recorded in `defaulted_pairs`, which the CLI reports as a warning.
+
+`LabelGraph`, `Aspect` and `AspectSchema` check their own fields when they
+are built, with the schema loader's messages, so `load_schema` checks only
+what exists in JSON alone and a schema built in code is checked alike.
 """
 from __future__ import annotations
 
@@ -27,16 +31,24 @@ def _pair(l1: str, l2: str) -> tuple[str, str]:
     return (l1, l2) if l1 <= l2 else (l2, l1)
 
 
+def _strings(value, size: int | None = None) -> bool:
+    """True for a list or tuple of strings, of `size` items if one is given."""
+    if not isinstance(value, (list, tuple)) or size not in (None, len(value)):
+        return False
+    return all(isinstance(x, str) for x in value)
+
+
 @dataclass(frozen=True)
 class LabelGraph:
     """Undirected simple graph over labels plus optional grouping nodes.
 
-    Construction runs one breadth-first search from every node. `hops` maps
-    each node to the hop count of every node it reaches; `ancestors` maps
-    each node to its hierarchy ancestors (itself plus every node on a
-    shortest path to its nearest Jordan center node(s), see
-    `_ancestor_sets`) and is empty for a disconnected graph, which no
-    Aspect accepts.
+    `nodes` is a list or tuple of strings and `edges` one of node-name
+    pairs; both are stored as tuples. Construction checks them, then runs
+    one breadth-first search from every node. `hops` maps each node to the
+    hop count of every node it reaches; `ancestors` maps each node to its
+    hierarchy ancestors (itself plus every node on a shortest path to its
+    nearest Jordan center node(s), see `_ancestor_sets`) and is empty for a
+    disconnected graph, which no Aspect accepts.
     """
 
     nodes: tuple[str, ...]
@@ -45,6 +57,15 @@ class LabelGraph:
     ancestors: Mapping[str, frozenset[str]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not _strings(self.nodes):
+            raise ValidationError("graph nodes must be a list of strings")
+        if not isinstance(self.edges, (list, tuple)):
+            raise ValidationError("graph edges must be a list of pairs")
+        for e in self.edges:
+            if not _strings(e, 2):
+                raise ValidationError(f"graph edge {e!r} must be a pair of node names")
+        object.__setattr__(self, "nodes", tuple(self.nodes))
+        object.__setattr__(self, "edges", tuple(map(tuple, self.edges)))
         if len(set(self.nodes)) != len(self.nodes):
             raise ValidationError("label graph nodes must be unique")
         adjacency: dict[str, list[str]] = {n: [] for n in self.nodes}
@@ -53,9 +74,7 @@ class LabelGraph:
             if u == v:
                 raise ValidationError(f"label graph has self-loop at {u!r}")
             if u not in adjacency or v not in adjacency:
-                raise ValidationError(
-                    f"label graph edge ({u!r}, {v!r}) references an unknown node"
-                )
+                raise ValidationError(f"label graph edge ({u!r}, {v!r}) references an unknown node")
             key = _pair(u, v)
             if key in seen:
                 raise ValidationError(f"label graph has duplicate edge ({u!r}, {v!r})")
@@ -111,13 +130,16 @@ def _ancestor_sets(hops: Mapping[str, Mapping[str, int]]) -> dict[str, frozenset
 class Aspect:
     """One diversity dimension: a label set with its resolved distance matrix.
 
+    `name` is a non-empty string, `labels` a non-empty list or tuple of
+    distinct strings (stored as a tuple) and `graph` None or a LabelGraph.
     `distances` maps label pairs to values, or lists (pair, value) entries so
-    that a repeated pair is reported. Construction checks each entry once
-    (known labels, zero self-distance, value in [0, 1], each unordered pair
-    at most once) and the graph (every label a node, connected), then fills
-    `matrix`, whose rows and columns follow `labels` (`index` maps a label
-    to its position), each pair from its explicit entry, else graph hops
-    over the label diameter, else 1.0, recorded in `defaulted_pairs`.
+    that a repeated pair is reported. Construction checks those fields, each
+    entry once (its shape, known labels, zero self-distance, value in
+    [0, 1], each unordered pair at most once) and the graph (every label a
+    node, connected), then fills `matrix`, whose rows and columns follow
+    `labels` (`index` maps a label to its position), each pair from its
+    explicit entry, else graph hops over the label diameter, else 1.0,
+    recorded in `defaulted_pairs`.
 
     `distances` has no default (pass `()` for a graph-only or all-default
     aspect), so `dataclasses.replace` must be given the entries again and
@@ -135,28 +157,30 @@ class Aspect:
     defaulted_pairs: frozenset[tuple[str, str]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, distances):
+        if not isinstance(self.name, str) or not self.name:
+            raise ValidationError("each aspect needs a non-empty string 'name'")
+        if not _strings(self.labels) or not self.labels:
+            raise ValidationError(f"aspect {self.name!r}: 'labels' must be a non-empty list of strings")
         labels = tuple(self.labels)
         object.__setattr__(self, "labels", labels)
-        if not self.name:
-            raise ValidationError("aspect name must be non-empty")
-        if not labels:
-            raise ValidationError(f"aspect {self.name!r} has no labels")
         if len(set(labels)) != len(labels):
             raise ValidationError(f"aspect {self.name!r} has duplicate labels")
+        if self.graph is not None and not isinstance(self.graph, LabelGraph):
+            raise ValidationError(f"aspect {self.name!r}: graph must be a LabelGraph (got {self.graph!r})")
         index = {label: i for i, label in enumerate(labels)}
         explicit: dict[tuple[str, str], float] = {}
-        entries = distances.items() if isinstance(distances, Mapping) else distances or ()
-        for (l1, l2), value in entries:
+        for entry in distances.items() if isinstance(distances, Mapping) else distances or ():
+            if not isinstance(entry, (list, tuple)) or len(entry) != 2 or not _strings(entry[0], 2):
+                raise ValidationError(
+                    f"aspect {self.name!r}: distance entries must be a pair of labels and a value (got {entry!r})"
+                )
+            (l1, l2), value = entry
             for label in (l1, l2):
                 if label not in labels:
-                    raise ValidationError(
-                        f"aspect {self.name!r}: distance entry references unknown label {label!r}"
-                    )
+                    raise ValidationError(f"aspect {self.name!r}: distance entry references unknown label {label!r}")
             if l1 == l2:
                 if not json_number_in(value, 0.0, 0.0):
-                    raise ValidationError(
-                        f"aspect {self.name!r}: self-distance for {l1!r} must be 0 (got {value!r})"
-                    )
+                    raise ValidationError(f"aspect {self.name!r}: self-distance for {l1!r} must be 0 (got {value!r})")
                 continue
             key = _pair(l1, l2)
             if not json_number_in(value, 0.0, 1.0):
@@ -203,6 +227,10 @@ class Aspect:
 class AspectSchema:
     """Ordered aspects plus blend weights that must sum to 1.
 
+    `aspects` is a list or tuple of Aspects, stored as a tuple, and
+    `weights` a mapping from each aspect's name to a number in [0, 1],
+    stored as a dict of floats.
+
     The schema remembers the label tuples it has checked: `_rows` maps the
     per-aspect label values of a document (in aspect order) that passed a
     label check to their label-index row. Only `_row` reads or writes it, so
@@ -217,6 +245,17 @@ class AspectSchema:
     _rows: dict[tuple, tuple[int, ...]] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.aspects, (list, tuple)) or not all(isinstance(a, Aspect) for a in self.aspects):
+            raise ValidationError(f"schema aspects must be Aspect entries (got {self.aspects!r})")
+        if not isinstance(self.weights, Mapping):
+            raise ValidationError("schema must define a 'weights' object")
+        weights = {}
+        for key, value in self.weights.items():
+            if not json_isinstance(value, (int, float)):
+                raise ValidationError(f"blend weight for {key!r} must be a number")
+            weights[key] = json_float(value, f"blend weight for {key!r}")
+        object.__setattr__(self, "aspects", tuple(self.aspects))
+        object.__setattr__(self, "weights", weights)
         names = tuple(a.name for a in self.aspects)
         object.__setattr__(self, "_names", names)
         if len(set(names)) != len(names):
@@ -232,9 +271,7 @@ class AspectSchema:
             raise ValidationError("blend weights must cover exactly the aspects: " + "; ".join(parts))
         for name, w in self.weights.items():
             if not json_number_in(w, 0.0, 1.0):
-                raise ValidationError(
-                    f"blend weight for {name!r} is {w!r}; weights must lie in [0, 1]"
-                )
+                raise ValidationError(f"blend weight for {name!r} is {w!r}; weights must lie in [0, 1]")
         total = sum(self.weights[n] for n in names)
         if not abs(total - 1.0) <= WEIGHT_TOLERANCE:
             raise ValidationError(f"blend weights must sum to 1 (got {total!r})")
@@ -267,29 +304,6 @@ class AspectSchema:
         return row
 
 
-def _parse_graph(name: str, obj) -> LabelGraph:
-    if not isinstance(obj, dict):
-        raise ValidationError(f"aspect {name!r}: graph must be an object")
-    nodes = obj.get("nodes")
-    edges = obj.get("edges")
-    if not isinstance(nodes, list) or not all(isinstance(n, str) for n in nodes):
-        raise ValidationError(f"aspect {name!r}: graph nodes must be a list of strings")
-    if not isinstance(edges, list):
-        raise ValidationError(f"aspect {name!r}: graph edges must be a list of pairs")
-    parsed_edges = []
-    for e in edges:
-        if (
-            not isinstance(e, list)
-            or len(e) != 2
-            or not all(isinstance(x, str) for x in e)
-        ):
-            raise ValidationError(
-                f"aspect {name!r}: graph edge {e!r} must be a pair of node names"
-            )
-        parsed_edges.append((e[0], e[1]))
-    return LabelGraph(nodes=tuple(nodes), edges=tuple(parsed_edges))
-
-
 def load_schema(text: str) -> AspectSchema:
     """Parse and validate an aspect schema from JSON text.
 
@@ -301,62 +315,43 @@ def load_schema(text: str) -> AspectSchema:
                       "graph": {"nodes": [...], "edges": [["a", "b"], ...]}}],
          "weights": {"topic": 1.0}}
 
-    `distances` and `graph` are optional per aspect. Raises ParseError for
-    malformed JSON (with line/column) or JSON nested too deeply to decode,
-    ValidationError for invariant violations (message names the invariant).
+    `distances` and `graph` are optional per aspect. Only what exists in
+    JSON alone is checked here: the root, the aspect objects, distance
+    triples (values converted by json_float) and graph objects; the classes
+    check the rest, and a LabelGraph error gains an `aspect NAME: ` prefix.
+    So an aspect's distances, then its graph, are checked before its name
+    and labels. Raises ParseError for malformed JSON (with line/column) or
+    JSON nested too deeply to decode, ValidationError for invariant
+    violations (message names the invariant).
     """
     raw = load_json(text, "schema")
     if not isinstance(raw, dict):
         raise ValidationError("schema root must be a JSON object")
     raw_aspects = raw.get("aspects")
-    raw_weights = raw.get("weights")
     if not isinstance(raw_aspects, list) or not raw_aspects:
         raise ValidationError("schema must define a non-empty 'aspects' list")
-    if not isinstance(raw_weights, dict):
-        raise ValidationError("schema must define a 'weights' object")
-
     aspects = []
     for entry in raw_aspects:
         if not isinstance(entry, dict):
             raise ValidationError("each aspect must be a JSON object")
         name = entry.get("name")
-        if not isinstance(name, str) or not name:
-            raise ValidationError("each aspect needs a non-empty string 'name'")
-        labels = entry.get("labels")
-        if (
-            not isinstance(labels, list)
-            or not labels
-            or not all(isinstance(l, str) for l in labels)
-        ):
-            raise ValidationError(
-                f"aspect {name!r}: 'labels' must be a non-empty list of strings"
-            )
         raw_distances = [] if entry.get("distances") is None else entry["distances"]
         if not isinstance(raw_distances, list):
             raise ValidationError(f"aspect {name!r}: 'distances' must be a list")
         distances = []
         for trip in raw_distances:
-            if (
-                not isinstance(trip, list)
-                or len(trip) != 3
-                or not isinstance(trip[0], str)
-                or not isinstance(trip[1], str)
-                or not json_isinstance(trip[2], (int, float))
-            ):
-                raise ValidationError(
-                    f"aspect {name!r}: distance entries must be [label, label, value] "
-                    f"(got {trip!r})"
-                )
+            triple = isinstance(trip, list) and len(trip) == 3 and _strings(trip[:2])
+            if not triple or not json_isinstance(trip[2], (int, float)):
+                raise ValidationError(f"aspect {name!r}: distance entries must be [label, label, value] (got {trip!r})")
             value = json_float(trip[2], f"aspect {name!r}: distance {trip[0]}/{trip[1]}")
             distances.append(((trip[0], trip[1]), value))
-        graph = None
-        if entry.get("graph") is not None:
-            graph = _parse_graph(name, entry["graph"])
-        aspects.append(Aspect(name, labels, distances, graph))
-
-    weights = {}
-    for key, value in raw_weights.items():
-        if not json_isinstance(value, (int, float)):
-            raise ValidationError(f"blend weight for {key!r} must be a number")
-        weights[key] = json_float(value, f"blend weight for {key!r}")
-    return AspectSchema(aspects=tuple(aspects), weights=weights)
+        graph = entry.get("graph")
+        if graph is not None:
+            if not isinstance(graph, dict):
+                raise ValidationError(f"aspect {name!r}: graph must be an object")
+            try:
+                graph = LabelGraph(graph.get("nodes"), graph.get("edges"))
+            except ValidationError as exc:
+                raise ValidationError(f"aspect {name!r}: {exc}") from exc
+        aspects.append(Aspect(name, entry.get("labels"), distances, graph))
+    return AspectSchema(aspects=tuple(aspects), weights=raw.get("weights"))

@@ -133,7 +133,8 @@ class InteractionRecord:
 
 @dataclass(frozen=True)
 class InteractionLog:
-    """Time-stamped interaction records plus per-type blend weights."""
+    """Time-stamped interaction records, stored as a tuple, plus per-type
+    blend weights."""
 
     records: tuple[InteractionRecord, ...]
     type_weights: Mapping[str, float]
@@ -144,6 +145,7 @@ class InteractionLog:
         wrong = [r for r in self.records if not isinstance(r, InteractionRecord)]
         if wrong:
             raise ValidationError(f"interaction log records must be InteractionRecord entries (got {wrong!r})")
+        object.__setattr__(self, "records", tuple(self.records))
         if not isinstance(self.type_weights, Mapping):
             raise ValidationError(
                 f"interaction type weights must map types to numbers (got {self.type_weights!r})"
@@ -233,13 +235,18 @@ def _label_indices(schema: AspectSchema, doc: DocumentProfile) -> tuple[int, ...
             )
 
 
+def _check_entries(entries: Sequence, what: str, kind: type = DocumentProfile, noun: str = "documents") -> None:
+    """Every entry must be a `kind`; a ContractError names the others."""
+    wrong = [e for e in entries if not isinstance(e, kind)]
+    if wrong:
+        raise ContractError(f"{what} contains entries that are not {noun}: {wrong}")
+
+
 def _check_unique_ids(docs: Sequence[DocumentProfile], what: str) -> None:
     """Every entry must be a document, and their ids unique. A document's id
     is a string by construction, so the modes that sort by id check here
     first, and a wrong entry is named here and never fails the sort."""
-    wrong = [d for d in docs if not isinstance(d, DocumentProfile)]
-    if wrong:
-        raise ContractError(f"{what} contains entries that are not documents: {wrong}")
+    _check_entries(docs, what)
     ids = [d.id for d in docs]
     if len(set(ids)) != len(ids):
         dupes = sorted(i for i, c in Counter(ids).items() if c > 1)
@@ -368,10 +375,12 @@ def _distance_matrix(
 
 def collection_diversity(schema: AspectSchema, docs: Sequence[DocumentProfile]) -> DiversityReport:
     """Mean pairwise blended distance, with the per-aspect decomposition.
-    Every label is checked, even in a list of fewer than two (which scores 0);
-    a loader's pool was checked on load and brings its rows."""
+    Every entry must be a document, and every label is checked, even in a
+    list of fewer than two (which scores 0); a loader's pool was checked on
+    load and brings its rows."""
     if isinstance(docs, _Pool):
         return _diversity(schema, docs.rows)
+    _check_entries(docs, "document list")
     return _diversity(schema, [_label_indices(schema, d) for d in docs])
 
 
@@ -390,8 +399,12 @@ def _check_sorted(docs: Sequence[DocumentProfile]) -> bool:
 
 
 def window_slice(docs: Sequence[DocumentProfile], window: Window) -> list[DocumentProfile]:
-    """Apply a recency window to a time-ordered sequence; unsorted input is a
-    ContractError, not a silent re-sort."""
+    """Apply a recency window to a time-ordered sequence of documents; a
+    window that is not a Window, an entry that is not a document, or
+    unsorted input is a ContractError, not a silent re-sort."""
+    if not isinstance(window, Window):
+        raise ContractError(f"window must be a Window (got {window!r})")
+    _check_entries(docs, "sequence")
     timestamped = _check_sorted(docs)
     if window.kind == "last":
         if window.value == 0:
@@ -439,6 +452,7 @@ def keyword_diversity(schema: AspectSchema, keywords: Sequence[Keyword]) -> floa
     """Diversity of labeled keywords, treated as pseudo-documents."""
     if not keywords:
         raise ContractError("keyword diversity needs at least one keyword")
+    _check_entries(keywords, "keyword list", Keyword, "keywords")
     pseudo = [
         DocumentProfile(id=f"kw{i}:{kw.term}", labels=kw.labels)
         for i, kw in enumerate(keywords)

@@ -85,13 +85,17 @@ class Rule:
 
 @dataclass(frozen=True)
 class RuleSet:
-    """Ordered global and context rules plus the set of currently active
-    context tags; request-scope rules come with each request instead."""
+    """Ordered global and context rules, stored as a tuple, plus the set of
+    currently active context tags; request-scope rules come with each
+    request instead."""
 
     rules: tuple[Rule, ...]
     context_tags: frozenset[str] = frozenset()
 
     def __post_init__(self):
+        if not isinstance(self.rules, (tuple, list)) or not all(isinstance(r, Rule) for r in self.rules):
+            raise ValidationError(f"a rule set's rules must be a tuple of Rule entries (got {self.rules!r})")
+        object.__setattr__(self, "rules", tuple(self.rules))
         for rule in self.rules:
             if rule.scope == "request":
                 raise _invalid(rule.id, "request-scope rules come with each request, not in a RuleSet")
@@ -497,13 +501,19 @@ def _check_explainable(data: Mapping) -> None:
 def explain_result(result) -> str:
     """Render a human-readable explanation of a diversification result.
 
-    Works on a RerankResult or its serialized dict; a field it reads with
+    Works on an object whose class defines `as_dict` (a RerankResult) or on
+    a mapping (its serialized dict); anything else, a field it reads with
     the wrong shape, or a trace kind EXPLAINED lacks, raises ValidationError.
     Selected items show the marginal diversity recorded when they were added
     and their boosts; swaps, rule effects, warnings and notes are each
     listed with their EXPLAINED line.
     """
-    data = result.as_dict() if hasattr(result, "as_dict") else dict(result)
+    if callable(getattr(type(result), "as_dict", None)):
+        data = result.as_dict()
+    elif isinstance(result, Mapping):
+        data = dict(result)
+    else:
+        raise ValidationError(f"cannot explain {type(result).__name__} as a result")
     _check_explainable(data)
     trace = data.get("trace", [])
 

@@ -326,15 +326,15 @@ def one_aspect(**entry):
     "build, message",
     [
         (lambda: load_schema(one_aspect(graph={"nodes": ["a", "b", "a"], "edges": [["a", "b"]]})),
-         "label graph nodes must be unique"),
+         "aspect 't': label graph nodes must be unique"),
         (lambda: load_schema(one_aspect(graph={"nodes": ["a", "b"], "edges": [["a", "a"]]})),
-         "label graph has self-loop at 'a'"),
+         "aspect 't': label graph has self-loop at 'a'"),
         (lambda: load_schema(one_aspect(graph={"nodes": ["a", "b"], "edges": [["a", "z"]]})),
-         "label graph edge ('a', 'z') references an unknown node"),
+         "aspect 't': label graph edge ('a', 'z') references an unknown node"),
         (lambda: load_schema(one_aspect(graph={"nodes": ["a", "b"], "edges": [["a", "b"], ["b", "a"]]})),
-         "label graph has duplicate edge ('b', 'a')"),
-        (lambda: Aspect("", ["a"], distances=()), "aspect name must be non-empty"),
-        (lambda: Aspect("t", [], distances=()), "aspect 't' has no labels"),
+         "aspect 't': label graph has duplicate edge ('b', 'a')"),
+        (lambda: Aspect("", ["a"], distances=()), "each aspect needs a non-empty string 'name'"),
+        (lambda: Aspect("t", [], distances=()), "aspect 't': 'labels' must be a non-empty list of strings"),
         (lambda: load_schema(one_aspect(labels=["a", "b", "a"])), "aspect 't' has duplicate labels"),
         (lambda: load_schema(one_aspect(graph=["a", "b"])), "aspect 't': graph must be an object"),
         (lambda: load_schema(one_aspect(graph={"nodes": ["a", 1], "edges": []})),
@@ -364,5 +364,84 @@ def test_an_invalid_schema_file_exits_2(tmp_path, fixtures_dir, capsys):
     argv = ["score", "--schema", str(schema), "--corpus", str(fixtures_dir / "example_corpus.jsonl")]
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
-    assert captured.err == "error: label graph has self-loop at 'a'\n"
+    assert captured.err == "error: aspect 't': label graph has self-loop at 'a'\n"
     assert captured.out == ""
+
+
+# --- a schema value checks its own fields, with the loader's messages ---
+
+TWO = ("a", "b")
+
+
+@pytest.mark.parametrize(
+    "build, entry, message",
+    [
+        (lambda: Aspect(5, TWO, ()), dict(name=5), "each aspect needs a non-empty string 'name'"),
+        (lambda: Aspect("t", "ab", ()), dict(labels="ab"), "aspect 't': 'labels' must be a non-empty list of strings"),
+        (lambda: Aspect("t", ("a", 1), ()), dict(labels=["a", 1]),
+         "aspect 't': 'labels' must be a non-empty list of strings"),
+        (lambda: LabelGraph(("a", 1), ()), dict(graph={"nodes": ["a", 1], "edges": []}),
+         "graph nodes must be a list of strings"),
+        (lambda: LabelGraph(TWO, None), dict(graph={"nodes": ["a", "b"]}), "graph edges must be a list of pairs"),
+        (lambda: LabelGraph(TWO, [["a", "b", "a"]]), dict(graph={"nodes": ["a", "b"], "edges": [["a", "b", "a"]]}),
+         "graph edge ['a', 'b', 'a'] must be a pair of node names"),
+    ],
+    ids=["name-an-int", "labels-a-string", "label-an-int", "node-an-int", "no-edges", "edge-of-three"],
+)
+def test_aspect_and_graph_fields_are_checked_in_their_class(build, entry, message):
+    with pytest.raises(ValidationError) as built:
+        build()
+    with pytest.raises(ValidationError) as loaded:
+        load_schema(one_aspect(**entry))
+    assert str(built.value) == message
+    prefix = "aspect 't': " if "graph" in entry else ""  # a graph error names its aspect
+    assert str(loaded.value) == prefix + message
+
+
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ([1.0], "schema must define a 'weights' object"),
+        ({"t": "1"}, "blend weight for 't' must be a number"),
+        ({"t": 10**400}, "blend weight for 't' is too large for a float"),
+    ],
+    ids=["a-list", "a-string", "too-large"],
+)
+def test_weights_are_checked_in_the_schema_with_the_loader_messages(weights, message):
+    aspect = Aspect("t", TWO, ())
+    with pytest.raises(ValidationError) as built:
+        AspectSchema((aspect,), weights)
+    text = json.dumps({"aspects": [{"name": "t", "labels": ["a", "b"]}], "weights": weights})
+    with pytest.raises(ValidationError) as loaded:
+        load_schema(text)
+    assert str(built.value) == str(loaded.value) == message
+
+
+def test_schema_values_store_tuples_and_float_weights():
+    graph = LabelGraph(["a", "b"], [["a", "b"]])
+    assert (graph.nodes, graph.edges) == (TWO, (TWO,))
+    aspect = Aspect("t", ["a", "b"], [[["a", "b"], 0.5]], graph)
+    assert aspect.labels == TWO
+    schema = AspectSchema([aspect], {"t": 1})
+    assert schema.aspects == (aspect,)
+    assert type(schema.weights["t"]) is float
+
+
+def test_an_aspects_distances_and_graph_are_checked_before_its_name_and_labels():
+    # The loader reads the JSON-only shapes of an aspect entry, then the
+    # classes check its fields; the schema checks its weights object after
+    # every aspect. Each step mends the fault named before it.
+    entry = {"name": 5, "labels": "ab", "distances": [["a"]], "graph": []}
+    raw = {"aspects": [entry], "weights": None}
+    for message, mend in [
+        ("aspect 5: distance entries must be [label, label, value] (got ['a'])", {"distances": None}),
+        ("aspect 5: graph must be an object", {"graph": None}),
+        ("each aspect needs a non-empty string 'name'", {"name": "t"}),
+        ("aspect 't': 'labels' must be a non-empty list of strings", {"labels": ["a", "b"]}),
+    ]:
+        with pytest.raises(ValidationError) as info:
+            load_schema(json.dumps(raw))
+        assert str(info.value) == message
+        entry.update(mend)
+    with pytest.raises(ValidationError, match="^schema must define a 'weights' object$"):
+        load_schema(json.dumps(raw))

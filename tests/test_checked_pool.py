@@ -12,9 +12,11 @@ pin that split:
   by every public entry point that reads labels, with the error it raised
   before the CLI stopped checking.
 
-A document, a keyword and an interaction record check their own fields
-when they are built, so a last table pins that every such input, and every
-entry that is not a document, ends in a `NewsdivError`.
+A document, a keyword, an interaction record and log, a rule set, a
+label graph, an aspect and a schema check their own fields when they are
+built, so a last table pins that every such input, every entry that is not
+a document (or keyword), a window that is not a `Window` and a result that
+is neither a result object nor a mapping ends in a `NewsdivError`.
 """
 
 import contextlib
@@ -27,7 +29,7 @@ from itertools import chain
 import pytest
 
 from newsdiv import cli
-from newsdiv.aspect_model import load_schema
+from newsdiv.aspect_model import Aspect, AspectSchema, LabelGraph, load_schema
 from newsdiv.corpus_io import load_corpus, load_history, load_interactions, load_rules, write_report
 from newsdiv.diversify import (
     exclude_history,
@@ -48,9 +50,10 @@ from newsdiv.metrics import (
     interaction_diversity,
     keyword_diversity,
     parse_window,
+    window_slice,
 )
 from newsdiv.oracle import max_diversity_oracle
-from newsdiv.rules import RuleSet, apply_rules, check_requirements
+from newsdiv.rules import RuleSet, apply_rules, check_requirements, explain_result
 
 from helpers import load_newsbench
 
@@ -259,6 +262,23 @@ PROBES = {
     "labels a list, max_diversity_oracle": lambda schema, corpus: max_diversity_oracle(
         schema, _listed(corpus.docs()), 1
     ),
+    "aspect name an int": lambda schema, corpus: Aspect(5, ("a", "b"), ()),
+    "aspect labels a string": lambda schema, corpus: Aspect("t", "ab", ()),
+    "aspect graph not a LabelGraph": lambda schema, corpus: Aspect("t", ("a", "b"), (), ("a", "b")),
+    "aspect distance entry a bare pair": lambda schema, corpus: Aspect("t", ("a", "b"), [("a", "b")]),
+    "graph node an int": lambda schema, corpus: LabelGraph(("a", 1), (("a", 1),)),
+    "graph edge of one node": lambda schema, corpus: LabelGraph(("a", "b"), (("a",),)),
+    "graph edges an int": lambda schema, corpus: LabelGraph(("a", "b"), 5),
+    "schema aspects strings": lambda schema, corpus: AspectSchema(("x",), {"x": 1.0}),
+    "rule set of strings": lambda schema, corpus: RuleSet(("r",)),
+    "ids, collection_diversity": lambda schema, corpus: collection_diversity(schema, ["a1", "a2"]),
+    "terms, keyword_diversity": lambda schema, corpus: keyword_diversity(schema, ["heatwave"]),
+    "ids, window_slice": lambda schema, corpus: window_slice(["a1"], Window("last", 1)),
+    "window a string, next_in_sequence": lambda schema, corpus: next_in_sequence(
+        schema, corpus.docs()[:2], corpus.docs()[2:4], "last:1"
+    ),
+    "ids, explain_result": lambda schema, corpus: explain_result(["a1", "a2"]),
+    "id, explain_result": lambda schema, corpus: explain_result("a1"),
 }
 
 

@@ -169,7 +169,11 @@ def test_an_interaction_log_holds_only_interaction_records():
         InteractionLog(None, {"like": 1.0})
     assert str(info.value) == "interaction log records must be a tuple (got None)"
     record = InteractionRecord("u", "a1", "like", 1)
-    assert InteractionLog([record], {"like": 1.0}).records == [record]
+    # A list is stored as a tuple, so no record can be appended past the check.
+    records = [record]
+    log = InteractionLog(records, {"like": 1.0})
+    records.append("x")
+    assert log.records == (record,)
 
 
 # --- interactions and history ---

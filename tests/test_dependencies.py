@@ -9,9 +9,11 @@ mode's pool by id in one helper, sorts by id nowhere else, builds the
 pair kernel's tables at most once per function and never in a loop, and
 steps greedy selections in one loop. No code makes an instance without
 its class's __init__, and the loader imports no mode. A rule's fields, a
-document's, a keyword's and an interaction record's fields and an
-interaction log's records and type weights are checked in the class that
-holds them, and a rule application keeps one private field."""
+document's, a keyword's and an interaction record's fields, an
+interaction log's records and type weights, and a label graph's, an
+aspect's and a schema's fields are checked in the class that holds them;
+the schema loader checks only what exists in JSON alone, and a rule
+application keeps one private field."""
 
 import ast
 import os
@@ -283,6 +285,13 @@ def test_pools_are_checked_and_ordered_by_id_in_one_helper():
     assert _unless_pool("_check_unique_ids") == {
         "metrics._by_id": True, "cli.cmd_score": False, "rules.apply_rules": True,
     }
+    # Each entry is tested in one helper, also where ids may repeat (a
+    # history window) or the entries are keywords; collection_diversity
+    # skips it for a loader's pool.
+    assert _unless_pool("_check_entries") == {
+        "metrics._check_unique_ids": False, "metrics.collection_diversity": True,
+        "metrics.window_slice": False, "metrics.keyword_diversity": False,
+    }
     assert _unless_pool("_label_indices") == {
         "metrics._by_id": True, "metrics.collection_diversity": True,
         "diversify.next_in_sequence": False, "diversify.suggest_interaction": False,
@@ -389,6 +398,45 @@ def test_document_keyword_and_interaction_fields_are_checked_in_their_class_alon
         everywhere = [where for where, node in _nodes(ast.Constant) if message in str(node.value)]
         assert everywhere == [f"metrics.{method}"], (message, everywhere)
         assert any(message in str(node.value) for node in ast.walk(check) if isinstance(node, ast.Constant))
+
+
+# A schema class -> the messages of the checks on its own fields, each made
+# in its __post_init__ alone.
+SCHEMA_MESSAGES = {
+    "LabelGraph": (
+        "graph nodes must be a list of strings", "graph edges must be a list of pairs", "must be a pair of node names",
+    ),
+    "Aspect": (
+        "each aspect needs a non-empty string 'name'", "'labels' must be a non-empty list of strings",
+        "graph must be a LabelGraph", "distance entries must be a pair of labels",
+    ),
+    "AspectSchema": ("schema aspects must be Aspect entries", "schema must define a 'weights' object", "blend weight for "),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMA_MESSAGES))
+def test_schema_fields_are_checked_in_their_class_alone(name):
+    model = ast.parse((ROOT / "src" / "newsdiv" / "aspect_model.py").read_text())
+    cls = next(node for node in model.body if isinstance(node, ast.ClassDef) and node.name == name)
+    check = next(node for node in cls.body if isinstance(node, ast.FunctionDef) and node.name == "__post_init__")
+    for message in SCHEMA_MESSAGES[name]:
+        everywhere = {where for where, node in _nodes(ast.Constant) if message in str(node.value)}
+        assert everywhere == {"aspect_model.__post_init__"}, (message, everywhere)
+        assert any(message in str(node.value) for node in ast.walk(check) if isinstance(node, ast.Constant))
+
+
+def test_the_schema_loader_checks_only_what_exists_in_json():
+    assert not [path.name for path in (ROOT / "src" / "newsdiv").glob("*.py") if "_parse_graph" in path.read_text()]
+    model = ast.parse((ROOT / "src" / "newsdiv" / "aspect_model.py").read_text())
+    load = next(node for node in model.body if isinstance(node, ast.FunctionDef) and node.name == "load_schema")
+    # The root object, the aspect objects, distance triples and graph
+    # objects; then a LabelGraph's own error, prefixed with its aspect.
+    json_only = (
+        "schema root must be a JSON object", "non-empty 'aspects' list", "each aspect must be a JSON object",
+        "'distances' must be a list", "[label, label, value]", "graph must be an object", ": {exc}",
+    )
+    raised = [ast.unparse(node.exc) for node in ast.walk(load) if isinstance(node, ast.Raise)]
+    assert [[m for m in json_only if m in r] for r in raised] == [[m] for m in json_only], raised
 
 
 def test_type_weights_are_checked_in_the_interaction_log_alone():

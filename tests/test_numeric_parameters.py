@@ -131,7 +131,7 @@ def test_numeric_parameters_return_or_raise_a_newsdiv_error(schema, pool, row, v
         (_aspect, "aspect 't': distance out of range: a/b = True (must be in [0, 1])"),
         (
             lambda v: AspectSchema((_aspect(1.0),), {"t": v}),
-            "blend weight for 't' is True; weights must lie in [0, 1]",
+            "blend weight for 't' must be a number",
         ),
         (
             lambda v: InteractionLog((), {"like": v}),

@@ -16,6 +16,13 @@ Each count is pinned at an upper bound. A change that lowers a count lowers
 its pin in the same change, so the next one cannot quietly take the work
 back. Raising a pin is a bound change: it is logged in CHANGES.md with the
 reason.
+
+A count at one size shows how much work a request does, not how the work
+grows. The sequence requests also run at n = 500 and 2,000 documents, and
+each count's growth, its value at 2,000 over its value at 500, is pinned
+the same way (Goldsmith, Aiken & Wilkerson, "Measuring Empirical
+Computational Complexity", ESEC/FSE 2007). A count that is 0 at 500 must
+stay 0.
 """
 
 import contextlib
@@ -72,14 +79,14 @@ REQUESTS = {
         p, 3, "narrow", 150, RERANK + ["list"], k=10, n_rules=4, extra=("--lambda", "0.3")
     ),
     "rerank summary": lambda p: _request(p, 4, "wide", 120, RERANK + ["summary"], k=10, n_rules=4),
-    "rerank sequence": lambda p: _request(
-        p, 5, "narrow", 150, RERANK + ["sequence"], k=1, history=20, n_rules=4, extra=("--window", "last:8")
+    "rerank sequence": lambda p, n=150: _request(
+        p, 5, "narrow", n, RERANK + ["sequence"], k=1, history=20, n_rules=4, extra=("--window", "last:8")
     ),
     "rerank interaction": lambda p: _request(
         p, 6, "wide", 100, RERANK + ["interaction"], k=1, interactions=30, n_rules=4
     ),
-    "rerank sequence --rules, 2k documents": lambda p: _request(
-        p, 7, "wide", 2000, RERANK + ["sequence"], k=1, history=10, n_rules=30, extra=("--window", "last:2")
+    "rerank sequence --rules, 2k documents": lambda p, n=2000: _request(
+        p, 7, "wide", n, RERANK + ["sequence"], k=1, history=10, n_rules=30, extra=("--window", "last:2")
     ),
     "oracle": lambda p: _request(p, 8, "wide", 22, ["oracle"], k=5),
 }
@@ -97,6 +104,19 @@ PINS = {
         rows=2002, cells=904, entries=1356, fold_steps=8789, pair_sums=0, number_checks=2092
     ),
     "oracle": dict(rows=22, cells=231, entries=0, fold_steps=0, pair_sums=35, number_checks=82),
+}
+
+
+# Each count's growth from n = 500 to 2,000 when last pinned, as upper
+# bounds: the measured growth plus a margin of about 0.05. Rows and number
+# checks grow with the corpus the loader reads; sequence mode scores only
+# the window and the distinct candidate rows.
+GROWTH_SIZES = (500, 2000)
+GROWTH_PINS = {
+    "rerank sequence": dict(rows=4.0, cells=1.05, entries=1.05, fold_steps=4.72, number_checks=3.89),
+    "rerank sequence --rules, 2k documents": dict(
+        rows=4.04, cells=1.6, entries=1.6, fold_steps=3.67, number_checks=3.59
+    ),
 }
 
 
@@ -175,3 +195,19 @@ def test_every_counter_sees_its_kernel(measured):
     # A wrapper that no call reaches would keep every pin at zero.
     for key in COUNTS:
         assert any(counts[key] for counts in measured.values()), key
+
+
+@pytest.mark.parametrize("name", list(GROWTH_PINS))
+def test_work_growth_stays_within_its_pins(tmp_path, name):
+    counts = []
+    for n in GROWTH_SIZES:
+        (tmp_path / str(n)).mkdir()
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            counts.append(count_work(monkeypatch, REQUESTS[name](tmp_path / str(n), n)))
+    small, large = counts
+    assert [key for key in COUNTS if not small[key] and large[key]] == []
+    growth = {key: large[key] / small[key] for key in COUNTS if small[key]}
+    pins = GROWTH_PINS[name]
+    assert set(pins) == set(growth), (name, growth)
+    over = {key: (growth[key], pins[key]) for key in pins if growth[key] > pins[key]}
+    assert not over, (name, over, growth)
