@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import InitVar, dataclass, field
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import DerivationError, UnknownEntityError, ValidationError, json_float, json_isinstance, json_number_in, load_json
@@ -229,7 +230,7 @@ class AspectSchema:
 
     `aspects` is a list or tuple of Aspects, stored as a tuple, and
     `weights` a mapping from each aspect's name to a number in [0, 1],
-    stored as a dict of floats.
+    stored as a read-only mapping of floats (a `MappingProxyType`).
 
     The schema remembers the label tuples it has checked: `_rows` maps the
     per-aspect label values of a document (in aspect order) that passed a
@@ -255,7 +256,7 @@ class AspectSchema:
                 raise ValidationError(f"blend weight for {key!r} must be a number")
             weights[key] = json_float(value, f"blend weight for {key!r}")
         object.__setattr__(self, "aspects", tuple(self.aspects))
-        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "weights", MappingProxyType(weights))
         names = tuple(a.name for a in self.aspects)
         object.__setattr__(self, "_names", names)
         if len(set(names)) != len(names):

@@ -26,7 +26,7 @@ from .errors import (
     load_json,
 )
 # interaction_diversity is unused here; newsbench/tracing.py patches this name.
-from .metrics import Window, _Pool, _check_unique_ids, collection_diversity, interaction_diversity, parse_window  # noqa: F401
+from .metrics import Window, _Pool, _pool, collection_diversity, interaction_diversity, parse_window  # noqa: F401
 from .oracle import max_diversity_oracle
 
 EXIT_OK = 0
@@ -65,8 +65,7 @@ def cmd_score(args) -> str:
         missing = sorted({i for i in wanted if i not in corpus.documents})
         if missing:
             raise UnknownEntityError(f"unknown document ids: {missing}")
-        docs = [corpus.documents[i] for i in wanted]
-        _check_unique_ids(docs, "--ids")
+        docs = _pool(schema, [corpus.documents[i] for i in wanted], "--ids")
     else:
         docs = corpus._pool  # the loader's rows, resolved once
     return corpus_io.write_report(collection_diversity(schema, docs))

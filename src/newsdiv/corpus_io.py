@@ -6,11 +6,12 @@ keywords and interaction records check their own fields as they are built,
 and the loaders add the line number to the message. A schema
 remembers the label rows it has checked, so the corpus loader checks each
 distinct label tuple once. The loader keeps each document's row: besides
-the documents keyed by id, a `Corpus` holds the one checked pool, the
+the documents keyed by id, a `Corpus` holds the pool it checked, the
 documents in file order with their rows, that the CLI hands through the
-rules to the mode unchecked. `Corpus.docs()` is a plain list, checked by
-every function it is passed to. A report is whatever defines `as_dict`; it
-serializes deterministically with numbers at 12 significant digits.
+rules to the mode. The one gate, `metrics._pool`, passes that pool as it is
+and checks any other sequence, the plain list `Corpus.docs()` too. A report
+is whatever defines `as_dict`; it serializes deterministically with numbers
+at 12 significant digits.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ class Corpus:
 
     documents: Mapping[str, DocumentProfile]
     # The loader's documents in file order with their rows, which the CLI
-    # alone passes on: docs() is a plain list, checked by whatever takes it.
+    # alone passes on: docs() is a plain list, which the gate checks.
     _pool: tuple = field(default=(), repr=False, compare=False)
 
     def docs(self) -> list[DocumentProfile]:

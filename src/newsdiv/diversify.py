@@ -9,12 +9,13 @@ Every procedure is deterministic and picks its winners through `_pick`:
 values within TIE_TOLERANCE count as tied, then the documented secondary
 key decides, then the smaller id.
 
-Every mode that takes a pool (and the oracle) selects by position in the
-id-ordered pool `metrics._by_id` builds once: it checks any pool but the
-corpus loader's, which carries its rows; swap's is its list plus pool, and
-its list keeps its slots. Greedy and the blend step through one loop,
-`_grow`, with their own step score, and `_result` builds a result from the
-chosen positions.
+Every mode reads documents' rows from the one gate, `metrics._pool`, which
+passes the corpus loader's pool as it is and checks any other sequence in
+the order given. A mode that takes a pool (and the oracle) selects by
+position in the gate's pool in id order, which `metrics._by_id` builds
+once; swap's is its list plus pool, and its list keeps its slots. Greedy
+and the blend step through one loop, `_grow`, with their own step score,
+and `_result` builds a result from the chosen positions.
 """
 from __future__ import annotations
 
@@ -33,10 +34,11 @@ from .metrics import (
     _Pool,
     _by_id,
     _candidate_values,
+    _check_entries,
     _check_k,
     _distance_matrix,
     _diversity,
-    _label_indices,
+    _pool,
     docs_per_type,
     keyword_diversity,
     window_slice,
@@ -85,9 +87,10 @@ def exclude_history(
     candidates: Sequence[DocumentProfile], history_ids: set[str]
 ) -> list[DocumentProfile]:
     """Novelty pre-filter: drop candidates the user has already consumed.
-    A loader's pool stays one."""
+    A loader's pool stays one; any other entry must be a document."""
     if isinstance(candidates, _Pool):
         return candidates.take([i for i, c in enumerate(candidates) if c.id not in history_ids])
+    _check_entries(candidates, "candidate list")
     return [c for c in candidates if c.id not in history_ids]
 
 
@@ -246,11 +249,11 @@ def next_in_sequence(
         raise ContractError("candidate set must be non-empty")
     if not json_number_in(gamma, 0.0, 1.0) or gamma == 0.0:
         raise ContractError(f"gamma must lie in (0, 1] (got {gamma!r})")
-    # Checks: window labels, candidate ids, candidate labels in id order. Both
-    # values are scored once per distinct row. One pair-kernel call gives each
-    # distinct window row its distances to them; affinities add gamma**age
-    # times those of each window item, newest first.
-    recent = [_label_indices(schema, d) for d in window_slice(history, window)]
+    # Checks: window labels, candidate ids, candidate labels in the order
+    # given. Both values are scored once per distinct row. One pair-kernel
+    # call gives each distinct window row its distances to them; affinities
+    # add gamma**age times those of each window item, newest first.
+    recent = _pool(schema, window_slice(history, window), "sequence", unique=False).rows
     ordered, keys = _by_id(schema, candidates, "candidate set")
     distinct = list(dict.fromkeys(keys))
     past = list(dict.fromkeys(recent))
@@ -312,14 +315,12 @@ def suggest_interaction(
     unresolved = sorted({doc_id for doc_id, _ in options if doc_id not in corpus_docs})
     if unresolved:
         raise UnknownEntityError(f"options reference unknown documents: {unresolved}")
-    # Every label is checked before any option is scored: the log's documents
-    # (docs_per_type reports unknown ones), then the options'.
-    logged = [r.doc for r in log.records if r.doc in corpus_docs]
-    row = {
-        doc_id: _label_indices(schema, corpus_docs[doc_id])
-        for doc_id in dict.fromkeys(logged + [doc_id for doc_id, _ in options])
-    }
-    groups = {t: {d.id: row[d.id] for d in docs} for t, docs in docs_per_type(corpus_docs, log).items()}
+    # docs_per_type checks the log and names its unknown documents; then every
+    # label is checked before any option is scored, the log's and the options'.
+    grouped = docs_per_type(corpus_docs, log)
+    ids = list(dict.fromkeys([r.doc for r in log.records] + [doc_id for doc_id, _ in options]))
+    row = dict(zip(ids, _pool(schema, [corpus_docs[i] for i in ids], "corpus mapping", unique=False).rows))
+    groups = {t: {d.id: row[d.id] for d in docs} for t, docs in grouped.items()}
     own = {t: _diversity(schema, list(group.values())).overall for t, group in groups.items()}
     # An option adding a new document to its weighted type's group changes
     # that type's term only. Any other option reads its type's own value (an

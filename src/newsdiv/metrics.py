@@ -15,14 +15,15 @@ distance of two documents is their `collection_diversity` (divisor 1).
 A document's row is its label index per aspect, in schema aspect order.
 `_label_indices` reads it from the schema's row table, which holds every
 label tuple the schema has checked, and checks a tuple the table does not
-hold yet; it is the modes' only label check. Two kernels read rows and the
-distance matrices: the count kernel `_diversity` (stepped by
-`_candidate_values`) and the pair kernel `_distance_matrix`. Every mode that
-takes a pool selects by position in the pool `_by_id` builds once: the
-documents in id order and their rows. `_by_id` has two constructors. A
-`_Pool`, which only the corpus loader makes from documents, carries the
-rows the loader resolved and only has to be put in id order; any other
-sequence has its entries and ids and then its labels checked.
+hold yet. Every function that reads documents' rows takes them from one
+gate, `_pool`: a `_Pool`, which only the corpus loader makes from
+documents, passes as it is with the rows the loader resolved; any other
+sequence has its entries, its ids and then its labels checked, in the order
+given, and becomes a new pool. Two kernels read rows and the distance
+matrices: the count kernel `_diversity` (stepped by `_candidate_values`)
+and the pair kernel `_distance_matrix`. Every mode that takes a pool
+selects by position in the pool `_by_id` builds once: the gate's pool in
+id order.
 
 Per-aspect pair sums depend only on label counts. With c_l documents
 carrying label l and the aspect's distance matrix D,
@@ -46,6 +47,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from operator import add
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .aspect_model import WEIGHT_TOLERANCE, AspectSchema
@@ -134,7 +136,7 @@ class InteractionRecord:
 @dataclass(frozen=True)
 class InteractionLog:
     """Time-stamped interaction records, stored as a tuple, plus per-type
-    blend weights."""
+    blend weights, stored as a read-only copy (a `MappingProxyType`)."""
 
     records: tuple[InteractionRecord, ...]
     type_weights: Mapping[str, float]
@@ -150,15 +152,17 @@ class InteractionLog:
             raise ValidationError(
                 f"interaction type weights must map types to numbers (got {self.type_weights!r})"
             )
-        for t, w in self.type_weights.items():
+        weights = dict(self.type_weights)
+        for t, w in weights.items():
             if not json_isinstance(w, (int, float)):
                 raise ValidationError(f"interaction type weight for {t!r} must be a number (got {w!r})")
             if not json_number_in(w, 0.0, float("inf")):
                 raise ValidationError(f"interaction type weight for {t!r} is negative or NaN ({w!r})")
             json_float(w, f"interaction type weight for {t!r}")  # not an OverflowError in the sum
-        total = sum(self.type_weights.values())
+        total = sum(weights.values())
         if not abs(total - 1.0) <= WEIGHT_TOLERANCE:
             raise ValidationError(f"interaction type weights must sum to 1 (got {total!r})")
+        object.__setattr__(self, "type_weights", MappingProxyType(weights))
 
 
 @dataclass(frozen=True)
@@ -242,17 +246,6 @@ def _check_entries(entries: Sequence, what: str, kind: type = DocumentProfile, n
         raise ContractError(f"{what} contains entries that are not {noun}: {wrong}")
 
 
-def _check_unique_ids(docs: Sequence[DocumentProfile], what: str) -> None:
-    """Every entry must be a document, and their ids unique. A document's id
-    is a string by construction, so the modes that sort by id check here
-    first, and a wrong entry is named here and never fails the sort."""
-    _check_entries(docs, what)
-    ids = [d.id for d in docs]
-    if len(set(ids)) != len(ids):
-        dupes = sorted(i for i, c in Counter(ids).items() if c > 1)
-        raise ContractError(f"{what} contains duplicate document ids: {dupes}")
-
-
 def _check_k(k: int, n: int) -> None:
     """A selection size must be an integer (not a bool) in [1, n]."""
     if not json_number_in(k, 1, n, int):
@@ -260,14 +253,12 @@ def _check_k(k: int, n: int) -> None:
 
 
 class _Pool(tuple):
-    """Documents the corpus loader checked, in file order, with `rows`, their
-    rows in the same order: their ids are unique and their labels resolved.
-    (Each document checked its own fields when it was built.) Only the
-    loader builds one from documents. Every other is built from one: a
-    filter or a split of it, or the CLI's copy with the rules' boosted
-    relevance. The CLI, which alone holds the loader's pool, is the only
-    caller that passes one; a list or a tuple, the public `Corpus.docs()`
-    included, is always checked."""
+    """Checked documents with `rows`, their rows in the same order: their
+    entries are documents, their ids unique (unless the gate was told they
+    may repeat) and their labels resolved. The corpus loader builds one from
+    its documents, in file order, and `_pool` one from any other sequence;
+    every other is a filter or a split of one, or the CLI's copy with the
+    rules' boosted relevance."""
 
     def __new__(cls, docs: Iterable[DocumentProfile], rows: list[tuple]) -> _Pool:
         pool = tuple.__new__(cls, docs)
@@ -280,16 +271,28 @@ class _Pool(tuple):
         return _Pool([self[i] for i in positions], [rows[i] for i in positions])
 
 
-def _by_id(schema: AspectSchema, docs: Sequence[DocumentProfile], what: str) -> tuple[Sequence, list[tuple]]:
-    """The pool the modes select from by position: the documents in id order
-    and their rows. A loader's pool is only put in id order; any other
-    sequence has its ids checked, here, then every label in id order."""
+def _pool(schema: AspectSchema, docs: Sequence[DocumentProfile], what: str, unique: bool = True) -> _Pool:
+    """The one gate for documents. A `_Pool` passes as it is. Any other
+    sequence is checked in the order given, its entries (each must be a
+    document), then its ids (unique, if `unique`), then each document's
+    labels, and becomes a new pool; a ContractError names `what`."""
     if isinstance(docs, _Pool):
-        ordered = docs.take(sorted(range(len(docs)), key=lambda i: docs[i].id))
-        return ordered, ordered.rows
-    _check_unique_ids(docs, what)
-    ordered = sorted(docs, key=lambda d: d.id)
-    return ordered, [_label_indices(schema, d) for d in ordered]
+        return docs
+    _check_entries(docs, what)
+    if unique:
+        ids = [d.id for d in docs]
+        if len(set(ids)) != len(ids):
+            dupes = sorted(i for i, c in Counter(ids).items() if c > 1)
+            raise ContractError(f"{what} contains duplicate document ids: {dupes}")
+    return _Pool(docs, [_label_indices(schema, d) for d in docs])
+
+
+def _by_id(schema: AspectSchema, docs: Sequence[DocumentProfile], what: str) -> tuple[_Pool, list[tuple]]:
+    """The pool the modes select from by position: the gate's pool in id
+    order, and its rows."""
+    pool = _pool(schema, docs, what)
+    ordered = pool.take(sorted(range(len(pool)), key=lambda i: pool[i].id))
+    return ordered, ordered.rows
 
 
 def _counts(rows: Sequence[Sequence[int]], a: int) -> dict[int, int]:
@@ -375,13 +378,9 @@ def _distance_matrix(
 
 def collection_diversity(schema: AspectSchema, docs: Sequence[DocumentProfile]) -> DiversityReport:
     """Mean pairwise blended distance, with the per-aspect decomposition.
-    Every entry must be a document, and every label is checked, even in a
-    list of fewer than two (which scores 0); a loader's pool was checked on
-    load and brings its rows."""
-    if isinstance(docs, _Pool):
-        return _diversity(schema, docs.rows)
-    _check_entries(docs, "document list")
-    return _diversity(schema, [_label_indices(schema, d) for d in docs])
+    The documents pass the gate, ids may repeat, so every label is checked,
+    even in a list of fewer than two (which scores 0)."""
+    return _diversity(schema, _pool(schema, docs, "document list", unique=False).rows)
 
 
 def _check_sorted(docs: Sequence[DocumentProfile]) -> bool:
@@ -421,6 +420,8 @@ def docs_per_type(corpus_docs: Mapping[str, DocumentProfile], log: InteractionLo
     Raises UnknownEntityError listing every record document id that does not
     resolve against the corpus.
     """
+    if not isinstance(log, InteractionLog):
+        raise ContractError(f"log must be an InteractionLog (got {log!r})")
     unresolved = sorted({r.doc for r in log.records if r.doc not in corpus_docs})
     if unresolved:
         raise UnknownEntityError(

@@ -8,9 +8,9 @@ labels to bitmasks of the items carrying them, and returns the mask of the
 items it matches: a leaf ORs label masks, and `all`, `any` and `not` are
 `&`, `|` and `^`. apply_rules builds one item set over the distinct label
 tuples among the candidates, so a rule costs one mask over those tuples.
-It groups the loader's pool by the rows the loader stored and returns its
-survivors as a pool, with their rows; any other candidate list has its
-entries and ids checked and is grouped by rows it resolves. After the rule
+It takes the candidates through the gate, `metrics._pool`, as every mode
+does, and groups them by the gate's rows: the loader's pool by the rows the
+loader stored, any other list by the rows the gate checked. After the rule
 loop, _fold adds each boosted document's deltas in rule order, clamping
 each sum, and keeps only the final relevance and each rule's clamp count.
 check_requirements counts a rule's matches in the final selection as the
@@ -39,7 +39,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .aspect_model import AspectSchema
 from .errors import UnknownEntityError, ValidationError, json_float, json_isinstance, json_number_in
-from .metrics import DocumentProfile, _Pool, _check_unique_ids
+from .metrics import DocumentProfile, _check_entries, _pool
 
 SCOPES = ("global", "context", "request")
 
@@ -251,7 +251,9 @@ def _fold(relevance: float | None, steps: Iterable[tuple[int, float]], clamped: 
 class RuleApplication:
     """Pure outcome of applying rules to a candidate list.
 
-    candidates: surviving profiles, original objects, input order kept.
+    candidates: surviving profiles, original objects, input order kept; a
+    pool with its rows when apply_rules was given the loader's pool, and a
+    tuple otherwise.
     adjusted_relevance: doc id -> clamped post-boost relevance (only boosted
     docs appear; unboosted docs keep their profile relevance).
     adjustments: trace records in application order: one "exclude" record
@@ -309,8 +311,9 @@ def apply_rules(
     require_at_least is left to check_requirements on the final selection,
     never enforced. Input profiles are not mutated, so applying the same
     rules to the output reproduces the same survivors and adjusted
-    relevance (idempotence). An entry that is not a document, or duplicate
-    candidate ids, raise ContractError.
+    relevance (idempotence). The candidates pass the gate, as a mode's
+    pool does: an entry that is not a document, duplicate ids or a missing
+    label raise ContractError, and an unknown label UnknownEntityError.
 
     Each rule's hits are the set bits of one mask over the candidates'
     label groups. A boost only notes itself on the groups it hits; the
@@ -319,19 +322,13 @@ def apply_rules(
     """
     # A compiled test reads only each aspect's label and accepts only schema
     # labels, so documents sharing a label-index row share every outcome.
-    trusted = isinstance(candidates, _Pool)
-    if trusted:  # the loader checked its ids and resolved its rows
-        keys = candidates.rows
-    else:
-        _check_unique_ids(candidates, "candidate list")
-        # One without a row is a group of its own, keyed by its unique id (never a row).
-        keys = [schema._row(doc.labels) or doc.id for doc in candidates]
-    by_key: dict[tuple | str, list[int]] = {}
-    for i, key in enumerate(keys):
-        by_key.setdefault(key, []).append(i)
-    groups = list(by_key.values())  # each group's input positions, ascending
+    pool = _pool(schema, candidates, "candidate list")
+    by_row: dict[tuple, list[int]] = {}
+    for i, row in enumerate(pool.rows):
+        by_row.setdefault(row, []).append(i)
+    groups = list(by_row.values())  # each group's input positions, ascending
     sizes = list(map(len, groups))
-    index, every = _index(schema, [candidates[members[0]].labels for members in groups])
+    index, every = _index(schema, [pool[members[0]].labels for members in groups])
     live = every  # group g is bit g
     adjustments: list[dict | None] = []
     # Each boost rule as (its boost_rule record's place, the rule, documents
@@ -348,7 +345,7 @@ def apply_rules(
         if rule.action == "exclude":
             live ^= hit
             for i in sorted(chain.from_iterable(groups[g] for g in hits)):  # input order
-                adjustments.append(_record("exclude", rule=rule.id, doc=candidates[i].id))
+                adjustments.append(_record("exclude", rule=rule.id, doc=pool[i].id))
             continue
         step = (len(boosting), rule.value)
         for g in hits:
@@ -366,7 +363,7 @@ def apply_rules(
         steps = tuple(steps)  # the group's, shared by its documents
         alive = live >> g & 1
         for i in groups[g]:
-            doc = candidates[i]
+            doc = pool[i]
             relevance = doc.relevance
             after = _fold(relevance, steps, clamped)
             if alive:
@@ -376,11 +373,9 @@ def apply_rules(
     for (at, rule, matched), count in zip(boosting, clamped):
         adjustments[at] = _record("boost_rule", rule=rule.id, delta=rule.value, matched=matched, clamped=count)
 
-    if live != every:
-        kept = sorted(chain.from_iterable(groups[g] for g in _bits(live)))
-        candidates = candidates.take(kept) if trusted else [candidates[i] for i in kept]
+    survivors = pool if live == every else pool.take(sorted(chain.from_iterable(groups[g] for g in _bits(live))))
     return RuleApplication(
-        candidates=candidates if trusted else tuple(candidates),
+        candidates=survivors if pool is candidates else tuple(survivors),
         adjusted_relevance=adjusted,
         adjustments=tuple(adjustments),
         _boosted=boosted,
@@ -393,6 +388,7 @@ def check_requirements(
     docs: Sequence[DocumentProfile],
 ) -> tuple[dict, ...]:
     """Report require_at_least rules the given document list fails to meet."""
+    _check_entries(docs, "document list")
     index, every = _index(schema, [d.labels for d in docs])
     violations = []
     for rule in require_rules:

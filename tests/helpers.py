@@ -35,9 +35,9 @@ from newsdiv.metrics import (
     InteractionRecord,
     Keyword,
     Window,
-    _check_unique_ids,
     _diversity,
     _label_indices,
+    _pool,
     collection_diversity,
     docs_per_type,
     interaction_diversity,
@@ -494,10 +494,11 @@ def enumerate_oracle(schema: AspectSchema, pool: Sequence[DocumentProfile], k: i
 
 
 def _label_rows(schema: AspectSchema, docs: Sequence[DocumentProfile], what: str) -> dict[str, tuple[int, ...]]:
-    """Each document's label-index row by id. Ids must be unique, and every
-    label is checked here, in the given order, before a mode scores any."""
-    _check_unique_ids(docs, what)
-    return {d.id: _label_indices(schema, d) for d in docs}
+    """Each document's label-index row by id, from the gate: its entries,
+    unique ids and every label are checked there, in the given order,
+    before a mode scores any."""
+    pool = _pool(schema, docs, what)
+    return dict(zip((d.id for d in pool), pool.rows))
 
 
 def _result(schema: AspectSchema, row: Mapping[str, tuple], selected: list[DocumentProfile], trace: list) -> RerankResult:

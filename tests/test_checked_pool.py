@@ -14,9 +14,12 @@ pin that split:
 
 A document, a keyword, an interaction record and log, a rule set, a
 label graph, an aspect and a schema check their own fields when they are
-built, so a last table pins that every such input, every entry that is not
-a document (or keyword), a window that is not a `Window` and a result that
-is neither a result object nor a mapping ends in a `NewsdivError`.
+built, so a table pins that every such input, every entry that is not a
+document (or keyword), a window that is not a `Window` and a result that
+is neither a result object nor a mapping ends in a `NewsdivError`. A last
+table calls every public function or class that takes documents, records
+or a result with values of the wrong kind: each ends in a `NewsdivError`,
+a `TypeError` for a wrong container, or a return.
 """
 
 import contextlib
@@ -28,7 +31,7 @@ from itertools import chain
 
 import pytest
 
-from newsdiv import cli
+from newsdiv import Corpus, cli
 from newsdiv.aspect_model import Aspect, AspectSchema, LabelGraph, load_schema
 from newsdiv.corpus_io import load_corpus, load_history, load_interactions, load_rules, write_report
 from newsdiv.diversify import (
@@ -204,12 +207,12 @@ ENTRY_POINTS = {
     ),
 }
 
-# Each entry point that reads labels checks them; the rules only test the
-# labels their predicates name. A relevance score is checked when a
-# document is built, so nothing re-checks one forced past the frozen
-# dataclass, as nothing re-checks a forced Rule field.
+# Each entry point that reads labels checks them, the rules too, through
+# the one gate. A relevance score is checked when a document is built, so
+# nothing re-checks one forced past the frozen dataclass, as nothing
+# re-checks a forced Rule field.
 LABELS = ("unknown label", "missing label")
-CASES = [(entry, mutation) for entry in ENTRY_POINTS if entry != "apply_rules" for mutation in LABELS]
+CASES = [(entry, mutation) for entry in ENTRY_POINTS for mutation in LABELS]
 
 
 @pytest.mark.parametrize("entry, mutation", CASES)
@@ -225,12 +228,25 @@ def test_a_document_mutated_after_loading_is_still_refused(fixtures_dir, entry, 
     assert str(info.value) == message
 
 
+def test_no_call_hands_back_a_pool_built_from_a_callers_list(fixtures_dir):
+    schema = load_schema((fixtures_dir / "example_schema.json").read_text())
+    corpus = load_corpus(schema, (fixtures_dir / "example_corpus.jsonl").read_text())
+    docs = corpus.docs()
+    assert type(apply_rules(schema, RuleSet(rules=()), [], docs).candidates) is tuple
+    assert type(exclude_history(docs, {"a1"})) is list
+    assert type(apply_rules(schema, RuleSet(rules=()), [], corpus._pool).candidates) is type(corpus._pool)
+
+
 # --- documents, keywords and interaction records check themselves ---
 
 
 def _listed(docs):
     """The documents with the first one's labels a list of its labels."""
     return [replace(docs[0], labels=list(docs[0].labels.values())), *docs[1:]]
+
+
+def _log():
+    return InteractionLog((InteractionRecord("u", "a1", "like", 1),), {"like": 1.0})
 
 
 def _listed_doc_log():
@@ -277,6 +293,11 @@ PROBES = {
     "window a string, next_in_sequence": lambda schema, corpus: next_in_sequence(
         schema, corpus.docs()[:2], corpus.docs()[2:4], "last:1"
     ),
+    "ids, check_requirements": lambda schema, corpus: check_requirements(schema, [], ["a1"]),
+    "ids, exclude_history": lambda schema, corpus: exclude_history(["a1"], set()),
+    "mapping of ids, suggest_interaction": lambda schema, corpus: suggest_interaction(
+        schema, {"a1": "a1", "a2": "a2"}, _log(), [("a2", "like")]
+    ),
     "ids, explain_result": lambda schema, corpus: explain_result(["a1", "a2"]),
     "id, explain_result": lambda schema, corpus: explain_result("a1"),
 }
@@ -288,3 +309,50 @@ def test_a_malformed_record_or_entry_ends_in_a_newsdiv_error(fixtures_dir, probe
     corpus = load_corpus(schema, (fixtures_dir / "example_corpus.jsonl").read_text())
     with pytest.raises(NewsdivError):
         PROBES[probe](schema, corpus)
+
+
+# --- wrong values where documents, records or a result belong ---
+
+
+# Each public function or class that takes documents, records or a result,
+# with a wrong value in that argument and good ones in the others.
+TAKERS = {
+    "Corpus": lambda schema, corpus, bad: Corpus(bad),
+    "InteractionLog": lambda schema, corpus, bad: InteractionLog(bad, {"like": 1.0}),
+    "apply_rules": lambda schema, corpus, bad: apply_rules(schema, RuleSet(rules=()), [], bad),
+    "collection_diversity": lambda schema, corpus, bad: collection_diversity(schema, bad),
+    "exclude_history": lambda schema, corpus, bad: exclude_history(bad, set()),
+    "explain_result": lambda schema, corpus, bad: explain_result(bad),
+    "greedy_select": lambda schema, corpus, bad: greedy_select(schema, bad, 1),
+    "interaction_diversity, documents": lambda schema, corpus, bad: interaction_diversity(schema, bad, _log()),
+    "interaction_diversity, log": lambda schema, corpus, bad: interaction_diversity(schema, corpus.documents, bad),
+    "keyword_diversity": lambda schema, corpus, bad: keyword_diversity(schema, bad),
+    "max_diversity_oracle": lambda schema, corpus, bad: max_diversity_oracle(schema, bad, 1),
+    "next_in_sequence, history": lambda schema, corpus, bad: next_in_sequence(
+        schema, bad, corpus.docs()[:2], Window("last", 1)
+    ),
+    "next_in_sequence, candidates": lambda schema, corpus, bad: next_in_sequence(
+        schema, corpus.docs()[:2], bad, Window("last", 1)
+    ),
+    "rerank_combined": lambda schema, corpus, bad: rerank_combined(schema, bad, 1, 0.5),
+    "select_summary_sources": lambda schema, corpus, bad: select_summary_sources(schema, bad, 1),
+    "suggest_interaction, documents": lambda schema, corpus, bad: suggest_interaction(
+        schema, bad, _log(), [("a2", "like")]
+    ),
+    "suggest_interaction, log": lambda schema, corpus, bad: suggest_interaction(
+        schema, corpus.documents, bad, [("a2", "like")]
+    ),
+    "swap_diversify, list": lambda schema, corpus, bad: swap_diversify(schema, bad, corpus.docs()[2:], 1),
+    "swap_diversify, pool": lambda schema, corpus, bad: swap_diversify(schema, corpus.docs()[:2], bad, 1),
+    "write_report": lambda schema, corpus, bad: write_report(bad),
+}
+
+
+@pytest.mark.parametrize("bad", [None, "a1", 5, {}, ["a1", "a2"]], ids=repr)
+@pytest.mark.parametrize("taker", sorted(TAKERS))
+def test_a_wrong_value_ends_in_a_newsdiv_error_a_type_error_or_a_return(fixtures_dir, taker, bad):
+    """Never a bare AttributeError, KeyError, IndexError or ValueError."""
+    schema = load_schema((fixtures_dir / "example_schema.json").read_text())
+    corpus = load_corpus(schema, (fixtures_dir / "example_corpus.jsonl").read_text())
+    with contextlib.suppress(NewsdivError, TypeError):
+        TAKERS[taker](schema, corpus, bad)

@@ -4,8 +4,8 @@ reads distances in two kernels, checks a selection size in one place,
 range-checks every numeric parameter in one helper, reads and stores
 checked label rows in one method, declares every trace record kind it
 emits, builds every trace record in one constructor, whose calls pass
-each field the kind's detail template names, checks ids and orders every
-mode's pool by id in one helper, sorts by id nowhere else, builds the
+each field the kind's detail template names, checks documents in one gate
+and orders every mode's pool by id in one helper, sorts by id nowhere else, builds the
 pair kernel's tables at most once per function and never in a loop, and
 steps greedy selections in one loop. No code makes an instance without
 its class's __init__, and the loader imports no mode. A rule's fields, a
@@ -213,92 +213,49 @@ def test_label_rows_are_stored_in_one_place():
     ]
 
 
-def _pool_test(test, flags) -> bool | None:
-    """True for `isinstance(x, _Pool)` or a name in `flags` (a name assigned
-    one), False for `not` of either, None for any other test."""
-    if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
-        inner = _pool_test(test.operand, flags)
-        return None if inner is None else not inner
-    if isinstance(test, ast.Name) and test.id in flags:
-        return True
-    if ast.unparse(test).startswith("isinstance(") and ast.unparse(test).endswith(", _Pool)"):
-        return True
-    return None
-
-
-def _unless_pool(name: str) -> dict[str, bool]:
-    """For each function in src/newsdiv that calls `name` (by name or as a
-    method), whether every call sits where a loader's pool never reaches:
-    in the branch of a pool test that a pool does not take, or after a pool
-    branch that returns."""
-    out = {}
-
-    def visit(where, stmts, flags, guarded):
-        for i, stmt in enumerate(stmts):
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(f"{where.split('.')[0]}.{stmt.name}", stmt.body, set(), False)
-                continue
-            if isinstance(stmt, ast.ClassDef):
-                visit(where, stmt.body, flags, guarded)
-                continue
-            if isinstance(stmt, ast.Assign) and _pool_test(stmt.value, set()):
-                flags = flags | {t.id for t in stmt.targets}
-            if isinstance(stmt, ast.If) and _pool_test(stmt.test, flags) is not None:
-                pool, other = (stmt.body, stmt.orelse) if _pool_test(stmt.test, flags) else (stmt.orelse, stmt.body)
-                visit(where, pool, flags, guarded)
-                visit(where, other, flags, True)
-                if pool and isinstance(pool[-1], ast.Return):
-                    visit(where, stmts[i + 1:], flags, True)
-                    return
-                continue
-            for field, value in ast.iter_fields(stmt):
-                if isinstance(value, list) and value and isinstance(value[0], ast.stmt):
-                    visit(where, value, flags, guarded)  # a loop's, with's or try's body
-                    continue
-                for part in value if isinstance(value, list) else [value]:
-                    for node in ast.walk(part) if isinstance(part, ast.AST) else ():
-                        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == name:
-                            out[where] = out.get(where, True) and guarded
-
-    for path in sorted((ROOT / "src" / "newsdiv").glob("*.py")):
-        tree = ast.parse(path.read_text())
-        visit(f"{path.stem}.<module>", tree.body, set(), False)
-    return out
-
-
 def test_pools_are_checked_and_ordered_by_id_in_one_helper():
     # The id-keyed row map the modes once shared is gone.
     assert not [path.name for path in (ROOT / "src" / "newsdiv").glob("*.py") if "_label_rows" in path.read_text()]
-    # The loader builds the one pool made from documents; every other is
-    # made from a pool's rows: a filter or split of one, or the blend's
-    # boosted copy.
+    # The loader builds the one pool made from documents it checked, and the
+    # gate one from any other sequence; every other is made from a pool's
+    # rows: a filter or split of one, or the blend's boosted copy.
     assert {where for where, _ in _calls("_Pool")} == {
-        "corpus_io.load_corpus", "metrics.take", "cli.cmd_rerank", "diversify.swap_diversify",
+        "corpus_io.load_corpus", "metrics._pool", "metrics.take", "cli.cmd_rerank", "diversify.swap_diversify",
     }
-    # A document checks its own fields when it is built. Each fact about a
-    # list of documents is checked in one place per path: the loader for the
-    # CLI's pool, and for a library caller's list its entries and unique ids
-    # in _check_unique_ids and its labels in _label_indices. Every mode
-    # checks its pool in _by_id; score and apply_rules take documents in
-    # input order. A function that takes a loader's pool skips them (True)
-    # and reads its rows instead of _row.
-    assert _unless_pool("_check_unique_ids") == {
-        "metrics._by_id": True, "cli.cmd_score": False, "rules.apply_rules": True,
+    # A document checks its own fields when it is built. Only the gate tells
+    # a loader's pool from a caller's list; history exclusion keeps a pool a
+    # pool, and swap joins a pool's two halves. Each site is one isinstance.
+    pool_tests = sorted(where for where, call in _calls("isinstance") if ast.unparse(call.args[1]) == "_Pool")
+    assert pool_tests == [
+        "diversify.exclude_history", "diversify.swap_diversify", "diversify.swap_diversify", "metrics._pool",
+    ]
+    # Every function that reads documents' rows takes them from the gate,
+    # which alone resolves labels; the duplicate-id check lives in it.
+    assert {where for where, _ in _calls("_pool")} == {
+        "metrics._by_id", "metrics.collection_diversity", "rules.apply_rules", "diversify.next_in_sequence",
+        "diversify.suggest_interaction", "cli.cmd_score",
     }
+    assert {where for where, _ in _calls("_label_indices")} == {"metrics._pool"}
+    assert not [path.name for path in (ROOT / "src" / "newsdiv").glob("*.py") if "_check_unique_ids" in path.read_text()]
+    # apply_rules has no pool branch: it names neither _Pool nor a row
+    # lookup of its own, and takes its candidates from the gate once.
+    rules = ast.parse((ROOT / "src" / "newsdiv" / "rules.py").read_text())
+    apply = next(node for node in rules.body if isinstance(node, ast.FunctionDef) and node.name == "apply_rules")
+    named = {node.id for node in ast.walk(apply) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(apply) if isinstance(node, ast.Attribute)}
+    assert not named & {"_Pool", "_row", "isinstance"}
+    assert [where for where, _ in _calls("_pool")].count("rules.apply_rules") == 1
     # Each entry is tested in one helper, also where ids may repeat (a
-    # history window) or the entries are keywords; collection_diversity
-    # skips it for a loader's pool.
-    assert _unless_pool("_check_entries") == {
-        "metrics._check_unique_ids": False, "metrics.collection_diversity": True,
-        "metrics.window_slice": False, "metrics.keyword_diversity": False,
+    # history window), the entries are keywords, or a list is only filtered
+    # or matched against rules.
+    assert {where for where, _ in _calls("_check_entries")} == {
+        "metrics._pool", "metrics.window_slice", "metrics.keyword_diversity", "rules.check_requirements",
+        "diversify.exclude_history",
     }
-    assert _unless_pool("_label_indices") == {
-        "metrics._by_id": True, "metrics.collection_diversity": True,
-        "diversify.next_in_sequence": False, "diversify.suggest_interaction": False,
+    row_lookups = {
+        where for where, call in _nodes(ast.Call) if isinstance(call.func, ast.Attribute) and call.func.attr == "_row"
     }
-    assert _unless_pool("_row") == {
-        "corpus_io.validate_labels": False, "metrics._label_indices": False, "rules.apply_rules": True,
-    }
+    assert row_lookups == {"corpus_io.validate_labels", "metrics._label_indices"}
     # A sort keyed by ids: a sorted(...) or .sort(...) whose key is a lambda
     # that reads an id attribute anywhere. Positions into a _by_id pool sort
     # as their ids do.

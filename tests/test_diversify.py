@@ -206,14 +206,18 @@ def test_swap_validation(schema):
         swap_diversify(schema, items + [items[0]], pool, budget=1)
 
 
-def test_swap_checks_labels_in_id_order(schema):
-    """The list and the pool are one pool: a fault in the pool is reported
-    first when its document's id sorts first."""
+def test_swap_checks_labels_in_the_order_given(schema):
+    """The list and the pool are one pool, checked in the order given: the
+    list's first fault is reported, though a fault in the pool has an id
+    that sorts first."""
     items, pool = swap_fixture(schema)
     late = doc("z1", "Nowhere", "Health")
     early = doc("a0", "Climate", "Nowhere")
     with pytest.raises(UnknownEntityError) as info:
-        swap_diversify(schema, [late, *items], [*pool, early], 1)
+        swap_diversify(schema, [*items, late], [early, *pool], 1)
+    assert str(info.value) == "document 'z1' uses unknown label 'Nowhere' for aspect 'topic'"
+    with pytest.raises(UnknownEntityError) as info:
+        swap_diversify(schema, items, [*pool, early], 1)
     assert str(info.value) == "document 'a0' uses unknown label 'Nowhere' for aspect 'frame'"
 
 
@@ -392,10 +396,11 @@ def test_sequence_label_errors_name_the_window_before_the_candidates(schema):
         DocumentProfile(id="c3", labels={"topic": "Climate", "frame": ["Health"]}),
         DocumentProfile(id="c1", labels={"topic": "Climate"}),
     ]
-    with pytest.raises(ContractError, match="'c1' is missing a label for aspect 'frame'"):
-        next_in_sequence(schema, history[:1], candidates, Window("last", 1))
+    # The candidates' labels are checked in the order given, not in id order.
     with pytest.raises(UnknownEntityError, match=r"'c3' uses unknown label \['Health'\]"):
-        next_in_sequence(schema, history[:1], candidates[:2], Window("last", 1))
+        next_in_sequence(schema, history[:1], candidates, Window("last", 1))
+    with pytest.raises(ContractError, match="'c1' is missing a label for aspect 'frame'"):
+        next_in_sequence(schema, history[:1], candidates[::-1], Window("last", 1))
     with pytest.raises(UnknownEntityError, match="'h2' uses unknown label 'Sports'"):
         next_in_sequence(schema, history, candidates, Window("last", 2))
     # Duplicate candidate ids are checked after the window's labels and

@@ -361,6 +361,25 @@ def test_interaction_blend_worked_example(schema):
     assert interaction_diversity(schema, corpus_docs, log) == pytest.approx(0.5, abs=1e-12)
 
 
+def test_weights_are_read_only_once_checked(schema, pool):
+    """A schema's blend weights and a log's type weights refuse assignment
+    where it is made, so no later call reads an unchecked weight."""
+    schema = replace(schema)  # a copy, not the shared fixture, should the assignment pass
+    before = collection_diversity(schema, pool)
+    with pytest.raises(TypeError):
+        schema.weights["topic"] = "x"
+    assert collection_diversity(schema, pool) == before
+    corpus_docs, log = interaction_fixture(schema)
+    weights = dict(log.type_weights)
+    log = make_log(log.records, weights)
+    expected = interaction_diversity(schema, corpus_docs, log)
+    with pytest.raises(TypeError):
+        log.type_weights["like"] = "x"
+    weights["like"] = "x"  # the caller's dict, which the log copied
+    assert interaction_diversity(schema, corpus_docs, log) == expected
+    assert dict(log.type_weights) == {"like": 0.5, "share": 0.5}
+
+
 def test_degenerate_type_weights_reduce_to_collection_diversity(schema):
     corpus_docs, _ = interaction_fixture(schema)
     log = make_log(

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from newsdiv.diversify import greedy_select
-from newsdiv.errors import ContractError, NewsdivError, ValidationError
+from newsdiv.errors import ContractError, NewsdivError, UnknownEntityError, ValidationError
 from newsdiv.metrics import DocumentProfile
 from newsdiv.rules import (
     MAX_PREDICATE_DEPTH,
@@ -500,6 +500,19 @@ def test_apply_rules_rejects_duplicate_candidate_ids(schema):
         apply_rules(schema, RuleSet(rules=()), [up], twins)
 
 
+def test_apply_rules_refuses_a_missing_and_an_unknown_label(schema):
+    """The candidates pass the gate a mode's pool passes, with its messages,
+    and the first fault in the order given is named."""
+    missing = DocumentProfile(id="a", labels={"topic": "Climate"})
+    unknown = doc("z", "Climate", "Nowhere")
+    with pytest.raises(ContractError) as info:
+        apply_rules(schema, RuleSet(rules=()), [], [doc("b", "Climate", "Health"), missing, unknown])
+    assert str(info.value) == "document 'a' is missing a label for aspect 'frame'"
+    with pytest.raises(UnknownEntityError) as info:
+        apply_rules(schema, RuleSet(rules=()), [], [unknown, missing])
+    assert str(info.value) == "document 'z' uses unknown label 'Nowhere' for aspect 'frame'"
+
+
 class Tag(str):
     """A str subclass, which a document id may be."""
 
@@ -594,14 +607,13 @@ def test_random_rules_idempotence_and_exclusion_consistency(seed):
 @given(st.integers(min_value=0, max_value=5_000))
 def test_grouped_application_matches_the_per_document_reference(seed):
     """apply_rules tests each rule once per label tuple; on pools where
-    tuples repeat and documents lack an aspect or carry a non-string or
-    unknown label, it must agree with applying every rule document by
+    tuples repeat, it must agree with applying every rule document by
     document."""
     rng = random.Random(seed)
     schema = random_graph_schema(rng, max_aspects=2)
     docs = [
         replace(d, relevance=rng.choice([None, 0.0, 1.0, round(rng.random(), 3)]))
-        for d in random_partial_docs(rng, schema, rng.randint(1, 60))
+        for d in random_docs(rng, schema, rng.randint(1, 60))
     ]
     rng.shuffle(docs)
     rules = []
@@ -714,22 +726,30 @@ def test_explain_narrates_the_change_each_boost_made(schema):
 # --- scale and work ---
 
 
+def narrow_exclude(rng, schema):
+    """An exclude predicate naming one label per aspect, never the first
+    aspect's first label: documents carrying that label survive every such
+    exclude, however few labels the schema has."""
+    first, *others = schema.aspects
+    labels = [(first, first.labels[1:]), *((a, a.labels) for a in others)]
+    return {"all": [{"aspect": a.name, "value": rng.choice(choices)} for a, choices in labels]}
+
+
 def learned_rule_set(seed):
-    """A seeded schema, ~2k documents with repeated label tuples and odd
-    labels, and 300 random request rules, mostly boosts. Each exclude is
-    narrow, one label per aspect, so that many documents survive."""
+    """A seeded schema, ~2k documents with repeated label tuples, and 300
+    random request rules, mostly boosts. Each exclude is narrow, so that
+    many documents survive."""
     rng = random.Random(seed)
     schema = random_graph_schema(rng)
     docs = [
         replace(d, relevance=rng.choice([None, 0.0, 1.0, round(rng.random(), 6)]))
-        for d in random_partial_docs(rng, schema, 2_000)
+        for d in random_docs(rng, schema, 2_000)
     ]
     rules = []
     for i in range(300):
         roll = rng.random()
         if roll < 0.05:
-            exclude = {"all": [{"aspect": a.name, "value": rng.choice(a.labels)} for a in schema.aspects]}
-            rules.append(Rule(f"r{i}", "request", exclude, "exclude"))
+            rules.append(Rule(f"r{i}", "request", narrow_exclude(rng, schema), "exclude"))
             continue
         if roll < 0.95:
             action, value = "boost", round(rng.uniform(-0.5, 0.5), 3)
@@ -742,7 +762,7 @@ def learned_rule_set(seed):
 @pytest.mark.parametrize("seed", range(3))
 def test_learned_rule_scale_matches_the_reference(seed):
     """300 random rules, mostly boosts, over ~2k documents with repeated
-    label tuples and odd labels; at least a tenth of them survive."""
+    label tuples; at least a tenth of them survive."""
     schema, rules, docs = learned_rule_set(seed)
     assert any(r.action == "exclude" for r in rules)
     assert len(assert_matches_reference(schema, rules, docs).candidates) >= len(docs) / 10
@@ -797,12 +817,12 @@ def test_trace_for_replays_only_the_selected_boost_steps(monkeypatch, collector)
     schema = random_graph_schema(rng)
     docs = [
         replace(d, relevance=rng.choice([None, round(rng.random(), 6)]))
-        for d in random_partial_docs(rng, schema, 2_000)
+        for d in random_docs(rng, schema, 2_000)
     ]
+    # Every tenth rule is a narrow exclude, so that documents are excluded and others survive.
     rules = [
-        Rule(f"r{i}", "request", random_predicate(rng, schema, 3), *rng.choice(
-            [("boost", round(rng.uniform(-0.5, 0.5), 3))] * 9 + [("exclude", None)]
-        ))
+        Rule(f"r{i}", "request", narrow_exclude(rng, schema), "exclude") if i % 10 == 9
+        else Rule(f"r{i}", "request", random_predicate(rng, schema, 3), "boost", round(rng.uniform(-0.5, 0.5), 3))
         for i in range(30)
     ]
     survivors, _, steps = reference_apply_rules(schema, rules, docs)
